@@ -23,6 +23,7 @@ MAX_ITER = 500
 MAX_ORDER = 2048
 FIT_TOL = 1e-10
 TAIL_TARGET = 1e-12
+RECENTER_TAIL = 1e-16   # relative coefficient floor of a recentered map
 
 
 def conjugate_periodic(u):
@@ -190,7 +191,9 @@ def conformal_map_pair(curve, order=128, tol=FIT_TOL):
 def recenter_interior(f, tol=1e-3, max_iter=60):
     """Reparametrize the disk so |f'(0)| is maximal (the hyperbolic center
     of the parametrization). Removes the sampling distortion a far-off
-    anchor point introduces; the image curve is unchanged.
+    anchor point introduces; the image curve is unchanged to the precision
+    of the series (its coefficients are kept down to 1e-16 relative, and
+    never fewer than f's).
 
     Returns f itself when the anchor is already within ``tol`` of optimal.
     """
@@ -211,7 +214,11 @@ def recenter_interior(f, tol=1e-3, max_iter=60):
     theta = np.exp(2j * np.pi * np.arange(n) / n)
     boundary = f.eval_unchecked((theta + s) / (1.0 + np.conj(s) * theta))
     spec = np.fft.fft(boundary) / n
-    coeffs = spec[: f.order + 1].copy()
+    # f composed with a disk automorphism is an infinite series: keep every
+    # coefficient above the relative tail floor
+    mags = np.abs(spec[: n // 2])
+    above = np.flatnonzero(mags > RECENTER_TAIL * mags.max())
+    coeffs = spec[: max(f.order, int(above[-1])) + 1].copy()
     alpha = np.angle(coeffs[1])
     k = np.arange(coeffs.size)
     coeffs = coeffs * np.exp(-1j * k * alpha)

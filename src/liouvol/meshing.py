@@ -34,8 +34,7 @@ class SurfaceMesh:
     mean_density: np.ndarray
     ring: np.ndarray                # ordered vertex ids of the outer ring
     kind: str                       # "interior" | "exterior"
-    oriented_by_normal: bool = True
-    ring_area: float | None = None  # spectrally accurate projected ring area
+    ring_area: float                # spectrally accurate projected ring area
 
     @property
     def n_vertices(self):
@@ -85,7 +84,7 @@ def _spectral_ring_area(samples):
     return float(np.pi * np.sum(k * np.abs(c) ** 2))
 
 
-def _pack_interior(f, zeta_flat, n_rings, n_ang, ring_area=None):
+def _pack_interior(f, zeta_flat, n_rings, n_ang, ring_area):
     Z, xi, eh, ev = _interior_frame_fields(f, zeta_flat)
     verts = np.column_stack([Z.real, Z.imag, xi])
     eta = np.column_stack([eh.real, eh.imag, ev])
@@ -101,7 +100,7 @@ def _pack_interior(f, zeta_flat, n_rings, n_ang, ring_area=None):
                        ring_area=ring_area)
 
 
-def _pack_exterior(g, omega_flat, apex, n_rings, n_ang, ring_area=None):
+def _pack_exterior(g, omega_flat, apex, n_rings, n_ang, ring_area):
     Z, xi, eh, ev = _exterior_frame_fields(g, omega_flat)
     verts = np.vstack([apex[None, :3],
                        np.column_stack([Z.real, Z.imag, xi])])

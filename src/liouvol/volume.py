@@ -13,9 +13,15 @@ slab has positive volume and the circle gives zero.
 
 The triangle integral of 1/(2 xi^2) is exact for linear height: it is the
 second divided difference of -log at the three vertex heights.
+
+Each sheet is tabulated once for a whole truncation schedule (face points,
+projected areas, height ranges, whole-face fluxes, and prefix sums over the
+faces sorted by lowest and by highest vertex). A level then costs two
+binary searches plus one array clip of the faces straddling it. Clip loops
+are checked by mesh edge: every crossing, keyed by the edge it lies on,
+must be shared by exactly two segments.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,149 +92,184 @@ def _projected_area(p):
                   - (x[..., 2] - x[..., 0]) * (y[..., 1] - y[..., 0]))
 
 
-def _clip_above(tri, eps):
-    """Sutherland-Hodgman clip of one triangle against xi >= eps.
+def _clip(points, ids, eps, n_vertices):
+    """Exact clip of straddling triangles against xi >= eps, all at once.
 
-    Returns (polygon above as list of points, crossing points list).
+    Each triangle is rotated, keeping its orientation, so that its odd
+    vertex (the one alone on its side of the level) comes first; both edges
+    leaving that vertex are then cut in one array operation. A lone vertex
+    above keeps one sub-triangle, a lone vertex below leaves a quad that is
+    split into two. Returns (sub-triangles above, (k, 3, 3); crossing
+    points, (k, 2, 3); crossing keys, (k, 2)). A crossing is keyed by its
+    mesh edge, lo * n_vertices + hi over the sorted vertex ids, or by the
+    vertex (id * n_vertices + id) when that vertex lies exactly at eps.
     """
-    poly = [tri[0], tri[1], tri[2]]
-    out, crossings = [], []
-    for i in range(3):
-        p, q = poly[i], poly[(i + 1) % 3]
-        hp, hq = p[2], q[2]
-        if hp >= eps:
-            out.append(p)
-        if (hp - eps) * (hq - eps) < 0:
-            s = (eps - hp) / (hq - hp)
-            cut = p + s * (q - p)
-            cut[2] = eps
-            out.append(cut)
-            crossings.append(cut)
-    return out, crossings
+    up = points[..., 2] >= eps
+    lone_up = up.sum(axis=1) == 1
+    odd = np.where(lone_up, np.argmax(up, axis=1), np.argmin(up, axis=1))
+    turn = (odd[:, None] + np.arange(3)) % 3
+    q = np.take_along_axis(points, turn[..., None], axis=1)
+    v = np.take_along_axis(ids, turn, axis=1)
+
+    o, ends = q[:, :1], q[:, 1:]
+    s = (eps - o[..., 2]) / (ends[..., 2] - o[..., 2])
+    cuts = o + s[..., None] * (ends - o)
+    cuts[..., 2] = eps
+
+    c1, c2 = cuts[:, 0], cuts[:, 1]
+    a, b = q[:, 1], q[:, 2]
+    quad = ~lone_up
+    tris = np.concatenate([
+        np.stack([q[lone_up, 0], c1[lone_up], c2[lone_up]], axis=1),
+        np.stack([c1[quad], a[quad], b[quad]], axis=1),
+        np.stack([c1[quad], b[quad], c2[quad]], axis=1)])
+
+    on_vertex = ends[..., 2] == eps
+    lo = np.where(on_vertex, v[:, 1:], np.minimum(v[:, :1], v[:, 1:]))
+    hi = np.where(on_vertex, v[:, 1:], np.maximum(v[:, :1], v[:, 1:]))
+    return tris, cuts, lo.astype(np.int64) * n_vertices + hi
 
 
-def _fan_area_and_flux(poly, eps):
-    """J-weighted flux of omega over the above-part polygon (3 or 4 pts)."""
-    area = 0.0
-    flux = 0.0
-    for k in range(1, len(poly) - 1):
-        tri = np.stack([poly[0], poly[k], poly[k + 1]])
-        a = float(_projected_area(tri[None])[0])
-        area += a
-        flux += -a * float(_inv_sq_simplex(
-            np.maximum(tri[0, 2], eps), np.maximum(tri[1, 2], eps),
-            np.maximum(tri[2, 2], eps)))
-    return area, flux
+def _prefix_sums(x):
+    """Prefix sums of x with a leading zero, compensated: the rounding error
+    of every running sum is recovered exactly (Knuth's TwoSum) and added
+    back as a prefix sum of its own, so long sums keep their digits."""
+    s = np.concatenate([[0.0], np.cumsum(x)])
+    prev, cur = s[:-1], s[1:]
+    t = cur - prev
+    err = (prev - (cur - t)) + (x - t)
+    return s + np.concatenate([[0.0], np.cumsum(err)])
+
+
+@dataclass(frozen=True, eq=False)
+class _Sheet:
+    """Level-independent tables of one oriented triangle mesh: a level then
+    costs two binary searches into prefix sums plus the clip of the faces
+    that straddle it."""
+
+    points: np.ndarray       # (m, 3, 3) face points
+    ids: np.ndarray          # (m, 3) vertex ids
+    n_vertices: int
+    area: np.ndarray         # (m,) signed projected areas
+    hmin: np.ndarray
+    hmax: np.ndarray
+    hmin_sorted: np.ndarray  # ascending
+    above_flux: np.ndarray   # (m+1,) prefix sums of whole-face flux,
+                             # highest hmin first
+    hmax_sorted: np.ndarray  # ascending
+    below_area: np.ndarray   # (m+1,) prefix sums of area, lowest hmax first
+
+    @classmethod
+    def of(cls, vertices, faces):
+        p = vertices[faces]
+        h = p[..., 2]
+        if np.any(h <= 0):
+            raise DomainError("mesh has nonpositive heights")
+        area = _projected_area(p)
+        hmin, hmax = h.min(axis=1), h.max(axis=1)
+        full = -area * _inv_sq_simplex(h[:, 0], h[:, 1], h[:, 2])
+        by_min = np.argsort(hmin)
+        by_max = np.argsort(hmax)
+        return cls(p, np.asarray(faces), vertices.shape[0], area, hmin, hmax,
+                   hmin[by_min], _prefix_sums(full[by_min[::-1]]),
+                   hmax[by_max], _prefix_sums(area[by_max]))
+
+    def straddling(self, eps):
+        return np.flatnonzero((self.hmin < eps) & (self.hmax > eps))
+
+    def flux(self, eps):
+        """Flux of omega_eps and the (k, 2) crossing keys at level eps."""
+        n_above = self.hmin.size - np.searchsorted(self.hmin_sorted, eps,
+                                                   side="left")
+        n_below = np.searchsorted(self.hmax_sorted, eps, side="right")
+        idx = self.straddling(eps)
+        tris, _, keys = _clip(self.points[idx], self.ids[idx], eps,
+                              self.n_vertices)
+        a = _projected_area(tris)
+        h = tris[..., 2]
+        flux = float(self.above_flux[n_above])
+        flux += -float(self.below_area[n_below]) / (2.0 * eps * eps)
+        flux += float(np.sum(-a * _inv_sq_simplex(h[:, 0], h[:, 1], h[:, 2])))
+        flux += -float(np.sum(self.area[idx]) - np.sum(a)) / (2.0 * eps * eps)
+        return flux, keys
 
 
 def mesh_flux(vertices, faces, eps):
     """Flux of omega_eps through an oriented triangle soup.
 
     Returns (flux, crossing segments at the eps level), where each segment
-    is a pair of 3-vectors.
+    is the pair of keys of its two crossing points (see ``_clip``).
     """
-    p = vertices[faces]
-    h = p[..., 2]
-    if np.any(h <= 0):
-        raise DomainError("mesh has nonpositive heights")
-    area = _projected_area(p)
-    hmin, hmax = h.min(axis=1), h.max(axis=1)
-    above = hmin >= eps
-    below = hmax <= eps
-    mixed = ~(above | below)
-
-    flux = float(np.sum(-area[above] * _inv_sq_simplex(
-        h[above, 0], h[above, 1], h[above, 2])))
-    flux += float(np.sum(-area[below])) / (2.0 * eps * eps)
-
-    segments = []
-    for idx in np.flatnonzero(mixed):
-        tri = p[idx]
-        poly, crossings = _clip_above(tri, eps)
-        if len(poly) >= 3:
-            a_above, f_above = _fan_area_and_flux(poly, eps)
-        else:
-            a_above, f_above = 0.0, 0.0
-        flux += f_above
-        flux += -(float(area[idx]) - a_above) / (2.0 * eps * eps)
-        if len(crossings) == 2:
-            segments.append((crossings[0], crossings[1]))
-    return flux, segments
+    return _Sheet.of(vertices, faces).flux(eps)
 
 
 def _check_clip_loops(segments):
-    """Crossing segments must chain into closed loops."""
-    if not segments:
-        return 0
-    counts = {}
-    for a, b in segments:
-        if np.linalg.norm(a - b) < 1e-14:
-            continue
-        for pt in (a, b):
-            key = (round(float(pt[0]), 9), round(float(pt[1]), 9),
-                   round(float(pt[2]), 9))
-            counts[key] = counts.get(key, 0) + 1
-    dangling = sum(1 for v in counts.values() if v != 2)
+    """Crossing segments must chain into closed loops: every crossing key
+    occurs exactly twice. Returns the number of distinct crossings."""
+    keys, counts = np.unique(np.asarray(segments, dtype=np.int64),
+                             return_counts=True)
+    dangling = int(np.count_nonzero(counts != 2))
     if dangling:
         raise CapTopologyError(
             f"clip curve has {dangling} unmatched endpoints; "
             "level curves are not closed loops")
-    return len(counts)
+    return keys.size
 
 
-def _ring_polygon_area(mesh):
-    ring = mesh.vertices[mesh.ring]
-    x, y = ring[:, 0], ring[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def truncated_volume(mesh_in, mesh_out, eps, check_topology=True):
-    """Signed volume between the sheets above Euclidean height eps.
-
-    Both meshes must reach below eps (their outer rings sit under the
-    truncation level) while their tops rise above it.
-    """
-    for mesh in (mesh_in, mesh_out):
-        heights = mesh.heights()
-        if eps >= float(heights.max()):
+def _check_levels(mesh, eps_levels):
+    heights = mesh.heights()
+    top = float(heights.max())
+    ring_h = float(heights[mesh.ring].max())
+    for eps in eps_levels:
+        if eps >= top:
             raise DomainError("truncation height above the whole surface")
-        ring_h = float(heights[mesh.ring].max())
         if eps <= ring_h:
             raise DomainError(
                 f"truncation height {eps} must exceed the mesh rim height "
                 f"{ring_h:.3e}; extend r_max or raise eps")
 
-    flux_in, segs_in = mesh_flux(mesh_in.vertices, mesh_in.faces, eps)
-    flux_out, segs_out = mesh_flux(mesh_out.vertices, mesh_out.faces, eps)
-    if check_topology:
-        _check_clip_loops(segs_in)
-        _check_clip_loops(segs_out)
 
-    area_in = mesh_in.ring_area if mesh_in.ring_area is not None \
-        else _ring_polygon_area(mesh_in)
-    area_out = mesh_out.ring_area if mesh_out.ring_area is not None \
-        else _ring_polygon_area(mesh_out)
-    sliver = (area_in - area_out) / (2.0 * eps * eps)
-    return ORIENT_SIGN * (flux_in + flux_out + sliver)
+def _truncated_volumes(mesh_in, mesh_out, eps_levels, check_topology=True):
+    """Signed volumes between the sheets above each Euclidean height in
+    ``eps_levels``, from one tabulation of each sheet.
+
+    Both meshes must reach below every level (their outer rings sit under
+    the truncation heights) while their tops rise above it.
+    """
+    for mesh in (mesh_in, mesh_out):
+        _check_levels(mesh, eps_levels)
+    sheets = (_Sheet.of(mesh_in.vertices, mesh_in.faces),
+              _Sheet.of(mesh_out.vertices, mesh_out.faces))
+    out = []
+    for eps in eps_levels:
+        total = 0.0
+        for sheet in sheets:
+            flux, segments = sheet.flux(eps)
+            if check_topology:
+                _check_clip_loops(segments)
+            total += flux
+        sliver = (mesh_in.ring_area - mesh_out.ring_area) / (2.0 * eps * eps)
+        out.append(ORIENT_SIGN * (total + sliver))
+    return out
+
+
+def truncated_volume(mesh_in, mesh_out, eps, check_topology=True):
+    """Signed volume between the sheets above Euclidean height eps."""
+    return _truncated_volumes(mesh_in, mesh_out, (eps,), check_topology)[0]
 
 
 def clip_mesh_above(mesh, eps):
     """Triangle soup of the mesh part above height eps (crossing triangles
-    split exactly), plus the ordered clip loop. For OBJ inspection dumps."""
-    p = mesh.face_points()
-    h = p[..., 2]
-    keep = list(p[h.min(axis=1) >= eps])
-    loop_pts = []
-    for idx in np.flatnonzero((h.min(axis=1) < eps) & (h.max(axis=1) > eps)):
-        poly, crossings = _clip_above(p[idx], eps)
-        for k in range(1, len(poly) - 1):
-            keep.append(np.stack([poly[0], poly[k], poly[k + 1]]))
-        loop_pts.extend(crossings)
-    tris = np.array(keep)
-    verts = tris.reshape(-1, 3)
+    split exactly), plus the clip-loop crossing points. For OBJ inspection
+    dumps."""
+    sheet = _Sheet.of(mesh.vertices, mesh.faces)
+    idx = sheet.straddling(eps)
+    tris, cuts, _ = _clip(sheet.points[idx], sheet.ids[idx], eps,
+                          sheet.n_vertices)
+    verts = np.concatenate([sheet.points[sheet.hmin >= eps], tris]
+                           ).reshape(-1, 3)
     faces = np.arange(verts.shape[0]).reshape(-1, 3)
-    loop = np.array(loop_pts) if loop_pts else np.zeros((0, 3))
-    return verts, faces, loop
+    return verts, faces, cuts.reshape(-1, 3)
 
 
 def cap_annulus(loop_in, loop_out):
@@ -303,8 +344,8 @@ def volume(f, g, eps_schedule=None, n_ang=1024, r_max=None,
                                         per_octave=per_octave,
                                         interior_rings=interior_rings)
     mesh_in, mesh_out = meshes
-    samples = tuple((eps, truncated_volume(mesh_in, mesh_out, eps))
-                    for eps in eps_schedule)
+    samples = tuple(zip(eps_schedule,
+                        _truncated_volumes(mesh_in, mesh_out, eps_schedule)))
     v, err = richardson_extrapolate(samples, stages=stages)
     return v, samples, err
 

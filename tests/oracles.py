@@ -149,3 +149,67 @@ def slab_volume(band_area, t):
 def hyperbolic_annulus_area(r1, r2):
     """Hyperbolic area of {r1 <= |z| <= r2} in the unit-disk metric."""
     return 4 * math.pi * (1 / (1 - r2 ** 2) - 1 / (1 - r1 ** 2))
+
+
+# -- scalar triangle-by-triangle flux -----------------------------------------
+
+def _projected_area_scalar(a, b, c):
+    return 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]))
+
+
+def _clip_above_scalar(tri, eps):
+    """Sutherland-Hodgman clip of one triangle against xi >= eps.
+
+    Returns (polygon above as list of points, crossing points list).
+    """
+    out, crossings = [], []
+    for i in range(3):
+        p, q = tri[i], tri[(i + 1) % 3]
+        hp, hq = p[2], q[2]
+        if hp >= eps:
+            out.append(p)
+        if (hp - eps) * (hq - eps) < 0:
+            s = (eps - hp) / (hq - hp)
+            cut = p + s * (q - p)
+            cut[2] = eps
+            out.append(cut)
+            crossings.append(cut)
+    return out, crossings
+
+
+def mesh_flux_scalar(vertices, faces, eps, inv_sq_simplex):
+    """Flux of -dx^dy / (2 max(xi, eps)^2) through an oriented triangle
+    soup, clipping the straddling triangles one at a time: each above-part
+    polygon is fanned from its first vertex. Faces wholly above or below
+    eps are summed under boolean masks.
+
+    ``inv_sq_simplex(h1, h2, h3)`` is the exact integral of 1/h^2 over the
+    unit simplex for linear h (checked on its own against closed forms).
+    Returns (flux, crossing segments as pairs of 3-vectors).
+    """
+    p = np.asarray(vertices, dtype=float)[faces]
+    h = p[..., 2]
+    x, y = p[..., 0], p[..., 1]
+    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    above = h.min(axis=1) >= eps
+    below = h.max(axis=1) <= eps
+    flux = float(np.sum(-area[above] * inv_sq_simplex(
+        h[above, 0], h[above, 1], h[above, 2])))
+    flux += float(np.sum(-area[below])) / (2.0 * eps * eps)
+
+    segments = []
+    for idx in np.flatnonzero(~(above | below)):
+        poly, crossings = _clip_above_scalar(p[idx], eps)
+        area_above = 0.0
+        for k in range(1, len(poly) - 1):
+            a = _projected_area_scalar(poly[0], poly[k], poly[k + 1])
+            area_above += a
+            flux += -a * float(inv_sq_simplex(
+                np.array(max(poly[0][2], eps)),
+                np.array(max(poly[k][2], eps)),
+                np.array(max(poly[k + 1][2], eps))))
+        flux += -(float(area[idx]) - area_above) / (2.0 * eps * eps)
+        if len(crossings) == 2:
+            segments.append((crossings[0], crossings[1]))
+    return flux, segments

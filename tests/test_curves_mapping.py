@@ -7,7 +7,7 @@ from liouvol.curves import (CurveSpec, circle_curve, ellipse_curve,
                             polyline_is_simple, polynomial_curve)
 from liouvol.errors import CorrespondenceError, DomainError
 from liouvol.mapping import (conformal_map_pair, exterior_map, interior_map,
-                             welding)
+                             recenter_interior, welding)
 from liouvol.series import LaurentMap, PowerSeriesMap
 
 
@@ -127,3 +127,35 @@ def test_conformal_pair_consistency(cubic):
     phi = welding(f, g, th)
     d = np.abs(g(np.exp(1j * phi)) - f.eval_unchecked(np.exp(1j * th)))
     assert np.max(d) < 1e-8
+
+
+def _distance_to_boundary(f, points, n=4096, newton=8):
+    """Distance from each point to the curve f(e^{i phi}): nearest sample,
+    then Newton steps on |f(e^{i phi}) - p|^2 in phi."""
+    grid = 2 * np.pi * np.arange(n) / n
+    samples = f.eval_unchecked(np.exp(1j * grid))
+    phi = grid[np.argmin(np.abs(points[:, None] - samples[None, :]), axis=1)]
+    for _ in range(newton):
+        e = np.exp(1j * phi)
+        v, d1, d2 = f.jet(e, upto=2)
+        dv = 1j * e * d1
+        ddv = -e * d1 - e * e * d2
+        diff = v - points
+        grad = np.real(np.conj(diff) * dv)
+        hess = np.real(np.conj(dv) * dv + np.conj(diff) * ddv)
+        phi = phi - grad / hess
+    return np.abs(f.eval_unchecked(np.exp(1j * phi)) - points)
+
+
+def test_recenter_interior_keeps_the_boundary():
+    # an asymmetric curve is parametrized off its hyperbolic center; the
+    # recentered map (f composed with a disk automorphism) is an infinite
+    # series and must still trace the same curve
+    k = np.arange(2, 7)
+    phases = np.exp(2j * np.pi * np.array([0.1, 0.35, 0.6, 0.8, 0.95]))
+    f = PowerSeriesMap(np.concatenate([[0.0, 1.0], 0.04 * phases / k]),
+                       hint_radius=2.0)
+    fr = recenter_interior(f)
+    assert fr is not f and fr.order > f.order
+    circle = np.exp(2j * np.pi * np.arange(512) / 512)
+    assert np.max(_distance_to_boundary(f, fr.eval_unchecked(circle))) < 1e-12

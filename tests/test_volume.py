@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from oracles import (ball_volume_euclidean_sphere, hyperbolic_annulus_area,
-                     slab_volume)
+                     mesh_flux_scalar, slab_volume)
 
 from liouvol.epstein import _interior_frame_fields, geodesic_flow
 from liouvol.errors import CapTopologyError, DomainError
-from liouvol.meshing import aligned_surface_meshes
+from liouvol.meshing import aligned_surface_meshes, mesh_surface
 from liouvol.mobius import H3Point
 from liouvol.series import LaurentMap, PowerSeriesMap
-from liouvol.volume import (_inv_sq_simplex, mesh_flux, renormalized_volume,
-                            richardson_extrapolate, truncated_volume, volume)
+from liouvol.volume import (_check_clip_loops, _inv_sq_simplex, mesh_flux,
+                            renormalized_volume, richardson_extrapolate,
+                            truncated_volume, volume)
 
 
 def test_simplex_integral_closed_forms():
@@ -66,7 +67,7 @@ def test_flux_over_closed_sphere_matches_ball_volume():
     h, r = 2.0, 1.0
     verts, faces = _sphere_mesh(h, r, 128)
     flux, segments = mesh_flux(verts, faces, 1e-9)
-    assert segments == []
+    assert len(segments) == 0
     exact = ball_volume_euclidean_sphere(h, r)
     assert abs(flux - exact) / exact < 5e-3
 
@@ -85,11 +86,15 @@ def test_flux_cap_consistency_on_sphere():
     assert abs(flux - shell) / shell < 5e-3
 
 
-def test_slab_between_plane_and_equidistant():
-    """Closed flux over a band of the geodesic plane, its shifted copy and
-    the two geodesic side walls equals the closed-form slab volume."""
+SLAB = (0.35, 0.75, 0.4)   # inner and outer disk radius, geodesic shift
+
+
+@pytest.fixture(scope="module")
+def slab_mesh():
+    """Closed mesh of a band of the geodesic plane, its shifted copy and the
+    two geodesic side walls, oriented outward."""
     f = PowerSeriesMap([0, 1], hint_radius=8)
-    r1, r2, t = 0.35, 0.75, 0.4
+    r1, r2, t = SLAB
     n_ang, n_rad, n_wall = 256, 80, 48
 
     theta = 2 * np.pi * np.arange(n_ang) / n_ang
@@ -143,8 +148,13 @@ def test_slab_between_plane_and_equidistant():
     cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     flip = np.einsum("ij,ij->i", cross, refs[faces].mean(axis=1)) < 0
     faces[flip] = faces[flip][:, [0, 2, 1]]
+    return verts, faces
 
-    flux, _ = mesh_flux(verts, faces, 1e-6)
+
+def test_slab_between_plane_and_equidistant(slab_mesh):
+    """Closed flux over the slab mesh equals the closed-form slab volume."""
+    r1, r2, t = SLAB
+    flux, _ = mesh_flux(*slab_mesh, 1e-6)
     exact = slab_volume(hyperbolic_annulus_area(r1, r2), t)
     assert flux > 0
     assert abs(flux - exact) / exact < 5e-3
@@ -189,6 +199,87 @@ def test_clip_topology_error_on_open_sheet():
         from liouvol.volume import _check_clip_loops
         _, segs = mesh_flux(mesh.vertices, mesh.faces, 0.6)
         _check_clip_loops(segs[: len(segs) // 2])  # half a loop cannot close
+
+
+def _assert_matches_scalar_clip(verts, faces, levels):
+    for eps in levels:
+        flux, segments = mesh_flux(verts, faces, eps)
+        ref, ref_segments = mesh_flux_scalar(verts, faces, eps,
+                                             _inv_sq_simplex)
+        assert len(segments) == len(ref_segments) > 0
+        assert abs(flux - ref) <= 1e-12 * abs(ref)
+
+
+def test_mesh_flux_matches_scalar_clip_on_sphere():
+    verts, faces = _sphere_mesh(2.0, 1.0, 128)
+    _assert_matches_scalar_clip(verts, faces, (1.13, 1.5, 2.31, 2.87))
+
+
+def test_mesh_flux_matches_scalar_clip_on_slab(slab_mesh):
+    verts, faces = slab_mesh
+    lo, hi = verts[:, 2].min(), verts[:, 2].max()
+    _assert_matches_scalar_clip(verts, faces,
+                                lo + (hi - lo) * np.array([0.17, 0.43, 0.71]))
+
+
+def test_mesh_flux_matches_scalar_clip_on_ellipse_sheets(ellipse_maps):
+    f, g = ellipse_maps
+    for mesh in aligned_surface_meshes(f, g, n_ang=256):
+        _assert_matches_scalar_clip(mesh.vertices, mesh.faces,
+                                    (0.11, 0.0275, 0.0034375))
+
+
+def test_volume_samples_equal_per_level_truncated_volume(ellipse_maps):
+    f, g = ellipse_maps
+    mi, mo = aligned_surface_meshes(f, g, n_ang=256, per_octave=8,
+                                    interior_rings=24)
+    _, samples, _ = volume(f, g, meshes=(mi, mo))
+    assert len(samples) == 7
+    for eps, v in samples:
+        assert abs(v - truncated_volume(mi, mo, eps)) <= 1e-12 * abs(v)
+
+
+def _cone(ring_heights, apex=(0.0, 0.0, 2.0)):
+    """Open cone from an apex down to a unit ring of given heights, faces
+    oriented upward; the apex is vertex 0."""
+    n = len(ring_heights)
+    phi = 2 * np.pi * np.arange(n) / n
+    verts = np.vstack([apex, np.column_stack(
+        [np.cos(phi), np.sin(phi), ring_heights])])
+    j = np.arange(n)
+    faces = np.column_stack([np.zeros(n, int), 1 + j, 1 + (j + 1) % n])
+    return verts, faces
+
+
+def test_clip_loop_closes_on_open_sheet():
+    f = PowerSeriesMap([0, 1], hint_radius=8)
+    mesh = mesh_surface(f, 32, 32, r_max=0.9)
+    _, segs = mesh_flux(mesh.vertices, mesh.faces, 0.6)
+    assert _check_clip_loops(segs) == len(segs) > 0
+
+
+def test_clip_loops_keep_nearby_crossings_on_distinct_edges_apart():
+    # two cones over one ring whose apexes sit 1e-11 apart: crossings on
+    # their side edges agree to 9 digits but lie on distinct mesh edges
+    n = 16
+    verts, faces = _cone(np.full(n, 0.5))
+    verts = np.vstack([verts, [1e-11, 0.0, 2.0]])
+    twin = faces[:, [0, 2, 1]].copy()
+    twin[:, 0] = n + 1
+    _, segs = mesh_flux(verts, np.vstack([faces, twin]), 1.0)
+    assert _check_clip_loops(segs) == 2 * n
+
+
+def test_clip_loop_through_vertices_on_the_level():
+    # every other ring vertex sits exactly at eps: those crossings are keyed
+    # by the vertex and still close the loop; the flux is unchanged
+    n = 16
+    verts, faces = _cone(np.where(np.arange(n) % 2 == 0, 1.0, 0.5))
+    flux, segs = mesh_flux(verts, faces, 1.0)
+    assert len(segs) == n
+    assert _check_clip_loops(segs) == n
+    ref, _ = mesh_flux_scalar(verts, faces, 1.0, _inv_sq_simplex)
+    assert abs(flux - ref) <= 1e-12 * abs(ref)
 
 
 def test_richardson_on_synthetic_sequence():
