@@ -141,10 +141,3 @@ def first_variation_action(g, nu, grid=None):
     nu_vals = nu(w) if callable(nu) else np.asarray(nu)
     return 4.0 * float(np.real(ext.integrate(nu_vals * sg)))
 
-
-def curve_action(curve, order=128, grid=None):
-    """Convenience wrapper: solve both maps of ``curve`` and evaluate."""
-    from .mapping import conformal_map_pair
-
-    f, g = conformal_map_pair(curve, order=order)
-    return liouville_action(f, g, grid=grid), f, g

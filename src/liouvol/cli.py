@@ -199,8 +199,9 @@ def cmd_surface(config, writer):
         writer.register_external(csv)
     # innermost parameter radius from which the outer annulus stays an
     # immersion (Schwarzian norm below 1) on the sampled grid
+    norm_in = mesh_in.curvature[:, 0]
     radii = np.abs(mesh_in.source[1:]).reshape(rn, an)
-    ring_max = mesh_in.theta_norm[1:].reshape(rn, an).max(axis=1)
+    ring_max = norm_in[1:].reshape(rn, an).max(axis=1)
     immersed_from = None
     for i in range(rn - 1, -1, -1):
         if ring_max[i] >= 1.0:
@@ -208,8 +209,8 @@ def cmd_surface(config, writer):
         immersed_from = float(radii[i, 0])
     writer.write_json("surface.json", {
         "separation": surface_separation(mesh_in, mesh_out),
-        "max_schwarzian_norm_in": float(np.max(mesh_in.theta_norm)),
-        "max_schwarzian_norm_out": float(np.max(mesh_out.theta_norm[1:])),
+        "max_schwarzian_norm_in": float(np.max(norm_in)),
+        "max_schwarzian_norm_out": float(np.max(mesh_out.curvature[1:, 0])),
         "immersed_annulus_from_radius": immersed_from,
         "vertices_per_sheet": int(mesh_in.n_vertices),
     })

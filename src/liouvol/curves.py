@@ -142,8 +142,9 @@ class CurveSpec:
         a = self.anchor()
         if self.kind == "series":
             f = self.series
+            invert = _argument_inverse(f, a)
             def rho(chi):
-                theta = _invert_argument_series(f, a, np.asarray(chi, float))
+                theta = invert(np.asarray(chi, float))
                 return np.abs(f.eval_unchecked(np.exp(1j * theta)) - a)
             return rho
         rel = self.points - a
@@ -172,8 +173,10 @@ class CurveSpec:
         return self
 
 
-def _invert_argument_series(f, a, chi):
-    """Solve arg(f(e^{i theta}) - a) = chi by Newton, vectorized over chi."""
+def _argument_inverse(f, a):
+    """chi -> theta solving arg(f(e^{i theta}) - a) = chi by Newton,
+    vectorized over chi. The lookup table for the initial guess and f' are
+    built once and shared by every inversion."""
     n = 4096
     grid = 2 * np.pi * np.arange(n) / n
     vals = f.eval_unchecked(np.exp(1j * grid)) - a
@@ -183,22 +186,26 @@ def _invert_argument_series(f, a, chi):
     # monotone lookup table for the initial guess
     ang_ext = np.concatenate([ang, [ang[0] + 2 * np.pi]])
     grid_ext = np.concatenate([grid, [2 * np.pi]])
-    chi = np.asarray(chi, float)
-    target = np.mod(chi - ang_ext[0], 2 * np.pi) + ang_ext[0]
-    theta = np.interp(target, ang_ext, grid_ext)
-    for _ in range(40):
-        e = np.exp(1j * theta)
-        w = f.eval_unchecked(e) - a
-        d1 = f.deriv().eval_unchecked(e)
-        arg_err = np.angle(w * np.exp(-1j * target))
-        slope = np.real(e * d1 / w)   # d(arg)/d(theta)
-        if np.any(slope <= 0):
-            raise DomainError("series curve is not star shaped about f(0)")
-        step = arg_err / slope
-        theta = theta - step
-        if np.max(np.abs(step)) < 1e-14:
-            break
-    return theta
+    df = f.deriv()
+
+    def invert(chi):
+        chi = np.asarray(chi, float)
+        target = np.mod(chi - ang_ext[0], 2 * np.pi) + ang_ext[0]
+        theta = np.interp(target, ang_ext, grid_ext)
+        for _ in range(40):
+            e = np.exp(1j * theta)
+            w = f.eval_unchecked(e) - a
+            d1 = df.eval_unchecked(e)
+            arg_err = np.angle(w * np.exp(-1j * target))
+            slope = np.real(e * d1 / w)   # d(arg)/d(theta)
+            if np.any(slope <= 0):
+                raise DomainError("series curve is not star shaped about f(0)")
+            step = arg_err / slope
+            theta = theta - step
+            if np.max(np.abs(step)) < 1e-14:
+                break
+        return theta
+    return invert
 
 
 # -- reference shapes -------------------------------------------------------

@@ -30,7 +30,6 @@ class MetricJet:
 
     phi: float
     phi_zbar: complex
-    phi_zz: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -189,6 +188,37 @@ def _curvature_fields(theta_norm, rho):
     H = np.where(t == 1.0, np.inf, t * t / (1.0 - t * t))
     mean_density = t * t * rho
     return k_p, k_m, khat_p, khat_m, H, mean_density
+
+
+def _apex_circle():
+    """64 points on |omega| = 1e4 whose means stand in for the exterior
+    sheet's apex at omega = infinity."""
+    chi = 2 * np.pi * np.arange(64) / 64
+    return 1e4 * np.exp(1j * chi)
+
+
+def curvature_columns(fmap, source):
+    """(n, 5) columns schwarzian_norm, k_plus, k_minus, H, mean_density of
+    an envelope sheet at its parameter points ``source``.
+
+    A Laurent sheet's apex (the point at infinity, source[0]) takes the
+    mean norm over the apex circle and zero density.
+    """
+    source = np.asarray(source, dtype=complex)
+    if isinstance(fmap, LaurentMap):
+        omega = source[1:]
+        apex = schwarzian_norm_exterior(fmap, _apex_circle())
+        t = np.concatenate([[apex.mean()],
+                            schwarzian_norm_exterior(fmap, omega)])
+        d1 = fmap.deriv_at(omega, 1)
+        rho = np.concatenate([[0.0], 4.0 / ((np.abs(omega) ** 2 - 1.0) ** 2
+                                            * np.abs(d1) ** 2)])
+    else:
+        t = schwarzian_norm_interior(fmap, source)
+        d1 = fmap.jet(source, upto=1)[1]
+        rho = 4.0 / ((1.0 - np.abs(source) ** 2) ** 2 * np.abs(d1) ** 2)
+    k_p, k_m, _, _, H, dens = _curvature_fields(t, rho)
+    return np.column_stack([t, k_p, k_m, H, dens])
 
 
 def curvatures(f, zeta, boundary_tol=1e-8):

@@ -70,12 +70,12 @@ def gradient_field(g, grid=None):
         return -np.conj(schwarzian(g, w)) * (np.abs(w) ** 2 - 1.0) ** 2
 
     ext = grid.exterior()
-    on_grid = np.abs(nu(ext.nodes))
+    s = schwarzian(g, ext.nodes)
+    weight = (np.abs(ext.nodes) ** 2 - 1.0) ** 2
+    on_grid = np.abs(-np.conj(s) * weight)
     far = np.abs(nu(np.logspace(0.1, 4, 64) * np.exp(1j)))
     sup = float(max(on_grid.max(), far.max()))
-    s = schwarzian(g, ext.nodes)
-    wp = 4.0 * float(ext.integrate(
-        np.abs(s) ** 2 * (np.abs(ext.nodes) ** 2 - 1.0) ** 2))
+    wp = 4.0 * float(ext.integrate(np.abs(s) ** 2 * weight))
     return BeltramiField(nu, sup, wp, exterior=g)
 
 

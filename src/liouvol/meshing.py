@@ -3,17 +3,19 @@
 Meshes are built over polar parameter grids (radial rings x angular rays).
 Faces are oriented so their Euclidean cross-product normal agrees with the
 frame normal eta. The outermost ring of each mesh limits onto the curve.
+A mesh carries geometry only; the curvature columns of the CSV export are
+computed from its map on first use.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .epstein import (_curvature_fields, _exterior_frame_fields,
-                      _interior_frame_fields, schwarzian_norm_exterior,
-                      schwarzian_norm_interior)
+from .epstein import (_apex_circle, _exterior_frame_fields,
+                      _interior_frame_fields, curvature_columns)
 from .errors import DomainError
 from .mapping import welding
 from .series import LaurentMap
@@ -27,14 +29,9 @@ class SurfaceMesh:
     faces: np.ndarray               # (m, 3) int, oriented along eta
     eta: np.ndarray                 # (n, 3)
     source: np.ndarray              # (n,) complex parameter points
-    theta_norm: np.ndarray          # (n,) Schwarzian norm
-    k_plus: np.ndarray
-    k_minus: np.ndarray
-    mean_curv: np.ndarray
-    mean_density: np.ndarray
     ring: np.ndarray                # ordered vertex ids of the outer ring
-    kind: str                       # "interior" | "exterior"
     ring_area: float                # spectrally accurate projected ring area
+    fmap: object                    # series or Laurent map of the sheet
 
     @property
     def n_vertices(self):
@@ -45,6 +42,11 @@ class SurfaceMesh:
 
     def face_points(self):
         return self.vertices[self.faces]
+
+    @cached_property
+    def curvature(self):
+        """(n, 5) columns schwarzian_norm, k_plus, k_minus, H, mean_density."""
+        return curvature_columns(self.fmap, self.source)
 
 
 def _orient_faces(vertices, faces, eta):
@@ -57,22 +59,17 @@ def _orient_faces(vertices, faces, eta):
     return out
 
 
-def _grid_faces(n_rings, n_ang, apex_index, first_ring_start):
-    """Fan around the apex plus quad strips between consecutive rings."""
-    faces = []
+def _grid_faces(n_rings, n_ang):
+    """Fan around the center vertex 0 plus quad strips between consecutive
+    rings; ring i holds the vertices 1 + i * n_ang + j, j < n_ang."""
     j = np.arange(n_ang)
     jp = (j + 1) % n_ang
-    ring0 = first_ring_start + j
-    ring0p = first_ring_start + jp
-    faces.append(np.stack([np.full(n_ang, apex_index), ring0, ring0p], axis=1))
-    for i in range(n_rings - 1):
-        a = first_ring_start + i * n_ang + j
-        b = first_ring_start + i * n_ang + jp
-        c = first_ring_start + (i + 1) * n_ang + j
-        d = first_ring_start + (i + 1) * n_ang + jp
-        faces.append(np.stack([a, b, d], axis=1))
-        faces.append(np.stack([a, d, c], axis=1))
-    return np.concatenate(faces, axis=0)
+    a = 1 + n_ang * np.arange(n_rings - 1)[:, None] + j
+    b = a - j + jp
+    c, d = a + n_ang, b + n_ang
+    strips = np.stack([np.stack([a, b, d], -1), np.stack([a, d, c], -1)], 1)
+    fan = np.stack([np.zeros(n_ang, int), 1 + j, 1 + jp], axis=1)
+    return np.concatenate([fan, strips.reshape(-1, 3)])
 
 
 def _spectral_ring_area(samples):
@@ -84,55 +81,39 @@ def _spectral_ring_area(samples):
     return float(np.pi * np.sum(k * np.abs(c) ** 2))
 
 
-def _pack_interior(f, zeta_flat, n_rings, n_ang, ring_area):
-    Z, xi, eh, ev = _interior_frame_fields(f, zeta_flat)
+def _pack(fmap, params, n_rings, n_ang, ring_params):
+    """Sheet over the flat ring-by-ring parameter grid ``params`` plus a
+    center vertex: zeta = 0 for a series map, the averaged apex at infinity
+    for a Laurent map. The ring area is taken from the frame Z at the fine
+    rim points ``ring_params``."""
+    exterior = isinstance(fmap, LaurentMap)
+    fields = _exterior_frame_fields if exterior else _interior_frame_fields
+    source = np.concatenate([[np.inf + 0j if exterior else 0j], params])
+    Z, xi, eh, ev = fields(fmap, params if exterior else source)
     verts = np.column_stack([Z.real, Z.imag, xi])
     eta = np.column_stack([eh.real, eh.imag, ev])
-    tn = schwarzian_norm_interior(f, zeta_flat)
-    d1 = f.jet(zeta_flat, upto=1)[1]
-    rho = 4.0 / ((1.0 - np.abs(zeta_flat) ** 2) ** 2 * np.abs(d1) ** 2)
-    k_p, k_m, _, _, H, dens = _curvature_fields(tn, rho)
-    faces = _grid_faces(n_rings, n_ang, 0, 1)
-    faces = _orient_faces(verts, faces, eta)
+    if exterior:
+        apex = _exterior_apex(fmap)
+        verts = np.vstack([apex[None, :3], verts])
+        eta = np.vstack([apex[None, 3:], eta])
+    faces = _orient_faces(verts, _grid_faces(n_rings, n_ang), eta)
     ring = np.arange(1 + (n_rings - 1) * n_ang, 1 + n_rings * n_ang)
-    return SurfaceMesh(verts, faces, eta, zeta_flat, np.asarray(tn),
-                       k_p, k_m, H, dens, ring, "interior",
-                       ring_area=ring_area)
+    ring_area = _spectral_ring_area(fields(fmap, ring_params)[0])
+    return SurfaceMesh(verts, faces, eta, source, ring, ring_area, fmap)
 
 
-def _pack_exterior(g, omega_flat, apex, n_rings, n_ang, ring_area):
-    Z, xi, eh, ev = _exterior_frame_fields(g, omega_flat)
-    verts = np.vstack([apex[None, :3],
-                       np.column_stack([Z.real, Z.imag, xi])])
-    eta = np.vstack([apex[None, 3:6],
-                     np.column_stack([eh.real, eh.imag, ev])])
-    tn = schwarzian_norm_exterior(g, omega_flat)
-    d1 = g.deriv_at(omega_flat, 1)
-    rho = 4.0 / ((np.abs(omega_flat) ** 2 - 1.0) ** 2 * np.abs(d1) ** 2)
-    k_p, k_m, _, _, H, dens = _curvature_fields(tn, rho)
-    pad = lambda arr, v: np.concatenate([[v], np.asarray(arr)])
-    src = np.concatenate([[np.inf + 0j], omega_flat])
-    faces = _grid_faces(n_rings, n_ang, 0, 1)
-    faces = _orient_faces(verts, faces, eta)
-    ring = np.arange(1 + (n_rings - 1) * n_ang, 1 + n_rings * n_ang)
-    apex_tn = float(apex[6])
-    akp, akm, _, _, aH, _ = _curvature_fields(apex_tn, 0.0)
-    return SurfaceMesh(verts, faces, eta, src,
-                       pad(tn, apex_tn), pad(k_p, akp), pad(k_m, akm),
-                       pad(H, aH), pad(dens, 0.0),
-                       ring, "exterior", ring_area=ring_area)
-
-
-def _exterior_apex(g, radius=1e4, n_avg=64):
-    """Limit frame at omega -> infinity by angular averaging at |omega| = radius;
+def _exterior_apex(g):
+    """Limit frame at omega -> infinity by angular averaging on a far circle;
     the oscillatory O(1/R) terms cancel in the mean."""
-    chi = 2 * np.pi * np.arange(n_avg) / n_avg
-    omega = radius * np.exp(1j * chi)
-    Z, xi, eh, ev = _exterior_frame_fields(g, omega)
-    tn = schwarzian_norm_exterior(g, omega)
+    Z, xi, eh, ev = _exterior_frame_fields(g, _apex_circle())
     return np.array([Z.real.mean(), Z.imag.mean(), xi.mean(),
-                     eh.real.mean(), eh.imag.mean(), ev.mean(),
-                     tn.mean()])
+                     eh.real.mean(), eh.imag.mean(), ev.mean()])
+
+
+def _fine_circle(r, n_ang):
+    """Rim points for the ring area: four samples per angular ray."""
+    n = 4 * n_ang
+    return r * np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def mesh_surface(fmap, radial_n=64, angular_n=64, r_max=1.0 - 2.0 ** -10):
@@ -149,31 +130,14 @@ def mesh_surface(fmap, radial_n=64, angular_n=64, r_max=1.0 - 2.0 ** -10):
     theta = 2 * np.pi * np.arange(angular_n) / angular_n
     radii = r_max * (np.arange(1, radial_n + 1) / radial_n)
     if isinstance(fmap, LaurentMap):
-        omega = (1.0 / radii)[:, None] * np.exp(1j * theta)[None, :]
-        ring_samples = _ring_samples_exterior(fmap, 1.0 / r_max, angular_n)
-        return _pack_exterior(fmap, omega.ravel(), _exterior_apex(fmap),
-                              radial_n, angular_n,
-                              ring_area=_spectral_ring_area(ring_samples))
-    zeta = radii[:, None] * np.exp(1j * theta)[None, :]
-    return _pack_interior(fmap, np.concatenate([[0j], zeta.ravel()]),
-                          radial_n, angular_n,
-                          ring_area=_spectral_ring_area(
-                              _ring_samples_interior(fmap, r_max, angular_n)))
-
-
-def _ring_samples_interior(f, r, n_ang, oversample=4):
-    n = oversample * n_ang
-    zeta = r * np.exp(2j * np.pi * np.arange(n) / n)
-    Z, _, _, _ = _interior_frame_fields(f, zeta)
-    return Z
-
-
-def _ring_samples_exterior(g, s, n_ang, phi_of_theta=None, oversample=4):
-    n = oversample * n_ang
-    theta = 2 * np.pi * np.arange(n) / n
-    phi = phi_of_theta(theta) if phi_of_theta is not None else theta
-    Z, _, _, _ = _exterior_frame_fields(g, s * np.exp(1j * phi))
-    return Z
+        n_fine = 4 * angular_n
+        theta_f = 2 * np.pi * np.arange(n_fine) / n_fine
+        params = (1.0 / radii)[:, None] * np.exp(1j * theta)[None, :]
+        ring_params = (1.0 / r_max) * np.exp(1j * theta_f)
+    else:
+        params = radii[:, None] * np.exp(1j * theta)[None, :]
+        ring_params = _fine_circle(r_max, angular_n)
+    return _pack(fmap, params.ravel(), radial_n, angular_n, ring_params)
 
 
 def aligned_surface_meshes(f, g, n_ang=1024, r_max=1.0 - 2.0 ** -11,
@@ -195,9 +159,8 @@ def aligned_surface_meshes(f, g, n_ang=1024, r_max=1.0 - 2.0 ** -11,
     n_rings = radii.size
 
     zeta = radii[:, None] * np.exp(1j * theta)[None, :]
-    mesh_in = _pack_interior(
-        f, np.concatenate([[0j], zeta.ravel()]), n_rings, n_ang,
-        ring_area=_spectral_ring_area(_ring_samples_interior(f, radii[-1], n_ang)))
+    mesh_in = _pack(f, zeta.ravel(), n_rings, n_ang,
+                    _fine_circle(radii[-1], n_ang))
 
     # per-ray exterior radii: match |g'| (s - 1) to |f'| (1 - r) near the rim
     fp = np.abs(f.jet(np.exp(1j * theta), upto=1)[1])
@@ -211,21 +174,18 @@ def aligned_surface_meshes(f, g, n_ang=1024, r_max=1.0 - 2.0 ** -11,
     s = np.minimum.accumulate(s, axis=0)
     omega = s * np.exp(1j * phi)[None, :]
 
-    def phi_of_theta(th):
-        return np.interp(th, np.concatenate([theta, [2 * np.pi]]),
-                         np.concatenate([np.unwrap(phi),
-                                         [np.unwrap(phi)[0] + 2 * np.pi]]))
-
+    # fine rim points: s and the welded angle interpolated between rays
+    theta_ext = np.concatenate([theta, [2 * np.pi]])
+    phi_u = np.unwrap(phi)
     s_ring = s[-1, :]
     n_fine = 4 * n_ang
     theta_f = 2 * np.pi * np.arange(n_fine) / n_fine
-    s_fine = np.interp(theta_f, np.concatenate([theta, [2 * np.pi]]),
+    s_fine = np.interp(theta_f, theta_ext,
                        np.concatenate([s_ring, [s_ring[0]]]))
-    Zr, _, _, _ = _exterior_frame_fields(
-        g, s_fine * np.exp(1j * phi_of_theta(theta_f)))
-    mesh_out = _pack_exterior(g, omega.ravel(), _exterior_apex(g),
-                              n_rings, n_ang,
-                              ring_area=_spectral_ring_area(Zr))
+    phi_fine = np.interp(theta_f, theta_ext,
+                         np.concatenate([phi_u, [phi_u[0] + 2 * np.pi]]))
+    mesh_out = _pack(g, omega.ravel(), n_rings, n_ang,
+                     s_fine * np.exp(1j * phi_fine))
     return mesh_in, mesh_out
 
 
@@ -349,8 +309,7 @@ def write_vertex_csv(path, mesh):
         mesh.source.real, mesh.source.imag,
         mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2],
         mesh.eta[:, 0], mesh.eta[:, 1], mesh.eta[:, 2],
-        mesh.theta_norm, mesh.k_plus, mesh.k_minus, mesh.mean_curv,
-        mesh.mean_density,
+        mesh.curvature,
     ])
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")

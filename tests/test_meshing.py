@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import liouvol.epstein
+from liouvol.epstein import curvatures, schwarzian_norm_exterior
 from liouvol.errors import DomainError
 from liouvol.meshing import (aligned_surface_meshes, load_obj, mesh_surface,
                              surface_separation, write_obj, write_vertex_csv)
@@ -89,6 +91,36 @@ def test_vertex_csv_export(tmp_path):
     rows = path.read_text().strip().split("\n")
     assert len(rows) == 1 + mesh.n_vertices
     assert rows[0].startswith("z_re,z_im,Z_re,Z_im,xi")
+    assert rows[0].endswith("schwarzian_norm,k_plus,k_minus,H,mean_density")
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    for i in range(0, mesh.n_vertices, 17):
+        c = curvatures(f, complex(table[i, 0], table[i, 1]))
+        expect = [c.schwarzian_norm, c.k_plus, c.k_minus, c.H, c.mean_density]
+        assert np.allclose(table[i, 8:], expect, rtol=1e-12, atol=0)
+
+    # exterior sheet: the apex row (omega = infinity) carries the mean norm
+    # over 64 angles at |omega| = 1e4 and zero density
+    g = LaurentMap(1.0, 0.0, [0.05, 0.01j])
+    path = tmp_path / "sheet_out.csv"
+    write_vertex_csv(path, mesh_surface(g, 12, 16))
+    apex = np.loadtxt(path, delimiter=",", skiprows=1)[0]
+    far = 1e4 * np.exp(2j * np.pi * np.arange(64) / 64)
+    assert apex[8] == pytest.approx(schwarzian_norm_exterior(g, far).mean(),
+                                    rel=1e-12)
+    assert apex[12] == 0.0
+
+
+def test_aligned_meshes_never_evaluate_the_schwarzian(ellipse_maps,
+                                                       monkeypatch):
+    # volume meshes carry geometry only; curvature waits for CSV export
+    def fail(*args, **kwargs):
+        raise AssertionError("schwarzian evaluated while meshing")
+
+    monkeypatch.setattr(liouvol.epstein, "schwarzian", fail)
+    f, g = ellipse_maps
+    mi, mo = aligned_surface_meshes(f, g, n_ang=64, per_octave=4,
+                                    interior_rings=8)
+    assert mi.n_vertices == mo.n_vertices
 
 
 def test_separation_circle_coincides():
