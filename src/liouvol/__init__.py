@@ -20,8 +20,8 @@ from .meshing import (SurfaceMesh, aligned_surface_meshes, load_obj,
                       mesh_surface, surface_separation, write_obj,
                       write_vertex_csv)
 from .quadrature import QuadratureGrid
-from .series import (LaurentMap, PowerSeriesMap, equipotential, nonlinearity,
-                     schwarzian)
+from .series import (LaurentMap, PowerSeriesMap, area_norm, equipotential,
+                     nonlinearity, schwarzian)
 from .volume import (VolumeReport, renormalized_volume, truncated_volume,
                      variation_check, volume)
 

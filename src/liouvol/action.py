@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DivergenceSuspected, DomainError
 from .quadrature import QuadratureGrid
-from .series import LaurentMap, nonlinearity, schwarzian
+from .series import area_norm, nonlinearity, schwarzian
 
 
 @dataclass(frozen=True)
@@ -37,61 +37,34 @@ class ActionReport:
         }
 
 
-def _dirichlet_on(m, grid):
-    vals = nonlinearity(m, grid.nodes)
-    return grid.integrate(np.abs(vals) ** 2)
+def dirichlet_nonlinearity(m, tol=None):
+    """Integral of |f''/f'|^2 over the parameter domain of m: the unit disk
+    for a series map, its exterior for a Laurent map.
 
-
-def dirichlet_nonlinearity(m, grid, tol=None):
-    """Integral of |f''/f'|^2 over the grid's domain.
-
-    With ``tol`` set, the value is recomputed on the half-resolution grid
-    and DivergenceSuspected is raised when the two refinements disagree by
-    more than 10 * tol.
+    With ``tol`` set, DivergenceSuspected is raised when the coefficient
+    sum moves by more than 10 * tol between half and full sampling.
     """
-    if grid.domain == "exterior":
-        base = grid  # already carries the inversion Jacobian
-        value = _dirichlet_on(m, base)
-        if tol is not None:
-            coarse = QuadratureGrid.disk(
-                grid.radial_levels, max(4, grid.nodes_per_level // 2),
-                max(32, grid.angular_n // 2)).exterior()
-            if abs(value - _dirichlet_on(m, coarse)) > 10 * tol:
-                raise DivergenceSuspected(
-                    "exterior Dirichlet integral keeps moving under refinement")
-        return value
-    value = _dirichlet_on(m, grid)
-    if tol is not None:
-        if abs(value - _dirichlet_on(m, grid.coarsened())) > 10 * tol:
-            raise DivergenceSuspected(
-                "Dirichlet integral keeps moving under refinement")
+    value, err = area_norm(m, nonlinearity)
+    if tol is not None and err > 10 * tol:
+        raise DivergenceSuspected(
+            "Dirichlet integral keeps moving under refinement")
     return value
 
 
-def _action_parts(f, g, disk_grid):
-    interior = _dirichlet_on(f, disk_grid)
-    exterior = _dirichlet_on(g, disk_grid.exterior())
-    return interior, exterior
-
-
-def liouville_action(f, g, grid=None):
+def liouville_action(f, g):
     """ActionReport for the curve bounded by f (inside) and g (outside).
 
-    ``grid`` is the disk quadrature grid; the exterior term reuses it
-    through inversion. The error estimate is the difference against a
-    half-resolution evaluation.
+    Both Dirichlet integrals are coefficient sums (series.area_norm); the
+    error estimate adds their changes against half sampling.
     """
-    grid = grid or QuadratureGrid.disk()
     d1f = f.jet(0.0, upto=1)[1]
     if abs(d1f) == 0 or g.b1 == 0:
         raise DomainError("maps must have nonzero derivative normalization")
-    interior, exterior = _action_parts(f, g, grid)
+    interior, err_in = area_norm(f, nonlinearity)
+    exterior, err_out = area_norm(g, nonlinearity)
     log_term = 4.0 * math.pi * math.log(abs(d1f) / abs(g.b1))
     total = interior + exterior + log_term
-    ci, ce = _action_parts(f, g, grid.coarsened())
-    err = abs(interior - ci) + abs(exterior - ce)
-    return ActionReport(float(interior), float(exterior), float(log_term),
-                        float(total), float(err))
+    return ActionReport(interior, exterior, log_term, total, err_in + err_out)
 
 
 def grunsky_gap(f, g, grid=None):

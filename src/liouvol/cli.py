@@ -24,6 +24,7 @@ from .mapping import conformal_map_pair
 from .meshing import (aligned_surface_meshes, mesh_surface,
                       surface_separation, write_obj, write_vertex_csv)
 from .quadrature import QuadratureGrid
+from .series import circle_samples, coefficient_sum, nonlinearity
 from .volume import renormalized_volume
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -152,22 +153,20 @@ def _grid_from(config):
 
 def cmd_action(config, writer):
     curve = load_curve(config.curve)
-    grid = _grid_from(config)
     f, g = conformal_map_pair(curve, order=config.series_order)
-    report = liouville_action(f, g, grid)
+    report = liouville_action(f, g)
     writer.write_json("action.json", report.as_dict())
     if config.trace:
+        # the coefficient sums at n/4, n/2 and all n circle samples
+        inside, outside = (circle_samples(m, nonlinearity) for m in (f, g))
         rows = []
-        for per in sorted({max(2, config.parse_grid()[1] // 2 ** k)
-                           for k in range(3)}):
-            sub = QuadratureGrid.disk(config.parse_grid()[0], per,
-                                      config.parse_grid()[2])
-            rep = liouville_action(f, g, sub)
-            rows.append((per, rep.interior_term, rep.exterior_term,
-                         rep.total))
+        for stride in (4, 2, 1):
+            interior = coefficient_sum(f, inside[::stride])
+            exterior = coefficient_sum(g, outside[::stride])
+            rows.append((inside.size // stride, interior, exterior,
+                         interior + exterior + report.log_term))
         writer.write_csv("action_trace.csv",
-                         ["nodes_per_level", "interior", "exterior", "total"],
-                         rows)
+                         ["samples", "interior", "exterior", "total"], rows)
     return 0
 
 
@@ -221,10 +220,8 @@ def cmd_volume(config, writer):
     from .volume import cap_annulus, clip_mesh_above
 
     curve = load_curve(config.curve)
-    grid = _grid_from(config)
     f, g = conformal_map_pair(curve, order=config.series_order)
-    report = renormalized_volume(f, g, grid=grid,
-                                 eps_schedule=config.eps_schedule)
+    report = renormalized_volume(f, g, eps_schedule=config.eps_schedule)
     writer.write_json("volume.json", report.as_dict())
     if config.dump_obj:
         eps = report.epsilon_samples[-1][0]
@@ -256,10 +253,8 @@ def _write_soup_obj(path, verts, faces, comment):
 
 def cmd_verify_identity(config, writer):
     curve = load_curve(config.curve)
-    grid = _grid_from(config)
     f, g = conformal_map_pair(curve, order=config.series_order)
-    report = renormalized_volume(f, g, grid=grid,
-                                 eps_schedule=config.eps_schedule)
+    report = renormalized_volume(f, g, eps_schedule=config.eps_schedule)
     tol = max(config.tol * abs(report.action_total), 5e-4)
     ok = abs(report.identity_residual) <= tol
     writer.write_json("verify_identity.json", {
@@ -330,7 +325,9 @@ def build_parser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--series-order", type=int, default=128)
         p.add_argument("--grid", default="20x8x256",
-                       help="levels x nodes-per-level x angular")
+                       help="levels x nodes-per-level x angular of the "
+                            "quadrature grid for grunsky and for the "
+                            "Beltrami pairings of flow")
         p.add_argument("--eps-schedule", type=float, nargs="+", default=None)
         p.add_argument("--steps", type=int, default=50)
         p.add_argument("--tol", type=float, default=0.01)

@@ -9,7 +9,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 from .series import PowerSeriesMap
@@ -154,6 +153,8 @@ class CurveSpec:
             chi = np.unwrap(np.angle(rel))
         if np.any(np.diff(chi) <= 0):
             raise DomainError("polyline is not star shaped about its centroid")
+        from scipy.interpolate import CubicSpline
+
         r = np.abs(rel)
         chi_ext = np.concatenate([chi, [chi[0] + 2 * np.pi]])
         r_ext = np.concatenate([r, [r[0]]])

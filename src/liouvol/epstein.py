@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import DomainError, SingularDerivative
 from .mobius import H3Point
-from .quadrature import QuadratureGrid
-from .series import LaurentMap, schwarzian
+from .series import LaurentMap, area_norm, schwarzian
 
 UNIT_TOL = 5e-12
 
@@ -236,19 +235,11 @@ def curvatures(f, zeta, boundary_tol=1e-8):
         1.0, t, float(dens), immersion_boundary=abs(t - 1.0) < boundary_tol)
 
 
-def mean_curvature_total(fmap, grid=None):
+def mean_curvature_total(fmap):
     """Total mean curvature of one envelope surface.
 
     Equals the hyperbolic-norm square of the Schwarzian integrated over the
     parameter domain: int |S|^2 (1-|z|^2)^2 / 4 (interior) and the mirrored
     expression for a Laurent exterior map.
     """
-    grid = grid or QuadratureGrid.disk()
-    if isinstance(fmap, LaurentMap):
-        ext = grid.exterior()
-        vals = np.abs(schwarzian(fmap, ext.nodes)) ** 2 \
-            * (np.abs(ext.nodes) ** 2 - 1.0) ** 2 / 4.0
-        return ext.integrate(vals)
-    vals = np.abs(schwarzian(fmap, grid.nodes)) ** 2 \
-        * (1.0 - np.abs(grid.nodes) ** 2) ** 2 / 4.0
-    return grid.integrate(vals)
+    return area_norm(fmap, schwarzian, p=2)[0] / 4.0

@@ -36,6 +36,7 @@ class BeltramiField:
     sup_norm: float
     wp_norm_sq: float
     exterior: object = None  # LaurentMap the field was derived from, if any
+    on_grid: np.ndarray = None  # values at the exterior grid nodes, if kept
 
     def __call__(self, w):
         return self.evaluate(w)
@@ -62,7 +63,8 @@ class DistanceBoundParams:
 
 
 def gradient_field(g, grid=None):
-    """Negative Weil-Petersson gradient direction for the exterior map g."""
+    """Negative Weil-Petersson gradient direction for the exterior map g,
+    with its values on the exterior nodes of ``grid`` kept as ``on_grid``."""
     grid = grid or QuadratureGrid.disk()
 
     def nu(w):
@@ -72,11 +74,11 @@ def gradient_field(g, grid=None):
     ext = grid.exterior()
     s = schwarzian(g, ext.nodes)
     weight = (np.abs(ext.nodes) ** 2 - 1.0) ** 2
-    on_grid = np.abs(-np.conj(s) * weight)
+    on_grid = -np.conj(s) * weight
     far = np.abs(nu(np.logspace(0.1, 4, 64) * np.exp(1j)))
-    sup = float(max(on_grid.max(), far.max()))
+    sup = float(max(np.abs(on_grid).max(), far.max()))
     wp = 4.0 * float(ext.integrate(np.abs(s) ** 2 * weight))
-    return BeltramiField(nu, sup, wp, exterior=g)
+    return BeltramiField(nu, sup, wp, exterior=g, on_grid=on_grid)
 
 
 def displacement_field(curve, nu, exterior=None, grid=None, n_boundary=None,
@@ -159,7 +161,7 @@ def run_flow(curve, max_steps=50, grid=None, order=128, step_cap=0.02,
     """
     grid = grid or QuadratureGrid.disk()
     f, g = conformal_map_pair(curve, order=order)
-    action = liouville_action(f, g, grid).total
+    action = liouville_action(f, g).total
     field = gradient_field(g, grid)
     states = [FlowState(0, curve, action, field.wp_norm_sq, 0.0,
                         roundness_deficit(curve))]
@@ -171,7 +173,7 @@ def run_flow(curve, max_steps=50, grid=None, order=128, step_cap=0.02,
             break
         t_cap = 0.999 * step_cap / field.sup_norm
         t = t_cap if t_prev is None else min(t_cap, 2.0 * t_prev)
-        pre = displacement_field(curve, field, exterior=g, grid=grid,
+        pre = displacement_field(curve, field.on_grid, exterior=g, grid=grid,
                                  n_boundary=n_boundary)
         accepted = False
         while t >= t_min:
@@ -179,7 +181,7 @@ def run_flow(curve, max_steps=50, grid=None, order=128, step_cap=0.02,
                 cand = beltrami_step(curve, field, t, exterior=g, grid=grid,
                                      order=order, precomputed=pre)
                 fc, gc = conformal_map_pair(cand, order=order, tol=1e-8)
-                cand_action = liouville_action(fc, gc, grid).total
+                cand_action = liouville_action(fc, gc).total
             except (DeformationError, RefitError, NonConvergence):
                 logger.debug("step %d: rejecting t=%.3e", step, t)
                 t *= 0.5

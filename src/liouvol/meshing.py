@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .epstein import (_apex_circle, _exterior_frame_fields,
                       _interior_frame_fields, curvature_columns)
@@ -242,6 +241,8 @@ def _point_triangle_distance(points, tris):
 
 
 def _one_sided_separation(mesh_a, mesh_b, k=12):
+    from scipy.spatial import cKDTree
+
     tris = mesh_b.face_points()
     tree = cKDTree(tris.mean(axis=1))
     pts = mesh_a.vertices

@@ -57,16 +57,6 @@ class QuadratureGrid:
             "exterior",
         )
 
-    def coarsened(self):
-        """Half-resolution companion used for error estimates."""
-        if self.domain != "disk":
-            raise ValueError("coarsen the disk grid, then invert")
-        return QuadratureGrid.disk(
-            self.radial_levels,
-            max(4, self.nodes_per_level // 2),
-            max(32, self.angular_n // 2),
-        )
-
     def integrate(self, values):
         values = np.asarray(values)
         return complex(np.sum(values * self.weights)) if np.iscomplexobj(values) \

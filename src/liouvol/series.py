@@ -3,8 +3,11 @@
 PowerSeriesMap holds f(z) = sum_k a_k z^k on a disk of radius > 1,
 LaurentMap holds g(w) = b1 w + b0 + sum_k b_{-k} w^{-k} on |w| > 1.
 Differentiation is exact on coefficients; evaluation is Horner.
+Integrals of |analytic|^2 against a radial weight over the parameter
+domain are coefficient sums from one FFT of boundary samples (area_norm).
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -169,6 +172,41 @@ def schwarzian(m, z):
         raise SingularDerivative(f"|f'| below {DERIVATIVE_FLOOR}")
     nl = d2 / d1
     return d3 / d1 - 1.5 * nl * nl
+
+
+def circle_samples(m, h):
+    """h(m, .) at the n-th roots of unity z_j, or at 1/z_j for a LaurentMap,
+    with n = max(1024, 8 * 2^ceil(log2(order + 1)))."""
+    n = max(1024, 8 * 2 ** math.ceil(math.log2(m.order + 1)))
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    return h(m, 1.0 / z if isinstance(m, LaurentMap) else z)
+
+
+def coefficient_sum(m, samples, p=0):
+    """int |h|^2 (+-(1 - |z|^2))^p over the parameter domain of m, from the
+    samples of h that circle_samples returns (or every other one of them).
+
+    The FFT gives the coefficients c_k of h in z (inside) or 1/w (outside);
+    the disk sum is pi p! sum_k |c_k|^2 k!/(k+p+1)!. Outside, inversion
+    turns the integrand into that of the coefficients c_{k+p+2}.
+    """
+    c = np.fft.fft(samples) / len(samples)
+    if isinstance(m, LaurentMap):
+        c = c[p + 2:]
+    k = np.arange(c.size, dtype=float)
+    denom = np.prod([k + j for j in range(1, p + 2)], axis=0)
+    return float(math.pi * math.factorial(p) * np.sum(np.abs(c) ** 2 / denom))
+
+
+def area_norm(m, h, p=0):
+    """(value, error) of the integral of |h(m, .)|^2 (+-(1 - |z|^2))^p over
+    |z| < 1 for a PowerSeriesMap, or over |w| > 1 for a LaurentMap.
+
+    The error is the change against the sum from every other sample.
+    """
+    samples = circle_samples(m, h)
+    value = coefficient_sum(m, samples, p)
+    return value, abs(value - coefficient_sum(m, samples[::2], p))
 
 
 def equipotential(f, n):

@@ -350,16 +350,15 @@ def volume(f, g, eps_schedule=None, n_ang=1024, r_max=None,
     return v, samples, err
 
 
-def renormalized_volume(f, g, grid=None, with_action=True, **volume_opts):
+def renormalized_volume(f, g, with_action=True, **volume_opts):
     """VolumeReport with V, the mean-curvature correction, V_R, and the
     residual against the Liouville action (when requested)."""
-    grid = grid or QuadratureGrid.disk()
     v, samples, err = volume(f, g, **volume_opts)
-    mch = 0.5 * (mean_curvature_total(f, grid) + mean_curvature_total(g, grid))
+    mch = 0.5 * (mean_curvature_total(f) + mean_curvature_total(g))
     v_r = v - mch
     action_total = residual = None
     if with_action:
-        action_total = liouville_action(f, g, grid).total
+        action_total = liouville_action(f, g).total
         residual = action_total - 4.0 * v_r
     return VolumeReport(samples, v, mch, v_r, action_total, residual, err)
 
@@ -389,8 +388,7 @@ def variation_check(f, g, nu, dt, grid=None, volume_opts=None,
     def v_r_at(t):
         moved = beltrami_step(base, nu, t, exterior=g, **deform_opts)
         fm, gm = conformal_map_pair(moved)
-        rep = renormalized_volume(fm, gm, grid=grid, with_action=False,
-                                  **volume_opts)
+        rep = renormalized_volume(fm, gm, with_action=False, **volume_opts)
         return rep.V_R
 
     lhs = (v_r_at(dt) - v_r_at(-dt)) / (2.0 * dt)

@@ -83,8 +83,8 @@ def test_criterion_2_circle_baseline():
     """Circle: action 0 +- 1e-8, V and V_R 0 +- 1e-6, hemispheres to 1e-10."""
     f = PowerSeriesMap([0, 1], hint_radius=8)
     g = LaurentMap(1.0)
-    action = liouville_action(f, g, GRID).total
-    rep = renormalized_volume(f, g, grid=GRID, n_ang=512, per_octave=8,
+    action = liouville_action(f, g).total
+    rep = renormalized_volume(f, g, n_ang=512, per_octave=8,
                               interior_rings=32)
     mesh_in = mesh_surface(f, 64, 64)
     mesh_out = mesh_surface(g, 64, 64)
@@ -105,7 +105,7 @@ def test_criterion_3_main_identity(ellipse_pair, cubic_pair):
     per curve, with independent cross-checks of both sides."""
     for name, (f, g) in (("ellipse", ellipse_pair), ("cubic", cubic_pair)):
         t0 = time.time()
-        rep = renormalized_volume(f, g, grid=GRID)
+        rep = renormalized_volume(f, g)
         elapsed = time.time() - t0
         tol = max(0.01 * abs(rep.action_total), 5e-4)
         ok = abs(rep.identity_residual) <= tol and elapsed <= 300
@@ -183,7 +183,7 @@ def test_criterion_6_equipotential_monotonicity(ellipse_pair):
     statement itself is verified here and, with the measured 1/n law, in
     the action test module."""
     f, g = ellipse_pair
-    base = liouville_action(f, g, GRID).total
+    base = liouville_action(f, g).total
     values = []
     for n in (2, 4, 8, 16, 32):
         fn = equipotential(f, n)
@@ -191,7 +191,7 @@ def test_criterion_6_equipotential_monotonicity(ellipse_pair):
         from liouvol.mapping import exterior_map
         curve_n = CurveSpec.from_series(fn, check=False)
         gn, _ = exterior_map(curve_n, order=96)
-        values.append(liouville_action(fn, gn, GRID).total)
+        values.append(liouville_action(fn, gn).total)
     nondecreasing = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     close = abs(values[-1] - base) <= 0.02 * base
     report(6, "equipotential monotonicity", nondecreasing and close,
@@ -212,12 +212,12 @@ def test_criterion_7_first_variations(ellipse_pair):
     curve = ellipse_curve(1.2, 1.0)
     nu = lambda w: np.conj(schwarzian(g, w)) * (np.abs(w) ** 2 - 1) ** 2 / 4.0
     formula = first_variation_action(g, nu, GRID)
-    s0 = liouville_action(f, g, GRID).total
+    s0 = liouville_action(f, g).total
 
     def action_at(t):
         moved = beltrami_step(curve, nu, t, exterior=g, grid=GRID, order=96)
         fm, gm = conformal_map_pair(moved, order=96, tol=1e-8)
-        return liouville_action(fm, gm, GRID).total
+        return liouville_action(fm, gm).total
 
     dt = 1e-3
     central = (action_at(dt) - action_at(-dt)) / (2 * dt)

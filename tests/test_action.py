@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (dirichlet_exterior_series, dirichlet_interior_series,
                      mc_disk_integral)
 
 from liouvol.action import (dirichlet_nonlinearity, first_variation_action,
                             grunsky_gap, liouville_action)
+from liouvol.curves import CurveSpec
+from liouvol.epstein import mean_curvature_total
 from liouvol.errors import DivergenceSuspected, DomainError
+from liouvol.mapping import conformal_map_pair
 from liouvol.mobius import MobiusTransform
 from liouvol.quadrature import QuadratureGrid
 from liouvol.series import LaurentMap, PowerSeriesMap, nonlinearity, schwarzian
@@ -24,53 +29,53 @@ def test_exterior_grid_inversion_jacobian(grid):
     assert abs(val - math.pi) < 1e-10
 
 
-def test_dirichlet_identity_zero(grid):
+def test_dirichlet_identity_zero():
     f = PowerSeriesMap([0, 1], hint_radius=4)
-    assert dirichlet_nonlinearity(f, grid) == 0
+    assert dirichlet_nonlinearity(f) == 0
 
 
-def test_dirichlet_scaled_circle_zero(grid):
+def test_dirichlet_scaled_circle_zero():
     f = PowerSeriesMap([0, 2.7], hint_radius=4)
-    assert dirichlet_nonlinearity(f, grid) == 0
+    assert dirichlet_nonlinearity(f) == 0
 
 
-def test_dirichlet_matches_monte_carlo(grid):
+def test_dirichlet_matches_monte_carlo():
     f = PowerSeriesMap([0, 1, 0.1])
-    value = dirichlet_nonlinearity(f, grid)
+    value = dirichlet_nonlinearity(f)
     mc, sigma = mc_disk_integral(
         lambda z: np.abs(nonlinearity(f, z)) ** 2, n=2_000_000)
     assert abs(value - mc) < 3 * sigma
 
 
-def test_dirichlet_matches_coefficient_series(grid, ellipse_maps):
+def test_dirichlet_matches_coefficient_series(ellipse_maps):
     f, g = ellipse_maps
-    interior = dirichlet_nonlinearity(f, grid)
-    exterior = dirichlet_nonlinearity(g, grid.exterior())
+    interior = dirichlet_nonlinearity(f)
+    exterior = dirichlet_nonlinearity(g)
     assert interior == pytest.approx(dirichlet_interior_series(f), rel=1e-6)
     assert exterior == pytest.approx(dirichlet_exterior_series(g), rel=1e-6)
 
 
-def test_dirichlet_divergence_detected(grid):
+def test_dirichlet_divergence_detected():
     # boundary-singular derivative: the refinements keep moving
     k = np.arange(1, 400)
     coeffs = np.concatenate([[0], 1.0 / k ** 1.5])
     f = PowerSeriesMap(coeffs, hint_radius=1.0 + 1e-9)
     with pytest.raises(DivergenceSuspected):
-        dirichlet_nonlinearity(f, grid, tol=1e-12)
+        dirichlet_nonlinearity(f, tol=1e-12)
 
 
-def test_action_circle_zero(grid):
+def test_action_circle_zero():
     for radius, center in ((1.0, 0.0), (0.7, 0.2 - 0.4j), (2.5, 1j)):
         f = PowerSeriesMap([center, radius], hint_radius=8)
         g = LaurentMap(radius, center)
-        rep = liouville_action(f, g, grid)
+        rep = liouville_action(f, g)
         assert abs(rep.total) < 1e-8
         assert rep.total == rep.interior_term + rep.exterior_term + rep.log_term
 
 
-def test_action_ellipse_positive_and_consistent(grid, ellipse_maps):
+def test_action_ellipse_positive_and_consistent(ellipse_maps):
     f, g = ellipse_maps
-    rep = liouville_action(f, g, grid)
+    rep = liouville_action(f, g)
     assert rep.total > 0
     oracle = (dirichlet_interior_series(f) + dirichlet_exterior_series(g)
               + 4 * math.pi * math.log(abs(f.coeffs[1]) / abs(g.b1)))
@@ -78,12 +83,9 @@ def test_action_ellipse_positive_and_consistent(grid, ellipse_maps):
     assert rep.total >= -rep.error_estimate
 
 
-def test_action_mobius_invariance(grid, rng, ellipse_maps):
-    from liouvol.curves import CurveSpec
-    from liouvol.mapping import conformal_map_pair
-
+def test_action_mobius_invariance(rng, ellipse_maps):
     f, g = ellipse_maps
-    base = liouville_action(f, g, grid).total
+    base = liouville_action(f, g).total
     th = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
     boundary = f.eval_unchecked(np.exp(1j * th))
     # inversions about poles held away from the curve keep the image bounded
@@ -93,7 +95,7 @@ def test_action_mobius_invariance(grid, rng, ellipse_maps):
         A = MobiusTransform(0, 1, 1, -pole)
         moved = CurveSpec.from_polyline(A.eval_array(boundary), check=False)
         f2, g2 = conformal_map_pair(moved, order=128)
-        assert abs(liouville_action(f2, g2, grid).total - base) < 1e-4
+        assert abs(liouville_action(f2, g2).total - base) < 1e-4
 
 
 def test_grunsky_identity_pair(grid):
@@ -124,20 +126,20 @@ def test_grunsky_requires_zero_at_origin(grid, ellipse_maps):
         grunsky_gap(f_shifted, g, grid)
 
 
-def test_equipotential_action_monotone_with_rate(grid, ellipse_maps):
+def test_equipotential_action_monotone_with_rate(ellipse_maps):
     # the approximating family increases to the curve's action like C/n
     from liouvol.curves import CurveSpec
     from liouvol.mapping import exterior_map
     from liouvol.series import equipotential
 
     f, g = ellipse_maps
-    base = liouville_action(f, g, grid).total
+    base = liouville_action(f, g).total
     deficits = []
     for n in (8, 16, 32, 64, 256):
         fn = equipotential(f, n)
         gn, _ = exterior_map(CurveSpec.from_series(fn, check=False),
                              order=96)
-        deficits.append((n, base - liouville_action(fn, gn, grid).total))
+        deficits.append((n, base - liouville_action(fn, gn).total))
     assert all(d > 0 for _, d in deficits)
     assert all(d2 < d1 for (_, d1), (_, d2) in zip(deficits, deficits[1:]))
     scaled = [n * d for n, d in deficits]
@@ -173,13 +175,49 @@ def test_first_variation_matches_finite_difference(grid, ellipse, ellipse_maps):
     f, g = ellipse_maps
     nu = lambda w: np.conj(schwarzian(g, w)) * (np.abs(w) ** 2 - 1) ** 2 / 4.0
     formula = first_variation_action(g, nu, grid)
-    base = liouville_action(f, g, grid).total
+    base = liouville_action(f, g).total
 
     def action_at(t):
         moved = beltrami_step(ellipse, nu, t, exterior=g, grid=grid, order=96)
         fm, gm = conformal_map_pair(moved, order=96, tol=1e-8)
-        return liouville_action(fm, gm, grid).total
+        return liouville_action(fm, gm).total
 
     dt = 1e-3
     fd = (action_at(dt) - action_at(-dt)) / (2 * dt)
     assert abs(fd - formula) < 0.02 * abs(formula)
+
+
+@st.composite
+def starlike_polynomials(draw):
+    """z + sum_{k=2..d} a_k z^k with sum k|a_k| = b <= 1/2, which keeps the
+    map starlike and univalent."""
+    d = draw(st.integers(2, 8))
+    unit = st.floats(0.0, 1.0)
+    mags = np.array(draw(st.lists(unit, min_size=d - 1, max_size=d - 1)))
+    phases = np.array(draw(st.lists(unit, min_size=d - 1, max_size=d - 1)))
+    b = draw(st.floats(0.01, 0.5))
+    k = np.arange(2, d + 1)
+    a = (mags + 0.05) * np.exp(2j * np.pi * phases)
+    a *= b / np.sum(k * np.abs(a))
+    return PowerSeriesMap(np.concatenate([[0, 1], a]))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(starlike_polynomials())
+def test_spectral_integrals_match_grid_on_starlike_polynomials(f0):
+    f, g = conformal_map_pair(CurveSpec.from_series(f0), order=64)
+    grid = QuadratureGrid.disk()
+    # the exterior series can be long; resolve it in angle
+    ext = QuadratureGrid.disk(
+        angular_n=max(256, 2 ** math.ceil(math.log2(g.order)))).exterior()
+    rep = liouville_action(f, g)
+    grid_action = (grid.integrate(np.abs(nonlinearity(f, grid.nodes)) ** 2)
+                   + ext.integrate(np.abs(nonlinearity(g, ext.nodes)) ** 2)
+                   + 4 * math.pi * math.log(abs(f.coeffs[1]) / abs(g.b1)))
+    assert rep.total >= 0
+    assert rep.total == pytest.approx(grid_action, rel=1e-9, abs=1e-12)
+    for m, q in ((f, grid), (g, ext)):
+        weight = (1 - np.abs(q.nodes) ** 2) ** 2 / 4
+        grid_mc = q.integrate(np.abs(schwarzian(m, q.nodes)) ** 2 * weight)
+        assert mean_curvature_total(m) == pytest.approx(grid_mc, rel=1e-9,
+                                                        abs=1e-12)

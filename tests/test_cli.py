@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import liouvol
 from liouvol.cli import main
 
 
@@ -29,7 +33,12 @@ def test_action_subcommand_and_trace(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "action.json").read_text())
     assert payload["total"] > 0
-    assert (tmp_path / "action_trace.csv").exists()
+    lines = (tmp_path / "action_trace.csv").read_text().strip().split("\n")
+    assert lines[0] == "samples,interior,exterior,total"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [r[0] for r in rows] == [256, 512, 1024]
+    assert rows[-1][1:] == [payload["interior_term"],
+                            payload["exterior_term"], payload["total"]]
 
 
 def test_grunsky_subcommand(tmp_path):
@@ -64,9 +73,10 @@ def test_flow_subcommand(tmp_path):
 
 
 def test_verify_identity_contract_failure_exits_2(tmp_path):
-    # an inadequate quadrature cannot meet the identity tolerance
+    # the ellipse's residual (~7e-4) exceeds the 5e-4 floor that a tiny
+    # relative tolerance leaves
     code = run_cli("verify-identity", "--curve", "ellipse",
-                   "--out", str(tmp_path), "--grid", "2x2x32",
+                   "--out", str(tmp_path), "--tol", "1e-6",
                    "--series-order", "64")
     assert code == 2
     diag = json.loads((tmp_path / "diagnostic.json").read_text())
@@ -135,3 +145,17 @@ def test_manifest_lists_all_outputs(tmp_path):
         import hashlib
         assert hashlib.sha256(
             (tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only where polylines are splined and where the
+    # surface separation builds its k-d tree
+    src = str(Path(liouvol.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, liouvol.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

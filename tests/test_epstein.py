@@ -188,23 +188,22 @@ def test_curvatures_match_fd_shape_operator(rng, ellipse_maps):
         assert H[i] == pytest.approx(c.H, abs=2e-4)
 
 
-def test_mean_curvature_total_circle_zero(grid):
-    assert mean_curvature_total(PowerSeriesMap([0, 1], hint_radius=8),
-                                grid) == 0
+def test_mean_curvature_total_circle_zero():
+    assert mean_curvature_total(PowerSeriesMap([0, 1], hint_radius=8)) == 0
 
 
-def test_mean_curvature_total_monte_carlo(grid):
+def test_mean_curvature_total_monte_carlo():
     f = PowerSeriesMap([0, 1, 0.1])
-    val = mean_curvature_total(f, grid)
+    val = mean_curvature_total(f)
     mc, sigma = mc_disk_integral(
         lambda z: np.abs(schwarzian(f, z)) ** 2
         * (1 - np.abs(z) ** 2) ** 2 / 4.0, n=2_000_000)
     assert abs(val - mc) < 3 * sigma
 
 
-def test_mean_curvature_total_mobius_invariance(grid):
+def test_mean_curvature_total_mobius_invariance():
     f = PowerSeriesMap([0, 1, 0.1])
-    base = mean_curvature_total(f, grid)
+    base = mean_curvature_total(f)
     # A(z) = z / (1 - 0.2 z), keeps the image bounded; represent A o f as a
     # long series through composition on boundary samples
     A = MobiusTransform(1, 0, -0.2, 1)
@@ -213,7 +212,7 @@ def test_mean_curvature_total_mobius_invariance(grid):
     vals = A.eval_array(f.eval_unchecked(th))
     coeffs = (np.fft.fft(vals) / n)[:160] / 0.99 ** np.arange(160)
     comp = PowerSeriesMap(coeffs, hint_radius=1.3)
-    assert abs(mean_curvature_total(comp, grid) - base) < 1e-5
+    assert abs(mean_curvature_total(comp) - base) < 1e-5
 
 
 def test_asymptotic_conformality_diagnostic(ellipse_maps):

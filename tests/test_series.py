@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from liouvol.errors import DomainError, SingularDerivative
 from liouvol.mobius import MobiusTransform
-from liouvol.series import (LaurentMap, PowerSeriesMap, equipotential,
-                            nonlinearity, schwarzian)
+from liouvol.series import (LaurentMap, PowerSeriesMap, area_norm,
+                            equipotential, nonlinearity, schwarzian)
 
 
 def test_eval_identity():
@@ -147,3 +149,18 @@ def test_equipotential_converges_to_map():
             for n in (2, 8, 32, 128)]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-2
+
+
+@pytest.mark.parametrize("p", [0, 2])
+@pytest.mark.parametrize("k", [0, 1, 5, 40])
+def test_area_norm_of_monomials(k, p):
+    # int_D |z^k|^2 (1-|z|^2)^p = pi B(k+1, p+1); w^{-m} outside maps to
+    # v^{m-p-2} inside under v = 1/w
+    exact = math.pi * math.factorial(k) * math.factorial(p) \
+        / math.factorial(k + p + 1)
+    inside, err_in = area_norm(PowerSeriesMap([0, 1]), lambda m, z: z ** k, p)
+    outside, err_out = area_norm(LaurentMap(1.0),
+                                 lambda m, w: w ** -(k + p + 2), p)
+    assert inside == pytest.approx(exact, rel=1e-14)
+    assert outside == pytest.approx(exact, rel=1e-14)
+    assert err_in < 1e-15 and err_out < 1e-15
