@@ -12,7 +12,8 @@ from .errors import (CapTopologyError, ContractError, CorrespondenceError,
                      InputError, LiouvolError, NoConvergence, NonConvergence,
                      RefitError, SingularDerivative, Stalled)
 from .flow import (BeltramiField, DistanceBoundParams, FlowState,
-                   beltrami_step, distance_bound, gradient_field, run_flow)
+                   beltrami_step, distance_bound, gradient_field, run_flow,
+                   wp_path_length)
 from .mapping import conformal_map_pair, exterior_map, interior_map, welding
 from .mobius import (H3Point, MobiusTransform, h3_distance, mobius_on_h3,
                      osculating_mobius)

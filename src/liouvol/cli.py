@@ -19,7 +19,7 @@ from . import __version__
 from .action import grunsky_gap, liouville_action
 from .curves import CurveSpec
 from .errors import ContractError, InputError
-from .flow import run_flow
+from .flow import run_flow, wp_path_length
 from .mapping import conformal_map_pair
 from .meshing import (aligned_surface_meshes, mesh_surface,
                       surface_separation, write_obj, write_vertex_csv)
@@ -271,8 +271,7 @@ def cmd_verify_identity(config, writer):
 
 def cmd_flow(config, writer):
     curve = load_curve(config.curve)
-    grid = _grid_from(config)
-    states = run_flow(curve, max_steps=config.steps, grid=grid,
+    states = run_flow(curve, max_steps=config.steps,
                       order=config.series_order)
     rows = [(s.step, s.action, s.grad_wp_norm_sq, s.step_size, s.roundness)
             for s in states]
@@ -297,6 +296,7 @@ def cmd_flow(config, writer):
         "final_roundness": states[-1].roundness,
         "monotone": bool(all(b.action <= a.action
                              for a, b in zip(states, states[1:]))),
+        "wp_path_length": wp_path_length(states),
     })
     return 0
 
@@ -326,8 +326,7 @@ def build_parser():
         p.add_argument("--series-order", type=int, default=128)
         p.add_argument("--grid", default="20x8x256",
                        help="levels x nodes-per-level x angular of the "
-                            "quadrature grid for grunsky and for the "
-                            "Beltrami pairings of flow")
+                            "quadrature grid for grunsky")
         p.add_argument("--eps-schedule", type=float, nargs="+", default=None)
         p.add_argument("--steps", type=int, default=50)
         p.add_argument("--tol", type=float, default=0.01)

@@ -7,6 +7,11 @@ curve to first order along the field transported to the image domain,
 solving d-bar F = nu_* by a Cauchy transform, then refits the moved
 boundary to an interior series. Steps are accepted only when the action
 decreases, so discretization error cannot fake convergence.
+
+The field is carried by the coefficients s_k of S(g) = sum s_k w^-k from
+one FFT of circle samples: its norms are coefficient sums and ring FFTs,
+and its Cauchy transform is a contour integral over the curve (Stokes on
+the explicit d-bar primitive of nu), so the flow needs no area grid.
 """
 
 import logging
@@ -21,11 +26,13 @@ from .errors import (DeformationError, DomainError, NonConvergence,
                      RefitError, Stalled)
 from .mapping import conformal_map_pair, exterior_map, interior_map
 from .quadrature import QuadratureGrid
-from .series import schwarzian
+from .series import circle_samples, coefficient_sum, schwarzian
 
 logger = logging.getLogger(__name__)
 
 NEHARI_BOUND = 6.0
+# |1/w| of the rings on which sup|nu| is sampled, graded toward |w| = 1
+RING_RADII = 1.0 - 0.5 ** np.arange(0.125, 12.0001, 0.125)
 
 
 @dataclass(frozen=True)
@@ -36,7 +43,7 @@ class BeltramiField:
     sup_norm: float
     wp_norm_sq: float
     exterior: object = None  # LaurentMap the field was derived from, if any
-    on_grid: np.ndarray = None  # values at the exterior grid nodes, if kept
+    coeffs: np.ndarray = None  # s_k of S(exterior) = sum_{k>=4} s_k w^-k
 
     def __call__(self, w):
         return self.evaluate(w)
@@ -62,33 +69,91 @@ class DistanceBoundParams:
             raise DomainError("distance bound constants must be positive")
 
 
-def gradient_field(g, grid=None):
-    """Negative Weil-Petersson gradient direction for the exterior map g,
-    with its values on the exterior nodes of ``grid`` kept as ``on_grid``."""
-    grid = grid or QuadratureGrid.disk()
+def gradient_field(g):
+    """Negative Weil-Petersson gradient direction for the exterior map g.
 
+    One sampling of S(g) on the circle gives its coefficients s_k (kept as
+    ``coeffs``), the squared WP norm 4 int |S|^2 (|w|^2 - 1)^2 as a
+    coefficient sum, and sup|nu| as the larger of ring FFT samples and a
+    far-field probe along a ray.
+    """
     def nu(w):
         w = np.asarray(w, dtype=complex)
         return -np.conj(schwarzian(g, w)) * (np.abs(w) ** 2 - 1.0) ** 2
 
-    ext = grid.exterior()
-    s = schwarzian(g, ext.nodes)
-    weight = (np.abs(ext.nodes) ** 2 - 1.0) ** 2
-    on_grid = -np.conj(s) * weight
+    samples = circle_samples(g, schwarzian)
+    s = np.fft.fft(samples) / samples.size
+    s[:4] = 0.0  # S(g) = O(w^-4): these are rounding noise
+    k = np.arange(s.size)
+    rings = np.fft.ifft(s * RING_RADII[:, None] ** k, axis=1) * s.size
+    ring = np.abs(rings) * ((RING_RADII ** -2 - 1.0) ** 2)[:, None]
     far = np.abs(nu(np.logspace(0.1, 4, 64) * np.exp(1j)))
-    sup = float(max(np.abs(on_grid).max(), far.max()))
-    wp = 4.0 * float(ext.integrate(np.abs(s) ** 2 * weight))
-    return BeltramiField(nu, sup, wp, exterior=g, on_grid=on_grid)
+    sup = float(max(ring.max(), far.max()))
+    wp = 4.0 * coefficient_sum(g, samples, 2)
+    return BeltramiField(nu, sup, wp, exterior=g, coeffs=s)
+
+
+def contour_points(g):
+    """Uniform circle points of the contour path for the exterior map g:
+    twice its order, at least 256, rounded up to a power of two."""
+    return max(256, 2 ** math.ceil(math.log2(max(2 * g.order, 1))))
+
+
+def _on_roots(c, n):
+    """sum_p c[p] w^p at the n-th roots of unity exp(2 pi i j / n)."""
+    c = np.concatenate([c, np.zeros(-c.size % n, dtype=complex)])
+    return n * np.fft.ifft(c.reshape(-1, n).sum(axis=0))
+
+
+def _contour_displacement(g, s, n, chunk=256):
+    """Cauchy transform of the descent field with coefficients s, as a
+    contour integral over the curve zeta = g(w) at n uniform points w_j.
+
+    X = 2 sum conj(s_k) w^(k-1) / ((k-1)(k-2)(k-3)) is the d-bar primitive
+    of nu on |w| = 1, and Stokes turns the area transform into
+    F(z0) = q(z0) + (1/2 pi i) oint (q - q(z0)) / (zeta - z0) dzeta with
+    q = g' X. The trapezoid rule takes dq/dzeta on the diagonal.
+    """
+    k = np.arange(4, s.size)
+    x = np.zeros(s.size - 1, dtype=complex)  # coefficients of X by power
+    x[3:] = 2.0 * np.conj(s[4:]) / ((k - 1.0) * (k - 2.0) * (k - 3.0))
+    big_x = _on_roots(x, n)
+    dx = _on_roots(np.arange(1, x.size) * x[1:], n)
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    zeta, g1, g2 = g.jet(w, upto=2)
+    q = g1 * big_x
+    dq = (g2 * big_x + g1 * dx) / g1  # dq/dzeta
+    zeta_t = 1j * w * g1              # dzeta/dtheta
+    total = np.empty(n, dtype=complex)
+    for lo in range(0, n, chunk):
+        rows = np.arange(lo, min(lo + chunk, n))
+        diag = (rows - lo, rows)
+        dz = zeta[None, :] - zeta[rows, None]
+        dz[diag] = 1.0
+        ratio = (q[None, :] - q[rows, None]) / dz
+        ratio[diag] = dq[rows]
+        total[rows] = ratio @ zeta_t
+    # the trapezoid weight 2 pi / n over 2 pi i
+    return zeta, q + total / (1j * n)
 
 
 def displacement_field(curve, nu, exterior=None, grid=None, n_boundary=None,
                        chunk=64):
     """Boundary velocity of the deformation: solves d-bar F = transported nu
     by the Cauchy transform, pulled back to the exterior parameter disk.
+    Returns (boundary points z_j, F(z_j)).
 
-    Boundary samples default to the grid's angular nodes so the quadrature
-    error near the rim stays smooth along the boundary and does not alias
-    into the series refit. Returns (boundary points z_j, F(z_j))."""
+    A field from gradient_field (one carrying ``coeffs``) takes the contour
+    path on its own exterior map: z_j = g(w_j) at ``n_boundary`` uniform
+    w_j, by default contour_points(g). Any other callable, or an array of
+    values at the exterior grid nodes, is integrated over ``grid`` at
+    n_boundary points of ``curve`` (default: the grid's angular count).
+    """
+    coeffs = getattr(nu, "coeffs", None)
+    if coeffs is not None:
+        g = nu.exterior
+        return _contour_displacement(g, coeffs,
+                                     n_boundary or contour_points(g))
     if exterior is None:
         exterior, _ = exterior_map(curve)
     grid = grid or QuadratureGrid.disk()
@@ -152,17 +217,16 @@ def roundness_deficit(curve, n=4096):
     return length ** 2 / (4.0 * math.pi * abs(area)) - 1.0
 
 
-def run_flow(curve, max_steps=50, grid=None, order=128, step_cap=0.02,
-             t_min=1e-8, action_threshold=1e-9, n_boundary=None):
+def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
+             action_threshold=1e-9, n_boundary=None):
     """Backtracking gradient descent from ``curve`` toward the circle.
 
     Returns the list of accepted FlowStates (the initial state included).
     The action is nonincreasing along the list by construction.
     """
-    grid = grid or QuadratureGrid.disk()
     f, g = conformal_map_pair(curve, order=order)
     action = liouville_action(f, g).total
-    field = gradient_field(g, grid)
+    field = gradient_field(g)
     states = [FlowState(0, curve, action, field.wp_norm_sq, 0.0,
                         roundness_deficit(curve))]
     t_prev = None
@@ -173,12 +237,11 @@ def run_flow(curve, max_steps=50, grid=None, order=128, step_cap=0.02,
             break
         t_cap = 0.999 * step_cap / field.sup_norm
         t = t_cap if t_prev is None else min(t_cap, 2.0 * t_prev)
-        pre = displacement_field(curve, field.on_grid, exterior=g, grid=grid,
-                                 n_boundary=n_boundary)
+        pre = displacement_field(curve, field, n_boundary=n_boundary)
         accepted = False
         while t >= t_min:
             try:
-                cand = beltrami_step(curve, field, t, exterior=g, grid=grid,
+                cand = beltrami_step(curve, field, t, exterior=g,
                                      order=order, precomputed=pre)
                 fc, gc = conformal_map_pair(cand, order=order, tol=1e-8)
                 cand_action = liouville_action(fc, gc).total
@@ -194,13 +257,20 @@ def run_flow(curve, max_steps=50, grid=None, order=128, step_cap=0.02,
             raise Stalled(f"no decreasing step at step {step} "
                           f"(t floor {t_min:.1e})")
         curve, f, g, action = cand, fc, gc, cand_action
-        field = gradient_field(g, grid)
+        field = gradient_field(g)
         t_prev = t
         states.append(FlowState(step, curve, action, field.wp_norm_sq, t,
                                 roundness_deficit(curve)))
         logger.debug("step %d: action %.6e, |nu|_wp^2 %.3e, t %.3e",
                      step, action, field.wp_norm_sq, t)
     return states
+
+
+def wp_path_length(states):
+    """Weil-Petersson length of the flow path, sum_k t_k |nu_{k-1}|_WP:
+    to first order an upper bound on the WP distance the flow covered."""
+    return math.fsum(s.step_size * math.sqrt(prev.grad_wp_norm_sq)
+                     for prev, s in zip(states, states[1:]))
 
 
 def distance_bound(action_value, params):

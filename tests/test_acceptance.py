@@ -246,8 +246,7 @@ def test_criterion_8_gradient_flow():
     of its initial value, monotonically, with the sup bound holding at 6;
     circle start is stationary to 1e-9. Runtime <= 10 min."""
     t0 = time.time()
-    states = run_flow(ellipse_curve(1.2, 1.0), max_steps=50, grid=GRID,
-                      order=96)
+    states = run_flow(ellipse_curve(1.2, 1.0), max_steps=50, order=96)
     elapsed = time.time() - t0
     acts = [s.action for s in states]
     monotone = all(b <= a for a, b in zip(acts, acts[1:]))
@@ -255,12 +254,12 @@ def test_criterion_8_gradient_flow():
     nehari_ok = True
     for s in states:
         _, g = conformal_map_pair(s.curve, order=96, tol=1e-7)
-        if gradient_field(g, GRID).sup_norm > 6.0 + 1e-9:
+        if gradient_field(g).sup_norm > 6.0 + 1e-9:
             nehari_ok = False
 
     from liouvol.flow import beltrami_step
     g0 = LaurentMap(1.0)
-    moved = beltrami_step(circle_curve(), gradient_field(g0, GRID), 1e-2,
+    moved = beltrami_step(circle_curve(), gradient_field(g0), 1e-2,
                           exterior=g0, grid=GRID, order=64)
     delta = np.max(np.abs(moved.series.coeffs
                           - np.pad(np.array([0, 1 + 0j]),

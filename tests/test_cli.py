@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +71,27 @@ def test_flow_subcommand(tmp_path):
     lines = (tmp_path / "flow.csv").read_text().strip().split("\n")
     assert lines[0].startswith("step,action")
     assert len(lines) >= 2
+
+
+def test_flow_reports_wp_path_length(tmp_path):
+    code = run_cli("flow", "--curve", "wobble", "--out", str(tmp_path),
+                   "--steps", "5", "--series-order", "64")
+    assert code == 0
+    length = json.loads((tmp_path / "flow.json").read_text())["wp_path_length"]
+    lines = (tmp_path / "flow.csv").read_text().strip().split("\n")
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    # columns: step, action, grad_wp_norm_sq, step_size, roundness
+    recomputed = math.fsum(b[3] * math.sqrt(a[2])
+                           for a, b in zip(rows, rows[1:]))
+    assert length > 0
+    assert abs(length - recomputed) <= 1e-12 * recomputed
+
+    circle = tmp_path / "circle"
+    assert run_cli("flow", "--curve", "circle", "--out", str(circle),
+                   "--series-order", "64") == 0
+    payload = json.loads((circle / "flow.json").read_text())
+    assert payload["steps_accepted"] == 0
+    assert payload["wp_path_length"] == 0
 
 
 def test_verify_identity_contract_failure_exits_2(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,23 +7,46 @@ from liouvol.action import liouville_action
 from liouvol.curves import circle_curve, ellipse_curve, polynomial_curve
 from liouvol.errors import DomainError
 from liouvol.flow import (BeltramiField, DistanceBoundParams, beltrami_step,
-                          distance_bound, gradient_field, roundness_deficit,
-                          run_flow)
+                          contour_points, displacement_field, distance_bound,
+                          gradient_field, roundness_deficit, run_flow)
 from liouvol.mapping import conformal_map_pair
-from liouvol.series import LaurentMap
+from liouvol.quadrature import QuadratureGrid
+from liouvol.series import LaurentMap, schwarzian
+
+FINE = QuadratureGrid.disk(30, 16, 1024)
 
 
-def test_gradient_field_circle_is_zero(grid):
-    field = gradient_field(LaurentMap(1.0), grid)
+def grid_transform(g, nu, z, grid, chunk=64):
+    """The area Cauchy transform -(1/pi) int nu g'^2 / (g - z) over the
+    exterior nodes of ``grid``, at the points z."""
+    ext = grid.exterior()
+    w = ext.nodes
+    g1 = g.deriv_at(w, 1)
+    density = ext.weights * nu(w) * g1 * g1
+    gv = g(w)
+    out = np.empty(z.size, dtype=complex)
+    for lo in range(0, z.size, chunk):
+        hi = min(lo + chunk, z.size)
+        out[lo:hi] = density @ (1.0 / (gv[:, None] - z[None, lo:hi]))
+    return -out / math.pi
+
+
+@pytest.fixture(scope="module")
+def wobble_maps():
+    return conformal_map_pair(polynomial_curve(0.0, 0.08), order=96)
+
+
+def test_gradient_field_circle_is_zero():
+    field = gradient_field(LaurentMap(1.0))
     w = 1.5 + 0.5j
     assert field(np.array([w]))[0] == 0
     assert field.sup_norm == 0
     assert field.wp_norm_sq == 0
 
 
-def test_gradient_field_ellipse(grid, ellipse_maps):
+def test_gradient_field_ellipse(ellipse_maps):
     _, g = ellipse_maps
-    field = gradient_field(g, grid)
+    field = gradient_field(g)
     assert field.sup_norm <= 6.0 + 1e-9
     assert field.sup_norm > 0.1
     assert field.wp_norm_sq > 0
@@ -30,9 +55,56 @@ def test_gradient_field_ellipse(grid, ellipse_maps):
 def test_gradient_wp_norm_matches_pairing(grid, ellipse_maps):
     from liouvol.action import first_variation_action
     _, g = ellipse_maps
-    field = gradient_field(g, grid)
+    field = gradient_field(g)
     pairing = first_variation_action(g, field, grid)
     assert abs(-pairing - field.wp_norm_sq) < 0.01 * field.wp_norm_sq
+
+
+def test_contour_displacement_matches_fine_grid(ellipse, ellipse_maps, cubic,
+                                               cubic_maps, grid):
+    for curve, (_, g) in ((ellipse, ellipse_maps), (cubic, cubic_maps)):
+        field = gradient_field(g)
+        z, fdot = displacement_field(curve, field)
+        assert z.size == contour_points(g) == 256
+        assert np.max(np.abs(z - g(np.exp(2j * np.pi * np.arange(256)
+                                          / 256)))) == 0
+        ref = grid_transform(g, field, z[::8], FINE)
+        assert np.max(np.abs(fdot[::8] - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    # the star z + 0.08 z^5 needs points in proportion to its map order
+    star = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    _, g = conformal_map_pair(star)
+    field = gradient_field(g)
+    n = contour_points(g)
+    assert n >= 2 * g.order
+    _, fdot = displacement_field(star, field)
+    _, fine = displacement_field(star, field, n_boundary=2 * n)
+    assert fdot.size == n
+    assert np.max(np.abs(fdot - fine[::2])) <= 1e-10 * np.max(np.abs(fine))
+
+    # a plain callable keeps the grid formula, bit for bit
+    _, g = cubic_maps
+    nu = lambda w: np.conj(schwarzian(g, w)) * (np.abs(w) ** 2 - 1) ** 2
+    z, fdot = displacement_field(cubic, nu, exterior=g, grid=grid)
+    assert np.array_equal(z, cubic.boundary(grid.angular_n))
+    assert np.array_equal(fdot, grid_transform(g, nu, z, grid))
+
+
+def test_gradient_field_norms_are_spectral(ellipse_maps, cubic_maps,
+                                           wobble_maps, grid):
+    for _, g in (ellipse_maps, cubic_maps, wobble_maps):
+        field = gradient_field(g)
+        ext = FINE.exterior()
+        weight = (np.abs(ext.nodes) ** 2 - 1.0) ** 2
+        wp = 4.0 * ext.integrate(np.abs(schwarzian(g, ext.nodes)) ** 2
+                                 * weight)
+        assert abs(field.wp_norm_sq - wp) <= 1e-9 * wp
+        # the grid's nodes and a far-field ray, as sampled before
+        nodes = grid.exterior().nodes
+        far = np.logspace(0.1, 4, 64) * np.exp(1j)
+        sup = max(np.abs(field(nodes)).max(), np.abs(field(far)).max())
+        assert abs(field.sup_norm - sup) <= 1e-3 * sup
+        assert field.sup_norm <= 6.0
 
 
 def test_beltrami_step_zero_field_or_time(grid, ellipse, ellipse_maps):
@@ -45,21 +117,21 @@ def test_beltrami_step_zero_field_or_time(grid, ellipse, ellipse_maps):
     radial_gap = np.abs(pts) - 1.2 / np.sqrt(
         np.cos(np.angle(pts)) ** 2 + 1.44 * np.sin(np.angle(pts)) ** 2)
     assert np.max(np.abs(radial_gap)) < 1e-5
-    same = beltrami_step(ellipse, gradient_field(g, grid), 0.0, exterior=g,
+    same = beltrami_step(ellipse, gradient_field(g), 0.0, exterior=g,
                          grid=grid)
     assert same is ellipse
 
 
 def test_beltrami_step_regime_guard(grid, ellipse, ellipse_maps):
     _, g = ellipse_maps
-    field = gradient_field(g, grid)
+    field = gradient_field(g)
     with pytest.raises(DomainError):
         beltrami_step(ellipse, field, 1.0, exterior=g, grid=grid)
 
 
 def test_beltrami_step_first_order_decrease(grid, ellipse, ellipse_maps):
     f, g = ellipse_maps
-    field = gradient_field(g, grid)
+    field = gradient_field(g)
     s0 = liouville_action(f, g).total
     t = 1e-3
     moved = beltrami_step(ellipse, field, t, exterior=g, grid=grid, order=96)
@@ -82,12 +154,12 @@ def test_beltrami_step_detects_self_intersection(grid, ellipse, ellipse_maps):
 
 
 def test_flow_circle_start_is_stationary(grid):
-    states = run_flow(circle_curve(), max_steps=5, grid=grid, order=64)
+    states = run_flow(circle_curve(), max_steps=5, order=64)
     assert len(states) == 1
     assert states[0].action < 1e-9
     # one explicit step moves nothing
     g = LaurentMap(1.0)
-    field = gradient_field(g, grid)
+    field = gradient_field(g)
     moved = beltrami_step(circle_curve(), field, 1e-2, exterior=g, grid=grid,
                           order=64)
     assert np.max(np.abs(moved.series.coeffs[:2]
@@ -97,7 +169,7 @@ def test_flow_circle_start_is_stationary(grid):
 
 def test_first_order_slope_decay_along_gradient(grid, ellipse, ellipse_maps):
     f, g = ellipse_maps
-    field = gradient_field(g, grid)
+    field = gradient_field(g)
     s0 = liouville_action(f, g).total
     errors = []
     for t in (1e-3, 5e-4, 2.5e-4):
@@ -109,9 +181,8 @@ def test_first_order_slope_decay_along_gradient(grid, ellipse, ellipse_maps):
     assert all(b <= 0.65 * a for a, b in zip(errors, errors[1:]))
 
 
-def test_flow_wobble_roundness_decreases(grid):
-    states = run_flow(polynomial_curve(0.0, 0.08), max_steps=30, grid=grid,
-                      order=96)
+def test_flow_wobble_roundness_decreases():
+    states = run_flow(polynomial_curve(0.0, 0.08), max_steps=30, order=96)
     acts = [s.action for s in states]
     assert all(b <= a for a, b in zip(acts, acts[1:]))
     rough = [s.roundness for s in states]
@@ -119,9 +190,8 @@ def test_flow_wobble_roundness_decreases(grid):
     assert states[-1].action < 0.1 * states[0].action
 
 
-def test_flow_energy_accounting(grid):
-    states = run_flow(ellipse_curve(1.2, 1.0), max_steps=60, grid=grid,
-                      order=96)
+def test_flow_energy_accounting():
+    states = run_flow(ellipse_curve(1.2, 1.0), max_steps=60, order=96)
     acts = [s.action for s in states]
     assert all(b <= a for a, b in zip(acts, acts[1:]))
     drop = acts[0] - acts[-1]
@@ -131,7 +201,7 @@ def test_flow_energy_accounting(grid):
     # Nehari bound along the whole trajectory
     for s in states:
         f, g = conformal_map_pair(s.curve, order=96, tol=1e-7)
-        assert gradient_field(g, grid).sup_norm <= 6.0 + 1e-9
+        assert gradient_field(g).sup_norm <= 6.0 + 1e-9
 
 
 def test_roundness_deficit_zero_on_circle():
