@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Subcommands: action, grunsky, surface, volume, verify-identity, flow.
+Subcommands: action, grunsky, surface, volume, verify-identity, flow. Each
+takes --curve and --out plus only the flags its handler reads (COMMANDS).
 Every run writes its artifacts plus a manifest.json carrying the config
-hash and a content hash per output file. Exit codes: 0 success, 1 input
-error, 2 numerical contract failure.
+(the command, the curve and that command's flag values), its hash and a
+content hash per output file. Exit codes: 0 success, 1 input error
+(usage errors included), 2 numerical contract failure.
 """
 
 import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,6 @@ class RunConfig:
     eps_schedule: list | None = None  # None: auto-scaled to the curve
     steps: int = 50
     tol: float = 0.01
-    seed: int = 0
     trace: bool = False
     mesh: str = "64x64"
     r_max: float = 1.0 - 2.0 ** -10
@@ -48,9 +49,11 @@ class RunConfig:
     dump_obj: bool = False
 
     def canonical_json(self):
-        # the output location is not part of the experiment identity
-        payload = {k: v for k, v in asdict(self).items() if k != "out"}
-        return json.dumps(payload, sort_keys=True)
+        # the experiment identity: the command, its curve and its own flags;
+        # the output location is not part of it
+        keys = ["command", "curve"]
+        keys += [_dest(flag) for flag in COMMANDS[self.command][1]]
+        return json.dumps({k: getattr(self, k) for k in keys}, sort_keys=True)
 
     def config_hash(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
@@ -281,8 +284,7 @@ def cmd_flow(config, writer):
     if config.obj_every > 0:
         for s in states:
             if s.step % config.obj_every == 0:
-                f, g = conformal_map_pair(s.curve, order=config.series_order)
-                mi, mo = aligned_surface_meshes(f, g, n_ang=256,
+                mi, mo = aligned_surface_meshes(s.f, s.g, n_ang=256,
                                                 interior_rings=24)
                 for name, mesh in ((f"flow_{s.step:04d}_in", mi),
                                    (f"flow_{s.step:04d}_out", mo)):
@@ -301,71 +303,71 @@ def cmd_flow(config, writer):
     return 0
 
 
+# every command also takes --curve and --out; RunConfig holds the defaults
+FLAGS = {
+    "--series-order": dict(type=int, help="map truncation order"),
+    "--grid": dict(help="quadrature grid LxPxA: radial levels x nodes per "
+                        "level x angular nodes"),
+    "--eps-schedule": dict(type=float, nargs="+",
+                           help="decreasing truncation heights "
+                                "(default: scaled to the curve)"),
+    "--steps": dict(type=int, help="maximum number of accepted flow steps"),
+    "--tol": dict(type=float, help="relative tolerance of S = 4 V_R"),
+    "--trace": dict(action="store_true", help="also write action_trace.csv"),
+    "--mesh": dict(help="mesh resolution RxA: rings x angular nodes"),
+    "--r-max": dict(type=float, help="outermost parameter radius"),
+    "--obj-every": dict(type=int, help="write both sheets as OBJ at every "
+                                       "N-th accepted step (0: never)"),
+    "--dump-obj": dict(action="store_true",
+                       help="write the clipped sheets and the cap as OBJ"),
+}
+
 COMMANDS = {
-    "action": cmd_action,
-    "grunsky": cmd_grunsky,
-    "surface": cmd_surface,
-    "volume": cmd_volume,
-    "verify-identity": cmd_verify_identity,
-    "flow": cmd_flow,
+    "action": (cmd_action, ("--series-order", "--trace")),
+    "grunsky": (cmd_grunsky, ("--series-order", "--grid")),
+    "surface": (cmd_surface, ("--series-order", "--mesh", "--r-max")),
+    "volume": (cmd_volume, ("--series-order", "--eps-schedule", "--dump-obj")),
+    "verify-identity": (cmd_verify_identity,
+                        ("--series-order", "--eps-schedule", "--tol")),
+    "flow": (cmd_flow, ("--series-order", "--steps", "--obj-every")),
 }
 
 
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit code 1), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liouvol",
         description="Liouville action, envelope surfaces and renormalized "
                     "volume of Jordan curves")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for name, (_, flags) in COMMANDS.items():
+        # flags left unset stay off the namespace, so RunConfig fills them
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--curve", required=True,
                        help="bundled fixture name or curve JSON path")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--series-order", type=int, default=128)
-        p.add_argument("--grid", default="20x8x256",
-                       help="levels x nodes-per-level x angular of the "
-                            "quadrature grid for grunsky")
-        p.add_argument("--eps-schedule", type=float, nargs="+", default=None)
-        p.add_argument("--steps", type=int, default=50)
-        p.add_argument("--tol", type=float, default=0.01)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trace", action="store_true")
-        p.add_argument("--mesh", default="64x64")
-        p.add_argument("--r-max", type=float, default=1.0 - 2.0 ** -10)
-        p.add_argument("--obj-every", type=int, default=0)
-        p.add_argument("--dump-obj", action="store_true")
+        p.add_argument("--out", help="output directory")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
-
-
-def config_from_args(args):
-    cfg = RunConfig(
-        command=args.command,
-        curve=args.curve,
-        out=args.out,
-        series_order=args.series_order,
-        grid=args.grid,
-        steps=args.steps,
-        tol=args.tol,
-        seed=args.seed,
-        trace=args.trace,
-        mesh=args.mesh,
-        r_max=args.r_max,
-        obj_every=args.obj_every,
-        dump_obj=args.dump_obj,
-    )
-    if args.eps_schedule is not None:
-        cfg.eps_schedule = list(args.eps_schedule)
-    return cfg.validate()
 
 
 def run(config):
     """Execute one configured command; returns the process exit code."""
-    np.random.seed(config.seed)
     writer = ArtifactWriter(config.out, config)
     try:
-        code = COMMANDS[config.command](config, writer)
+        code = COMMANDS[config.command][0](config, writer)
     except ContractError as exc:
         writer.write_json("diagnostic.json",
                           {"error": type(exc).__name__, "detail": str(exc)})
@@ -377,15 +379,9 @@ def run(config):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = config_from_args(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run(config)
+        args = build_parser().parse_args(argv)
+        return run(RunConfig(**vars(args)).validate())
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -54,7 +54,6 @@ class CurvatureData:
     khat_plus: float
     khat_minus: float
     H: float
-    Hhat: float
     schwarzian_norm: float
     mean_density: float
     immersion_boundary: bool = False
@@ -232,7 +231,7 @@ def curvatures(f, zeta, boundary_tol=1e-8):
     k_p, k_m, khat_p, khat_m, H, dens = _curvature_fields(t, rho)
     return CurvatureData(
         float(k_p), float(k_m), float(khat_p), float(khat_m), float(H),
-        1.0, t, float(dens), immersion_boundary=abs(t - 1.0) < boundary_tol)
+        t, float(dens), immersion_boundary=abs(t - 1.0) < boundary_tol)
 
 
 def mean_curvature_total(fmap):

@@ -26,11 +26,13 @@ from .errors import (DeformationError, DomainError, NonConvergence,
                      RefitError, Stalled)
 from .mapping import conformal_map_pair, exterior_map, interior_map
 from .quadrature import QuadratureGrid
-from .series import circle_samples, coefficient_sum, schwarzian
+from .series import (LaurentMap, PowerSeriesMap, circle_samples,
+                     coefficient_sum, schwarzian)
 
 logger = logging.getLogger(__name__)
 
 NEHARI_BOUND = 6.0
+REFIT_TOL = 1e-6   # boundary residual a refit series must certify
 # |1/w| of the rings on which sup|nu| is sampled, graded toward |w| = 1
 RING_RADII = 1.0 - 0.5 ** np.arange(0.125, 12.0001, 0.125)
 
@@ -57,6 +59,8 @@ class FlowState:
     grad_wp_norm_sq: float
     step_size: float
     roundness: float
+    f: PowerSeriesMap   # the maps the flow solved for ``curve``
+    g: LaurentMap
 
 
 @dataclass(frozen=True)
@@ -173,8 +177,8 @@ def displacement_field(curve, nu, exterior=None, grid=None, n_boundary=None,
     return z, -out / math.pi
 
 
-def beltrami_step(curve, nu, t, exterior=None, grid=None, n_boundary=None,
-                  order=128, refit_tol=1e-6, precomputed=None):
+def beltrami_step(curve, nu, t, exterior=None, grid=None, order=128,
+                  precomputed=None):
     """First-order quasiconformal move of the curve along t * nu.
 
     The moved boundary is refit to an interior series; raises
@@ -188,8 +192,7 @@ def beltrami_step(curve, nu, t, exterior=None, grid=None, n_boundary=None,
     if t == 0:
         return curve
     if precomputed is None:
-        z, fdot = displacement_field(curve, nu, exterior=exterior, grid=grid,
-                                     n_boundary=n_boundary)
+        z, fdot = displacement_field(curve, nu, exterior=exterior, grid=grid)
     else:
         z, fdot = precomputed
     moved = z + t * fdot
@@ -197,13 +200,10 @@ def beltrami_step(curve, nu, t, exterior=None, grid=None, n_boundary=None,
         raise DeformationError("deformed curve self-intersects")
     poly = CurveSpec.from_polyline(moved, check=False)
     try:
-        f_new, diag = interior_map(poly, order=min(order, moved.size // 3),
-                                   tol=refit_tol, auto_refine=False)
+        f_new, _ = interior_map(poly, order=min(order, moved.size // 3),
+                                tol=REFIT_TOL, auto_refine=False)
     except NonConvergence as exc:
         raise RefitError(f"series refit failed: {exc}") from exc
-    if diag.boundary_mismatch > refit_tol:
-        raise RefitError(
-            f"series refit residual {diag.boundary_mismatch:.3e} > {refit_tol}")
     return CurveSpec.from_series(f_new, check=False)
 
 
@@ -218,7 +218,7 @@ def roundness_deficit(curve, n=4096):
 
 
 def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
-             action_threshold=1e-9, n_boundary=None):
+             action_threshold=1e-9):
     """Backtracking gradient descent from ``curve`` toward the circle.
 
     Returns the list of accepted FlowStates (the initial state included).
@@ -228,7 +228,7 @@ def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
     action = liouville_action(f, g).total
     field = gradient_field(g)
     states = [FlowState(0, curve, action, field.wp_norm_sq, 0.0,
-                        roundness_deficit(curve))]
+                        roundness_deficit(curve), f, g)]
     t_prev = None
     for step in range(1, max_steps + 1):
         if action < action_threshold or field.sup_norm < 1e-12:
@@ -237,7 +237,7 @@ def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
             break
         t_cap = 0.999 * step_cap / field.sup_norm
         t = t_cap if t_prev is None else min(t_cap, 2.0 * t_prev)
-        pre = displacement_field(curve, field, n_boundary=n_boundary)
+        pre = displacement_field(curve, field)
         accepted = False
         while t >= t_min:
             try:
@@ -260,7 +260,7 @@ def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
         field = gradient_field(g)
         t_prev = t
         states.append(FlowState(step, curve, action, field.wp_norm_sq, t,
-                                roundness_deficit(curve)))
+                                roundness_deficit(curve), f, g))
         logger.debug("step %d: action %.6e, |nu|_wp^2 %.3e, t %.3e",
                      step, action, field.wp_norm_sq, t)
     return states

@@ -77,7 +77,7 @@ def _boundary_mismatch_polar(samples, anchor, rho):
     return float(np.max(np.abs(np.abs(rel) - rho(np.angle(rel)))))
 
 
-def interior_map(curve, order=128, tol=FIT_TOL, n_grid=None, auto_refine=True):
+def interior_map(curve, order=128, tol=FIT_TOL, auto_refine=True):
     """Conformal map of the unit disk onto the inside of ``curve``.
 
     Normalization: f(anchor preimage) -- i.e. f(0) -- is the curve anchor,
@@ -88,14 +88,13 @@ def interior_map(curve, order=128, tol=FIT_TOL, n_grid=None, auto_refine=True):
         diag = SolveDiagnostics(0, 0.0, 0.0, 0.0)
         return f, diag
     return _interior_from_polar(curve.polar(), curve.anchor(), order, tol,
-                                n_grid, auto_refine)
+                                auto_refine)
 
 
-def _interior_from_polar(rho, anchor, order, tol, n_grid=None,
-                         auto_refine=True):
+def _interior_from_polar(rho, anchor, order, tol, auto_refine=True):
     order = int(order)
     while True:
-        n = n_grid or max(1024, 8 * order)
+        n = max(1024, 8 * order)
         theta, iters, corr = _solve_correspondence(rho, n)
         boundary = rho(theta) * np.exp(1j * theta)
         coeffs, neg = _series_from_boundary(boundary, order)
@@ -138,7 +137,7 @@ def _decay_radius(coeffs):
     return float(max(1.0 + 1e-6, min(8.0, 1.0 / q)))
 
 
-def exterior_map(curve, order=128, tol=FIT_TOL, n_grid=None):
+def exterior_map(curve, order=128, tol=FIT_TOL):
     """Conformal map of |w| > 1 onto the outside of ``curve``.
 
     Normalization: g(inf) = inf with g'(inf) real positive. Solved through
@@ -153,7 +152,7 @@ def exterior_map(curve, order=128, tol=FIT_TOL, n_grid=None):
 
     order = int(order)
     while True:
-        n = n_grid or max(1024, 8 * order)
+        n = max(1024, 8 * order)
         theta, iters, corr = _solve_correspondence(rho_inv, n)
         boundary_inv = rho_inv(theta) * np.exp(1j * theta)
         # g(e^{i phi}) = 1 / G(e^{-i phi}): reverse the sample order

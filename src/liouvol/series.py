@@ -139,9 +139,6 @@ class LaurentMap:
             out.append(self.deriv_at(w, m))
         return tuple(out)
 
-    def deriv_at_infinity(self):
-        return self.b1
-
     def rotated(self, alpha):
         """Precompose with w -> w e^{-i alpha} (coefficient of w^k gets e^{-ik alpha})."""
         k = np.arange(1, self.bneg.size + 1)

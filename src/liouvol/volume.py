@@ -229,7 +229,7 @@ def _check_levels(mesh, eps_levels):
                 f"{ring_h:.3e}; extend r_max or raise eps")
 
 
-def _truncated_volumes(mesh_in, mesh_out, eps_levels, check_topology=True):
+def _truncated_volumes(mesh_in, mesh_out, eps_levels):
     """Signed volumes between the sheets above each Euclidean height in
     ``eps_levels``, from one tabulation of each sheet.
 
@@ -245,17 +245,16 @@ def _truncated_volumes(mesh_in, mesh_out, eps_levels, check_topology=True):
         total = 0.0
         for sheet in sheets:
             flux, segments = sheet.flux(eps)
-            if check_topology:
-                _check_clip_loops(segments)
+            _check_clip_loops(segments)
             total += flux
         sliver = (mesh_in.ring_area - mesh_out.ring_area) / (2.0 * eps * eps)
         out.append(ORIENT_SIGN * (total + sliver))
     return out
 
 
-def truncated_volume(mesh_in, mesh_out, eps, check_topology=True):
+def truncated_volume(mesh_in, mesh_out, eps):
     """Signed volume between the sheets above Euclidean height eps."""
-    return _truncated_volumes(mesh_in, mesh_out, (eps,), check_topology)[0]
+    return _truncated_volumes(mesh_in, mesh_out, (eps,))[0]
 
 
 def clip_mesh_above(mesh, eps):

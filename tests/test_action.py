@@ -221,3 +221,14 @@ def test_spectral_integrals_match_grid_on_starlike_polynomials(f0):
         grid_mc = q.integrate(np.abs(schwarzian(m, q.nodes)) ** 2 * weight)
         assert mean_curvature_total(m) == pytest.approx(grid_mc, rel=1e-9,
                                                         abs=1e-12)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(starlike_polynomials())
+def test_grunsky_equality_on_starlike_polynomials(f0):
+    # a Jordan pair fills the plane, so the area inequality is an equality;
+    # the angular count resolves the longer of the two series
+    f, g = conformal_map_pair(CurveSpec.from_series(f0), order=64)
+    n = max(256, 2 ** math.ceil(math.log2(max(f.order, g.order))))
+    gap = grunsky_gap(f, g, QuadratureGrid.disk(angular_n=n))
+    assert abs(gap["rhs"] - gap["lhs"]) <= 1e-10 * gap["rhs"]

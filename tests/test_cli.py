@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import liouvol
-from liouvol.cli import main
+from liouvol.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -19,7 +20,7 @@ def test_verify_identity_circle(tmp_path):
     code = run_cli("verify-identity", "--curve", "circle",
                    "--out", str(tmp_path),
                    "--eps-schedule", "0.1", "0.05", "0.025", "0.0125",
-                   "--grid", "16x6x128", "--series-order", "64")
+                   "--series-order", "64")
     assert code == 0
     payload = json.loads((tmp_path / "verify_identity.json").read_text())
     assert payload["passed"] is True
@@ -30,7 +31,7 @@ def test_verify_identity_circle(tmp_path):
 
 def test_action_subcommand_and_trace(tmp_path):
     code = run_cli("action", "--curve", "cubic", "--out", str(tmp_path),
-                   "--grid", "16x6x128", "--series-order", "64", "--trace")
+                   "--series-order", "64", "--trace")
     assert code == 0
     payload = json.loads((tmp_path / "action.json").read_text())
     assert payload["total"] > 0
@@ -63,8 +64,7 @@ def test_surface_subcommand(tmp_path):
 
 def test_flow_subcommand(tmp_path):
     code = run_cli("flow", "--curve", "wobble", "--out", str(tmp_path),
-                   "--steps", "5", "--grid", "16x6x128",
-                   "--series-order", "64")
+                   "--steps", "5", "--series-order", "64")
     assert code == 0
     payload = json.loads((tmp_path / "flow.json").read_text())
     assert payload["monotone"] is True
@@ -94,6 +94,20 @@ def test_flow_reports_wp_path_length(tmp_path):
     assert payload["wp_path_length"] == 0
 
 
+def test_flow_obj_every_writes_sheets_of_every_nth_step(tmp_path):
+    code = run_cli("flow", "--curve", "wobble", "--out", str(tmp_path),
+                   "--steps", "5", "--obj-every", "5")
+    assert code == 0
+    accepted = json.loads(
+        (tmp_path / "flow.json").read_text())["steps_accepted"]
+    assert accepted == 5
+    expected = {f"flow_{step:04d}_{side}.obj"
+                for step in range(0, accepted + 1, 5) for side in ("in", "out")}
+    assert {p.name for p in tmp_path.glob("*.obj")} == expected
+    outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+    assert expected <= set(outputs)
+
+
 def test_verify_identity_contract_failure_exits_2(tmp_path):
     # the ellipse's residual (~7e-4) exceeds the 5e-4 floor that a tiny
     # relative tolerance leaves
@@ -109,8 +123,7 @@ def test_verify_identity_contract_failure_exits_2(tmp_path):
 
 def test_volume_dump_obj_writes_clipped_sheets_and_cap(tmp_path):
     code = run_cli("volume", "--curve", "cubic", "--out", str(tmp_path),
-                   "--grid", "12x5x128", "--series-order", "64",
-                   "--dump-obj")
+                   "--series-order", "64", "--dump-obj")
     assert code == 0
     for name in ("volume_in_clipped.obj", "volume_out_clipped.obj",
                  "volume_cap.obj"):
@@ -133,17 +146,62 @@ def test_malformed_curve_json_is_input_error(tmp_path):
 
 
 def test_bad_grid_spec_is_input_error(tmp_path):
-    code = run_cli("action", "--curve", "circle", "--out", str(tmp_path),
+    code = run_cli("grunsky", "--curve", "circle", "--out", str(tmp_path),
                    "--grid", "banana")
     assert code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("action", "--curve", "circle", "--bogus"),
+    ("action", "--curve", "circle", "--steps", "3"),   # a flow flag
+    ("flow", "--curve", "circle", "--steps", "x"),
+    (),                                                 # no subcommand
+])
+def test_usage_errors_are_input_errors(capsys, args):
+    assert run_cli(*args) == 1
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [("--help",), ("--version",),
+                                  ("flow", "--help")])
+def test_help_and_version_exit_0(args):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args)
+    assert exc.value.code == 0
+
+
+def test_subcommands_take_only_their_flags():
+    common = {"--curve", "--out"}
+    table = {
+        "action": {"--series-order", "--trace"},
+        "grunsky": {"--series-order", "--grid"},
+        "surface": {"--series-order", "--mesh", "--r-max"},
+        "volume": {"--series-order", "--eps-schedule", "--dump-obj"},
+        "verify-identity": {"--series-order", "--eps-schedule", "--tol"},
+        "flow": {"--series-order", "--steps", "--obj-every"},
+    }
+    parser = build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(table)
+    for name, flags in table.items():
+        options = {opt for action in sub.choices[name]._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+        assert options == common | flags, name
+
+
+def test_manifest_config_names_only_the_command_flags(tmp_path):
+    assert run_cli("action", "--curve", "circle", "--out", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest["config"]) == {"command", "curve", "series_order",
+                                       "trace"}
 
 
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         code = run_cli("action", "--curve", "cubic", "--out", str(out),
-                       "--grid", "16x6x128", "--series-order", "64",
-                       "--seed", "11")
+                       "--series-order", "64")
         assert code == 0
     for name in ("action.json", "manifest.json"):
         b1 = (out1 / name).read_bytes()
@@ -158,7 +216,7 @@ def test_determinism_byte_identical(tmp_path):
 def test_manifest_lists_all_outputs(tmp_path):
     code = run_cli("volume", "--curve", "circle", "--out", str(tmp_path),
                    "--eps-schedule", "0.1", "0.05", "0.025",
-                   "--grid", "16x6x128", "--series-order", "64")
+                   "--series-order", "64")
     assert code == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     written = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}

@@ -156,7 +156,7 @@ def test_curvatures_identity_plane():
     c = curvatures(f, 0.3 + 0.1j)
     assert c.k_plus == 0 and c.k_minus == 0
     assert c.khat_plus == 1 and c.khat_minus == 1
-    assert c.H == 0 and c.Hhat == 1
+    assert c.H == 0
     assert c.mean_density == 0
 
 
