@@ -6,12 +6,17 @@ density), whose sup norm is at most 6 for univalent g. One step moves the
 curve to first order along the field transported to the image domain,
 solving d-bar F = nu_* by a Cauchy transform, then refits the moved
 boundary to an interior series. Steps are accepted only when the action
-decreases, so discretization error cannot fake convergence.
+decreases, so discretization error cannot fake convergence, and a step
+size that failed that test is not tried again in the run: each step starts
+at twice the last accepted one, halved until below every such failure.
 
 The field is carried by the coefficients s_k of S(g) = sum s_k w^-k from
 one FFT of circle samples: its norms are coefficient sums and ring FFTs,
 and its Cauchy transform is a contour integral over the curve (Stokes on
-the explicit d-bar primitive of nu), so the flow needs no area grid.
+the explicit d-bar primitive of nu), so the flow needs no area grid. The
+contour sum reduces with einsum rather than a BLAS product: a threaded
+gemv would wake a thread pool that spins between steps and would make the
+summation order depend on the core count.
 """
 
 import logging
@@ -136,7 +141,7 @@ def _contour_displacement(g, s, n, chunk=256):
         dz[diag] = 1.0
         ratio = (q[None, :] - q[rows, None]) / dz
         ratio[diag] = dq[rows]
-        total[rows] = ratio @ zeta_t
+        total[rows] = np.einsum("ij,j->i", ratio, zeta_t)
     # the trapezoid weight 2 pi / n over 2 pi i
     return zeta, q + total / (1j * n)
 
@@ -173,7 +178,8 @@ def displacement_field(curve, nu, exterior=None, grid=None, n_boundary=None,
     out = np.empty(z.size, dtype=complex)
     for lo in range(0, z.size, chunk):
         hi = min(lo + chunk, z.size)
-        out[lo:hi] = density @ (1.0 / (gv[:, None] - z[None, lo:hi]))
+        kernel = 1.0 / (gv[None, :] - z[lo:hi, None])
+        out[lo:hi] = np.einsum("ij,j->i", kernel, density)
     return z, -out / math.pi
 
 
@@ -222,7 +228,10 @@ def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
     """Backtracking gradient descent from ``curve`` toward the circle.
 
     Returns the list of accepted FlowStates (the initial state included).
-    The action is nonincreasing along the list by construction.
+    The action is nonincreasing along the list by construction. A trial
+    starts at min(cap, 2 t_prev) and halves on rejection; trials at or
+    above the smallest step already rejected for no decrease are skipped.
+    Rejections for deformation, refit or map failures do not count as such.
     """
     f, g = conformal_map_pair(curve, order=order)
     action = liouville_action(f, g).total
@@ -230,6 +239,7 @@ def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
     states = [FlowState(0, curve, action, field.wp_norm_sq, 0.0,
                         roundness_deficit(curve), f, g)]
     t_prev = None
+    t_over = math.inf  # smallest step rejected for no decrease in this run
     for step in range(1, max_steps + 1):
         if action < action_threshold or field.sup_norm < 1e-12:
             logger.info("flow converged at step %d (action %.3e)", step - 1,
@@ -237,6 +247,8 @@ def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
             break
         t_cap = 0.999 * step_cap / field.sup_norm
         t = t_cap if t_prev is None else min(t_cap, 2.0 * t_prev)
+        while t >= t_over:
+            t *= 0.5
         pre = displacement_field(curve, field)
         accepted = False
         while t >= t_min:
@@ -252,6 +264,7 @@ def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
             if cand_action < action:
                 accepted = True
                 break
+            t_over = t
             t *= 0.5
         if not accepted:
             raise Stalled(f"no decreasing step at step {step} "

@@ -2,14 +2,14 @@
 
 PowerSeriesMap holds f(z) = sum_k a_k z^k on a disk of radius > 1,
 LaurentMap holds g(w) = b1 w + b0 + sum_k b_{-k} w^{-k} on |w| > 1.
-Differentiation is exact on coefficients; evaluation is Horner.
+Differentiation is exact on coefficients; evaluation is Horner, and a jet
+(the value with its first derivatives) takes one Horner pass.
 Integrals of |analytic|^2 against a radial weight over the parameter
 domain are coefficient sums from one FFT of boundary samples (area_norm).
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -24,6 +24,33 @@ def _as_coeffs(c):
     if a.size == 0:
         raise DomainError("empty coefficient list")
     return a
+
+
+def _taylor_horner(c, x, upto, block=8192):
+    """p^(m)(x)/m! for m = 0..upto, p(x) = sum_k c[k] x^k, from one Horner
+    pass that updates the upto + 1 accumulators in place, over blocks of
+    points small enough to stay in cache. A scalar x gives scalars."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim == 0:
+        # one point: scalar arithmetic, a ufunc call costs more than its work
+        xs, d = complex(x), [0j] * (upto + 1)
+        for ck in c[::-1].tolist():
+            for m in range(upto, 0, -1):
+                d[m] = d[m] * xs + d[m - 1]
+            d[0] = d[0] * xs + ck
+        return tuple(np.complex128(v) for v in d)
+    flat = x.ravel()
+    acc = np.zeros((upto + 1, flat.size), dtype=complex)
+    for lo in range(0, flat.size, block):
+        xb = flat[lo:lo + block]
+        d = list(acc[:, lo:lo + block])  # row views, updated in place
+        for ck in c[::-1]:
+            for m in range(upto, 0, -1):
+                d[m] *= xb
+                d[m] += d[m - 1]
+            d[0] *= xb
+            d[0] += ck
+    return tuple(a.reshape(x.shape) for a in acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,21 +87,11 @@ class PowerSeriesMap:
             c = np.zeros(1, dtype=complex)
         return PowerSeriesMap(c, self.hint_radius)
 
-    @cached_property
-    def _jet_coeffs(self):
-        c1 = npoly.polyder(self.coeffs)
-        c2 = npoly.polyder(c1) if c1.size > 1 else np.zeros(1, complex)
-        c3 = npoly.polyder(c2) if c2.size > 1 else np.zeros(1, complex)
-        return (np.atleast_1d(c1), np.atleast_1d(c2), np.atleast_1d(c3))
-
     def jet(self, z, upto=3):
         """Values (f, f', f'', f''') at z, truncated to ``upto`` derivatives."""
-        z = np.asarray(z, dtype=complex)
-        c1, c2, c3 = self._jet_coeffs
-        out = [npoly.polyval(z, self.coeffs)]
-        for c in (c1, c2, c3)[:upto]:
-            out.append(npoly.polyval(z, c))
-        return tuple(out)
+        d = _taylor_horner(self.coeffs, z, upto)
+        return tuple(dm * math.factorial(m) if m > 1 else dm
+                     for m, dm in enumerate(d))
 
     def tail_profile(self):
         """Max |a_k| over the last quartile, used by solver auto-refinement."""
@@ -134,9 +151,27 @@ class LaurentMap:
         raise ValueError("m must be 1, 2 or 3")
 
     def jet(self, w, upto=3):
-        out = [self(w)]
-        for m in range(1, upto + 1):
-            out.append(self.deriv_at(w, m))
+        """Values (g, g', g'', g''') at w, truncated to ``upto`` derivatives:
+        one Horner pass in u = 1/w gives h(u) = sum_k b_{-k} u^k and its
+        derivatives, and the chain rule gives g' = b1 - u^2 h',
+        g'' = 2u^3 h' + u^4 h'' and g''' = -(6u^4 h' + 6u^5 h'' + u^6 h''')."""
+        w = np.asarray(w, dtype=complex)
+        if np.any(np.abs(w) < 1 - 1e-12):
+            raise DomainError("LaurentMap is defined on |w| >= 1")
+        u = 1.0 / w
+        # h = u p with p(u) = sum_k b_{-k} u^(k-1): d[m] = h^(m)/m! is
+        # e[m-1] + u e[m] for e[m] = p^(m)/m!, and g is formed bit for bit
+        # as __call__ forms it
+        e = _taylor_horner(self.bneg, u, upto)
+        d = [u * e[0]] + [e[m - 1] + u * e[m] for m in range(1, upto + 1)]
+        out = [self.b1 * w + self.b0 + d[0]]
+        if upto >= 1:
+            u2 = u * u
+            out.append(self.b1 - u2 * d[1])
+        if upto >= 2:
+            out.append(2.0 * u2 * u * (d[1] + u * d[2]))
+        if upto >= 3:
+            out.append(-6.0 * u2 * u2 * (d[1] + u * (2.0 * d[2] + u * d[3])))
         return tuple(out)
 
     def rotated(self, alpha):

@@ -253,8 +253,7 @@ def test_criterion_8_gradient_flow():
     decreased = acts[-1] < 0.1 * acts[0] and len(states) - 1 <= 50
     nehari_ok = True
     for s in states:
-        _, g = conformal_map_pair(s.curve, order=96, tol=1e-7)
-        if gradient_field(g).sup_norm > 6.0 + 1e-9:
+        if gradient_field(s.g).sup_norm > 6.0 + 1e-9:
             nehari_ok = False
 
     from liouvol.flow import beltrami_step

@@ -27,7 +27,8 @@ def grid_transform(g, nu, z, grid, chunk=64):
     out = np.empty(z.size, dtype=complex)
     for lo in range(0, z.size, chunk):
         hi = min(lo + chunk, z.size)
-        out[lo:hi] = density @ (1.0 / (gv[:, None] - z[None, lo:hi]))
+        kernel = 1.0 / (gv[None, :] - z[lo:hi, None])
+        out[lo:hi] = np.einsum("ij,j->i", kernel, density)
     return -out / math.pi
 
 
@@ -200,8 +201,52 @@ def test_flow_energy_accounting():
     assert abs(cumulative - drop) <= 0.15 * drop
     # Nehari bound along the whole trajectory
     for s in states:
-        f, g = conformal_map_pair(s.curve, order=96, tol=1e-7)
-        assert gradient_field(g).sup_norm <= 6.0 + 1e-9
+        assert gradient_field(s.g).sup_norm <= 6.0 + 1e-9
+
+
+@pytest.mark.parametrize("curve", [ellipse_curve(1.2, 1.0),
+                                   polynomial_curve(0.0, 0.08)],
+                         ids=["ellipse", "wobble"])
+def test_step_policy_never_retries_an_overshoot(monkeypatch, curve):
+    """No trial step is at or above a step already rejected for no
+    decrease, a run rejects at most one trial for no decrease, and the
+    action never increases."""
+    import liouvol.flow as flow
+    trials = []  # [t, "raised" | "moved" | "solved"] per trial
+    step, solve = flow.beltrami_step, flow.conformal_map_pair
+
+    def recording_step(curve, nu, t, **kwargs):
+        trials.append([t, "raised"])
+        moved = step(curve, nu, t, **kwargs)
+        trials[-1][1] = "moved"
+        return moved
+
+    def recording_solve(*args, **kwargs):
+        maps = solve(*args, **kwargs)
+        if trials:
+            trials[-1][1] = "solved"
+        return maps
+
+    monkeypatch.setattr(flow, "beltrami_step", recording_step)
+    monkeypatch.setattr(flow, "conformal_map_pair", recording_solve)
+    states = run_flow(curve)
+    accepted = [s.step_size for s in states[1:]]
+    no_decrease = []
+    t_over = math.inf
+    for t, outcome in trials:
+        assert t < t_over
+        if outcome != "solved":
+            continue
+        if accepted and t == accepted[0]:
+            accepted.pop(0)
+        else:
+            no_decrease.append(t)
+            t_over = t
+    assert not accepted
+    assert len(no_decrease) <= 1
+    acts = [s.action for s in states]
+    assert all(b <= a for a, b in zip(acts, acts[1:]))
+    assert acts[-1] < 1e-9
 
 
 def test_roundness_deficit_zero_on_circle():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from liouvol.errors import DomainError, SingularDerivative
 from liouvol.mobius import MobiusTransform
@@ -164,3 +165,35 @@ def test_area_norm_of_monomials(k, p):
     assert inside == pytest.approx(exact, rel=1e-14)
     assert outside == pytest.approx(exact, rel=1e-14)
     assert err_in < 1e-15 and err_out < 1e-15
+
+
+@pytest.mark.parametrize("upto", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 7, 64])
+def test_jet_matches_separate_evaluation(rng, order, upto):
+    # the one-pass jets against __call__/deriv_at and polyval of polyder
+    def close(values, refs):
+        for v, r in zip(values, refs):
+            assert np.max(np.abs(v - r)) <= 1e-13 * np.max(np.abs(r))
+
+    k = np.arange(1, order + 1)
+    bneg = (rng.normal(size=order) + 1j * rng.normal(size=order)) / k ** 2
+    g = LaurentMap(1.3 - 0.2j, 0.1j, bneg)
+    a = (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)) \
+        / (np.arange(order + 1) + 1.0) ** 2
+    f = PowerSeriesMap(a, hint_radius=1.5)
+    phase = np.exp(2j * np.pi * rng.random(50))
+    w = (1.0 + 2.0 * rng.random(50)) * phase
+    z = 1.2 * rng.random(50) * phase
+    cases = ((g, w, [g(w)] + [g.deriv_at(w, j) for j in range(1, upto + 1)]),
+             (f, z, [npoly.polyval(z, npoly.polyder(a, j)) if j <= order
+                     else np.zeros_like(z) for j in range(upto + 1)]))
+    for m, pts, refs in cases:
+        jet = m.jet(pts, upto=upto)
+        assert len(jet) == upto + 1
+        close(jet, refs)
+        # a scalar argument gives scalars
+        first = m.jet(complex(pts[0]), upto=upto)
+        assert all(np.ndim(v) == 0 for v in first)
+        close(first, [r[0] for r in refs])
+    # the exterior value is formed exactly as __call__ forms it
+    assert np.array_equal(g.jet(w, upto=upto)[0], g(w))
