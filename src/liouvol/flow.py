@@ -8,7 +8,8 @@ solving d-bar F = nu_* by a Cauchy transform, then refits the moved
 boundary to an interior series. Steps are accepted only when the action
 decreases, so discretization error cannot fake convergence, and a step
 size that failed that test is not tried again in the run: each step starts
-at twice the last accepted one, halved until below every such failure.
+at min(cap, twice the last accepted one), halved until below every such
+failure.
 
 The field is carried by the coefficients s_k of S(g) = sum s_k w^-k from
 one FFT of circle samples: its norms are coefficient sums and ring FFTs,
@@ -239,7 +240,13 @@ def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
     states = [FlowState(0, curve, action, field.wp_norm_sq, 0.0,
                         roundness_deficit(curve), f, g)]
     t_prev = None
-    t_over = math.inf  # smallest step rejected for no decrease in this run
+    # Smallest step rejected for no decrease in this run; it is never raised
+    # again. That is safe where the first such rejection comes once the flow
+    # has settled: early steps are limited by t_cap, not by the decrease
+    # test, and after that the largest decreasing step does not grow. A flow
+    # whose largest decreasing step grew after a rejection would take more,
+    # smaller steps here than with the cap reset each step.
+    t_over = math.inf
     for step in range(1, max_steps + 1):
         if action < action_threshold or field.sup_norm < 1e-12:
             logger.info("flow converged at step %d (action %.3e)", step - 1,

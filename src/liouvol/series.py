@@ -17,6 +17,9 @@ from numpy.polynomial import polynomial as npoly
 from .errors import DomainError, SingularDerivative
 
 DERIVATIVE_FLOOR = 1e-14
+# points per Horner block in _taylor_horner: a few accumulator rows of this
+# many complex values stay in cache while every coefficient passes over them
+_HORNER_BLOCK = 8192
 
 
 def _as_coeffs(c):
@@ -26,7 +29,7 @@ def _as_coeffs(c):
     return a
 
 
-def _taylor_horner(c, x, upto, block=8192):
+def _taylor_horner(c, x, upto):
     """p^(m)(x)/m! for m = 0..upto, p(x) = sum_k c[k] x^k, from one Horner
     pass that updates the upto + 1 accumulators in place, over blocks of
     points small enough to stay in cache. A scalar x gives scalars."""
@@ -41,9 +44,9 @@ def _taylor_horner(c, x, upto, block=8192):
         return tuple(np.complex128(v) for v in d)
     flat = x.ravel()
     acc = np.zeros((upto + 1, flat.size), dtype=complex)
-    for lo in range(0, flat.size, block):
-        xb = flat[lo:lo + block]
-        d = list(acc[:, lo:lo + block])  # row views, updated in place
+    for lo in range(0, flat.size, _HORNER_BLOCK):
+        xb = flat[lo:lo + _HORNER_BLOCK]
+        d = list(acc[:, lo:lo + _HORNER_BLOCK])  # row views, updated in place
         for ck in c[::-1]:
             for m in range(upto, 0, -1):
                 d[m] *= xb
