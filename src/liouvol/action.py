@@ -72,9 +72,10 @@ def grunsky_gap(f, g, grid=None):
 
     lhs = int_D |f'/f - 1/z|^2 + int_D* |g'/g - 1/z|^2,
     rhs = 2 pi log |g'(inf) / f'(0)|; lhs <= rhs, with equality when the
-    two image domains fill the plane up to measure zero.
+    two image domains fill the plane up to measure zero. The default grid
+    is sized to the longer of the two series.
     """
-    grid = grid or QuadratureGrid.disk()
+    grid = grid or QuadratureGrid.for_order(max(f.order, g.order))
     if abs(f.coeffs[0]) > 1e-9:
         raise DomainError("interior map must fix the origin")
 
@@ -106,8 +107,8 @@ def grunsky_gap(f, g, grid=None):
 
 def first_variation_action(g, nu, grid=None):
     """Directional derivative of the action under an exterior Beltrami
-    field nu: 4 Re int_D* nu * S(g)."""
-    grid = grid or QuadratureGrid.disk()
+    field nu: 4 Re int_D* nu * S(g), by default on the grid sized to g."""
+    grid = grid or QuadratureGrid.for_order(g.order)
     ext = grid.exterior()
     w = ext.nodes
     sg = schwarzian(g, w)

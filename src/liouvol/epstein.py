@@ -21,6 +21,7 @@ from .mobius import H3Point
 from .series import LaurentMap, area_norm, schwarzian
 
 UNIT_TOL = 5e-12
+IMMERSION_TOL = 1e-8  # |t - 1| that flags the immersion boundary
 
 
 @dataclass(frozen=True)
@@ -88,26 +89,20 @@ def poincare_jet(f, zeta):
     return MetricJet(phi, psi / em)
 
 
-def _interior_frame_fields(f, zeta):
-    """Vectorized (Z, xi, eta_h, eta_v) over an array of interior points."""
-    zeta = np.asarray(zeta, dtype=complex)
-    z0, d1, d2 = f.jet(zeta, upto=2)
-    r2 = np.abs(zeta) ** 2
-    em = 0.5 * np.abs(d1) * (1.0 - r2)
-    psi = (np.abs(d1) / np.conj(d1)) * (-np.conj(d2 / d1) * (1.0 - r2) / 2.0 + zeta)
-    denom = 1.0 + np.abs(psi) ** 2
-    xi = 2.0 * em / denom
-    Z = z0 + xi * psi
-    return Z, xi, 2.0 * psi / denom, (1.0 - np.abs(psi) ** 2) / denom
+def _frame_fields(fmap, z):
+    """Vectorized (Z, xi, eta_h, eta_v) over an array of parameter points of
+    one sheet: |z| < 1 for a series map, |z| > 1 for a Laurent map.
 
-
-def _exterior_frame_fields(g, omega):
-    """Same fields for the exterior-side surface, |omega| > 1."""
-    omega = np.asarray(omega, dtype=complex)
-    z0, d1, d2 = g.jet(omega, upto=2)
-    r2 = np.abs(omega) ** 2
-    em = 0.5 * np.abs(d1) * (r2 - 1.0)
-    psi = -(np.abs(d1) / np.conj(d1)) * (np.conj(d2 / d1) * (r2 - 1.0) / 2.0 + omega)
+    With side = +1 inside and -1 outside and tau = side (1 - |z|^2) > 0,
+    e^{-phi/2} = |f'| tau / 2 and psi = (|f'|/conj f')(-conj(f''/f') tau/2
+    + side z).
+    """
+    z = np.asarray(z, dtype=complex)
+    side = -1.0 if isinstance(fmap, LaurentMap) else 1.0
+    z0, d1, d2 = fmap.jet(z, upto=2)
+    tau = side * (1.0 - np.abs(z) ** 2)
+    em = 0.5 * np.abs(d1) * tau
+    psi = (np.abs(d1) / np.conj(d1)) * (-np.conj(d2 / d1) * tau / 2.0 + side * z)
     denom = 1.0 + np.abs(psi) ** 2
     xi = 2.0 * em / denom
     Z = z0 + xi * psi
@@ -123,14 +118,13 @@ def epstein_poincare(fmap, zeta):
     if isinstance(fmap, LaurentMap):
         if abs(zeta) <= 1.0:
             raise DomainError("exterior frame needs |zeta| > 1")
-        Z, xi, eh, ev = _exterior_frame_fields(fmap, zeta)
     else:
         if abs(zeta) >= 1.0:
             raise DomainError("interior frame needs |zeta| < 1")
         d1 = fmap.jet(zeta, upto=1)[1]
         if abs(d1) < 1e-14:
             raise SingularDerivative("f' vanishes at the requested point")
-        Z, xi, eh, ev = _interior_frame_fields(fmap, zeta)
+    Z, xi, eh, ev = _frame_fields(fmap, zeta)
     return EpsteinFrame(H3Point(complex(Z), float(xi)),
                         complex(eh), float(ev), complex(zeta))
 
@@ -163,29 +157,12 @@ def geodesic_shift(frame, t):
     return EpsteinFrame(base, eh, ev, frame.source)
 
 
-def schwarzian_norm_interior(f, zeta):
-    """Norm of the Schwarzian quadratic differential against the disk
-    hyperbolic metric: |S(f)| (1-|zeta|^2)^2 / 4."""
-    zeta = np.asarray(zeta, dtype=complex)
-    return np.abs(schwarzian(f, zeta)) * (1.0 - np.abs(zeta) ** 2) ** 2 / 4.0
-
-
-def schwarzian_norm_exterior(g, omega):
-    omega = np.asarray(omega, dtype=complex)
-    return np.abs(schwarzian(g, omega)) * (np.abs(omega) ** 2 - 1.0) ** 2 / 4.0
-
-
-def _curvature_fields(theta_norm, rho):
-    """Curvature arrays from the Schwarzian norm and the metric density."""
-    t = np.asarray(theta_norm, float)
-    khat_p = 1.0 + 2.0 * t
-    khat_m = 1.0 - 2.0 * t
-    with np.errstate(divide="ignore"):
-        k_p = -t / (t + 1.0)
-        k_m = np.where(t == 1.0, -np.inf, -t / (t - 1.0))
-    H = np.where(t == 1.0, np.inf, t * t / (1.0 - t * t))
-    mean_density = t * t * rho
-    return k_p, k_m, khat_p, khat_m, H, mean_density
+def schwarzian_norm(fmap, z):
+    """Norm of the Schwarzian quadratic differential against the hyperbolic
+    metric of the parameter domain, inside or outside the unit circle:
+    |S(f)| (1-|z|^2)^2 / 4."""
+    z = np.asarray(z, dtype=complex)
+    return np.abs(schwarzian(fmap, z)) * (1.0 - np.abs(z) ** 2) ** 2 / 4.0
 
 
 def _apex_circle():
@@ -203,35 +180,30 @@ def curvature_columns(fmap, source):
     mean norm over the apex circle and zero density.
     """
     source = np.asarray(source, dtype=complex)
-    if isinstance(fmap, LaurentMap):
-        omega = source[1:]
-        apex = schwarzian_norm_exterior(fmap, _apex_circle())
-        t = np.concatenate([[apex.mean()],
-                            schwarzian_norm_exterior(fmap, omega)])
-        d1 = fmap.deriv_at(omega, 1)
-        rho = np.concatenate([[0.0], 4.0 / ((np.abs(omega) ** 2 - 1.0) ** 2
-                                            * np.abs(d1) ** 2)])
-    else:
-        t = schwarzian_norm_interior(fmap, source)
-        d1 = fmap.jet(source, upto=1)[1]
-        rho = 4.0 / ((1.0 - np.abs(source) ** 2) ** 2 * np.abs(d1) ** 2)
-    k_p, k_m, _, _, H, dens = _curvature_fields(t, rho)
-    return np.column_stack([t, k_p, k_m, H, dens])
+    laurent = isinstance(fmap, LaurentMap)
+    z = source[1:] if laurent else source
+    t = schwarzian_norm(fmap, z)
+    d1 = fmap.deriv_at(z, 1) if laurent else fmap.jet(z, upto=1)[1]
+    rho = 4.0 / ((1.0 - np.abs(z) ** 2) ** 2 * np.abs(d1) ** 2)
+    if laurent:
+        t = np.concatenate([[schwarzian_norm(fmap, _apex_circle()).mean()], t])
+        rho = np.concatenate([[0.0], rho])
+    with np.errstate(divide="ignore"):
+        k_p = -t / (t + 1.0)
+        k_m = np.where(t == 1.0, -np.inf, -t / (t - 1.0))
+    H = np.where(t == 1.0, np.inf, t * t / (1.0 - t * t))
+    return np.column_stack([t, k_p, k_m, H, t * t * rho])
 
 
-def curvatures(f, zeta, boundary_tol=1e-8):
+def curvatures(f, zeta):
     """Principal curvatures, curvatures at infinity, mean curvature and the
     mean-curvature density of the interior-side surface at parameter zeta."""
     zeta_c = complex(zeta)
     if abs(zeta_c) >= 1.0:
         raise DomainError("curvatures expects |zeta| < 1")
-    t = float(schwarzian_norm_interior(f, zeta_c))
-    d1 = f.jet(zeta_c, upto=1)[1]
-    rho = 4.0 / ((1.0 - abs(zeta_c) ** 2) ** 2 * abs(d1) ** 2)
-    k_p, k_m, khat_p, khat_m, H, dens = _curvature_fields(t, rho)
-    return CurvatureData(
-        float(k_p), float(k_m), float(khat_p), float(khat_m), float(H),
-        t, float(dens), immersion_boundary=abs(t - 1.0) < boundary_tol)
+    t, k_p, k_m, H, dens = curvature_columns(f, [zeta_c])[0].tolist()
+    return CurvatureData(k_p, k_m, 1.0 + 2.0 * t, 1.0 - 2.0 * t, H, t, dens,
+                         immersion_boundary=abs(t - 1.0) < IMMERSION_TOL)
 
 
 def mean_curvature_total(fmap):

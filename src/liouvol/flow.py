@@ -20,6 +20,7 @@ gemv would wake a thread pool that spins between steps and would make the
 summation order depend on the core count.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -41,6 +42,11 @@ NEHARI_BOUND = 6.0
 REFIT_TOL = 1e-6   # boundary residual a refit series must certify
 # |1/w| of the rings on which sup|nu| is sampled, graded toward |w| = 1
 RING_RADII = 1.0 - 0.5 ** np.arange(0.125, 12.0001, 0.125)
+STEP_CAP = 0.02        # largest t * sup|nu| a flow step tries
+T_MIN = 1e-8           # step size below which the flow has stalled
+ACTION_FLOOR = 1e-9    # action at which the flow has converged
+CONTOUR_CHUNK = 256    # rows per block of the contour sum
+GRID_CHUNK = 64        # boundary points per block of the grid sum
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,14 @@ class DistanceBoundParams:
             raise DomainError("distance bound constants must be positive")
 
 
+@functools.lru_cache(maxsize=4)
+def _ring_powers(n):
+    """RING_RADII[:, None] ** k for k < n, built once per sample count."""
+    table = RING_RADII[:, None] ** np.arange(n)
+    table.flags.writeable = False
+    return table
+
+
 def gradient_field(g):
     """Negative Weil-Petersson gradient direction for the exterior map g.
 
@@ -94,8 +108,7 @@ def gradient_field(g):
     samples = circle_samples(g, schwarzian)
     s = np.fft.fft(samples) / samples.size
     s[:4] = 0.0  # S(g) = O(w^-4): these are rounding noise
-    k = np.arange(s.size)
-    rings = np.fft.ifft(s * RING_RADII[:, None] ** k, axis=1) * s.size
+    rings = np.fft.ifft(s * _ring_powers(s.size), axis=1) * s.size
     ring = np.abs(rings) * ((RING_RADII ** -2 - 1.0) ** 2)[:, None]
     far = np.abs(nu(np.logspace(0.1, 4, 64) * np.exp(1j)))
     sup = float(max(ring.max(), far.max()))
@@ -115,7 +128,7 @@ def _on_roots(c, n):
     return n * np.fft.ifft(c.reshape(-1, n).sum(axis=0))
 
 
-def _contour_displacement(g, s, n, chunk=256):
+def _contour_displacement(g, s, n):
     """Cauchy transform of the descent field with coefficients s, as a
     contour integral over the curve zeta = g(w) at n uniform points w_j.
 
@@ -135,8 +148,8 @@ def _contour_displacement(g, s, n, chunk=256):
     dq = (g2 * big_x + g1 * dx) / g1  # dq/dzeta
     zeta_t = 1j * w * g1              # dzeta/dtheta
     total = np.empty(n, dtype=complex)
-    for lo in range(0, n, chunk):
-        rows = np.arange(lo, min(lo + chunk, n))
+    for lo in range(0, n, CONTOUR_CHUNK):
+        rows = np.arange(lo, min(lo + CONTOUR_CHUNK, n))
         diag = (rows - lo, rows)
         dz = zeta[None, :] - zeta[rows, None]
         dz[diag] = 1.0
@@ -147,8 +160,7 @@ def _contour_displacement(g, s, n, chunk=256):
     return zeta, q + total / (1j * n)
 
 
-def displacement_field(curve, nu, exterior=None, grid=None, n_boundary=None,
-                       chunk=64):
+def displacement_field(curve, nu, exterior=None, grid=None, n_boundary=None):
     """Boundary velocity of the deformation: solves d-bar F = transported nu
     by the Cauchy transform, pulled back to the exterior parameter disk.
     Returns (boundary points z_j, F(z_j)).
@@ -156,8 +168,9 @@ def displacement_field(curve, nu, exterior=None, grid=None, n_boundary=None,
     A field from gradient_field (one carrying ``coeffs``) takes the contour
     path on its own exterior map: z_j = g(w_j) at ``n_boundary`` uniform
     w_j, by default contour_points(g). Any other callable, or an array of
-    values at the exterior grid nodes, is integrated over ``grid`` at
-    n_boundary points of ``curve`` (default: the grid's angular count).
+    values at the exterior grid nodes, is integrated over ``grid`` (by
+    default sized to the exterior map's order) at n_boundary points of
+    ``curve`` (default: the grid's angular count).
     """
     coeffs = getattr(nu, "coeffs", None)
     if coeffs is not None:
@@ -166,7 +179,7 @@ def displacement_field(curve, nu, exterior=None, grid=None, n_boundary=None,
                                      n_boundary or contour_points(g))
     if exterior is None:
         exterior, _ = exterior_map(curve)
-    grid = grid or QuadratureGrid.disk()
+    grid = grid or QuadratureGrid.for_order(exterior.order)
     n_boundary = n_boundary or grid.angular_n
     ext = grid.exterior()
     w = ext.nodes
@@ -177,8 +190,8 @@ def displacement_field(curve, nu, exterior=None, grid=None, n_boundary=None,
 
     z = curve.boundary(n_boundary)
     out = np.empty(z.size, dtype=complex)
-    for lo in range(0, z.size, chunk):
-        hi = min(lo + chunk, z.size)
+    for lo in range(0, z.size, GRID_CHUNK):
+        hi = min(lo + GRID_CHUNK, z.size)
         kernel = 1.0 / (gv[None, :] - z[lo:hi, None])
         out[lo:hi] = np.einsum("ij,j->i", kernel, density)
     return z, -out / math.pi
@@ -224,8 +237,7 @@ def roundness_deficit(curve, n=4096):
     return length ** 2 / (4.0 * math.pi * abs(area)) - 1.0
 
 
-def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
-             action_threshold=1e-9):
+def run_flow(curve, max_steps=50, order=128):
     """Backtracking gradient descent from ``curve`` toward the circle.
 
     Returns the list of accepted FlowStates (the initial state included).
@@ -248,17 +260,17 @@ def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
     # smaller steps here than with the cap reset each step.
     t_over = math.inf
     for step in range(1, max_steps + 1):
-        if action < action_threshold or field.sup_norm < 1e-12:
+        if action < ACTION_FLOOR or field.sup_norm < 1e-12:
             logger.info("flow converged at step %d (action %.3e)", step - 1,
                         action)
             break
-        t_cap = 0.999 * step_cap / field.sup_norm
+        t_cap = 0.999 * STEP_CAP / field.sup_norm
         t = t_cap if t_prev is None else min(t_cap, 2.0 * t_prev)
         while t >= t_over:
             t *= 0.5
         pre = displacement_field(curve, field)
         accepted = False
-        while t >= t_min:
+        while t >= T_MIN:
             try:
                 cand = beltrami_step(curve, field, t, exterior=g,
                                      order=order, precomputed=pre)
@@ -275,7 +287,7 @@ def run_flow(curve, max_steps=50, order=128, step_cap=0.02, t_min=1e-8,
             t *= 0.5
         if not accepted:
             raise Stalled(f"no decreasing step at step {step} "
-                          f"(t floor {t_min:.1e})")
+                          f"(t floor {T_MIN:.1e})")
         curve, f, g, action = cand, fc, gc, cand_action
         field = gradient_field(g)
         t_prev = t

@@ -6,6 +6,8 @@ angle function theta(phi) satisfies theta - phi = conj[log rho(theta)],
 where conj is FFT-based harmonic conjugation. The exterior map is obtained
 by solving the interior problem of the inverted curve and composing with
 w -> 1/w, which keeps infinity fixed and the leading coefficient positive.
+Both sides run one solve loop (_solve_polar); each supplies the radius to
+solve and the fit of its boundary samples.
 """
 
 import logging
@@ -13,17 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveSpec
 from .errors import CorrespondenceError, DomainError, NonConvergence
 from .series import LaurentMap, PowerSeriesMap
 
 logger = logging.getLogger(__name__)
 
 MAX_ITER = 500
+CORRESPONDENCE_TOL = 1e-13  # sup change of theta that ends the iteration
 MAX_ORDER = 2048
 FIT_TOL = 1e-10
 TAIL_TARGET = 1e-12
 RECENTER_TAIL = 1e-16   # relative coefficient floor of a recentered map
+RECENTER_TOL = 1e-3     # |center| below which recentering is skipped
+RECENTER_ITER = 60
 
 
 def conjugate_periodic(u):
@@ -35,22 +39,22 @@ def conjugate_periodic(u):
     return np.real(np.fft.ifft(spec))
 
 
-def _solve_correspondence(rho, n, tol=1e-13, max_iter=MAX_ITER):
+def _solve_correspondence(rho, n):
     """Fixed point of theta = phi + conj[log rho(theta)] on an n-point grid."""
     phi = 2 * np.pi * np.arange(n) / n
     theta = phi.copy()
     relax = 1.0
     prev_delta = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         target = phi + conjugate_periodic(np.log(rho(theta)))
         delta = float(np.max(np.abs(target - theta)))
         theta = theta + relax * (target - theta)
-        if delta < tol:
+        if delta < CORRESPONDENCE_TOL:
             return theta, it, delta
         if delta > prev_delta and relax > 0.25:
             relax *= 0.5  # damp oscillation for fatter curves
         prev_delta = delta
-    raise NonConvergence(max_iter, prev_delta,
+    raise NonConvergence(MAX_ITER, prev_delta,
                          "boundary correspondence did not converge")
 
 
@@ -60,16 +64,6 @@ class SolveDiagnostics:
     correspondence_residual: float
     negative_energy: float      # spurious Fourier mass (series residual)
     boundary_mismatch: float    # max distance of map boundary to the curve
-
-
-def _series_from_boundary(boundary_vals, order):
-    """Power coefficients from uniform boundary samples; returns the
-    truncated series and the l_inf mass on negative frequencies."""
-    n = boundary_vals.size
-    spec = np.fft.fft(boundary_vals) / n
-    neg = float(np.max(np.abs(spec[n // 2:][::-1][: n // 4])))
-    coeffs = spec[: order + 1].copy()
-    return coeffs, neg
 
 
 def _boundary_mismatch_polar(samples, anchor, rho):
@@ -84,45 +78,33 @@ def interior_map(curve, order=128, tol=FIT_TOL, auto_refine=True):
     and f'(0) > 0. Returns (PowerSeriesMap, SolveDiagnostics).
     """
     if curve.kind == "series":
-        f = curve.series
-        diag = SolveDiagnostics(0, 0.0, 0.0, 0.0)
-        return f, diag
+        return curve.series, SolveDiagnostics(0, 0.0, 0.0, 0.0)
     return _interior_from_polar(curve.polar(), curve.anchor(), order, tol,
                                 auto_refine)
 
 
 def _interior_from_polar(rho, anchor, order, tol, auto_refine=True):
-    order = int(order)
-    while True:
-        n = max(1024, 8 * order)
-        theta, iters, corr = _solve_correspondence(rho, n)
-        boundary = rho(theta) * np.exp(1j * theta)
-        coeffs, neg = _series_from_boundary(boundary, order)
-        f0 = coeffs[0]
+    def fit(boundary, order):
+        # z exp(h(z)) fixes 0: the constant and negative frequencies of
+        # its boundary samples are spurious
+        n = boundary.size
+        spec = np.fft.fft(boundary) / n
+        spurious = float(max(abs(spec[0]),
+                             np.max(np.abs(spec[n // 2:][::-1][: n // 4]))))
+        coeffs = spec[: order + 1].copy()
         coeffs[0] = 0.0
         # rotate so the linear coefficient is positive real
         alpha = np.angle(coeffs[1])
-        k = np.arange(coeffs.size)
-        coeffs = coeffs * np.exp(-1j * k * alpha)
+        coeffs = coeffs * np.exp(-1j * np.arange(coeffs.size) * alpha)
         coeffs[1] = abs(coeffs[1])
-        hint = _decay_radius(coeffs)
-        f = PowerSeriesMap(coeffs + 0j, hint)
-        tail = f.tail_profile()
+        tail = float(np.max(np.abs(coeffs[3 * coeffs.size // 4:])))
         scale = float(np.max(np.abs(coeffs)))
-        if not auto_refine or order >= MAX_ORDER \
-                or tail <= TAIL_TARGET * max(1.0, scale):
-            break
-        order = min(MAX_ORDER, order * 2)
-        logger.debug("interior solve: doubling order to %d (tail %.2e)",
-                     order, tail)
-    f = PowerSeriesMap(f.coeffs + np.concatenate([[anchor], np.zeros(f.order, complex)]),
-                       f.hint_radius)
-    probe = f.eval_unchecked(np.exp(2j * np.pi * np.arange(4096) / 4096))
-    mismatch = _boundary_mismatch_polar(probe, anchor, rho)
-    mismatch = max(mismatch, abs(f0), neg)
-    if mismatch > max(tol, 50 * corr):
-        raise NonConvergence(iters, mismatch, "interior fit residual too large")
-    return f, SolveDiagnostics(iters, corr, 0.0, mismatch)
+        hint = _decay_radius(coeffs)
+        coeffs = coeffs + np.concatenate([[anchor], np.zeros(order, complex)])
+        return PowerSeriesMap(coeffs, hint), spurious, tail, scale
+
+    return _solve_polar(rho, rho, anchor, order, tol, fit, "interior",
+                        auto_refine)
 
 
 def _decay_radius(coeffs):
@@ -150,34 +132,50 @@ def exterior_map(curve, order=128, tol=FIT_TOL):
     def rho_inv(chi):
         return 1.0 / rho(-np.asarray(chi, float))
 
-    order = int(order)
-    while True:
-        n = max(1024, 8 * order)
-        theta, iters, corr = _solve_correspondence(rho_inv, n)
-        boundary_inv = rho_inv(theta) * np.exp(1j * theta)
-        # g(e^{i phi}) = 1 / G(e^{-i phi}): reverse the sample order
-        boundary = 1.0 / boundary_inv[::-1]
-        boundary = np.roll(boundary, 1)  # keep sample 0 at phi = 0
-        spec = np.fft.fft(boundary) / n
-        b1, b0 = spec[1], spec[0]
-        bneg = spec[-1: -(order + 1): -1].copy()
-        junk = float(np.max(np.abs(spec[2: n // 4])))
-        g = LaurentMap(b1, b0 + anchor, bneg)
+    def fit(boundary_inv, order):
+        n = boundary_inv.size
+        # g(e^{i phi}) = 1 / G(e^{-i phi}): reverse the sample order and
+        # keep sample 0 at phi = 0
+        spec = np.fft.fft(np.roll(1.0 / boundary_inv[::-1], 1)) / n
+        spurious = float(np.max(np.abs(spec[2: n // 4])))
+        g = LaurentMap(spec[1], spec[0] + anchor,
+                       spec[-1: -(order + 1): -1].copy())
         g = g.rotated(np.angle(g.b1))
         g = LaurentMap(abs(g.b1), g.b0, g.bneg)
         tail = float(np.max(np.abs(g.bneg[3 * g.bneg.size // 4:])))
-        scale = float(max(abs(g.b1), np.max(np.abs(g.bneg)) if g.bneg.size else 0.0))
-        if tail <= TAIL_TARGET * max(1.0, scale) or order >= MAX_ORDER:
+        scale = float(max(abs(g.b1), np.max(np.abs(g.bneg))))
+        return g, spurious, tail, scale
+
+    return _solve_polar(rho_inv, rho, anchor, order, tol, fit, "exterior")
+
+
+def _solve_polar(rho_solve, rho, anchor, order, tol, fit, side,
+                 auto_refine=True):
+    """(map, SolveDiagnostics) of one side of the curve with polar radius
+    ``rho`` about ``anchor``. ``fit(samples, order)`` turns the boundary
+    samples of the solved radius ``rho_solve`` into (map, largest Fourier
+    coefficient the map cannot carry, tail, scale); the order doubles while
+    tail > TAIL_TARGET * max(1, scale). The map's distance to the curve,
+    raised to that spurious mass, must stay within max(tol, 50 *
+    correspondence residual)."""
+    order = int(order)
+    while True:
+        n = max(1024, 8 * order)
+        theta, iters, corr = _solve_correspondence(rho_solve, n)
+        fmap, spurious, tail, scale = fit(rho_solve(theta)
+                                          * np.exp(1j * theta), order)
+        if not auto_refine or order >= MAX_ORDER \
+                or tail <= TAIL_TARGET * max(1.0, scale):
             break
         order = min(MAX_ORDER, order * 2)
-        logger.debug("exterior solve: doubling order to %d (tail %.2e)",
-                     order, tail)
-    probe = g(np.exp(2j * np.pi * np.arange(4096) / 4096))
-    mismatch = _boundary_mismatch_polar(probe, anchor, rho)
-    mismatch = max(mismatch, junk)
+        logger.debug("%s solve: doubling order to %d (tail %.2e)",
+                     side, order, tail)
+    probe = fmap(np.exp(2j * np.pi * np.arange(4096) / 4096))
+    mismatch = max(_boundary_mismatch_polar(probe, anchor, rho), spurious)
     if mismatch > max(tol, 50 * corr):
-        raise NonConvergence(iters, mismatch, "exterior fit residual too large")
-    return g, SolveDiagnostics(iters, corr, junk, mismatch)
+        raise NonConvergence(iters, mismatch,
+                             f"{side} fit residual too large")
+    return fmap, SolveDiagnostics(iters, corr, spurious, mismatch)
 
 
 def conformal_map_pair(curve, order=128, tol=FIT_TOL):
@@ -187,17 +185,18 @@ def conformal_map_pair(curve, order=128, tol=FIT_TOL):
     return f, g
 
 
-def recenter_interior(f, tol=1e-3, max_iter=60):
+def recenter_interior(f):
     """Reparametrize the disk so |f'(0)| is maximal (the hyperbolic center
     of the parametrization). Removes the sampling distortion a far-off
     anchor point introduces; the image curve is unchanged to the precision
     of the series (its coefficients are kept down to 1e-16 relative, and
     never fewer than f's).
 
-    Returns f itself when the anchor is already within ``tol`` of optimal.
+    Returns f itself when the anchor is already within RECENTER_TOL of
+    optimal.
     """
     s = 0.0 + 0.0j
-    for _ in range(max_iter):
+    for _ in range(RECENTER_ITER):
         _, d1, d2 = f.jet(s, upto=2)
         step = np.conj(d2 / d1) * (1.0 - abs(s) ** 2) / 2.0
         s_new = s + 0.5 * (step - s)
@@ -207,7 +206,7 @@ def recenter_interior(f, tol=1e-3, max_iter=60):
             s = s_new
             break
         s = s_new
-    if abs(s) < tol:
+    if abs(s) < RECENTER_TOL:
         return f
     n = max(1024, 8 * (f.order + 1))
     theta = np.exp(2j * np.pi * np.arange(n) / n)

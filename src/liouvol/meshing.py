@@ -13,8 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .epstein import (_apex_circle, _exterior_frame_fields,
-                      _interior_frame_fields, curvature_columns)
+from .epstein import _apex_circle, _frame_fields, curvature_columns
 from .errors import DomainError
 from .mapping import welding
 from .series import LaurentMap
@@ -86,9 +85,8 @@ def _pack(fmap, params, n_rings, n_ang, ring_params):
     for a Laurent map. The ring area is taken from the frame Z at the fine
     rim points ``ring_params``."""
     exterior = isinstance(fmap, LaurentMap)
-    fields = _exterior_frame_fields if exterior else _interior_frame_fields
     source = np.concatenate([[np.inf + 0j if exterior else 0j], params])
-    Z, xi, eh, ev = fields(fmap, params if exterior else source)
+    Z, xi, eh, ev = _frame_fields(fmap, params if exterior else source)
     verts = np.column_stack([Z.real, Z.imag, xi])
     eta = np.column_stack([eh.real, eh.imag, ev])
     if exterior:
@@ -97,14 +95,14 @@ def _pack(fmap, params, n_rings, n_ang, ring_params):
         eta = np.vstack([apex[None, 3:], eta])
     faces = _orient_faces(verts, _grid_faces(n_rings, n_ang), eta)
     ring = np.arange(1 + (n_rings - 1) * n_ang, 1 + n_rings * n_ang)
-    ring_area = _spectral_ring_area(fields(fmap, ring_params)[0])
+    ring_area = _spectral_ring_area(_frame_fields(fmap, ring_params)[0])
     return SurfaceMesh(verts, faces, eta, source, ring, ring_area, fmap)
 
 
 def _exterior_apex(g):
     """Limit frame at omega -> infinity by angular averaging on a far circle;
     the oscillatory O(1/R) terms cancel in the mean."""
-    Z, xi, eh, ev = _exterior_frame_fields(g, _apex_circle())
+    Z, xi, eh, ev = _frame_fields(g, _apex_circle())
     return np.array([Z.real.mean(), Z.imag.mean(), xi.mean(),
                      eh.real.mean(), eh.imag.mean(), ev.mean()])
 
@@ -129,14 +127,10 @@ def mesh_surface(fmap, radial_n=64, angular_n=64, r_max=1.0 - 2.0 ** -10):
     theta = 2 * np.pi * np.arange(angular_n) / angular_n
     radii = r_max * (np.arange(1, radial_n + 1) / radial_n)
     if isinstance(fmap, LaurentMap):
-        n_fine = 4 * angular_n
-        theta_f = 2 * np.pi * np.arange(n_fine) / n_fine
-        params = (1.0 / radii)[:, None] * np.exp(1j * theta)[None, :]
-        ring_params = (1.0 / r_max) * np.exp(1j * theta_f)
-    else:
-        params = radii[:, None] * np.exp(1j * theta)[None, :]
-        ring_params = _fine_circle(r_max, angular_n)
-    return _pack(fmap, params.ravel(), radial_n, angular_n, ring_params)
+        radii = 1.0 / radii
+    params = radii[:, None] * np.exp(1j * theta)[None, :]
+    return _pack(fmap, params.ravel(), radial_n, angular_n,
+                 _fine_circle(radii[-1], angular_n))
 
 
 def aligned_surface_meshes(f, g, n_ang=1024, r_max=1.0 - 2.0 ** -11,

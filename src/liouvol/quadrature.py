@@ -8,6 +8,7 @@ integrands that vary fast near the rim. Angular direction: uniform nodes
 Exterior integrals are disk integrals of F(1/conj(v)) |v|^{-4}.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,13 @@ class QuadratureGrid:
             v.ravel(), np.broadcast_to(wts, v.shape).ravel().copy(),
             angular_n, radial_levels, nodes_per_level, "disk",
         )
+
+    @classmethod
+    def for_order(cls, order):
+        """Default disk grid with max(256, 2^ceil(log2 order)) angular nodes,
+        enough to resolve a series of the given order in angle."""
+        return cls.disk(
+            angular_n=max(256, 2 ** math.ceil(math.log2(max(order, 1)))))
 
     def exterior(self):
         """Companion grid on |w| > 1: nodes 1/conj(v), weights carry the

@@ -96,11 +96,6 @@ class PowerSeriesMap:
         return tuple(dm * math.factorial(m) if m > 1 else dm
                      for m, dm in enumerate(d))
 
-    def tail_profile(self):
-        """Max |a_k| over the last quartile, used by solver auto-refinement."""
-        n = self.coeffs.size
-        return float(np.max(np.abs(self.coeffs[3 * n // 4:])))
-
     def is_normalized_map(self):
         return self.coeffs.size >= 2 and self.coeffs[1] != 0
 

@@ -315,14 +315,15 @@ def richardson_extrapolate(samples, stages=2):
 
 
 def volume(f, g, eps_schedule=None, n_ang=1024, r_max=None,
-           per_octave=10, interior_rings=64, stages=2, meshes=None):
+           per_octave=10, interior_rings=64, meshes=None):
     """Signed volume between the two envelope surfaces of the curve bounded
     by f and g, extrapolated from a geometric truncation schedule.
 
     The default schedule is 0.1 * 2^{-k}, k = 0..6, scaled by |g'(inf)| so
     curves of any size are truncated at comparable relative heights. The
     interior parametrization is recentered at its hyperbolic center before
-    meshing; the mesh rim depth tracks the smallest truncation height.
+    meshing; the mesh rim depth tracks the smallest truncation height, and
+    two Richardson stages give the limit.
     Returns (V, samples, error_estimate)."""
     if eps_schedule is None:
         scale = abs(g.b1)
@@ -345,7 +346,7 @@ def volume(f, g, eps_schedule=None, n_ang=1024, r_max=None,
     mesh_in, mesh_out = meshes
     samples = tuple(zip(eps_schedule,
                         _truncated_volumes(mesh_in, mesh_out, eps_schedule)))
-    v, err = richardson_extrapolate(samples, stages=stages)
+    v, err = richardson_extrapolate(samples)
     return v, samples, err
 
 
@@ -365,7 +366,8 @@ def renormalized_volume(f, g, with_action=True, **volume_opts):
 def variation_check(f, g, nu, dt, grid=None, volume_opts=None,
                     deform_opts=None):
     """Compare the centered difference of V_R along a Beltrami deformation
-    against the boundary-integral derivative formula.
+    against the boundary-integral derivative formula, integrated over
+    ``grid`` (by default sized to g's order).
 
     Returns {"lhs": finite difference, "rhs": formula value}.
     """
@@ -373,7 +375,7 @@ def variation_check(f, g, nu, dt, grid=None, volume_opts=None,
     from .flow import beltrami_step
     from .mapping import conformal_map_pair
 
-    grid = grid or QuadratureGrid.disk()
+    grid = grid or QuadratureGrid.for_order(g.order)
     volume_opts = volume_opts or {}
     deform_opts = deform_opts or {}
 

@@ -17,10 +17,8 @@ from oracles import (dirichlet_exterior_series, dirichlet_interior_series,
 
 from liouvol.action import grunsky_gap, liouville_action
 from liouvol.curves import circle_curve, ellipse_curve, polynomial_curve
-from liouvol.epstein import (MetricJet, _exterior_frame_fields,
-                             _interior_frame_fields, epstein_point,
-                             geodesic_flow, mean_curvature_total,
-                             schwarzian_norm_interior)
+from liouvol.epstein import (MetricJet, _frame_fields, epstein_point,
+                             geodesic_flow, mean_curvature_total)
 from liouvol.flow import gradient_field, run_flow
 from liouvol.mapping import conformal_map_pair
 from liouvol.meshing import mesh_surface, surface_separation
@@ -142,7 +140,7 @@ def test_criterion_4_mean_curvature_identity(ellipse_pair, cubic_pair):
         tt = 2 * np.pi * np.arange(n_t) / n_t
         zeta = (rr[:, None] * np.exp(1j * tt)[None, :]).ravel()
         _, _, H, area = fd_shape_operator(
-            lambda z: _interior_frame_fields(f, z), zeta)
+            lambda z: _frame_fields(f, z), zeta)
         # the difference stencil works in Cartesian parameter steps, so the
         # polar grid weight carries the r Jacobian
         dr = r_max / n_r

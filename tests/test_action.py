@@ -208,8 +208,7 @@ def test_spectral_integrals_match_grid_on_starlike_polynomials(f0):
     f, g = conformal_map_pair(CurveSpec.from_series(f0), order=64)
     grid = QuadratureGrid.disk()
     # the exterior series can be long; resolve it in angle
-    ext = QuadratureGrid.disk(
-        angular_n=max(256, 2 ** math.ceil(math.log2(g.order)))).exterior()
+    ext = QuadratureGrid.for_order(g.order).exterior()
     rep = liouville_action(f, g)
     grid_action = (grid.integrate(np.abs(nonlinearity(f, grid.nodes)) ** 2)
                    + ext.integrate(np.abs(nonlinearity(g, ext.nodes)) ** 2)
@@ -229,6 +228,34 @@ def test_grunsky_equality_on_starlike_polynomials(f0):
     # a Jordan pair fills the plane, so the area inequality is an equality;
     # the angular count resolves the longer of the two series
     f, g = conformal_map_pair(CurveSpec.from_series(f0), order=64)
-    n = max(256, 2 ** math.ceil(math.log2(max(f.order, g.order))))
-    gap = grunsky_gap(f, g, QuadratureGrid.disk(angular_n=n))
+    gap = grunsky_gap(f, g, QuadratureGrid.for_order(max(f.order, g.order)))
     assert abs(gap["rhs"] - gap["lhs"]) <= 1e-10 * gap["rhs"]
+
+
+def test_grunsky_default_grid_resolves_long_exterior_series():
+    # the exterior series runs to order 1024; the default grid is sized to it
+    f0 = PowerSeriesMap([0, 1, 0.00439, 0.00439, 0.00439, 0.0921])
+    f, g = conformal_map_pair(CurveSpec.from_series(f0), order=64)
+    assert g.order == 1024
+    gap = grunsky_gap(f, g)
+    assert abs(gap["rhs"] - gap["lhs"]) <= 1e-10 * gap["rhs"]
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(starlike_polynomials(), st.floats(3.0, 6.0), st.floats(0.0, 1.0))
+def test_action_mobius_invariance_on_starlike_polynomials(f0, radius, phase):
+    # A(z) = 1/(z - p) is analytic on the closed inside of the curve, so
+    # A o f0 maps the disk onto the inside of the moved curve; its series
+    # comes from one FFT of boundary samples
+    A = MobiusTransform(0, 1, 1, -radius * np.exp(2j * np.pi * phase))
+    n = 512
+    samples = A.eval_array(f0(np.exp(2j * np.pi * np.arange(n) / n)))
+    moved = PowerSeriesMap(np.fft.fft(samples)[: n // 4] / n)
+    base = liouville_action(*conformal_map_pair(
+        CurveSpec.from_series(f0), order=64))
+    image = liouville_action(*conformal_map_pair(
+        CurveSpec.from_series(moved), order=64)).total
+    # near-translations (f0 = z + a z^2, small a) have S = O(|a|^4) while
+    # its terms are O(|a|^2): relative precision refers to the terms
+    terms = base.interior_term + base.exterior_term - base.log_term
+    assert abs(image - base.total) <= 1e-9 * terms

@@ -91,6 +91,13 @@ def test_interior_map_of_polyline_ellipse(ellipse):
     assert f.coeffs[1].real > 0 and abs(f.coeffs[1].imag) < 1e-12
 
 
+def test_interior_diagnostics_report_spurious_mass(ellipse):
+    # the polyline's boundary samples carry Fourier mass the series cannot:
+    # it is reported, and the certified mismatch bounds it
+    _, diag = interior_map(ellipse, order=96)
+    assert 0.0 < diag.negative_energy <= diag.boundary_mismatch
+
+
 def test_welding_identity_pair():
     f = PowerSeriesMap([0, 1], hint_radius=8)
     g = LaurentMap(1.0)

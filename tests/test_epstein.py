@@ -5,10 +5,10 @@ import pytest
 
 from oracles import fd_shape_operator, mc_disk_integral
 
-from liouvol.epstein import (MetricJet, _interior_frame_fields, curvatures,
+from liouvol.epstein import (MetricJet, _frame_fields, curvatures,
                              epstein_point, epstein_poincare, geodesic_shift,
                              mean_curvature_total, poincare_jet,
-                             schwarzian_norm_interior)
+                             schwarzian_norm)
 from liouvol.mobius import H3Point, MobiusTransform, mobius_on_h3, \
     osculating_mobius
 from liouvol.series import PowerSeriesMap, schwarzian
@@ -96,7 +96,7 @@ def test_naturality_under_mobius():
         moved = mobius_on_h3(A, fr.base)
         # frame of A o f at zeta, from its chain-rule 2-jet
         w0, w1, w2 = f.jet(zeta, upto=2)
-        Z, xi, eh, ev = _interior_frame_fields(
+        Z, xi, eh, ev = _frame_fields(
             _JetProxy(A(w0), A.deriv(w0) * w1, A.deriv2(w0) * w1 ** 2
                       + A.deriv(w0) * w2), np.array([zeta], complex))
         assert abs(moved.z - Z[0]) < 1e-9
@@ -179,7 +179,7 @@ def test_curvatures_match_fd_shape_operator(rng, ellipse_maps):
     pts = 0.75 * (rng.uniform(0.1, 1, 20)
                   * np.exp(2j * np.pi * rng.uniform(size=20)))
     k_lo, k_hi, H, _ = fd_shape_operator(
-        lambda z: _interior_frame_fields(f, z), pts)
+        lambda z: _frame_fields(f, z), pts)
     for i, zeta in enumerate(pts):
         c = curvatures(f, zeta)
         expect = sorted([c.k_plus, c.k_minus])
@@ -220,6 +220,6 @@ def test_asymptotic_conformality_diagnostic(ellipse_maps):
     sups = []
     for r in (0.9, 0.99, 0.999):
         th = r * np.exp(2j * np.pi * np.arange(256) / 256)
-        sups.append(float(np.max(schwarzian_norm_interior(f, th))))
+        sups.append(float(np.max(schwarzian_norm(f, th))))
     assert sups[0] > sups[1] > sups[2]
     assert sups[-1] < 1e-3

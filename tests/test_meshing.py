@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import liouvol.epstein
-from liouvol.epstein import curvatures, schwarzian_norm_exterior
+from liouvol.epstein import curvatures, schwarzian_norm
 from liouvol.errors import DomainError
 from liouvol.meshing import (aligned_surface_meshes, load_obj, mesh_surface,
                              surface_separation, write_obj, write_vertex_csv)
@@ -105,7 +105,7 @@ def test_vertex_csv_export(tmp_path):
     write_vertex_csv(path, mesh_surface(g, 12, 16))
     apex = np.loadtxt(path, delimiter=",", skiprows=1)[0]
     far = 1e4 * np.exp(2j * np.pi * np.arange(64) / 64)
-    assert apex[8] == pytest.approx(schwarzian_norm_exterior(g, far).mean(),
+    assert apex[8] == pytest.approx(schwarzian_norm(g, far).mean(),
                                     rel=1e-12)
     assert apex[12] == 0.0
 

@@ -6,7 +6,7 @@ import pytest
 from oracles import (ball_volume_euclidean_sphere, hyperbolic_annulus_area,
                      mesh_flux_scalar, slab_volume)
 
-from liouvol.epstein import _interior_frame_fields, geodesic_flow
+from liouvol.epstein import _frame_fields, geodesic_flow
 from liouvol.errors import CapTopologyError, DomainError
 from liouvol.meshing import aligned_surface_meshes, mesh_surface
 from liouvol.mobius import H3Point
@@ -100,13 +100,13 @@ def slab_mesh():
     theta = 2 * np.pi * np.arange(n_ang) / n_ang
     rr = np.linspace(r1, r2, n_rad)
     zeta = rr[:, None] * np.exp(1j * theta)[None, :]
-    Z, xi, eh, ev = _interior_frame_fields(f, zeta.ravel())
+    Z, xi, eh, ev = _frame_fields(f, zeta.ravel())
 
     def flow_points(ring_zeta, times):
         pts = []
         for u in times:
             for z0 in ring_zeta:
-                Z0, x0, e0, v0 = _interior_frame_fields(f, np.array([z0]))
+                Z0, x0, e0, v0 = _frame_fields(f, np.array([z0]))
                 base, _, _ = geodesic_flow(
                     H3Point(complex(Z0[0]), float(x0[0])),
                     complex(e0[0]), float(v0[0]), -u)
