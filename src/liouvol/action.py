@@ -27,15 +27,6 @@ class ActionReport:
     total: float
     error_estimate: float
 
-    def as_dict(self):
-        return {
-            "interior_term": self.interior_term,
-            "exterior_term": self.exterior_term,
-            "log_term": self.log_term,
-            "total": self.total,
-            "error_estimate": self.error_estimate,
-        }
-
 
 def dirichlet_nonlinearity(m, tol=None):
     """Integral of |f''/f'|^2 over the parameter domain of m: the unit disk

@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +65,9 @@ class RunConfig:
             raise InputError("step count must be within [0, 10000]")
         if not (0 < self.tol <= 1):
             raise InputError("tolerance must be in (0, 1]")
-        if self.eps_schedule is not None \
-                and any(e <= 0 for e in self.eps_schedule):
-            raise InputError("eps schedule must be positive")
+        if self.eps_schedule is not None and not all(
+                np.isfinite(e) and e > 0 for e in self.eps_schedule):
+            raise InputError("eps schedule must be finite and positive")
         levels, per, ang = self.parse_grid()
         if not (2 <= levels <= 40 and 2 <= per <= 64 and 32 <= ang <= 8192):
             raise InputError(f"grid {self.grid} outside supported ranges")
@@ -158,7 +158,7 @@ def cmd_action(config, writer):
     curve = load_curve(config.curve)
     f, g = conformal_map_pair(curve, order=config.series_order)
     report = liouville_action(f, g)
-    writer.write_json("action.json", report.as_dict())
+    writer.write_json("action.json", asdict(report))
     if config.trace:
         # the coefficient sums at n/4, n/2 and all n circle samples
         inside, outside = (circle_samples(m, nonlinearity) for m in (f, g))
@@ -225,7 +225,7 @@ def cmd_volume(config, writer):
     curve = load_curve(config.curve)
     f, g = conformal_map_pair(curve, order=config.series_order)
     report = renormalized_volume(f, g, eps_schedule=config.eps_schedule)
-    writer.write_json("volume.json", report.as_dict())
+    writer.write_json("volume.json", asdict(report))
     if config.dump_obj:
         eps = report.epsilon_samples[-1][0]
         mi, mo = aligned_surface_meshes(f, g, n_ang=256, per_octave=8,
@@ -261,7 +261,7 @@ def cmd_verify_identity(config, writer):
     tol = max(config.tol * abs(report.action_total), 5e-4)
     ok = abs(report.identity_residual) <= tol
     writer.write_json("verify_identity.json", {
-        **report.as_dict(),
+        **asdict(report),
         "tolerance": tol,
         "passed": bool(ok),
     })

@@ -217,13 +217,6 @@ def circle_curve(radius=1.0, center=0.0):
     return CurveSpec.from_series(PowerSeriesMap(c, hint_radius=8.0), check=False)
 
 
-def ellipse_polar(a, b):
-    def rho(chi):
-        chi = np.asarray(chi, float)
-        return a * b / np.sqrt((b * np.cos(chi)) ** 2 + (a * np.sin(chi)) ** 2)
-    return rho
-
-
 def ellipse_curve(a=1.2, b=1.0, n=4096):
     tau = 2 * np.pi * np.arange(n) / n
     pts = a * np.cos(tau) + 1j * b * np.sin(tau)

@@ -15,11 +15,11 @@ The triangle integral of 1/(2 xi^2) is exact for linear height: it is the
 second divided difference of -log at the three vertex heights.
 
 Each sheet is tabulated once for a whole truncation schedule (face points,
-projected areas, height ranges, whole-face fluxes, and prefix sums over the
-faces sorted by lowest and by highest vertex). A level then costs two
-binary searches plus one array clip of the faces straddling it. Clip loops
-are checked by mesh edge: every crossing, keyed by the edge it lies on,
-must be shared by exactly two segments.
+projected areas, height ranges and whole-face fluxes). A level then sums
+the whole-face fluxes of the faces above it and the areas of the rest
+under one mask, and clips the faces straddling it in one array operation.
+Clip loops are checked by mesh edge: every crossing, keyed by the edge it
+lies on, must be shared by exactly two segments.
 """
 
 from dataclasses import dataclass
@@ -36,6 +36,7 @@ from .series import schwarzian
 ORIENT_SIGN = -1.0  # sheet normals point into the enclosed region
 EPS_BASE = 0.1      # leading truncation height relative to the curve scale
 EPS_COUNT = 7
+RICHARDSON_STAGES = 2  # leading powers of eps eliminated from V(eps)
 
 
 @dataclass(frozen=True)
@@ -47,17 +48,6 @@ class VolumeReport:
     action_total: float | None
     identity_residual: float | None
     extrapolation_error: float
-
-    def as_dict(self):
-        return {
-            "epsilon_samples": [[e, v] for e, v in self.epsilon_samples],
-            "V": self.V,
-            "mean_curvature_half": self.mean_curvature_half,
-            "V_R": self.V_R,
-            "action_total": self.action_total,
-            "identity_residual": self.identity_residual,
-            "extrapolation_error": self.extrapolation_error,
-        }
 
 
 def _log_ratio_over_diff(x, y):
@@ -130,34 +120,18 @@ def _clip(points, ids, eps, n_vertices):
     return tris, cuts, lo.astype(np.int64) * n_vertices + hi
 
 
-def _prefix_sums(x):
-    """Prefix sums of x with a leading zero, compensated: the rounding error
-    of every running sum is recovered exactly (Knuth's TwoSum) and added
-    back as a prefix sum of its own, so long sums keep their digits."""
-    s = np.concatenate([[0.0], np.cumsum(x)])
-    prev, cur = s[:-1], s[1:]
-    t = cur - prev
-    err = (prev - (cur - t)) + (x - t)
-    return s + np.concatenate([[0.0], np.cumsum(err)])
-
-
 @dataclass(frozen=True, eq=False)
 class _Sheet:
-    """Level-independent tables of one oriented triangle mesh: a level then
-    costs two binary searches into prefix sums plus the clip of the faces
-    that straddle it."""
+    """Level-independent arrays of one oriented triangle mesh: a level then
+    sums them under masks and clips the faces that straddle it."""
 
-    points: np.ndarray       # (m, 3, 3) face points
-    ids: np.ndarray          # (m, 3) vertex ids
+    points: np.ndarray  # (m, 3, 3) face points
+    ids: np.ndarray     # (m, 3) vertex ids
     n_vertices: int
-    area: np.ndarray         # (m,) signed projected areas
+    area: np.ndarray    # (m,) signed projected areas
     hmin: np.ndarray
     hmax: np.ndarray
-    hmin_sorted: np.ndarray  # ascending
-    above_flux: np.ndarray   # (m+1,) prefix sums of whole-face flux,
-                             # highest hmin first
-    hmax_sorted: np.ndarray  # ascending
-    below_area: np.ndarray   # (m+1,) prefix sums of area, lowest hmax first
+    full: np.ndarray    # (m,) flux through each whole face
 
     @classmethod
     def of(cls, vertices, faces):
@@ -166,31 +140,28 @@ class _Sheet:
         if np.any(h <= 0):
             raise DomainError("mesh has nonpositive heights")
         area = _projected_area(p)
-        hmin, hmax = h.min(axis=1), h.max(axis=1)
         full = -area * _inv_sq_simplex(h[:, 0], h[:, 1], h[:, 2])
-        by_min = np.argsort(hmin)
-        by_max = np.argsort(hmax)
-        return cls(p, np.asarray(faces), vertices.shape[0], area, hmin, hmax,
-                   hmin[by_min], _prefix_sums(full[by_min[::-1]]),
-                   hmax[by_max], _prefix_sums(area[by_max]))
+        return cls(p, np.asarray(faces), vertices.shape[0], area,
+                   h.min(axis=1), h.max(axis=1), full)
 
     def straddling(self, eps):
         return np.flatnonzero((self.hmin < eps) & (self.hmax > eps))
 
     def flux(self, eps):
-        """Flux of omega_eps and the (k, 2) crossing keys at level eps."""
-        n_above = self.hmin.size - np.searchsorted(self.hmin_sorted, eps,
-                                                   side="left")
-        n_below = np.searchsorted(self.hmax_sorted, eps, side="right")
+        """Flux of omega_eps and the (k, 2) crossing keys at level eps.
+        Faces above eps carry their whole flux; every other face carries
+        its area below eps at the flat rate -1 / (2 eps^2), and the part of
+        a straddling face above eps its exact flux."""
+        above = self.hmin >= eps
         idx = self.straddling(eps)
         tris, _, keys = _clip(self.points[idx], self.ids[idx], eps,
                               self.n_vertices)
         a = _projected_area(tris)
         h = tris[..., 2]
-        flux = float(self.above_flux[n_above])
-        flux += -float(self.below_area[n_below]) / (2.0 * eps * eps)
+        flux = float(np.sum(self.full[above]))
         flux += float(np.sum(-a * _inv_sq_simplex(h[:, 0], h[:, 1], h[:, 2])))
-        flux += -float(np.sum(self.area[idx]) - np.sum(a)) / (2.0 * eps * eps)
+        below = float(np.sum(self.area[~above]) - np.sum(a))
+        flux -= below / (2.0 * eps * eps)
         return flux, keys
 
 
@@ -292,14 +263,14 @@ def cap_annulus(loop_in, loop_out):
     return verts, np.array(faces, dtype=int)
 
 
-def richardson_extrapolate(samples, stages=2):
-    """Eliminate leading powers of eps from V(eps) samples on a halving
-    schedule; returns (limit, error estimate)."""
+def richardson_extrapolate(samples):
+    """Eliminate the RICHARDSON_STAGES leading powers of eps from V(eps)
+    samples on a halving schedule; returns (limit, error estimate)."""
     vals = [v for _, v in samples]
-    if len(vals) < stages + 1:
-        raise DomainError("not enough samples for the requested stages")
+    if len(vals) < RICHARDSON_STAGES + 1:
+        raise DomainError("not enough samples for the Richardson stages")
     table = [np.array(vals, dtype=float)]
-    for j in range(1, stages + 1):
+    for j in range(1, RICHARDSON_STAGES + 1):
         prev = table[-1]
         factor = 2.0 ** j
         nxt = (factor * prev[1:] - prev[:-1]) / (factor - 1.0)
@@ -314,8 +285,8 @@ def richardson_extrapolate(samples, stages=2):
     return limit, err
 
 
-def volume(f, g, eps_schedule=None, n_ang=1024, r_max=None,
-           per_octave=10, interior_rings=64, meshes=None):
+def volume(f, g, eps_schedule=None, n_ang=1024, per_octave=10,
+           interior_rings=64, meshes=None):
     """Signed volume between the two envelope surfaces of the curve bounded
     by f and g, extrapolated from a geometric truncation schedule.
 
@@ -335,11 +306,10 @@ def volume(f, g, eps_schedule=None, n_ang=1024, r_max=None,
     if meshes is None:
         from .mapping import recenter_interior
         f_mesh = recenter_interior(f)
-        if r_max is None:
-            circle = np.exp(2j * np.pi * np.arange(512) / 512)
-            dmax = max(float(np.max(np.abs(f_mesh.jet(circle, upto=1)[1]))),
-                       float(np.max(np.abs(g.deriv_at(circle, 1)))))
-            r_max = 1.0 - min(2.0 ** -9, eps_schedule[-1] / (5.0 * dmax))
+        circle = np.exp(2j * np.pi * np.arange(512) / 512)
+        dmax = max(float(np.max(np.abs(f_mesh.jet(circle, upto=1)[1]))),
+                   float(np.max(np.abs(g.deriv_at(circle, 1)))))
+        r_max = 1.0 - min(2.0 ** -9, eps_schedule[-1] / (5.0 * dmax))
         meshes = aligned_surface_meshes(f_mesh, g, n_ang=n_ang, r_max=r_max,
                                         per_octave=per_octave,
                                         interior_rings=interior_rings)

@@ -193,7 +193,7 @@ def mesh_flux_scalar(vertices, faces, eps, inv_sq_simplex):
     area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
                   - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
     above = h.min(axis=1) >= eps
-    below = h.max(axis=1) <= eps
+    below = (h.max(axis=1) <= eps) & ~above  # a flat face at eps is above
     flux = float(np.sum(-area[above] * inv_sq_simplex(
         h[above, 0], h[above, 1], h[above, 2])))
     flux += float(np.sum(-area[below])) / (2.0 * eps * eps)

@@ -151,6 +151,17 @@ def test_bad_grid_spec_is_input_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["volume", "verify-identity"])
+@pytest.mark.parametrize("height", ["nan", "inf", "-0.02"])
+def test_nonfinite_or_nonpositive_height_is_input_error(tmp_path, capsys,
+                                                        command, height):
+    code = run_cli(command, "--curve", "ellipse", "--out", str(tmp_path),
+                   "--eps-schedule", height, "0.01", "0.005")
+    assert code == 1
+    assert "input error:" in capsys.readouterr().err
+    assert not (tmp_path / "diagnostic.json").exists()
+
+
 @pytest.mark.parametrize("args", [
     ("action", "--curve", "circle", "--bogus"),
     ("action", "--curve", "circle", "--steps", "3"),   # a flow flag

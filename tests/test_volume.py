@@ -282,10 +282,23 @@ def test_clip_loop_through_vertices_on_the_level():
     assert abs(flux - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("apex_height", [2.0, 1.0, 0.5])
+def test_mesh_flux_on_faces_touching_the_level(apex_height):
+    # the ring sits exactly at eps: with the apex above, every face has
+    # hmin == eps and counts as above; with the apex below, every face has
+    # hmax == eps and counts as below; with the apex at eps the cone is a
+    # flat 16-gon, counted once; none straddles
+    verts, faces = _cone(np.full(16, 1.0), apex=(0.0, 0.0, apex_height))
+    flux, segs = mesh_flux(verts, faces, 1.0)
+    ref, ref_segs = mesh_flux_scalar(verts, faces, 1.0, _inv_sq_simplex)
+    assert len(segs) == len(ref_segs) == 0
+    assert abs(flux - ref) <= 1e-12 * abs(ref)
+
+
 def test_richardson_on_synthetic_sequence():
     eps = [0.1 * 0.5 ** k for k in range(5)]
     samples = [(e, 1.0 - 0.3 * e + 0.07 * e * e) for e in eps]
-    v, err = richardson_extrapolate(samples, stages=2)
+    v, err = richardson_extrapolate(samples)
     assert v == pytest.approx(1.0, abs=1e-12)
 
 
