@@ -227,9 +227,12 @@ def cmd_volume(config, writer):
     report = renormalized_volume(f, g, eps_schedule=config.eps_schedule)
     writer.write_json("volume.json", asdict(report))
     if config.dump_obj:
-        eps = report.epsilon_samples[-1][0]
         mi, mo = aligned_surface_meshes(f, g, n_ang=256, per_octave=8,
                                         interior_rings=24)
+        # clip at the smallest sample height above both mesh rims
+        rim = max(float(m.heights()[m.ring].max()) for m in (mi, mo))
+        eps = min((e for e, _ in report.epsilon_samples if e > rim),
+                  default=report.epsilon_samples[0][0])
         loops = []
         for name, mesh in (("volume_in_clipped", mi),
                            ("volume_out_clipped", mo)):

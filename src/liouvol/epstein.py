@@ -7,8 +7,9 @@ For a metric e^phi |dz|^2 the envelope point over z is
 
 with Euclidean unit normal eta = (2 psi, 1 - |psi|^2)/(1 + |psi|^2).
 For the hyperbolic metric of a domain these quantities reduce to closed
-forms in the uniformizing map and its first two derivatives, and the
-curvature data reduces to the norm of the Schwarzian derivative.
+forms in the uniformizing map and its first two derivatives (three for the
+Jacobian of the sheet's projection), and the curvature data reduces to the
+norm of the Schwarzian derivative.
 """
 
 import math
@@ -90,30 +91,43 @@ def poincare_jet(f, zeta):
 
 
 def _frame_fields(fmap, z):
-    """Vectorized (Z, xi, eta_h, eta_v) over an array of parameter points of
-    one sheet: |z| < 1 for a series map, |z| > 1 for a Laurent map.
+    """Vectorized (Z, xi, eta_h, eta_v, J) over an array of parameter points
+    of one sheet: |z| < 1 for a series map, |z| > 1 for a Laurent map.
 
-    With side = +1 inside and -1 outside and tau = side (1 - |z|^2) > 0,
-    e^{-phi/2} = |f'| tau / 2 and psi = (|f'|/conj f')(-conj(f''/f') tau/2
-    + side z).
+    With the map's 3-jet (f, a, b, c), s = +1 inside and -1 outside,
+    tau = s (1 - |z|^2) > 0, beta = conj(b/a), chi = s z - beta tau / 2 and
+    D = 1 + |chi|^2: Z = f + a tau chi / D, xi = |a| tau / D and the unit
+    normal is (2 u chi, 1 - |chi|^2) / D with u = a/|a| (chi is psi/u of
+    epstein_point). J = |Z_z|^2 - |Z_zbar|^2 is the Jacobian of z -> Z;
+    beta is antiholomorphic, with beta_zbar = conj(c/a) - beta^2.
     """
     z = np.asarray(z, dtype=complex)
-    side = -1.0 if isinstance(fmap, LaurentMap) else 1.0
-    z0, d1, d2 = fmap.jet(z, upto=2)
-    tau = side * (1.0 - np.abs(z) ** 2)
-    em = 0.5 * np.abs(d1) * tau
-    psi = (np.abs(d1) / np.conj(d1)) * (-np.conj(d2 / d1) * tau / 2.0 + side * z)
-    denom = 1.0 + np.abs(psi) ** 2
-    xi = 2.0 * em / denom
-    Z = z0 + xi * psi
-    return Z, xi, 2.0 * psi / denom, (1.0 - np.abs(psi) ** 2) / denom
+    s = -1.0 if isinstance(fmap, LaurentMap) else 1.0
+    f, a, b, c = fmap.jet(z, upto=3)
+    tau = s * (1.0 - np.abs(z) ** 2)
+    beta = np.conj(b / a)
+    chi = s * z - beta * tau / 2.0
+    chi2 = np.abs(chi) ** 2
+    D = 1.0 + chi2
+    P = a * tau * chi
+    tau_z, tau_zb = -s * np.conj(z), -s * z
+    chi_z = s - beta * tau_z / 2.0
+    chi_zb = -((np.conj(c / a) - beta ** 2) * tau + beta * tau_zb) / 2.0
+    D_z = chi_z * np.conj(chi) + chi * np.conj(chi_zb)
+    P_z = b * tau * chi + a * tau_z * chi + a * tau * chi_z
+    P_zb = a * tau_zb * chi + a * tau * chi_zb
+    Z_z = a + P_z / D - P * D_z / D ** 2
+    Z_zb = P_zb / D - P * np.conj(D_z) / D ** 2
+    J = np.abs(Z_z) ** 2 - np.abs(Z_zb) ** 2
+    return (f + P / D, np.abs(a) * tau / D, 2.0 * (a / np.abs(a)) * chi / D,
+            (1.0 - chi2) / D, J)
 
 
 def epstein_poincare(fmap, zeta):
     """Envelope frame of the hyperbolic metric of the image domain.
 
     Accepts an interior series map (|zeta| < 1) or a Laurent exterior map
-    (|zeta| > 1); both use only the 2-jet of the map at zeta.
+    (|zeta| > 1); the frame depends only on the 2-jet of the map at zeta.
     """
     if isinstance(fmap, LaurentMap):
         if abs(zeta) <= 1.0:
@@ -124,7 +138,7 @@ def epstein_poincare(fmap, zeta):
         d1 = fmap.jet(zeta, upto=1)[1]
         if abs(d1) < 1e-14:
             raise SingularDerivative("f' vanishes at the requested point")
-    Z, xi, eh, ev = _frame_fields(fmap, zeta)
+    Z, xi, eh, ev, _ = _frame_fields(fmap, zeta)
     return EpsteinFrame(H3Point(complex(Z), float(xi)),
                         complex(eh), float(ev), complex(zeta))
 

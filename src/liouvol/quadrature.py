@@ -14,6 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def angular_count(order):
+    """Uniform angular nodes that resolve a series of the given order in
+    angle: max(256, 2^ceil(log2 order))."""
+    return max(256, 2 ** math.ceil(math.log2(max(order, 1))))
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     nodes: np.ndarray      # complex disk nodes v
@@ -46,10 +52,8 @@ class QuadratureGrid:
 
     @classmethod
     def for_order(cls, order):
-        """Default disk grid with max(256, 2^ceil(log2 order)) angular nodes,
-        enough to resolve a series of the given order in angle."""
-        return cls.disk(
-            angular_n=max(256, 2 ** math.ceil(math.log2(max(order, 1)))))
+        """Default disk grid with angular_count(order) angular nodes."""
+        return cls.disk(angular_n=angular_count(order))
 
     def exterior(self):
         """Companion grid on |w| > 1: nodes 1/conj(v), weights carry the

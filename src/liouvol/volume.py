@@ -1,42 +1,60 @@
 """Signed volume between the two envelope surfaces and the renormalized
 volume of a Jordan curve.
 
-The truncated volume at height eps is evaluated as the flux of the 2-form
+The truncated volume at height eps is the flux of the primitive
+-dx ^ dy / (2 max(xi, eps)^2) of the hyperbolic volume form above eps,
+pulled back to the two parameter domains (|z| < 1 for f, |w| > 1 for g):
 
-    omega_eps = -dx ^ dy / (2 max(xi, eps)^2),
+    V(eps) = sum_sheets int J / (2 max(xi, eps)^2) dA,
 
-whose exterior derivative is the hyperbolic volume form above level eps
-and zero below. Both sheets are integrated in their normal orientation,
-the thin parameter slivers beyond the mesh rims (entirely below eps) are
-accounted by the projected ring areas, and the overall sign is fixed so a
-slab has positive volume and the circle gives zero.
+with xi the sheet's height and J the Jacobian of its projection z -> Z
+(epstein._frame_fields), whose sign carries the orientation. Each sheet's
+int J dA is +-area(Omega), so the two must cancel: a check that the rays
+resolve the maps.
 
-The triangle integral of 1/(2 xi^2) is exact for linear height: it is the
-second divided difference of -log at the three vertex heights.
+The integral runs along n = angular_count(order) rays (the trapezoid rule
+in angle) in t = 1 - r inside and t = 1 - 1/|w| outside, where the area
+element is (1 - t) dt or (1 - t)^-3 dt and the center and the apex at
+infinity are ordinary points. Gauss-Legendre panels along a ray have edges
+0, 2^-K, ..., 1/2, 1, with 2^-K |g'(inf)| at most the smallest height. Each
+sheet is tabulated once for the whole schedule; a level sums all panels at
+once and cuts a panel that straddles eps at the crossings of its
+interpolant. Neville extrapolation on the heights gives eps -> 0.
 
-Each sheet is tabulated once for a whole truncation schedule (face points,
-projected areas, height ranges and whole-face fluxes). A level then sums
-the whole-face fluxes of the faces above it and the areas of the rest
-under one mask, and clips the faces straddling it in one array operation.
-Clip loops are checked by mesh edge: every crossing, keyed by the edge it
-lies on, must be shared by exactly two segments.
+The triangle-mesh flux of the same 2-form (_Sheet, truncated_volume) stays
+as an independent check: per triangle the integral of 1/(2 xi^2) is exact
+for linear height (the second divided difference of -log at the vertex
+heights), the parameter slivers beyond the mesh rims are counted by their
+projected ring areas, and clip loops are checked by mesh edge, every
+crossing shared by exactly two segments.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .action import liouville_action
-from .epstein import mean_curvature_total
-from .errors import CapTopologyError, DomainError, NoConvergence
-from .meshing import aligned_surface_meshes
-from .quadrature import QuadratureGrid
-from .series import schwarzian
+from .epstein import _frame_fields, mean_curvature_total
+from .errors import (CapTopologyError, DivergenceSuspected, DomainError,
+                     NoConvergence)
+from .quadrature import QuadratureGrid, angular_count
+from .series import LaurentMap, schwarzian
 
-ORIENT_SIGN = -1.0  # sheet normals point into the enclosed region
+ORIENT_SIGN = -1.0  # mesh sheet normals point into the enclosed region
 EPS_BASE = 0.1      # leading truncation height relative to the curve scale
-EPS_COUNT = 7
-RICHARDSON_STAGES = 2  # leading powers of eps eliminated from V(eps)
+EPS_COUNT = 11      # heights of the default halving schedule
+NEVILLE_STAGES = 5  # most powers of eps eliminated from V(eps)
+GAUSS_NODES = 9     # Gauss-Legendre nodes per panel along a ray
+BISECTIONS = 40     # halvings of a bracket around a crossing of eps; a cut
+                    # off by d changes the piece sums by O(d^2)
+AREA_TOL = 1e-10    # relative mismatch of the two sheet areas
+
+_X, _W = legendre.leggauss(GAUSS_NODES)
+# node values -> Legendre coefficients of their interpolant
+_TO_LEGENDRE = np.linalg.inv(legendre.legvander(_X, GAUSS_NODES - 1))
+_SAMPLE_X = np.concatenate([[-1.0], _X, [1.0]])  # panel ends and nodes
 
 
 @dataclass(frozen=True)
@@ -263,17 +281,106 @@ def cap_annulus(loop_in, loop_out):
     return verts, np.array(faces, dtype=int)
 
 
+def _interpolate(x, coeffs):
+    """Values at x (panels, ...) of the panel interpolants with Legendre
+    coefficients coeffs (panels, GAUSS_NODES)."""
+    return np.einsum("p...j,pj->p...",
+                     legendre.legvander(x, GAUSS_NODES - 1), coeffs)
+
+
+@dataclass(frozen=True, eq=False)
+class _RaySheet:
+    """One sheet at the Gauss nodes of every panel of every ray, as rows of
+    (panels, GAUSS_NODES): heights xi, q = J times the area element, and the
+    samples of xi at the panel ends and nodes in order along the ray."""
+
+    xi: np.ndarray
+    q: np.ndarray
+    scale: np.ndarray    # (panels,) half width times 2 pi / n
+    samples: np.ndarray  # (panels, GAUSS_NODES + 2)
+    area: float          # int J dA, +-area(Omega)
+
+    @classmethod
+    def of(cls, fmap, n, edges):
+        half = np.diff(edges) / 2.0
+        t = (edges[:-1] + half)[:, None] + half[:, None] * _X
+        if isinstance(fmap, LaurentMap):
+            radius, element = 1.0 / (1.0 - t), (1.0 - t) ** -3
+        else:
+            radius, element = 1.0 - t, 1.0 - t
+        rays = np.exp(2j * np.pi * np.arange(n) / n)[:, None, None]
+        _, xi, _, _, J = _frame_fields(fmap, radius * rays)
+        xi = xi.reshape(-1, GAUSS_NODES)
+        q = (J * element).reshape(-1, GAUSS_NODES)
+        scale = np.tile(half * (2.0 * np.pi / n), n)
+        ends = np.einsum("ej,jk,pk->pe", legendre.legvander(
+            [-1.0, 1.0], GAUSS_NODES - 1), _TO_LEGENDRE, xi)
+        samples = np.concatenate([ends[:, :1], xi, ends[:, 1:]], axis=1)
+        return cls(xi, q, scale, samples,
+                   float(np.einsum("p,pk,k->", scale, q, _W)))
+
+    def volume(self, eps):
+        """int q / (2 max(xi, eps)^2) over the sheet. A panel whose samples
+        lie on both sides of eps is cut at the crossing inside every
+        bracketing pair of samples, found by bisection on the interpolant of
+        xi, and each piece takes mapped Gauss nodes on the interpolants of xi
+        and q; on every other panel max(xi, eps) is smooth."""
+        above = self.samples > eps
+        cross = above[:, 1:] != above[:, :-1]
+        split = cross.any(axis=1)
+        whole = self.q[~split] / (2.0 * np.maximum(self.xi[~split], eps) ** 2)
+        total = float(np.einsum("p,pk,k->", self.scale[~split], whole, _W))
+
+        k = np.flatnonzero(split)
+        xi_c, q_c = (np.einsum("jk,pk->pj", _TO_LEGENDRE, v[k])
+                     for v in (self.xi, self.q))
+        p, j = np.nonzero(cross[k])  # the straddling panel and bracket
+        lo, hi = _SAMPLE_X[j], _SAMPLE_X[j + 1]
+        for _ in range(BISECTIONS):
+            mid = (lo + hi) / 2.0
+            same = (_interpolate(mid, xi_c[p]) > eps) == above[k[p], j]
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        cuts = np.tile(_SAMPLE_X[1:], (k.size, 1))
+        cuts[p, j] = (lo + hi) / 2.0
+        ones = np.ones((k.size, 1))
+        bounds = np.concatenate([-ones, cuts, ones], axis=1)
+        half = np.diff(bounds, axis=1) / 2.0
+        x = (bounds[:, :-1] + half)[..., None] + half[..., None] * _X
+        piece = _interpolate(x, q_c) / (
+            2.0 * np.maximum(_interpolate(x, xi_c), eps) ** 2)
+        return total + float(np.einsum("p,pi,pik,k->", self.scale[k], half,
+                                       piece, _W))
+
+
+def _ray_sheets(f, g, eps_min):
+    """Both sheets on angular_count(order) rays, with panel edges down to
+    2^-K <= eps_min / |g'(inf)|. Their areas must cancel to AREA_TOL, or the
+    rays are too few for the maps."""
+    n = angular_count(max(f.order, g.order))
+    depth = max(1, math.ceil(math.log2(abs(g.b1) / eps_min)))
+    edges = np.concatenate([[0.0], 0.5 ** np.arange(depth, -1, -1)])
+    sheets = (_RaySheet.of(f, n, edges), _RaySheet.of(g, n, edges))
+    a_in, a_out = (sheet.area for sheet in sheets)
+    if abs(a_in + a_out) > AREA_TOL * abs(a_in):
+        raise DivergenceSuspected(
+            f"sheet areas {a_in:.12e} and {a_out:.12e} do not cancel on "
+            f"{n} rays")
+    return sheets
+
+
 def richardson_extrapolate(samples):
-    """Eliminate the RICHARDSON_STAGES leading powers of eps from V(eps)
-    samples on a halving schedule; returns (limit, error estimate)."""
-    vals = [v for _, v in samples]
-    if len(vals) < RICHARDSON_STAGES + 1:
-        raise DomainError("not enough samples for the Richardson stages")
-    table = [np.array(vals, dtype=float)]
-    for j in range(1, RICHARDSON_STAGES + 1):
+    """Neville extrapolation of V(eps) samples to eps = 0 on their heights,
+    through the last min(NEVILLE_STAGES, len - 1) + 1 samples; on a halving
+    schedule this is the Richardson table. Returns (limit, error estimate),
+    the estimate being the change from one stage fewer."""
+    if len(samples) < 3:
+        raise DomainError("extrapolation needs at least three samples")
+    eps, vals = (np.array(col, dtype=float) for col in zip(
+        *samples[-(min(NEVILLE_STAGES, len(samples) - 1) + 1):]))
+    table = [vals]
+    for j in range(1, eps.size):
         prev = table[-1]
-        factor = 2.0 ** j
-        nxt = (factor * prev[1:] - prev[:-1]) / (factor - 1.0)
+        nxt = (eps[:-j] * prev[1:] - eps[j:] * prev[:-1]) / (eps[:-j] - eps[j:])
         if not np.all(np.isfinite(nxt)):
             raise NoConvergence("non-finite extrapolant")
         table.append(nxt)
@@ -285,45 +392,31 @@ def richardson_extrapolate(samples):
     return limit, err
 
 
-def volume(f, g, eps_schedule=None, n_ang=1024, per_octave=10,
-           interior_rings=64, meshes=None):
+def volume(f, g, eps_schedule=None):
     """Signed volume between the two envelope surfaces of the curve bounded
-    by f and g, extrapolated from a geometric truncation schedule.
-
-    The default schedule is 0.1 * 2^{-k}, k = 0..6, scaled by |g'(inf)| so
-    curves of any size are truncated at comparable relative heights. The
-    interior parametrization is recentered at its hyperbolic center before
-    meshing; the mesh rim depth tracks the smallest truncation height, and
-    two Richardson stages give the limit.
+    by f and g, extrapolated to eps = 0 from a decreasing truncation
+    schedule, by default 0.1 |g'(inf)| 2^-k, k < EPS_COUNT, so curves of any
+    size are truncated at comparable relative heights.
     Returns (V, samples, error_estimate)."""
     if eps_schedule is None:
-        scale = abs(g.b1)
-        eps_schedule = tuple(EPS_BASE * scale * 0.5 ** k
-                             for k in range(EPS_COUNT))
+        eps_schedule = (EPS_BASE * abs(g.b1) * 0.5 ** k
+                        for k in range(EPS_COUNT))
     eps_schedule = tuple(eps_schedule)
-    if any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:])):
-        raise DomainError("eps schedule must decrease")
-    if meshes is None:
-        from .mapping import recenter_interior
-        f_mesh = recenter_interior(f)
-        circle = np.exp(2j * np.pi * np.arange(512) / 512)
-        dmax = max(float(np.max(np.abs(f_mesh.jet(circle, upto=1)[1]))),
-                   float(np.max(np.abs(g.deriv_at(circle, 1)))))
-        r_max = 1.0 - min(2.0 ** -9, eps_schedule[-1] / (5.0 * dmax))
-        meshes = aligned_surface_meshes(f_mesh, g, n_ang=n_ang, r_max=r_max,
-                                        per_octave=per_octave,
-                                        interior_rings=interior_rings)
-    mesh_in, mesh_out = meshes
-    samples = tuple(zip(eps_schedule,
-                        _truncated_volumes(mesh_in, mesh_out, eps_schedule)))
+    if (len(eps_schedule) < 3 or not all(e > 0 for e in eps_schedule)
+            or any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:]))):
+        raise DomainError("eps schedule must be three or more decreasing "
+                          "positive heights")
+    sheets = _ray_sheets(f, g, eps_schedule[-1])
+    samples = tuple((eps, sum(sheet.volume(eps) for sheet in sheets))
+                    for eps in eps_schedule)
     v, err = richardson_extrapolate(samples)
     return v, samples, err
 
 
-def renormalized_volume(f, g, with_action=True, **volume_opts):
+def renormalized_volume(f, g, with_action=True, eps_schedule=None):
     """VolumeReport with V, the mean-curvature correction, V_R, and the
     residual against the Liouville action (when requested)."""
-    v, samples, err = volume(f, g, **volume_opts)
+    v, samples, err = volume(f, g, eps_schedule)
     mch = 0.5 * (mean_curvature_total(f) + mean_curvature_total(g))
     v_r = v - mch
     action_total = residual = None
@@ -333,8 +426,7 @@ def renormalized_volume(f, g, with_action=True, **volume_opts):
     return VolumeReport(samples, v, mch, v_r, action_total, residual, err)
 
 
-def variation_check(f, g, nu, dt, grid=None, volume_opts=None,
-                    deform_opts=None):
+def variation_check(f, g, nu, dt, grid=None, deform_opts=None):
     """Compare the centered difference of V_R along a Beltrami deformation
     against the boundary-integral derivative formula, integrated over
     ``grid`` (by default sized to g's order).
@@ -346,7 +438,6 @@ def variation_check(f, g, nu, dt, grid=None, volume_opts=None,
     from .mapping import conformal_map_pair
 
     grid = grid or QuadratureGrid.for_order(g.order)
-    volume_opts = volume_opts or {}
     deform_opts = deform_opts or {}
 
     ext = grid.exterior()
@@ -359,8 +450,7 @@ def variation_check(f, g, nu, dt, grid=None, volume_opts=None,
     def v_r_at(t):
         moved = beltrami_step(base, nu, t, exterior=g, **deform_opts)
         fm, gm = conformal_map_pair(moved)
-        rep = renormalized_volume(fm, gm, with_action=False, **volume_opts)
-        return rep.V_R
+        return renormalized_volume(fm, gm, with_action=False).V_R
 
     lhs = (v_r_at(dt) - v_r_at(-dt)) / (2.0 * dt)
     return {"lhs": float(lhs), "rhs": rhs}

@@ -87,7 +87,7 @@ def _christoffel_correction(X, N, xi):
 def fd_shape_operator(frame_fields, param_points, h=1e-5):
     """Principal curvatures and mean curvature by central differences.
 
-    ``frame_fields(zeta)`` must return (Z, xi, eta_h, eta_v) arrays; the
+    ``frame_fields(zeta)`` must return (Z, xi, eta_h, eta_v, ...) arrays; the
     derivative of the embedding and of the normal field are differenced,
     the ambient covariant derivative is corrected by the Christoffel terms
     of the hyperbolic metric, and the shape operator is I^{-1} II.
@@ -97,7 +97,7 @@ def fd_shape_operator(frame_fields, param_points, h=1e-5):
     zeta = np.asarray(param_points, dtype=complex)
 
     def embed(z):
-        Z, xi, eh, ev = frame_fields(z)
+        Z, xi, eh, ev = frame_fields(z)[:4]
         pos = np.stack([Z.real, Z.imag, xi], axis=-1)
         normal = np.stack([eh.real * xi, eh.imag * xi, ev * xi], axis=-1)
         return pos, normal

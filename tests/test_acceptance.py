@@ -82,8 +82,7 @@ def test_criterion_2_circle_baseline():
     f = PowerSeriesMap([0, 1], hint_radius=8)
     g = LaurentMap(1.0)
     action = liouville_action(f, g).total
-    rep = renormalized_volume(f, g, n_ang=512, per_octave=8,
-                              interior_rings=32)
+    rep = renormalized_volume(f, g)
     mesh_in = mesh_surface(f, 64, 64)
     mesh_out = mesh_surface(g, 64, 64)
     dev_in = float(np.max(np.abs(
@@ -226,9 +225,7 @@ def test_criterion_7_first_variations(ellipse_pair):
     decay_ok = all(b <= 0.65 * a + 1e-6
                    for a, b in zip(fwd_errors, fwd_errors[1:]))
 
-    out = variation_check(f, g, nu, dt,
-                          grid=GRID,
-                          volume_opts=dict(n_ang=512, interior_rings=48),
+    out = variation_check(f, g, nu, dt, grid=GRID,
                           deform_opts=dict(order=96))
     volume_ok = abs(out["lhs"] - out["rhs"]) <= 0.05 * abs(out["rhs"]) + 1e-3
 

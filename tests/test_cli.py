@@ -109,10 +109,11 @@ def test_flow_obj_every_writes_sheets_of_every_nth_step(tmp_path):
 
 
 def test_verify_identity_contract_failure_exits_2(tmp_path):
-    # the ellipse's residual (~7e-4) exceeds the 5e-4 floor that a tiny
-    # relative tolerance leaves
+    # three heights too coarse to extrapolate leave the ellipse a residual
+    # (~1.5e-3) above the 5e-4 floor that a tiny relative tolerance leaves
     code = run_cli("verify-identity", "--curve", "ellipse",
                    "--out", str(tmp_path), "--tol", "1e-6",
+                   "--eps-schedule", "0.4", "0.2", "0.1",
                    "--series-order", "64")
     assert code == 2
     diag = json.loads((tmp_path / "diagnostic.json").read_text())
@@ -130,6 +131,19 @@ def test_volume_dump_obj_writes_clipped_sheets_and_cap(tmp_path):
         assert (tmp_path / name).exists()
         assert name in json.loads(
             (tmp_path / "manifest.json").read_text())["outputs"]
+    cap = (tmp_path / "volume_cap.obj").read_text().splitlines()
+    assert any(line.startswith("f ") for line in cap)
+
+
+def test_verify_identity_on_uneven_heights(tmp_path):
+    # Neville extrapolation on the actual heights, not a halving table
+    code = run_cli("verify-identity", "--curve", "ellipse",
+                   "--out", str(tmp_path),
+                   "--eps-schedule", "0.04", "0.03", "0.02", "0.01")
+    assert code == 0
+    payload = json.loads((tmp_path / "verify_identity.json").read_text())
+    assert (abs(payload["identity_residual"])
+            <= 1e-5 * payload["action_total"])
 
 
 def test_missing_curve_file_is_input_error(tmp_path):

@@ -96,7 +96,7 @@ def test_naturality_under_mobius():
         moved = mobius_on_h3(A, fr.base)
         # frame of A o f at zeta, from its chain-rule 2-jet
         w0, w1, w2 = f.jet(zeta, upto=2)
-        Z, xi, eh, ev = _frame_fields(
+        Z, xi, eh, ev, _ = _frame_fields(
             _JetProxy(A(w0), A.deriv(w0) * w1, A.deriv2(w0) * w1 ** 2
                       + A.deriv(w0) * w2), np.array([zeta], complex))
         assert abs(moved.z - Z[0]) < 1e-9
@@ -104,16 +104,16 @@ def test_naturality_under_mobius():
 
 
 class _JetProxy:
-    """Minimal jet interface around fixed derivative values at one point."""
+    """Minimal jet interface around fixed derivative values at one point;
+    the third derivative, which only the Jacobian reads, is zero."""
 
     def __init__(self, w0, w1, w2):
-        self._jet = (w0, w1, w2)
+        self._jet = (w0, w1, w2, 0.0)
 
     def jet(self, zeta, upto=2):
-        w0, w1, w2 = self._jet
         shape = np.shape(zeta)
         mk = lambda v: np.full(shape, v, dtype=complex)
-        return (mk(w0), mk(w1), mk(w2))[: upto + 1]
+        return tuple(mk(w) for w in self._jet[: upto + 1])
 
 
 def test_geodesic_shift_flat():

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,14 +7,56 @@ import pytest
 from oracles import (ball_volume_euclidean_sphere, hyperbolic_annulus_area,
                      mesh_flux_scalar, slab_volume)
 
-from liouvol.epstein import _frame_fields, geodesic_flow
-from liouvol.errors import CapTopologyError, DomainError
+from liouvol.action import liouville_action
+from liouvol.cli import load_curve
+from liouvol.curves import CurveSpec, polynomial_curve
+from liouvol.epstein import _frame_fields, geodesic_flow, mean_curvature_total
+from liouvol.errors import CapTopologyError, DivergenceSuspected, DomainError
+from liouvol.mapping import conformal_map_pair, recenter_interior
 from liouvol.meshing import aligned_surface_meshes, mesh_surface
 from liouvol.mobius import H3Point
 from liouvol.series import LaurentMap, PowerSeriesMap
-from liouvol.volume import (_check_clip_loops, _inv_sq_simplex, mesh_flux,
+from liouvol.volume import (_check_clip_loops, _inv_sq_simplex,
+                            _ray_sheets, _truncated_volumes, mesh_flux,
                             renormalized_volume, richardson_extrapolate,
                             truncated_volume, volume)
+
+# the module itself: the package exports a function of the same name
+volume_module = importlib.import_module("liouvol.volume")
+
+
+def _mesh_schedule(g):
+    """The 7-level halving schedule from 0.1 |g'(inf)| of the mesh flux."""
+    return [0.1 * abs(g.b1) * 0.5 ** k for k in range(7)]
+
+
+def _mesh_volume(f, g, **mesh_opts):
+    """V from the mesh flux: the interior map recentered, aligned meshes
+    whose rims sit below the smallest height, and two Richardson stages on
+    the last three samples."""
+    schedule = _mesh_schedule(g)
+    f_mesh = recenter_interior(f)
+    circle = np.exp(2j * np.pi * np.arange(512) / 512)
+    dmax = max(float(np.max(np.abs(f_mesh.jet(circle, upto=1)[1]))),
+               float(np.max(np.abs(g.deriv_at(circle, 1)))))
+    r_max = 1.0 - min(2.0 ** -9, schedule[-1] / (5.0 * dmax))
+    mi, mo = aligned_surface_meshes(f_mesh, g, r_max=r_max, **mesh_opts)
+    samples = [(eps, truncated_volume(mi, mo, eps)) for eps in schedule]
+    return richardson_extrapolate(samples[-3:])[0]
+
+
+def _identity_curves():
+    """The fixtures, the fivefold star z + 0.08 z^5 and a balanced
+    starlike curve z + sum_k a_k z^k, k = 2..6, k |a_k| = 0.2 / 5, with
+    seeded phases."""
+    k = np.arange(2, 7)
+    phases = np.exp(2j * np.pi * np.random.default_rng([1, 2]).random(5))
+    balanced = np.concatenate([[0.0, 1.0], phases * 0.2 / (k * 5)])
+    series = [[c.real, c.imag] for c in balanced]
+    return {"ellipse": load_curve("ellipse"), "cubic": load_curve("cubic"),
+            "wobble": load_curve("wobble"),
+            "star": polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8),
+            "balanced": CurveSpec.from_json({"series": series})}
 
 
 def test_simplex_integral_closed_forms():
@@ -100,16 +143,16 @@ def slab_mesh():
     theta = 2 * np.pi * np.arange(n_ang) / n_ang
     rr = np.linspace(r1, r2, n_rad)
     zeta = rr[:, None] * np.exp(1j * theta)[None, :]
-    Z, xi, eh, ev = _frame_fields(f, zeta.ravel())
+    Z, xi, eh, ev, _ = _frame_fields(f, zeta.ravel())
 
     def flow_points(ring_zeta, times):
+        Z0, x0, e0, v0, _ = _frame_fields(f, ring_zeta)
         pts = []
         for u in times:
-            for z0 in ring_zeta:
-                Z0, x0, e0, v0 = _frame_fields(f, np.array([z0]))
+            for j in range(ring_zeta.size):
                 base, _, _ = geodesic_flow(
-                    H3Point(complex(Z0[0]), float(x0[0])),
-                    complex(e0[0]), float(v0[0]), -u)
+                    H3Point(complex(Z0[j]), float(x0[j])),
+                    complex(e0[j]), float(v0[j]), -u)
                 pts.append((base.z.real, base.z.imag, base.xi))
         return np.array(pts)
 
@@ -233,7 +276,8 @@ def test_volume_samples_equal_per_level_truncated_volume(ellipse_maps):
     f, g = ellipse_maps
     mi, mo = aligned_surface_meshes(f, g, n_ang=256, per_octave=8,
                                     interior_rings=24)
-    _, samples, _ = volume(f, g, meshes=(mi, mo))
+    schedule = _mesh_schedule(g)
+    samples = list(zip(schedule, _truncated_volumes(mi, mo, schedule)))
     assert len(samples) == 7
     for eps, v in samples:
         assert abs(v - truncated_volume(mi, mo, eps)) <= 1e-12 * abs(v)
@@ -305,14 +349,17 @@ def test_richardson_on_synthetic_sequence():
 def test_volume_circle_baseline():
     f = PowerSeriesMap([0, 1], hint_radius=8)
     g = LaurentMap(1.0)
-    v, samples, err = volume(f, g, n_ang=256, per_octave=8, interior_rings=24)
+    v, samples, err = volume(f, g)
     assert abs(v) < 1e-6
+    # and at every level of the default schedule
+    assert len(samples) == volume_module.EPS_COUNT
+    assert max(abs(s) for _, s in samples) <= 1e-11
 
 
 def test_volume_ellipse_refinement_stable(ellipse_maps):
     f, g = ellipse_maps
-    v1, _, _ = volume(f, g, n_ang=512, per_octave=8, interior_rings=32)
-    v2, _, _ = volume(f, g, n_ang=1024, per_octave=10, interior_rings=64)
+    v1 = _mesh_volume(f, g, n_ang=512, per_octave=8, interior_rings=32)
+    v2 = _mesh_volume(f, g, n_ang=1024, per_octave=10, interior_rings=64)
     assert abs(v1 - v2) / abs(v2) < 0.01
 
 
@@ -322,26 +369,29 @@ def test_volume_mobius_invariance(ellipse, ellipse_maps):
     from liouvol.mobius import MobiusTransform
 
     f, g = ellipse_maps
-    v_base, _, _ = volume(f, g, n_ang=512, per_octave=8, interior_rings=48)
+    v_base, _, _ = volume(f, g)
     A = MobiusTransform(0, 1, 1, -2)   # z -> 1/(z - 2), image stays bounded
     th = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
     pts = A.eval_array(f.eval_unchecked(np.exp(1j * th)))
     moved = CurveSpec.from_polyline(pts, check=False)
     f2, g2 = conformal_map_pair(moved, order=128)
-    v_moved, _, _ = volume(f2, g2, n_ang=512, per_octave=8, interior_rings=48)
+    v_moved, _, _ = volume(f2, g2)
     assert abs(v_moved - v_base) / abs(v_base) < 0.02
 
 
 def test_identity_residual_shrinks_under_refinement(ellipse_maps):
-    from liouvol.volume import renormalized_volume
+    # the mesh flux: its residual shrinks as the meshes refine
     f, g = ellipse_maps
-    coarse = renormalized_volume(f, g, n_ang=256, per_octave=6,
-                                 interior_rings=16)
-    fine = renormalized_volume(f, g, n_ang=1024, per_octave=10,
-                               interior_rings=64)
-    assert abs(fine.identity_residual) < abs(coarse.identity_residual)
+    action_total = liouville_action(f, g).total
+    mch = 0.5 * (mean_curvature_total(f) + mean_curvature_total(g))
+    coarse_v_r = _mesh_volume(f, g, n_ang=256, per_octave=6,
+                              interior_rings=16) - mch
+    fine_v_r = _mesh_volume(f, g, n_ang=1024, per_octave=10,
+                            interior_rings=64) - mch
+    assert (abs(action_total - 4 * fine_v_r)
+            < abs(action_total - 4 * coarse_v_r))
     # fixed-resolution inequality direction, up to the numerical tolerance
-    assert fine.action_total >= 4 * fine.V_R - 2e-3
+    assert action_total >= 4 * fine_v_r - 2e-3
 
 
 def test_equipotential_family_tracks_identity(ellipse_maps):
@@ -355,8 +405,7 @@ def test_equipotential_family_tracks_identity(ellipse_maps):
         fn = equipotential(f, n)
         gn, _ = exterior_map(CurveSpec.from_series(fn, check=False),
                              order=96)
-        rep = renormalized_volume(fn, gn, n_ang=512, per_octave=8,
-                                  interior_rings=48)
+        rep = renormalized_volume(fn, gn)
         tol = max(0.01 * abs(rep.action_total), 1e-3)
         assert abs(rep.identity_residual) <= tol
 
@@ -364,8 +413,7 @@ def test_equipotential_family_tracks_identity(ellipse_maps):
 def test_renormalized_volume_circle():
     f = PowerSeriesMap([0, 1], hint_radius=8)
     g = LaurentMap(1.0)
-    rep = renormalized_volume(f, g, n_ang=256, per_octave=8,
-                              interior_rings=24)
+    rep = renormalized_volume(f, g)
     assert abs(rep.V_R) < 1e-6
     assert rep.V_R == rep.V - rep.mean_curvature_half
     assert abs(rep.identity_residual) < 1e-6
@@ -389,8 +437,6 @@ def test_variation_check_trivial_field(ellipse_maps):
     from liouvol.volume import variation_check
     f, g = ellipse_maps
     out = variation_check(f, g, lambda w: np.zeros_like(w), 1e-3,
-                          volume_opts=dict(n_ang=256, per_octave=6,
-                                           interior_rings=16),
                           deform_opts=dict(order=64))
     assert out["rhs"] == 0
     assert abs(out["lhs"]) < 1e-6
@@ -401,9 +447,51 @@ def test_variation_check_circle_rhs_zero():
     f = PowerSeriesMap([0, 1], hint_radius=8)
     g = LaurentMap(1.0)
     nu = lambda w: 0.05 / (np.abs(w) ** 2 + 1.0) + 0j
-    out = variation_check(f, g, nu, 1e-3,
-                          volume_opts=dict(n_ang=256, per_octave=6,
-                                           interior_rings=16),
-                          deform_opts=dict(order=64))
+    out = variation_check(f, g, nu, 1e-3, deform_opts=dict(order=64))
     assert out["rhs"] == 0
     assert abs(out["lhs"]) < 5e-3
+
+
+def test_richardson_recovers_a_cubic_on_uneven_heights():
+    eps = [0.04, 0.03, 0.02, 0.01]
+    samples = [(e, 1.0 - 0.3 * e + 0.07 * e * e - 2.0 * e ** 3) for e in eps]
+    v, err = richardson_extrapolate(samples)
+    assert v == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse", "cubic", "wobble"])
+def test_ray_sheet_areas_cancel(name):
+    f, g = conformal_map_pair(load_curve(name), order=128)
+    inside, outside = _ray_sheets(f, g, 1e-4 * abs(g.b1))
+    assert inside.area > 0
+    assert abs(inside.area + outside.area) <= 1e-10 * abs(inside.area)
+
+
+def test_too_few_rays_for_the_star_raise(monkeypatch):
+    # the star's exterior map has order 512; 256 rays alias it and leave
+    # its sheet areas uncancelled at ~5e-10
+    curve = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    f, g = conformal_map_pair(curve, order=128)
+    assert volume(f, g)[0] > 0
+    monkeypatch.setattr(volume_module, "angular_count", lambda order: 256)
+    with pytest.raises(DivergenceSuspected):
+        volume(f, g)
+
+
+def test_mesh_samples_approach_ray_samples(ellipse_maps):
+    # the mesh flux converges to the ray samples as its rays double
+    f, g = ellipse_maps
+    _, samples, _ = volume(f, g)
+    gaps = []
+    for n_ang in (256, 512):
+        mi, mo = aligned_surface_meshes(f, g, n_ang=n_ang)
+        gaps.append(max(abs(truncated_volume(mi, mo, eps) - v)
+                        for eps, v in samples[:7]))
+    assert gaps[1] < 0.5 * gaps[0]
+
+
+@pytest.mark.parametrize("name", list(_identity_curves()))
+def test_identity_to_eight_digits(name):
+    f, g = conformal_map_pair(_identity_curves()[name], order=128)
+    rep = renormalized_volume(f, g)
+    assert abs(rep.identity_residual) <= 1e-8 * rep.action_total
