@@ -90,9 +90,11 @@ def poincare_jet(f, zeta):
     return MetricJet(phi, psi / em)
 
 
-def _frame_fields(fmap, z):
+def _frame_fields(fmap, z, jet=None):
     """Vectorized (Z, xi, eta_h, eta_v, J) over an array of parameter points
     of one sheet: |z| < 1 for a series map, |z| > 1 for a Laurent map.
+    ``jet`` is the map's jet at z, by default fmap.jet(z, upto=3); from a
+    2-jet the frame comes without the Jacobian, and J is None.
 
     With the map's 3-jet (f, a, b, c), s = +1 inside and -1 outside,
     tau = s (1 - |z|^2) > 0, beta = conj(b/a), chi = s z - beta tau / 2 and
@@ -103,24 +105,26 @@ def _frame_fields(fmap, z):
     """
     z = np.asarray(z, dtype=complex)
     s = -1.0 if isinstance(fmap, LaurentMap) else 1.0
-    f, a, b, c = fmap.jet(z, upto=3)
+    f, a, b, *c = fmap.jet(z, upto=3) if jet is None else jet
     tau = s * (1.0 - np.abs(z) ** 2)
     beta = np.conj(b / a)
     chi = s * z - beta * tau / 2.0
     chi2 = np.abs(chi) ** 2
     D = 1.0 + chi2
     P = a * tau * chi
+    frame = (f + P / D, np.abs(a) * tau / D, 2.0 * (a / np.abs(a)) * chi / D,
+             (1.0 - chi2) / D)
+    if not c:
+        return frame + (None,)
     tau_z, tau_zb = -s * np.conj(z), -s * z
     chi_z = s - beta * tau_z / 2.0
-    chi_zb = -((np.conj(c / a) - beta ** 2) * tau + beta * tau_zb) / 2.0
+    chi_zb = -((np.conj(c[0] / a) - beta ** 2) * tau + beta * tau_zb) / 2.0
     D_z = chi_z * np.conj(chi) + chi * np.conj(chi_zb)
     P_z = b * tau * chi + a * tau_z * chi + a * tau * chi_z
     P_zb = a * tau_zb * chi + a * tau * chi_zb
     Z_z = a + P_z / D - P * D_z / D ** 2
     Z_zb = P_zb / D - P * np.conj(D_z) / D ** 2
-    J = np.abs(Z_z) ** 2 - np.abs(Z_zb) ** 2
-    return (f + P / D, np.abs(a) * tau / D, 2.0 * (a / np.abs(a)) * chi / D,
-            (1.0 - chi2) / D, J)
+    return frame + (np.abs(Z_z) ** 2 - np.abs(Z_zb) ** 2,)
 
 
 def epstein_poincare(fmap, zeta):
@@ -138,7 +142,7 @@ def epstein_poincare(fmap, zeta):
         d1 = fmap.jet(zeta, upto=1)[1]
         if abs(d1) < 1e-14:
             raise SingularDerivative("f' vanishes at the requested point")
-    Z, xi, eh, ev, _ = _frame_fields(fmap, zeta)
+    Z, xi, eh, ev, _ = _frame_fields(fmap, zeta, fmap.jet(zeta, upto=2))
     return EpsteinFrame(H3Point(complex(Z), float(xi)),
                         complex(eh), float(ev), complex(zeta))
 
@@ -179,19 +183,12 @@ def schwarzian_norm(fmap, z):
     return np.abs(schwarzian(fmap, z)) * (1.0 - np.abs(z) ** 2) ** 2 / 4.0
 
 
-def _apex_circle():
-    """64 points on |omega| = 1e4 whose means stand in for the exterior
-    sheet's apex at omega = infinity."""
-    chi = 2 * np.pi * np.arange(64) / 64
-    return 1e4 * np.exp(1j * chi)
-
-
 def curvature_columns(fmap, source):
     """(n, 5) columns schwarzian_norm, k_plus, k_minus, H, mean_density of
     an envelope sheet at its parameter points ``source``.
 
     A Laurent sheet's apex (the point at infinity, source[0]) takes the
-    mean norm over the apex circle and zero density.
+    limit norm 1.5 |b_-1 / b1| and zero density.
     """
     source = np.asarray(source, dtype=complex)
     laurent = isinstance(fmap, LaurentMap)
@@ -200,7 +197,8 @@ def curvature_columns(fmap, source):
     d1 = fmap.deriv_at(z, 1) if laurent else fmap.jet(z, upto=1)[1]
     rho = 4.0 / ((1.0 - np.abs(z) ** 2) ** 2 * np.abs(d1) ** 2)
     if laurent:
-        t = np.concatenate([[schwarzian_norm(fmap, _apex_circle()).mean()], t])
+        apex = 1.5 * abs(fmap.bneg[0] / fmap.b1) if fmap.order else 0.0
+        t = np.concatenate([[apex], t])
         rho = np.concatenate([[0.0], rho])
     with np.errstate(divide="ignore"):
         k_p = -t / (t + 1.0)

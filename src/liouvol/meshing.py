@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .epstein import _apex_circle, _frame_fields, curvature_columns
+from .epstein import _frame_fields, curvature_columns
 from .errors import DomainError
 from .mapping import welding
 from .series import LaurentMap
@@ -81,12 +81,13 @@ def _spectral_ring_area(samples):
 
 def _pack(fmap, params, n_rings, n_ang, ring_params):
     """Sheet over the flat ring-by-ring parameter grid ``params`` plus a
-    center vertex: zeta = 0 for a series map, the averaged apex at infinity
+    center vertex: zeta = 0 for a series map, the apex at infinity
     for a Laurent map. The ring area is taken from the frame Z at the fine
     rim points ``ring_params``."""
     exterior = isinstance(fmap, LaurentMap)
     source = np.concatenate([[np.inf + 0j if exterior else 0j], params])
-    Z, xi, eh, ev, _ = _frame_fields(fmap, params if exterior else source)
+    z = params if exterior else source
+    Z, xi, eh, ev, _ = _frame_fields(fmap, z, fmap.jet(z, upto=2))
     verts = np.column_stack([Z.real, Z.imag, xi])
     eta = np.column_stack([eh.real, eh.imag, ev])
     if exterior:
@@ -95,16 +96,15 @@ def _pack(fmap, params, n_rings, n_ang, ring_params):
         eta = np.vstack([apex[None, 3:], eta])
     faces = _orient_faces(verts, _grid_faces(n_rings, n_ang), eta)
     ring = np.arange(1 + (n_rings - 1) * n_ang, 1 + n_rings * n_ang)
-    ring_area = _spectral_ring_area(_frame_fields(fmap, ring_params)[0])
+    ring_area = _spectral_ring_area(_frame_fields(
+        fmap, ring_params, fmap.jet(ring_params, upto=2))[0])
     return SurfaceMesh(verts, faces, eta, source, ring, ring_area, fmap)
 
 
 def _exterior_apex(g):
-    """Limit frame at omega -> infinity by angular averaging on a far circle;
-    the oscillatory O(1/R) terms cancel in the mean."""
-    Z, xi, eh, ev, _ = _frame_fields(g, _apex_circle())
-    return np.array([Z.real.mean(), Z.imag.mean(), xi.mean(),
-                     eh.real.mean(), eh.imag.mean(), ev.mean()])
+    """Limit frame of the exterior sheet at omega -> infinity: the point
+    (b0, |b1|) with the downward normal."""
+    return np.array([g.b0.real, g.b0.imag, abs(g.b1), 0.0, 0.0, -1.0])
 
 
 def _fine_circle(r, n_ang):

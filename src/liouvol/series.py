@@ -3,7 +3,9 @@
 PowerSeriesMap holds f(z) = sum_k a_k z^k on a disk of radius > 1,
 LaurentMap holds g(w) = b1 w + b0 + sum_k b_{-k} w^{-k} on |w| > 1.
 Differentiation is exact on coefficients; evaluation is Horner, and a jet
-(the value with its first derivatives) takes one Horner pass.
+(the value with its first derivatives) takes one Horner pass. On rings of
+points uniform in angle, r e^{2 pi i j/n}, a jet is instead one length-n FFT
+per radius and derivative (ring_jet).
 Integrals of |analytic|^2 against a radial weight over the parameter
 domain are coefficient sums from one FFT of boundary samples (area_norm).
 """
@@ -162,13 +164,17 @@ class LaurentMap:
         # as __call__ forms it
         e = _taylor_horner(self.bneg, u, upto)
         d = [u * e[0]] + [e[m - 1] + u * e[m] for m in range(1, upto + 1)]
+        return self._chain(w, u, d)
+
+    def _chain(self, w, u, d):
+        """(g, g', ...) at w = 1/u from d[m] = h^(m)(u)/m!, m < len(d)."""
         out = [self.b1 * w + self.b0 + d[0]]
-        if upto >= 1:
+        if len(d) > 1:
             u2 = u * u
             out.append(self.b1 - u2 * d[1])
-        if upto >= 2:
+        if len(d) > 2:
             out.append(2.0 * u2 * u * (d[1] + u * d[2]))
-        if upto >= 3:
+        if len(d) > 3:
             out.append(-6.0 * u2 * u2 * (d[1] + u * (2.0 * d[2] + u * d[3])))
         return tuple(out)
 
@@ -180,6 +186,45 @@ class LaurentMap:
             self.b0,
             self.bneg * np.exp(1j * k * alpha),
         )
+
+
+def _ring_taylor(c, radii, n, upto, sign):
+    """p^(m)(x)/m! for m = 0..upto, p(x) = sum_k c[k] x^k, at the points
+    x = r e^{sign 2 pi i j/n}, j < n, of every radius r: arrays of shape
+    radii.shape + (n,). At one radius p^(m)(x)/m! is
+    sum_k C(k, m) c[k] r^(k-m) e^{sign 2 pi i j (k-m)/n}, one length-n DFT of
+    these terms folded onto (k - m) mod n."""
+    r = np.asarray(radii, dtype=float)[..., None]
+    powers = r ** np.arange(c.size)
+    blocks = -(-c.size // n)  # length-n blocks that hold every term
+    out = []
+    for m in range(upto + 1):
+        k = np.arange(m, c.size)
+        comb = np.prod([k - i for i in range(m)], axis=0) / math.factorial(m)
+        folded = np.zeros(r.shape[:-1] + (blocks * n,), dtype=complex)
+        folded[..., :k.size] = powers[..., :k.size] * (comb * c[m:])
+        folded = folded.reshape(r.shape[:-1] + (blocks, n)).sum(axis=-2)
+        out.append(np.fft.ifft(folded, norm="forward") if sign > 0
+                   else np.fft.fft(folded))
+    return out
+
+
+def ring_jet(m, radii, n, upto=3):
+    """m.jet(z, upto) at the points z = r e^{2 pi i j/n}, j < n, of every
+    radius r in radii, as arrays of shape radii.shape + (n,), from one
+    length-n FFT per radius and derivative: O(n log n) per radius where
+    Horner costs O(n order)."""
+    radii = np.asarray(radii, dtype=float)
+    if isinstance(m, LaurentMap):
+        if np.any(radii < 1 - 1e-12):
+            raise DomainError("LaurentMap is defined on |w| >= 1")
+        w = radii[..., None] * np.exp(2j * np.pi * np.arange(n) / n)
+        # h(u) = sum_k b_{-k} u^k at u = 1/w = r^-1 e^{-2 pi i j/n}
+        h = np.concatenate([[0.0], m.bneg])
+        return m._chain(w, 1.0 / w, _ring_taylor(h, 1.0 / radii, n, upto, -1))
+    d = _ring_taylor(m.coeffs, radii, n, upto, 1)
+    return tuple(dm * math.factorial(k) if k > 1 else dm
+                 for k, dm in enumerate(d))
 
 
 def _jet12(m, z):

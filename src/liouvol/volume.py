@@ -17,9 +17,12 @@ in angle) in t = 1 - r inside and t = 1 - 1/|w| outside, where the area
 element is (1 - t) dt or (1 - t)^-3 dt and the center and the apex at
 infinity are ordinary points. Gauss-Legendre panels along a ray have edges
 0, 2^-K, ..., 1/2, 1, with 2^-K |g'(inf)| at most the smallest height. Each
-sheet is tabulated once for the whole schedule; a level sums all panels at
-once and cuts a panel that straddles eps at the crossings of its
-interpolant. Neville extrapolation on the heights gives eps -> 0.
+sheet is tabulated once for the whole schedule: the rays are uniform in
+angle, so the map's 3-jet on all of them at one radius is one length-n FFT
+per derivative (series.ring_jet). A level sums all panels at once and cuts
+a panel that straddles eps at the crossings of its interpolant, found by
+Newton steps kept inside the bracketing samples. Neville extrapolation on
+the heights gives eps -> 0.
 
 The triangle-mesh flux of the same 2-form (_Sheet, truncated_volume) stays
 as an independent check: per triangle the integral of 1/(2 xi^2) is exact
@@ -40,15 +43,17 @@ from .epstein import _frame_fields, mean_curvature_total
 from .errors import (CapTopologyError, DivergenceSuspected, DomainError,
                      NoConvergence)
 from .quadrature import QuadratureGrid, angular_count
-from .series import LaurentMap, schwarzian
+from .series import LaurentMap, ring_jet, schwarzian
 
 ORIENT_SIGN = -1.0  # mesh sheet normals point into the enclosed region
 EPS_BASE = 0.1      # leading truncation height relative to the curve scale
 EPS_COUNT = 11      # heights of the default halving schedule
 NEVILLE_STAGES = 5  # most powers of eps eliminated from V(eps)
 GAUSS_NODES = 9     # Gauss-Legendre nodes per panel along a ray
-BISECTIONS = 40     # halvings of a bracket around a crossing of eps; a cut
-                    # off by d changes the piece sums by O(d^2)
+NEWTON_TOL = 1e-15  # step or bracket width that ends a crossing's search; a
+                    # cut off by d changes the piece sums by O(d^2)
+NEWTON_CAP = 60     # most iterations per crossing, a safety cap: the bracket
+                    # at least halves on every step Newton does not take
 AREA_TOL = 1e-10    # relative mismatch of the two sheet areas
 
 _X, _W = legendre.leggauss(GAUSS_NODES)
@@ -281,11 +286,34 @@ def cap_annulus(loop_in, loop_out):
     return verts, np.array(faces, dtype=int)
 
 
-def _interpolate(x, coeffs):
-    """Values at x (panels, ...) of the panel interpolants with Legendre
-    coefficients coeffs (panels, GAUSS_NODES)."""
-    return np.einsum("p...j,pj->p...",
-                     legendre.legvander(x, GAUSS_NODES - 1), coeffs)
+def _crossings(coeffs, eps, lo, hi, lo_above):
+    """The crossing of eps inside each bracket (lo, hi) by the interpolant
+    with Legendre coefficients coeffs (brackets, GAUSS_NODES); lo_above
+    tells whether it lies above eps at lo. Newton from the bracket midpoint,
+    each iterate narrowing its bracket, and the new midpoint wherever a step
+    would leave it. A crossing is final once its step or its bracket is at
+    most NEWTON_TOL, or at an iterate where the interpolant equals eps."""
+    slope = legendre.legder(coeffs, axis=1)
+    x, lo, hi = (lo + hi) / 2.0, lo.copy(), hi.copy()
+    live = np.arange(x.size)  # the crossings still iterated
+    for _ in range(NEWTON_CAP):
+        xl, low, high = x[live], lo[live], hi[live]
+        basis = legendre.legvander(xl, GAUSS_NODES - 1)
+        r = np.einsum("kj,kj->k", basis, coeffs[live]) - eps
+        dr = np.einsum("kj,kj->k", basis[:, :-1], slope[live])
+        on_lo_side = (r > 0) == lo_above[live]
+        low, high = np.where(on_lo_side, xl, low), np.where(on_lo_side, high, xl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = xl - r / dr
+        nxt = np.where((nxt > low) & (nxt < high), nxt, (low + high) / 2.0)
+        hit = r == 0.0
+        x[live] = np.where(hit, xl, nxt)
+        lo[live], hi[live] = low, high
+        live = live[~(hit | (np.abs(nxt - xl) <= NEWTON_TOL)
+                      | (high - low <= NEWTON_TOL))]
+        if not live.size:
+            break
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,10 +336,11 @@ class _RaySheet:
             radius, element = 1.0 / (1.0 - t), (1.0 - t) ** -3
         else:
             radius, element = 1.0 - t, 1.0 - t
-        rays = np.exp(2j * np.pi * np.arange(n) / n)[:, None, None]
-        _, xi, _, _, J = _frame_fields(fmap, radius * rays)
-        xi = xi.reshape(-1, GAUSS_NODES)
-        q = (J * element).reshape(-1, GAUSS_NODES)
+        z = radius[..., None] * np.exp(2j * np.pi * np.arange(n) / n)
+        _, xi, _, _, J = _frame_fields(fmap, z, ring_jet(fmap, radius, n))
+        # rows ray by ray: (n, panels per ray, GAUSS_NODES) -> (panels, ...)
+        xi = np.moveaxis(xi, -1, 0).reshape(-1, GAUSS_NODES)
+        q = np.moveaxis(J * element[..., None], -1, 0).reshape(-1, GAUSS_NODES)
         scale = np.tile(half * (2.0 * np.pi / n), n)
         ends = np.einsum("ej,jk,pk->pe", legendre.legvander(
             [-1.0, 1.0], GAUSS_NODES - 1), _TO_LEGENDRE, xi)
@@ -322,9 +351,10 @@ class _RaySheet:
     def volume(self, eps):
         """int q / (2 max(xi, eps)^2) over the sheet. A panel whose samples
         lie on both sides of eps is cut at the crossing inside every
-        bracketing pair of samples, found by bisection on the interpolant of
-        xi, and each piece takes mapped Gauss nodes on the interpolants of xi
-        and q; on every other panel max(xi, eps) is smooth."""
+        bracketing pair of samples, found by safeguarded Newton on the
+        interpolant of xi (_crossings), and each piece takes mapped Gauss
+        nodes on the interpolants of xi and q; on every other panel
+        max(xi, eps) is smooth."""
         above = self.samples > eps
         cross = above[:, 1:] != above[:, :-1]
         split = cross.any(axis=1)
@@ -335,19 +365,16 @@ class _RaySheet:
         xi_c, q_c = (np.einsum("jk,pk->pj", _TO_LEGENDRE, v[k])
                      for v in (self.xi, self.q))
         p, j = np.nonzero(cross[k])  # the straddling panel and bracket
-        lo, hi = _SAMPLE_X[j], _SAMPLE_X[j + 1]
-        for _ in range(BISECTIONS):
-            mid = (lo + hi) / 2.0
-            same = (_interpolate(mid, xi_c[p]) > eps) == above[k[p], j]
-            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
         cuts = np.tile(_SAMPLE_X[1:], (k.size, 1))
-        cuts[p, j] = (lo + hi) / 2.0
+        cuts[p, j] = _crossings(xi_c[p], eps, _SAMPLE_X[j], _SAMPLE_X[j + 1],
+                                above[k[p], j])
         ones = np.ones((k.size, 1))
         bounds = np.concatenate([-ones, cuts, ones], axis=1)
         half = np.diff(bounds, axis=1) / 2.0
         x = (bounds[:, :-1] + half)[..., None] + half[..., None] * _X
-        piece = _interpolate(x, q_c) / (
-            2.0 * np.maximum(_interpolate(x, xi_c), eps) ** 2)
+        basis = legendre.legvander(x, GAUSS_NODES - 1)
+        xi_x, q_x = (np.einsum("pikj,pj->pik", basis, c) for c in (xi_c, q_c))
+        piece = q_x / (2.0 * np.maximum(xi_x, eps) ** 2)
         return total + float(np.einsum("p,pi,pik,k->", self.scale[k], half,
                                        piece, _W))
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import liouvol.epstein
-from liouvol.epstein import curvatures, schwarzian_norm
+from liouvol.epstein import _frame_fields, curvatures, schwarzian_norm
 from liouvol.errors import DomainError
-from liouvol.meshing import (aligned_surface_meshes, load_obj, mesh_surface,
-                             surface_separation, write_obj, write_vertex_csv)
+from liouvol.meshing import (_exterior_apex, aligned_surface_meshes, load_obj,
+                             mesh_surface, surface_separation, write_obj,
+                             write_vertex_csv)
 from liouvol.series import LaurentMap, PowerSeriesMap
 
 
@@ -20,7 +21,7 @@ def test_exterior_identity_mesh_is_hemisphere():
     g = LaurentMap(1.0)
     mesh = mesh_surface(g, 64, 64)
     radii = np.linalg.norm(mesh.vertices, axis=1)
-    assert np.max(np.abs(radii - 1.0)) < 1e-7  # apex limit is extrapolated
+    assert np.max(np.abs(radii - 1.0)) < 1e-12
 
 
 def test_mesh_resolution_guard():
@@ -98,16 +99,36 @@ def test_vertex_csv_export(tmp_path):
         expect = [c.schwarzian_norm, c.k_plus, c.k_minus, c.H, c.mean_density]
         assert np.allclose(table[i, 8:], expect, rtol=1e-12, atol=0)
 
-    # exterior sheet: the apex row (omega = infinity) carries the mean norm
-    # over 64 angles at |omega| = 1e4 and zero density
+    # exterior sheet: the apex row (omega = infinity) carries the limit norm
+    # 1.5 |b_-1 / b1| and zero density
     g = LaurentMap(1.0, 0.0, [0.05, 0.01j])
     path = tmp_path / "sheet_out.csv"
     write_vertex_csv(path, mesh_surface(g, 12, 16))
     apex = np.loadtxt(path, delimiter=",", skiprows=1)[0]
-    far = 1e4 * np.exp(2j * np.pi * np.arange(64) / 64)
-    assert apex[8] == pytest.approx(schwarzian_norm(g, far).mean(),
-                                    rel=1e-12)
+    assert apex[8] == pytest.approx(0.075, rel=1e-15)
     assert apex[12] == 0.0
+
+
+@pytest.mark.parametrize("g", [LaurentMap(1.1, 0.2 - 0.1j, [0.05, 0.01j, 3e-3]),
+                               LaurentMap(0.9j, -0.3)])
+def test_exterior_apex_is_the_limit_of_far_frames(g):
+    # the mean frame and Schwarzian norm over 64 angles at |w| = R differ
+    # from the closed-form apex by c R^-2 with one c for all R: the closed
+    # form is their limit, not a far sample of it
+    apex = _exterior_apex(g)
+    t_apex = mesh_surface(g, 8, 8).curvature[0, 0]
+    assert t_apex == (1.5 * abs(g.bneg[0] / g.b1) if g.order else 0.0)
+    frame_gap, norm_gap = [], []
+    for R in (1e2, 1e3, 1e4, 1e5):
+        w = R * np.exp(2j * np.pi * np.arange(64) / 64)
+        Z, xi, eh, ev, _ = _frame_fields(g, w, g.jet(w, upto=2))
+        mean = np.array([Z.real.mean(), Z.imag.mean(), xi.mean(),
+                         eh.real.mean(), eh.imag.mean(), ev.mean()])
+        frame_gap.append(np.max(np.abs(mean - apex)) * R * R)
+        norm_gap.append(abs(schwarzian_norm(g, w).mean() - t_apex) * R * R)
+    for gap in (frame_gap, norm_gap):
+        assert max(gap) <= 3.0 * abs(g.b1)
+        assert max(gap) - min(gap) <= 1e-2 * max(gap) + 1e-9
 
 
 def test_aligned_meshes_never_evaluate_the_schwarzian(ellipse_maps,

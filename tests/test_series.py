@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as npoly
 from liouvol.errors import DomainError, SingularDerivative
 from liouvol.mobius import MobiusTransform
 from liouvol.series import (LaurentMap, PowerSeriesMap, area_norm,
-                            equipotential, nonlinearity, schwarzian)
+                            equipotential, nonlinearity, ring_jet, schwarzian)
 
 
 def test_eval_identity():
@@ -197,3 +197,40 @@ def test_jet_matches_separate_evaluation(rng, order, upto):
         close(first, [r[0] for r in refs])
     # the exterior value is formed exactly as __call__ forms it
     assert np.array_equal(g.jet(w, upto=upto)[0], g(w))
+
+
+def _derivative_scale(powers, coeffs, r, m):
+    """sum_p |d^m/dz^m c_p z^p| at |z| = r for the powers p of a (Laurent)
+    polynomial: the size of its m-th derivative's terms."""
+    fall = np.prod([powers - i for i in range(m)], axis=0)
+    keep = fall != 0
+    return np.sum(np.abs(fall[keep] * coeffs[keep])
+                  * r[..., None] ** (powers[keep] - m), axis=-1)
+
+
+@pytest.mark.parametrize("order, n", [(0, 8), (7, 8), (8, 8), (20, 8),
+                                      (64, 256), (300, 256)])
+def test_ring_jet_matches_jet(rng, order, n):
+    # one FFT per radius against Horner at the same points, relative to the
+    # size of each derivative's terms; order >= n folds terms onto k mod n,
+    # and the radii reach 0 and 1 inside, 1 and 1000 outside
+    k = np.arange(order + 1)
+    a = (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)) \
+        / (k + 1.0) ** 2
+    f = PowerSeriesMap(a, hint_radius=1.5)
+    g = LaurentMap(1.3 - 0.2j, 0.1j, a[1:])
+    inside = np.array([[0.0, 1e-3, 0.5], [0.9, 0.999, 1.0]])
+    outside = np.array([1.0, 1.001, 2.0, 1e3])
+    laurent = np.concatenate([[1, 0], -k[1:]]), np.concatenate(
+        [[g.b1, g.b0], g.bneg])
+    for m, radii, (powers, coeffs) in ((f, inside, (k, a)),
+                                       (g, outside, laurent)):
+        ring = ring_jet(m, radii, n)
+        ref = m.jet(radii[..., None] * np.exp(2j * np.pi * np.arange(n) / n))
+        assert len(ring) == 4
+        for d, (v, r) in enumerate(zip(ring, ref)):
+            assert v.shape == radii.shape + (n,)
+            scale = _derivative_scale(powers, coeffs, radii, d)[..., None]
+            assert np.all(np.abs(v - r) <= 1e-13 * scale)
+    with pytest.raises(DomainError):
+        ring_jet(g, [0.5], n)

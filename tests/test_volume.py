@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from oracles import (ball_volume_euclidean_sphere, hyperbolic_annulus_area,
                      mesh_flux_scalar, slab_volume)
@@ -16,10 +17,11 @@ from liouvol.mapping import conformal_map_pair, recenter_interior
 from liouvol.meshing import aligned_surface_meshes, mesh_surface
 from liouvol.mobius import H3Point
 from liouvol.series import LaurentMap, PowerSeriesMap
-from liouvol.volume import (_check_clip_loops, _inv_sq_simplex,
-                            _ray_sheets, _truncated_volumes, mesh_flux,
-                            renormalized_volume, richardson_extrapolate,
-                            truncated_volume, volume)
+from liouvol.volume import (EPS_BASE, EPS_COUNT, GAUSS_NODES, _SAMPLE_X,
+                            _TO_LEGENDRE, _check_clip_loops, _crossings,
+                            _inv_sq_simplex, _ray_sheets, _truncated_volumes,
+                            mesh_flux, renormalized_volume,
+                            richardson_extrapolate, truncated_volume, volume)
 
 # the module itself: the package exports a function of the same name
 volume_module = importlib.import_module("liouvol.volume")
@@ -476,6 +478,39 @@ def test_too_few_rays_for_the_star_raise(monkeypatch):
     monkeypatch.setattr(volume_module, "angular_count", lambda order: 256)
     with pytest.raises(DivergenceSuspected):
         volume(f, g)
+
+
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "star"])
+def test_newton_cuts_match_bisection(name):
+    # every bracket of both sheets at every default height: the Newton
+    # crossing against 60 halvings of the bracket, on Clenshaw values
+    f, g = conformal_map_pair(_identity_curves()[name], order=128)
+    schedule = [EPS_BASE * abs(g.b1) * 0.5 ** k for k in range(EPS_COUNT)]
+    for sheet in _ray_sheets(f, g, schedule[-1]):
+        for eps in schedule:
+            above = sheet.samples > eps
+            p, j = np.nonzero(above[:, 1:] != above[:, :-1])
+            coeffs = sheet.xi[p] @ _TO_LEGENDRE.T
+            lo, hi, lo_above = _SAMPLE_X[j], _SAMPLE_X[j + 1], above[p, j]
+            cuts = _crossings(coeffs, eps, lo, hi, lo_above)
+            for _ in range(60):
+                mid = (lo + hi) / 2.0
+                same = (legendre.legval(mid, coeffs.T, tensor=False)
+                        > eps) == lo_above
+                lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+            assert p.size > 0
+            assert np.max(np.abs(cuts - (lo + hi) / 2.0)) <= 1e-14
+
+
+def test_newton_keeps_an_iterate_on_the_crossing():
+    # xi = 0.5 +- 0.25 x: one Newton step from the midpoint of each bracket
+    # lands on the crossing +-0.25 of eps = 0.5625, where the interpolant
+    # equals eps; that iterate is the cut, not its bracket's midpoint
+    coeffs = np.zeros((2, GAUSS_NODES))
+    coeffs[:, 0], coeffs[:, 1] = 0.5, [0.25, -0.25]
+    cuts = _crossings(coeffs, 0.5625, np.array([0.0, -1.0]),
+                      np.array([1.0, 0.0]), np.array([False, True]))
+    assert cuts.tolist() == [0.25, -0.25]
 
 
 def test_mesh_samples_approach_ray_samples(ellipse_maps):
