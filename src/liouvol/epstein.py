@@ -90,11 +90,14 @@ def poincare_jet(f, zeta):
     return MetricJet(phi, psi / em)
 
 
-def _frame_fields(fmap, z, jet=None):
+def _frame_fields(fmap, z, jet=None, tau=None):
     """Vectorized (Z, xi, eta_h, eta_v, J) over an array of parameter points
     of one sheet: |z| < 1 for a series map, |z| > 1 for a Laurent map.
-    ``jet`` is the map's jet at z, by default fmap.jet(z, upto=3); from a
-    2-jet the frame comes without the Jacobian, and J is None.
+    ``jet`` is the map's jet at z, by default fmap.jet(z, upto=2); from a
+    2-jet the frame comes without the Jacobian, and J is None. ``tau`` is
+    s (1 - |z|^2), by default from z, where its rounding is about 1e-16
+    absolute and so 1e-16 / tau relative; a caller that knows it exactly
+    passes it.
 
     With the map's 3-jet (f, a, b, c), s = +1 inside and -1 outside,
     tau = s (1 - |z|^2) > 0, beta = conj(b/a), chi = s z - beta tau / 2 and
@@ -102,11 +105,20 @@ def _frame_fields(fmap, z, jet=None):
     normal is (2 u chi, 1 - |chi|^2) / D with u = a/|a| (chi is psi/u of
     epstein_point). J = |Z_z|^2 - |Z_zbar|^2 is the Jacobian of z -> Z;
     beta is antiholomorphic, with beta_zbar = conj(c/a) - beta^2.
+
+    Both terms of J tend to |a|^2 / D^2 at the rim |z| = 1, where J
+    vanishes like tau, and their difference would lose about 1e-16 / tau
+    relative. With |z|^2 = 1 - s tau, Z_z D^2 / a = D |chi|^2 + tau alpha,
+    Z_zbar D^2 / a = tau beta2 - D z^2 and |chi|^2 - |z|^2 = tau gap with
+    gap = |beta|^2 tau / 4 - s Re(conj(z) beta), so for tau < 1 J is summed
+    from terms that each carry the factor tau. Far outside (tau >= 1) the
+    difference is the better form.
     """
     z = np.asarray(z, dtype=complex)
     s = -1.0 if isinstance(fmap, LaurentMap) else 1.0
-    f, a, b, *c = fmap.jet(z, upto=3) if jet is None else jet
-    tau = s * (1.0 - np.abs(z) ** 2)
+    f, a, b, *c = fmap.jet(z, upto=2) if jet is None else jet
+    r2 = np.abs(z) ** 2
+    tau = s * (1.0 - r2) if tau is None else tau
     beta = np.conj(b / a)
     chi = s * z - beta * tau / 2.0
     chi2 = np.abs(chi) ** 2
@@ -116,15 +128,19 @@ def _frame_fields(fmap, z, jet=None):
              (1.0 - chi2) / D)
     if not c:
         return frame + (None,)
-    tau_z, tau_zb = -s * np.conj(z), -s * z
-    chi_z = s - beta * tau_z / 2.0
-    chi_zb = -((np.conj(c[0] / a) - beta ** 2) * tau + beta * tau_zb) / 2.0
+    chi_z = s * (1.0 + beta * np.conj(z) / 2.0)
+    chi_zb = (s * beta * z - (np.conj(c[0] / a) - beta ** 2) * tau) / 2.0
     D_z = chi_z * np.conj(chi) + chi * np.conj(chi_zb)
-    P_z = b * tau * chi + a * tau_z * chi + a * tau * chi_z
-    P_zb = a * tau_zb * chi + a * tau * chi_zb
-    Z_z = a + P_z / D - P * D_z / D ** 2
-    Z_zb = P_zb / D - P * np.conj(D_z) / D ** 2
-    return frame + (np.abs(Z_z) ** 2 - np.abs(Z_zb) ** 2,)
+    alpha = D * (np.conj(beta) * chi + 2.0 * chi_z) - chi * D_z
+    beta2 = D * (s * beta * z / 2.0 + chi_zb) - chi * np.conj(D_z)
+    gap = np.abs(beta) ** 2 * tau / 4.0 - s * (np.conj(z) * beta).real
+    near = tau * (D * D * (chi2 + r2) * gap
+                  + 2.0 * D * (chi2 * alpha.real
+                               + (np.conj(z) ** 2 * beta2).real)
+                  + tau * (np.abs(alpha) ** 2 - np.abs(beta2) ** 2))
+    far = (np.abs(D * chi2 + tau * alpha) ** 2
+           - np.abs(tau * beta2 - D * z * z) ** 2)
+    return frame + (np.abs(a) ** 2 * np.where(tau < 1.0, near, far) / D ** 4,)
 
 
 def epstein_poincare(fmap, zeta):
@@ -142,7 +158,7 @@ def epstein_poincare(fmap, zeta):
         d1 = fmap.jet(zeta, upto=1)[1]
         if abs(d1) < 1e-14:
             raise SingularDerivative("f' vanishes at the requested point")
-    Z, xi, eh, ev, _ = _frame_fields(fmap, zeta, fmap.jet(zeta, upto=2))
+    Z, xi, eh, ev, _ = _frame_fields(fmap, zeta)
     return EpsteinFrame(H3Point(complex(Z), float(xi)),
                         complex(eh), float(ev), complex(zeta))
 

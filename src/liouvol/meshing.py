@@ -86,8 +86,7 @@ def _pack(fmap, params, n_rings, n_ang, ring_params):
     rim points ``ring_params``."""
     exterior = isinstance(fmap, LaurentMap)
     source = np.concatenate([[np.inf + 0j if exterior else 0j], params])
-    z = params if exterior else source
-    Z, xi, eh, ev, _ = _frame_fields(fmap, z, fmap.jet(z, upto=2))
+    Z, xi, eh, ev, _ = _frame_fields(fmap, params if exterior else source)
     verts = np.column_stack([Z.real, Z.imag, xi])
     eta = np.column_stack([eh.real, eh.imag, ev])
     if exterior:
@@ -96,8 +95,7 @@ def _pack(fmap, params, n_rings, n_ang, ring_params):
         eta = np.vstack([apex[None, 3:], eta])
     faces = _orient_faces(verts, _grid_faces(n_rings, n_ang), eta)
     ring = np.arange(1 + (n_rings - 1) * n_ang, 1 + n_rings * n_ang)
-    ring_area = _spectral_ring_area(_frame_fields(
-        fmap, ring_params, fmap.jet(ring_params, upto=2))[0])
+    ring_area = _spectral_ring_area(_frame_fields(fmap, ring_params)[0])
     return SurfaceMesh(verts, faces, eta, source, ring, ring_area, fmap)
 
 

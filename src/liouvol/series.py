@@ -188,8 +188,8 @@ class LaurentMap:
         )
 
 
-def _ring_taylor(c, radii, n, upto, sign):
-    """p^(m)(x)/m! for m = 0..upto, p(x) = sum_k c[k] x^k, at the points
+def _ring_taylor(c, radii, n, sign):
+    """p^(m)(x)/m! for m = 0..3, p(x) = sum_k c[k] x^k, at the points
     x = r e^{sign 2 pi i j/n}, j < n, of every radius r: arrays of shape
     radii.shape + (n,). At one radius p^(m)(x)/m! is
     sum_k C(k, m) c[k] r^(k-m) e^{sign 2 pi i j (k-m)/n}, one length-n DFT of
@@ -198,7 +198,7 @@ def _ring_taylor(c, radii, n, upto, sign):
     powers = r ** np.arange(c.size)
     blocks = -(-c.size // n)  # length-n blocks that hold every term
     out = []
-    for m in range(upto + 1):
+    for m in range(4):
         k = np.arange(m, c.size)
         comb = np.prod([k - i for i in range(m)], axis=0) / math.factorial(m)
         folded = np.zeros(r.shape[:-1] + (blocks * n,), dtype=complex)
@@ -209,10 +209,10 @@ def _ring_taylor(c, radii, n, upto, sign):
     return out
 
 
-def ring_jet(m, radii, n, upto=3):
-    """m.jet(z, upto) at the points z = r e^{2 pi i j/n}, j < n, of every
-    radius r in radii, as arrays of shape radii.shape + (n,), from one
-    length-n FFT per radius and derivative: O(n log n) per radius where
+def ring_jet(m, radii, n):
+    """The 3-jet m.jet(z, upto=3) at the points z = r e^{2 pi i j/n}, j < n,
+    of every radius r in radii, as arrays of shape radii.shape + (n,), from
+    one length-n FFT per radius and derivative: O(n log n) per radius where
     Horner costs O(n order)."""
     radii = np.asarray(radii, dtype=float)
     if isinstance(m, LaurentMap):
@@ -221,8 +221,8 @@ def ring_jet(m, radii, n, upto=3):
         w = radii[..., None] * np.exp(2j * np.pi * np.arange(n) / n)
         # h(u) = sum_k b_{-k} u^k at u = 1/w = r^-1 e^{-2 pi i j/n}
         h = np.concatenate([[0.0], m.bneg])
-        return m._chain(w, 1.0 / w, _ring_taylor(h, 1.0 / radii, n, upto, -1))
-    d = _ring_taylor(m.coeffs, radii, n, upto, 1)
+        return m._chain(w, 1.0 / w, _ring_taylor(h, 1.0 / radii, n, -1))
+    d = _ring_taylor(m.coeffs, radii, n, 1)
     return tuple(dm * math.factorial(k) if k > 1 else dm
                  for k, dm in enumerate(d))
 

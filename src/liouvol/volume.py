@@ -19,10 +19,11 @@ infinity are ordinary points. Gauss-Legendre panels along a ray have edges
 0, 2^-K, ..., 1/2, 1, with 2^-K |g'(inf)| at most the smallest height. Each
 sheet is tabulated once for the whole schedule: the rays are uniform in
 angle, so the map's 3-jet on all of them at one radius is one length-n FFT
-per derivative (series.ring_jet). A level sums all panels at once and cuts
-a panel that straddles eps at the crossings of its interpolant, found by
-Newton steps kept inside the bracketing samples. Neville extrapolation on
-the heights gives eps -> 0.
+per derivative (series.ring_jet), and tau = s (1 - |z|^2), to which xi and
+J are proportional at the rim, comes from t rather than from the rounded
+point. A level sums all panels at once and cuts a panel that straddles eps
+at the crossings of its interpolant, found by Newton steps kept inside the
+bracketing samples. Neville extrapolation on the heights gives eps -> 0.
 
 The triangle-mesh flux of the same 2-form (_Sheet, truncated_volume) stays
 as an independent check: per triangle the integral of 1/(2 xi^2) is exact
@@ -332,12 +333,16 @@ class _RaySheet:
     def of(cls, fmap, n, edges):
         half = np.diff(edges) / 2.0
         t = (edges[:-1] + half)[:, None] + half[:, None] * _X
+        # tau = s (1 - |z|^2) from t to full precision; from the rounded z
+        # it would carry 1e-16 / tau relative error at the rim
         if isinstance(fmap, LaurentMap):
             radius, element = 1.0 / (1.0 - t), (1.0 - t) ** -3
+            tau = t * (2.0 - t) / (1.0 - t) ** 2
         else:
-            radius, element = 1.0 - t, 1.0 - t
+            radius, element, tau = 1.0 - t, 1.0 - t, t * (2.0 - t)
         z = radius[..., None] * np.exp(2j * np.pi * np.arange(n) / n)
-        _, xi, _, _, J = _frame_fields(fmap, z, ring_jet(fmap, radius, n))
+        _, xi, _, _, J = _frame_fields(fmap, z, ring_jet(fmap, radius, n),
+                                       tau[..., None])
         # rows ray by ray: (n, panels per ray, GAUSS_NODES) -> (panels, ...)
         xi = np.moveaxis(xi, -1, 0).reshape(-1, GAUSS_NODES)
         q = np.moveaxis(J * element[..., None], -1, 0).reshape(-1, GAUSS_NODES)

@@ -11,7 +11,7 @@ from liouvol.epstein import (MetricJet, _frame_fields, curvatures,
                              schwarzian_norm)
 from liouvol.mobius import H3Point, MobiusTransform, mobius_on_h3, \
     osculating_mobius
-from liouvol.series import PowerSeriesMap, schwarzian
+from liouvol.series import LaurentMap, PowerSeriesMap, schwarzian
 
 
 def flat_jet(t):
@@ -114,6 +114,41 @@ class _JetProxy:
         shape = np.shape(zeta)
         mk = lambda v: np.full(shape, v, dtype=complex)
         return tuple(mk(w) for w in self._jet[: upto + 1])
+
+
+class _DiskAutomorphism:
+    """f(z) = (z - p) / (1 - conj(p) z) by its exact 3-jet: it maps both
+    |z| < 1 and |z| > 1 onto themselves."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def jet(self, z, upto=2):
+        p, q = self.p, 1.0 - np.conj(self.p) * z
+        k = 1.0 - abs(self.p) ** 2
+        return ((z - p) / q, k / q ** 2, 2.0 * np.conj(p) * k / q ** 3,
+                6.0 * np.conj(p) ** 2 * k / q ** 4)[: upto + 1]
+
+
+class _OutsideAutomorphism(_DiskAutomorphism, LaurentMap):
+    """The same map on the exterior sheet."""
+
+
+@pytest.mark.parametrize("fmap, s", [(_DiskAutomorphism(0.3 - 0.4j), 1.0),
+                                     (_OutsideAutomorphism(0.3 - 0.4j), -1.0)])
+def test_frame_jacobian_at_the_rim(fmap, s):
+    # the sheet of a disk automorphism is the unit hemisphere, Z = 2 f /
+    # (1 + |f|^2), so J = 4 s tau_f / (2 - s tau_f)^3 |f'|^2 with
+    # tau_f = s (1 - |f|^2) = tau |f'|; from the exact tau J keeps its
+    # digits as tau -> 0, where |Z_z|^2 - |Z_zbar|^2 loses 1e-16 / tau
+    tau = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.5, 0.99] + (
+        [1.0, 3.0] if s < 0 else []))[:, None]
+    z = np.sqrt(1.0 - s * tau) * np.exp(2j * np.pi * np.arange(16) / 16)
+    d1 = (1.0 - abs(fmap.p) ** 2) / np.abs(1.0 - np.conj(fmap.p) * z) ** 2
+    tau_f = tau * d1
+    expect = 4.0 * s * tau_f / (2.0 - s * tau_f) ** 3 * d1 ** 2
+    J = _frame_fields(fmap, z, fmap.jet(z, upto=3), tau)[4]
+    assert np.max(np.abs(J / expect - 1.0)) <= 1e-13
 
 
 def test_geodesic_shift_flat():

@@ -18,10 +18,11 @@ from liouvol.meshing import aligned_surface_meshes, mesh_surface
 from liouvol.mobius import H3Point
 from liouvol.series import LaurentMap, PowerSeriesMap
 from liouvol.volume import (EPS_BASE, EPS_COUNT, GAUSS_NODES, _SAMPLE_X,
-                            _TO_LEGENDRE, _check_clip_loops, _crossings,
-                            _inv_sq_simplex, _ray_sheets, _truncated_volumes,
-                            mesh_flux, renormalized_volume,
-                            richardson_extrapolate, truncated_volume, volume)
+                            _TO_LEGENDRE, _X, _RaySheet, _check_clip_loops,
+                            _crossings, _inv_sq_simplex, _ray_sheets,
+                            _truncated_volumes, mesh_flux,
+                            renormalized_volume, richardson_extrapolate,
+                            truncated_volume, volume)
 
 # the module itself: the package exports a function of the same name
 volume_module = importlib.import_module("liouvol.volume")
@@ -478,6 +479,37 @@ def test_too_few_rays_for_the_star_raise(monkeypatch):
     monkeypatch.setattr(volume_module, "angular_count", lambda order: 256)
     with pytest.raises(DivergenceSuspected):
         volume(f, g)
+
+
+@pytest.mark.parametrize("fmap, s", [
+    (PowerSeriesMap([0, 1], hint_radius=8), 1.0), (LaurentMap(1.0), -1.0)])
+def test_ray_sheet_heights_at_the_rim(fmap, s):
+    # the unit circle's sheets have xi = tau / (2 - s tau) with
+    # tau = s (1 - r^2) from the node t; formed from the rounded point
+    # r e^{i theta}, tau would be 1e-16 / tau relative off next to the rim
+    edges = np.array([0.0, 1e-12, 1e-6, 0.5, 1.0])
+    sheet = _RaySheet.of(fmap, 8, edges)
+    half = np.diff(edges) / 2.0
+    t = (edges[:-1] + half)[:, None] + half[:, None] * _X
+    tau = t * (2.0 - t) / ((1.0 - t) ** 2 if s < 0 else 1.0)
+    expect = np.tile(tau / (2.0 - s * tau), (8, 1))
+    assert np.max(np.abs(sheet.xi / expect - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "star"])
+def test_ring_jets_give_the_horner_sheets(name, monkeypatch):
+    # the sheets from one FFT per radius and from Horner at the same points
+    # agree at every default height to rounding: neither J nor xi amplifies
+    # the jets' last-digit differences
+    f, g = conformal_map_pair(_identity_curves()[name], order=128)
+    schedule = [EPS_BASE * abs(g.b1) * 0.5 ** k for k in range(EPS_COUNT)]
+    ring = [[s.volume(e) for e in schedule]
+            for s in _ray_sheets(f, g, schedule[-1])]
+    monkeypatch.setattr(volume_module, "ring_jet", lambda m, radii, n: m.jet(
+        radii[..., None] * np.exp(2j * np.pi * np.arange(n) / n), upto=3))
+    horner = [[s.volume(e) for e in schedule]
+              for s in _ray_sheets(f, g, schedule[-1])]
+    assert np.max(np.abs(np.subtract(ring, horner) / horner)) <= 1e-15
 
 
 @pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "star"])
