@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DivergenceSuspected, DomainError
 from .quadrature import QuadratureGrid
-from .series import area_norm, nonlinearity, schwarzian
+from .series import area_norm, nonlinearity, ring_values, schwarzian
 
 
 @dataclass(frozen=True)
@@ -63,34 +63,35 @@ def grunsky_gap(f, g, grid=None):
 
     lhs = int_D |f'/f - 1/z|^2 + int_D* |g'/g - 1/z|^2,
     rhs = 2 pi log |g'(inf) / f'(0)|; lhs <= rhs, with equality when the
-    two image domains fill the plane up to measure zero. The default grid
-    is sized to the longer of the two series.
+    two image domains fill the plane up to measure zero. Both integrals
+    take the rule of the disk grid, by default sized to the longer of the
+    two series, and evaluate on its rings by one FFT per radius.
     """
     grid = grid or QuadratureGrid.for_order(max(f.order, g.order))
     if abs(f.coeffs[0]) > 1e-9:
         raise DomainError("interior map must fix the origin")
+    if grid.domain != "disk":
+        raise ValueError("grunsky_gap expects a disk grid")
+    # the grid's nodes are rings r_i e^{2 pi i j/n}, radius-major
+    radii = grid.nodes[::grid.angular_n].real
 
-    # (z f' - f)/(z f) = p(z)/q(z) with the linear term cancelled exactly
+    def on_rings(c):
+        return ring_values(c, radii, grid.angular_n).ravel()
+
+    # f'/f - 1/z = (z f' - f)/(z f) = p(z)/q(z), the linear term cancelled
     a = f.coeffs
     k = np.arange(a.size)
-    p = ((k - 1) * a)[2:] if a.size > 2 else np.zeros(1, complex)
-    q = a[1:]
-    z = grid.nodes
-    num = np.polynomial.polynomial.polyval(z, p) if a.size > 2 else np.zeros_like(z)
-    den = np.polynomial.polynomial.polyval(z, q)
-    lhs = grid.integrate(np.abs(num / den) ** 2)
+    p = ((k - 1) * a)[2:]
+    lhs = grid.integrate(np.abs(on_rings(p) / on_rings(a[1:])) ** 2)
 
-    ext = grid.exterior()
-    w = ext.nodes
-    gv = g(w)
-    # w g' - g has no leading term; evaluate it from coefficients
-    core = np.full_like(w, -g.b0)
-    if g.bneg.size:
-        kk = np.arange(1, g.bneg.size + 1)
-        u = 1.0 / w
-        core = core + u * np.polynomial.polynomial.polyval(
-            u, -(kk + 1) * g.bneg)
-    lhs += ext.integrate(np.abs(core / (w * gv)) ** 2)
+    # outside, at u = 1/w: g'/g - 1/w = u^2 core(u)/G(u) with
+    # core(u) = w g' - g = -b0 - sum_k (k+1) b_{-k} u^k and G(u) = u g(1/u);
+    # |u^2|^2 cancels the inversion Jacobian, so the disk rule takes
+    # |core/G|^2 on the (conjugation-symmetric) rings
+    kk = np.arange(1, g.bneg.size + 1)
+    core = np.concatenate([[-g.b0], -(kk + 1) * g.bneg])
+    G = np.concatenate([[g.b1, g.b0], g.bneg])
+    lhs += grid.integrate(np.abs(on_rings(core) / on_rings(G)) ** 2)
 
     rhs = 2.0 * math.pi * math.log(abs(g.b1) / abs(f.coeffs[1]))
     return {"lhs": float(lhs), "rhs": float(rhs)}

@@ -38,7 +38,7 @@ class RunConfig:
     curve: str
     out: str = "."
     series_order: int = 128
-    grid: str = "20x8x256"
+    grid: str | None = None  # None: sized to the maps (grunsky_gap)
     eps_schedule: list | None = None  # None: auto-scaled to the curve
     steps: int = 50
     tol: float = 0.01
@@ -68,9 +68,11 @@ class RunConfig:
         if self.eps_schedule is not None and not all(
                 np.isfinite(e) and e > 0 for e in self.eps_schedule):
             raise InputError("eps schedule must be finite and positive")
-        levels, per, ang = self.parse_grid()
-        if not (2 <= levels <= 40 and 2 <= per <= 64 and 32 <= ang <= 8192):
-            raise InputError(f"grid {self.grid} outside supported ranges")
+        if self.grid is not None:
+            levels, per, ang = self.parse_grid()
+            if not (2 <= levels <= 40 and 2 <= per <= 64
+                    and 32 <= ang <= 8192):
+                raise InputError(f"grid {self.grid} outside supported ranges")
         rn, an = self.parse_mesh()
         if rn < 8 or an < 8:
             raise InputError("mesh resolution must be at least 8x8")
@@ -150,6 +152,9 @@ def load_curve(spec):
 
 
 def _grid_from(config):
+    """The --grid quadrature grid, or None to let the callee size it."""
+    if config.grid is None:
+        return None
     levels, per, ang = config.parse_grid()
     return QuadratureGrid.disk(levels, per, ang)
 
@@ -310,7 +315,9 @@ def cmd_flow(config, writer):
 FLAGS = {
     "--series-order": dict(type=int, help="map truncation order"),
     "--grid": dict(help="quadrature grid LxPxA: radial levels x nodes per "
-                        "level x angular nodes"),
+                        "level x angular nodes (default: 20x8xA, A the "
+                        "least power of two >= 256 that covers the longer "
+                        "map series)"),
     "--eps-schedule": dict(type=float, nargs="+",
                            help="decreasing truncation heights "
                                 "(default: scaled to the curve)"),

@@ -14,44 +14,56 @@ from .errors import DomainError
 from .series import PowerSeriesMap
 
 
+# pairs of segments tested at a time by polyline_is_simple
+_PAIR_BLOCK = 1 << 16
+
+
 def _segments_intersect(p1, p2, q1, q2):
+    """Whether segments p1p2 and q1q2 cross away from their ends,
+    elementwise over arrays of end points; parallel segments never do."""
     d1, d2 = p2 - p1, q2 - q1
     den = d1.real * d2.imag - d1.imag * d2.real
-    if den == 0:
-        return False
     r = q1 - p1
-    t = (r.real * d2.imag - r.imag * d2.real) / den
-    u = (r.real * d1.imag - r.imag * d1.real) / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (r.real * d2.imag - r.imag * d2.real) / den
+        u = (r.real * d1.imag - r.imag * d1.real) / den
     eps = 1e-12
-    return eps < t < 1 - eps and eps < u < 1 - eps
+    return (den != 0) & (eps < t) & (t < 1 - eps) & (eps < u) & (u < 1 - eps)
 
 
 def polyline_is_simple(points):
-    """Segment sweep over the closed polyline (sorted by min-x, pruned by
-    bounding boxes)."""
-    pts = np.asarray(points, dtype=complex)
-    n = pts.size
-    seg_a = pts
-    seg_b = np.roll(pts, -1)
+    """Segment sweep over the closed polyline: with the segments sorted by
+    min-x, each is paired with every later one whose min-x is within its
+    max-x; pairs of adjacent segments or of disjoint y-ranges are dropped,
+    and the rest go to the crossing test in blocks of _PAIR_BLOCK pairs."""
+    seg_a = np.asarray(points, dtype=complex)
+    seg_b = np.roll(seg_a, -1)
+    n = seg_a.size
+    order = np.argsort(np.minimum(seg_a.real, seg_b.real), kind="stable")
+    seg_a, seg_b = seg_a[order], seg_b[order]
     lo = np.minimum(seg_a.real, seg_b.real)
     hi = np.maximum(seg_a.real, seg_b.real)
-    order = np.argsort(lo, kind="stable")
-    active = []
-    for idx in order:
-        x = lo[idx]
-        active = [j for j in active if hi[j] >= x]
-        for j in active:
-            if (j - idx) % n in (0, 1, n - 1):
-                continue
-            ylo_i = min(seg_a[idx].imag, seg_b[idx].imag)
-            yhi_i = max(seg_a[idx].imag, seg_b[idx].imag)
-            ylo_j = min(seg_a[j].imag, seg_b[j].imag)
-            yhi_j = max(seg_a[j].imag, seg_b[j].imag)
-            if yhi_i < ylo_j or yhi_j < ylo_i:
-                continue
-            if _segments_intersect(seg_a[idx], seg_b[idx], seg_a[j], seg_b[j]):
-                return False
-        active.append(idx)
+    ylo = np.minimum(seg_a.imag, seg_b.imag)
+    yhi = np.maximum(seg_a.imag, seg_b.imag)
+    # segment j pairs with the later ones i < stop[j] in sorted order
+    stop = np.searchsorted(lo, hi, side="right")
+    counts = stop - np.arange(n) - 1
+    ends = np.cumsum(counts)
+    j0 = 0
+    while j0 < n:
+        # the segments whose pairs fit in one block (at least one segment)
+        j1 = max(int(np.searchsorted(ends, ends[j0] - counts[j0]
+                                     + _PAIR_BLOCK, side="right")), j0 + 1)
+        c = counts[j0:j1]
+        j = np.repeat(np.arange(j0, j1), c)
+        i = j + 1 + np.arange(j.size) - np.repeat(np.cumsum(c) - c, c)
+        apart = (order[j] - order[i]) % n
+        keep = ((apart > 1) & (apart < n - 1)
+                & ~((yhi[i] < ylo[j]) | (yhi[j] < ylo[i])))
+        i, j = i[keep], j[keep]
+        if np.any(_segments_intersect(seg_a[i], seg_b[i], seg_a[j], seg_b[j])):
+            return False
+        j0 = j1
     return True
 
 
@@ -143,8 +155,7 @@ class CurveSpec:
             f = self.series
             invert = _argument_inverse(f, a)
             def rho(chi):
-                theta = invert(np.asarray(chi, float))
-                return np.abs(f.eval_unchecked(np.exp(1j * theta)) - a)
+                return np.abs(invert(chi))
             return rho
         rel = self.points - a
         chi = np.unwrap(np.angle(rel))
@@ -175,9 +186,11 @@ class CurveSpec:
 
 
 def _argument_inverse(f, a):
-    """chi -> theta solving arg(f(e^{i theta}) - a) = chi by Newton,
-    vectorized over chi. The lookup table for the initial guess and f' are
-    built once and shared by every inversion."""
+    """chi -> f(e^{i theta}) - a with theta solving
+    arg(f(e^{i theta}) - a) = chi by Newton, vectorized over chi. The lookup
+    table for the initial guess is built once and shared by every inversion;
+    each Newton step takes f and f' from one Horner pass, and the boundary
+    value at the last iterate takes one more."""
     n = 4096
     grid = 2 * np.pi * np.arange(n) / n
     vals = f.eval_unchecked(np.exp(1j * grid)) - a
@@ -187,7 +200,6 @@ def _argument_inverse(f, a):
     # monotone lookup table for the initial guess
     ang_ext = np.concatenate([ang, [ang[0] + 2 * np.pi]])
     grid_ext = np.concatenate([grid, [2 * np.pi]])
-    df = f.deriv()
 
     def invert(chi):
         chi = np.asarray(chi, float)
@@ -195,8 +207,8 @@ def _argument_inverse(f, a):
         theta = np.interp(target, ang_ext, grid_ext)
         for _ in range(40):
             e = np.exp(1j * theta)
-            w = f.eval_unchecked(e) - a
-            d1 = df.eval_unchecked(e)
+            w, d1 = f.jet(e, upto=1)
+            w = w - a
             arg_err = np.angle(w * np.exp(-1j * target))
             slope = np.real(e * d1 / w)   # d(arg)/d(theta)
             if np.any(slope <= 0):
@@ -205,7 +217,7 @@ def _argument_inverse(f, a):
             theta = theta - step
             if np.max(np.abs(step)) < 1e-14:
                 break
-        return theta
+        return f.eval_unchecked(np.exp(1j * theta)) - a
     return invert
 
 

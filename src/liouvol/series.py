@@ -5,7 +5,7 @@ LaurentMap holds g(w) = b1 w + b0 + sum_k b_{-k} w^{-k} on |w| > 1.
 Differentiation is exact on coefficients; evaluation is Horner, and a jet
 (the value with its first derivatives) takes one Horner pass. On rings of
 points uniform in angle, r e^{2 pi i j/n}, a jet is instead one length-n FFT
-per radius and derivative (ring_jet).
+per radius and derivative (ring_jet), and a value one FFT (ring_values).
 Integrals of |analytic|^2 against a radial weight over the parameter
 domain are coefficient sums from one FFT of boundary samples (area_norm).
 """
@@ -188,25 +188,41 @@ class LaurentMap:
         )
 
 
+def _fold_fft(terms, n, sign):
+    """sum_k terms[..., k] e^{sign 2 pi i j k/n} for j < n along the last
+    axis: the terms folded onto k mod n, then one length-n DFT."""
+    size = terms.shape[-1]
+    if size > n:
+        pad = np.zeros(terms.shape[:-1] + (-size % n,), dtype=complex)
+        terms = np.concatenate([terms, pad], axis=-1)
+        terms = terms.reshape(terms.shape[:-1] + (-1, n)).sum(axis=-2)
+    # a shorter row is zero-padded to n by the FFT itself
+    return (np.fft.ifft(terms, n, norm="forward") if sign > 0
+            else np.fft.fft(terms, n))
+
+
 def _ring_taylor(c, radii, n, sign):
     """p^(m)(x)/m! for m = 0..3, p(x) = sum_k c[k] x^k, at the points
     x = r e^{sign 2 pi i j/n}, j < n, of every radius r: arrays of shape
     radii.shape + (n,). At one radius p^(m)(x)/m! is
     sum_k C(k, m) c[k] r^(k-m) e^{sign 2 pi i j (k-m)/n}, one length-n DFT of
     these terms folded onto (k - m) mod n."""
-    r = np.asarray(radii, dtype=float)[..., None]
-    powers = r ** np.arange(c.size)
-    blocks = -(-c.size // n)  # length-n blocks that hold every term
+    powers = np.asarray(radii, dtype=float)[..., None] ** np.arange(c.size)
     out = []
     for m in range(4):
         k = np.arange(m, c.size)
         comb = np.prod([k - i for i in range(m)], axis=0) / math.factorial(m)
-        folded = np.zeros(r.shape[:-1] + (blocks * n,), dtype=complex)
-        folded[..., :k.size] = powers[..., :k.size] * (comb * c[m:])
-        folded = folded.reshape(r.shape[:-1] + (blocks, n)).sum(axis=-2)
-        out.append(np.fft.ifft(folded, norm="forward") if sign > 0
-                   else np.fft.fft(folded))
+        out.append(_fold_fft(powers[..., :k.size] * (comb * c[m:]), n, sign))
     return out
+
+
+def ring_values(c, radii, n):
+    """p(x) = sum_k c[k] x^k at the points x = r e^{2 pi i j/n}, j < n, of
+    every radius r in radii, as an array of shape radii.shape + (n,): one
+    length-n FFT per radius, the value alone of _ring_taylor."""
+    c = np.asarray(c, dtype=complex)
+    powers = np.asarray(radii, dtype=float)[..., None] ** np.arange(c.size)
+    return _fold_fft(powers * c, n, 1)
 
 
 def ring_jet(m, radii, n):

@@ -213,3 +213,74 @@ def mesh_flux_scalar(vertices, faces, eps, inv_sq_simplex):
         if len(crossings) == 2:
             segments.append((crossings[0], crossings[1]))
     return flux, segments
+
+
+# -- Grunsky integrals by Horner on every grid node ----------------------------
+
+def grunsky_gap_horner(f, g, grid):
+    """grunsky_gap's {"lhs", "rhs"} with both integrands evaluated by Horner
+    at every node of the disk grid and of its exterior companion."""
+    a = f.coeffs
+    k = np.arange(a.size)
+    p = ((k - 1) * a)[2:] if a.size > 2 else np.zeros(1, complex)
+    z = grid.nodes
+    num = np.polynomial.polynomial.polyval(z, p)
+    den = np.polynomial.polynomial.polyval(z, a[1:])
+    lhs = grid.integrate(np.abs(num / den) ** 2)
+
+    ext = grid.exterior()
+    w = ext.nodes
+    # w g' - g has no leading term; evaluate it from coefficients
+    core = np.full_like(w, -g.b0)
+    if g.bneg.size:
+        kk = np.arange(1, g.bneg.size + 1)
+        u = 1.0 / w
+        core = core + u * np.polynomial.polynomial.polyval(
+            u, -(kk + 1) * g.bneg)
+    lhs += ext.integrate(np.abs(core / (w * g(w))) ** 2)
+    rhs = 2.0 * math.pi * math.log(abs(g.b1) / abs(f.coeffs[1]))
+    return {"lhs": float(lhs), "rhs": float(rhs)}
+
+
+# -- polyline simplicity by a per-segment sweep -------------------------------
+
+def _segments_cross(p1, p2, q1, q2):
+    d1, d2 = p2 - p1, q2 - q1
+    den = d1.real * d2.imag - d1.imag * d2.real
+    if den == 0:
+        return False
+    r = q1 - p1
+    t = (r.real * d2.imag - r.imag * d2.real) / den
+    u = (r.real * d1.imag - r.imag * d1.real) / den
+    eps = 1e-12
+    return eps < t < 1 - eps and eps < u < 1 - eps
+
+
+def polyline_is_simple_sweep(points):
+    """Segment sweep over the closed polyline, one segment at a time:
+    sorted by min-x, an active list pruned by max-x, and y-boxes checked
+    before the crossing test. Adjacent segments are never compared."""
+    pts = np.asarray(points, dtype=complex)
+    n = pts.size
+    seg_a = pts
+    seg_b = np.roll(pts, -1)
+    lo = np.minimum(seg_a.real, seg_b.real)
+    hi = np.maximum(seg_a.real, seg_b.real)
+    order = np.argsort(lo, kind="stable")
+    active = []
+    for idx in order:
+        x = lo[idx]
+        active = [j for j in active if hi[j] >= x]
+        for j in active:
+            if (j - idx) % n in (0, 1, n - 1):
+                continue
+            ylo_i = min(seg_a[idx].imag, seg_b[idx].imag)
+            yhi_i = max(seg_a[idx].imag, seg_b[idx].imag)
+            ylo_j = min(seg_a[j].imag, seg_b[j].imag)
+            yhi_j = max(seg_a[j].imag, seg_b[j].imag)
+            if yhi_i < ylo_j or yhi_j < ylo_i:
+                continue
+            if _segments_cross(seg_a[idx], seg_b[idx], seg_a[j], seg_b[j]):
+                return False
+        active.append(idx)
+    return True

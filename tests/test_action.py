@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (dirichlet_exterior_series, dirichlet_interior_series,
-                     mc_disk_integral)
+                     grunsky_gap_horner, mc_disk_integral)
 
 from liouvol.action import (dirichlet_nonlinearity, first_variation_action,
                             grunsky_gap, liouville_action)
+from liouvol.cli import load_curve
 from liouvol.curves import CurveSpec
 from liouvol.epstein import mean_curvature_total
 from liouvol.errors import DivergenceSuspected, DomainError
@@ -232,13 +233,39 @@ def test_grunsky_equality_on_starlike_polynomials(f0):
     assert abs(gap["rhs"] - gap["lhs"]) <= 1e-10 * gap["rhs"]
 
 
+_LONG_EXTERIOR = PowerSeriesMap([0, 1, 0.00439, 0.00439, 0.00439, 0.0921])
+
+
 def test_grunsky_default_grid_resolves_long_exterior_series():
     # the exterior series runs to order 1024; the default grid is sized to it
-    f0 = PowerSeriesMap([0, 1, 0.00439, 0.00439, 0.00439, 0.0921])
-    f, g = conformal_map_pair(CurveSpec.from_series(f0), order=64)
+    f, g = conformal_map_pair(CurveSpec.from_series(_LONG_EXTERIOR), order=64)
     assert g.order == 1024
     gap = grunsky_gap(f, g)
     assert abs(gap["rhs"] - gap["lhs"]) <= 1e-10 * gap["rhs"]
+
+
+@pytest.mark.parametrize("curve, order, angular_n", [
+    ("circle", 128, None), ("ellipse", 128, None), ("cubic", 128, None),
+    ("wobble", 128, None), ("star", 128, None), ("long", 64, 256),
+    ("long", 64, 1024)])
+def test_grunsky_rings_match_horner(curve, order, angular_n):
+    # ring FFTs against Horner at every node of the same grid; the long
+    # exterior series (order 1024) on 256 angular nodes folds its terms,
+    # and the circle's rhs is 0, so its lhs is held to 1e-13 absolute
+    if curve == "star":
+        spec = CurveSpec.from_series(PowerSeriesMap([0, 1, 0, 0, 0, 0.08]))
+    elif curve == "long":
+        spec = CurveSpec.from_series(_LONG_EXTERIOR)
+    else:
+        spec = load_curve(curve)
+    f, g = conformal_map_pair(spec, order=order)
+    grid = (QuadratureGrid.for_order(max(f.order, g.order))
+            if angular_n is None else QuadratureGrid.disk(angular_n=angular_n))
+    gap = grunsky_gap(f, g, grid)
+    ref = grunsky_gap_horner(f, g, grid)
+    assert gap["rhs"] == ref["rhs"]
+    scale = 1.0 if curve == "circle" else ref["rhs"]
+    assert abs(gap["lhs"] - ref["lhs"]) <= 1e-13 * scale
 
 
 @settings(max_examples=8, derandomize=True, deadline=None)

@@ -51,6 +51,22 @@ def test_grunsky_subcommand(tmp_path):
     assert payload["lhs"] <= payload["rhs"] + 1e-9
 
 
+def test_grunsky_default_grid_is_sized_to_the_maps(tmp_path):
+    # the exterior map runs to order 1024, beyond the 256 angular nodes of
+    # a fixed 20x8x256 grid, which reads a gap of -6.6e-8 here
+    curve = tmp_path / "long.json"
+    curve.write_text(json.dumps({"series": [
+        [0, 0], [1, 0], [0.00439, 0], [0.00439, 0], [0.00439, 0],
+        [0.0921, 0]]}))
+    code = run_cli("grunsky", "--curve", str(curve),
+                   "--out", str(tmp_path / "run"))
+    assert code == 0
+    payload = json.loads((tmp_path / "run" / "grunsky.json").read_text())
+    assert payload["gap"] >= -1e-10 * payload["rhs"]
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["config"]["grid"] is None
+
+
 def test_surface_subcommand(tmp_path):
     code = run_cli("surface", "--curve", "cubic", "--out", str(tmp_path),
                    "--mesh", "16x32", "--series-order", "64")

@@ -3,6 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from oracles import polyline_is_simple_sweep
+
+import liouvol.curves as curves_module
+from liouvol.cli import load_curve
 from liouvol.curves import (CurveSpec, circle_curve, ellipse_curve,
                             polyline_is_simple, polynomial_curve)
 from liouvol.errors import CorrespondenceError, DomainError
@@ -18,6 +22,62 @@ def test_polyline_simplicity_detects_crossing():
     assert polyline_is_simple(good)
     bow = np.array([0, 1 + 1j, 1, 0 + 1j, 0]) + 0j  # figure-eight-ish
     assert not polyline_is_simple(bow[:-1])
+
+
+def _simplicity_cases():
+    rng = np.random.default_rng(2607)
+    cases = {"ellipse-4096": ellipse_curve(1.2, 1.0).points}
+    for name in ("ellipse", "cubic", "wobble", "circle"):
+        curve = load_curve(name)
+        cases[name] = (curve.points if curve.kind == "polyline"
+                       else curve.boundary(2048))
+    for trial in range(40):
+        n = 8 if trial < 4 else int(rng.integers(9, 700))
+        t = 2 * np.pi * (np.arange(n) + 0.3 * rng.random(n)) / n
+        lobes = int(rng.integers(1, 8))
+        r = 1 + 0.4 * rng.random() * np.cos(lobes * t + 6 * rng.random())
+        star = r * np.exp(1j * t) * np.exp(2j * np.pi * rng.random())
+        cases[f"star-{trial}"] = star
+        swapped = star.copy()
+        i, j = rng.choice(n, 2, replace=False)
+        swapped[[i, j]] = swapped[[j, i]]
+        cases[f"swap-{trial}"] = swapped
+        cases[f"jitter-{trial}"] = star + 0.05 * rng.random() * (
+            rng.normal(size=n) + 1j * rng.normal(size=n))
+    # crossing inside two segments, and on a vertex shared by both halves
+    for name, shift in (("figure-eight", 0.5), ("figure-eight-vertex", 0.0)):
+        t = 2 * np.pi * (np.arange(64) + shift) / 64
+        cases[name] = np.sin(t) + 0.5j * np.sin(2 * t)
+    # a notch whose tip comes within d of the bottom edge, or across it
+    for d in (1e-3, 1e-10, 1e-13, 0.0, -1e-13, -1e-10, -1e-3):
+        notch = np.array([0, 4, 4 + 4j, 2.2 + 4j, 2 + 1j * d, 1.8 + 4j, 4j])
+        turn = np.exp(2j * np.pi * rng.random())
+        cases[f"notch-{d:g}"] = turn * notch + (0.3 - 0.7j)
+    return cases
+
+
+_SIMPLICITY_CASES = _simplicity_cases()
+
+
+@pytest.mark.parametrize("points", _SIMPLICITY_CASES.values(),
+                         ids=_SIMPLICITY_CASES.keys())
+def test_simplicity_sweep_matches_the_oracle(points):
+    assert polyline_is_simple(points) == polyline_is_simple_sweep(points)
+
+
+def test_simplicity_in_blocks_when_every_x_range_overlaps(monkeypatch):
+    # 2047 zigzag vertices between x = -1 and x = 1, closed on the right:
+    # every pair of segments has overlapping x-ranges (about 2.1e6 pairs)
+    m = 2047
+    x = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    zigzag = np.append(x + 1j * np.arange(m) / (m - 1), 1.5 + 0.5j)
+    crossed = zigzag.copy()
+    crossed[[1000, 1002]] = crossed[[1002, 1000]]
+    verdicts = [polyline_is_simple_sweep(p) for p in (zigzag, crossed)]
+    assert verdicts == [True, False]
+    for block in (curves_module._PAIR_BLOCK, 1000, 1):
+        monkeypatch.setattr(curves_module, "_PAIR_BLOCK", block)
+        assert [polyline_is_simple(p) for p in (zigzag, crossed)] == verdicts
 
 
 def test_curvespec_json_roundtrip():

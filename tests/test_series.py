@@ -7,7 +7,8 @@ from numpy.polynomial import polynomial as npoly
 from liouvol.errors import DomainError, SingularDerivative
 from liouvol.mobius import MobiusTransform
 from liouvol.series import (LaurentMap, PowerSeriesMap, area_norm,
-                            equipotential, nonlinearity, ring_jet, schwarzian)
+                            equipotential, nonlinearity, ring_jet,
+                            ring_values, schwarzian)
 
 
 def test_eval_identity():
@@ -234,3 +235,17 @@ def test_ring_jet_matches_jet(rng, order, n):
             assert np.all(np.abs(v - r) <= 1e-13 * scale)
     with pytest.raises(DomainError):
         ring_jet(g, [0.5], n)
+
+
+@pytest.mark.parametrize("order, n", [(0, 8), (7, 8), (8, 8), (20, 8),
+                                      (300, 256)])
+def test_ring_values_match_horner(rng, order, n):
+    # order >= n folds the terms onto k mod n
+    c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+    radii = np.array([[0.0, 1e-3, 0.5], [0.9, 0.999, 1.0]])
+    ring = ring_values(c, radii, n)
+    ref = npoly.polyval(radii[..., None]
+                        * np.exp(2j * np.pi * np.arange(n) / n), c)
+    assert ring.shape == radii.shape + (n,)
+    scale = _derivative_scale(np.arange(order + 1), c, radii, 0)[..., None]
+    assert np.all(np.abs(ring - ref) <= 1e-13 * scale)
