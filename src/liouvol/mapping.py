@@ -39,10 +39,11 @@ def conjugate_periodic(u):
     return np.real(np.fft.ifft(spec))
 
 
-def _solve_correspondence(rho, n):
-    """Fixed point of theta = phi + conj[log rho(theta)] on an n-point grid."""
+def _solve_correspondence(rho, n, start=None):
+    """Fixed point of theta = phi + conj[log rho(theta)] on an n-point grid,
+    iterated from ``start`` (by default theta = phi)."""
     phi = 2 * np.pi * np.arange(n) / n
-    theta = phi.copy()
+    theta = phi.copy() if start is None else start
     relax = 1.0
     prev_delta = np.inf
     for it in range(1, MAX_ITER + 1):
@@ -149,6 +150,16 @@ def exterior_map(curve, order=128, tol=FIT_TOL):
     return _solve_polar(rho_inv, rho, anchor, order, tol, fit, "exterior")
 
 
+def _resample(theta, n):
+    """theta on a finer n-point grid: its periodic part theta - phi
+    interpolated by zero-padding its spectrum, the Nyquist term split."""
+    m = theta.size
+    spec = np.fft.rfft(theta - 2 * np.pi * np.arange(m) / m)
+    spec[-1] *= 0.5
+    return (np.fft.irfft(spec, n) * (n / m)
+            + 2 * np.pi * np.arange(n) / n)
+
+
 def _solve_polar(rho_solve, rho, anchor, order, tol, fit, side,
                  auto_refine=True):
     """(map, SolveDiagnostics) of one side of the curve with polar radius
@@ -157,11 +168,14 @@ def _solve_polar(rho_solve, rho, anchor, order, tol, fit, side,
     coefficient the map cannot carry, tail, scale); the order doubles while
     tail > TAIL_TARGET * max(1, scale). The map's distance to the curve,
     raised to that spurious mass, must stay within max(tol, 50 *
-    correspondence residual)."""
-    order = int(order)
+    correspondence residual). A doubled order on a finer grid starts its
+    iteration from the previous solution; on the same grid it keeps it."""
+    order, theta = int(order), None
     while True:
         n = max(1024, 8 * order)
-        theta, iters, corr = _solve_correspondence(rho_solve, n)
+        if theta is None or theta.size != n:
+            start = None if theta is None else _resample(theta, n)
+            theta, iters, corr = _solve_correspondence(rho_solve, n, start)
         fmap, spurious, tail, scale = fit(rho_solve(theta)
                                           * np.exp(1j * theta), order)
         if not auto_refine or order >= MAX_ORDER \

@@ -21,9 +21,14 @@ sheet is tabulated once for the whole schedule: the rays are uniform in
 angle, so the map's 3-jet on all of them at one radius is one length-n FFT
 per derivative (series.ring_jet), and tau = s (1 - |z|^2), to which xi and
 J are proportional at the rim, comes from t rather than from the rounded
-point. A level sums all panels at once and cuts a panel that straddles eps
-at the crossings of its interpolant, found by Newton steps kept inside the
-bracketing samples. Neville extrapolation on the heights gives eps -> 0.
+point. The tabulation keeps per panel the Gauss sums of q / (2 xi^2) and of
+q (q = J times the area element), which give a panel wholly above or below
+a height, and the interpolants of xi and q. One pass covers every height:
+a panel that straddles one is cut at the crossings of its interpolant of
+xi, found by Newton steps kept inside the bracketing samples, and its
+pieces take mapped Gauss nodes. V(eps) is a small difference of large sums
+over the two sheets, so each level sums its panels exactly (math.fsum).
+Neville extrapolation on the heights gives eps -> 0.
 
 The triangle-mesh flux of the same 2-form (_Sheet, truncated_volume) stays
 as an independent check: per triangle the integral of 1/(2 xi^2) is exact
@@ -61,6 +66,8 @@ _X, _W = legendre.leggauss(GAUSS_NODES)
 # node values -> Legendre coefficients of their interpolant
 _TO_LEGENDRE = np.linalg.inv(legendre.legvander(_X, GAUSS_NODES - 1))
 _SAMPLE_X = np.concatenate([[-1.0], _X, [1.0]])  # panel ends and nodes
+# node values -> values of their interpolant at the panel ends
+_ENDS = legendre.legvander([-1.0, 1.0], GAUSS_NODES - 1) @ _TO_LEGENDRE
 
 
 @dataclass(frozen=True)
@@ -288,19 +295,21 @@ def cap_annulus(loop_in, loop_out):
 
 
 def _crossings(coeffs, eps, lo, hi, lo_above):
-    """The crossing of eps inside each bracket (lo, hi) by the interpolant
-    with Legendre coefficients coeffs (brackets, GAUSS_NODES); lo_above
-    tells whether it lies above eps at lo. Newton from the bracket midpoint,
-    each iterate narrowing its bracket, and the new midpoint wherever a step
-    would leave it. A crossing is final once its step or its bracket is at
-    most NEWTON_TOL, or at an iterate where the interpolant equals eps."""
+    """The crossing of eps (one height, or one per bracket) inside each
+    bracket (lo, hi) by the interpolant with Legendre coefficients coeffs
+    (brackets, GAUSS_NODES); lo_above tells whether it lies above eps at lo.
+    Newton from the bracket midpoint, each iterate narrowing its bracket,
+    and the new midpoint wherever a step would leave it. A crossing is final
+    once its step or its bracket is at most NEWTON_TOL, or at an iterate
+    where the interpolant equals eps."""
     slope = legendre.legder(coeffs, axis=1)
     x, lo, hi = (lo + hi) / 2.0, lo.copy(), hi.copy()
+    eps = np.broadcast_to(eps, x.shape)
     live = np.arange(x.size)  # the crossings still iterated
     for _ in range(NEWTON_CAP):
         xl, low, high = x[live], lo[live], hi[live]
         basis = legendre.legvander(xl, GAUSS_NODES - 1)
-        r = np.einsum("kj,kj->k", basis, coeffs[live]) - eps
+        r = np.einsum("kj,kj->k", basis, coeffs[live]) - eps[live]
         dr = np.einsum("kj,kj->k", basis[:, :-1], slope[live])
         on_lo_side = (r > 0) == lo_above[live]
         low, high = np.where(on_lo_side, xl, low), np.where(on_lo_side, high, xl)
@@ -319,15 +328,23 @@ def _crossings(coeffs, eps, lo, hi, lo_above):
 
 @dataclass(frozen=True, eq=False)
 class _RaySheet:
-    """One sheet at the Gauss nodes of every panel of every ray, as rows of
-    (panels, GAUSS_NODES): heights xi, q = J times the area element, and the
-    samples of xi at the panel ends and nodes in order along the ray."""
+    """One sheet along every panel of every ray, as per-panel rows: the
+    samples of xi at the panel ends and Gauss nodes in order along the ray,
+    the Legendre coefficients of the interpolants of xi and of q = J times
+    the area element, and the panel's Gauss sums of q / (2 xi^2) and of q."""
 
-    xi: np.ndarray
-    q: np.ndarray
-    scale: np.ndarray    # (panels,) half width times 2 pi / n
     samples: np.ndarray  # (panels, GAUSS_NODES + 2)
+    xi_c: np.ndarray     # (panels, GAUSS_NODES)
+    q_c: np.ndarray      # (panels, GAUSS_NODES)
+    scale: np.ndarray    # (panels,) half width times 2 pi / n
+    above: np.ndarray    # (panels,) scale sum W q / (2 xi^2)
+    flat: np.ndarray     # (panels,) scale sum W q
     area: float          # int J dA, +-area(Omega)
+
+    @property
+    def xi(self):
+        """xi at the Gauss nodes, (panels, GAUSS_NODES)."""
+        return self.samples[:, 1:-1]
 
     @classmethod
     def of(cls, fmap, n, edges):
@@ -347,41 +364,49 @@ class _RaySheet:
         xi = np.moveaxis(xi, -1, 0).reshape(-1, GAUSS_NODES)
         q = np.moveaxis(J * element[..., None], -1, 0).reshape(-1, GAUSS_NODES)
         scale = np.tile(half * (2.0 * np.pi / n), n)
-        ends = np.einsum("ej,jk,pk->pe", legendre.legvander(
-            [-1.0, 1.0], GAUSS_NODES - 1), _TO_LEGENDRE, xi)
-        samples = np.concatenate([ends[:, :1], xi, ends[:, 1:]], axis=1)
-        return cls(xi, q, scale, samples,
-                   float(np.einsum("p,pk,k->", scale, q, _W)))
+        ends = np.einsum("ek,pk->pe", _ENDS, xi)
+        flat = scale * np.einsum("pk,k->p", q, _W)
+        return cls(np.concatenate([ends[:, :1], xi, ends[:, 1:]], axis=1),
+                   np.einsum("jk,pk->pj", _TO_LEGENDRE, xi),
+                   np.einsum("jk,pk->pj", _TO_LEGENDRE, q), scale,
+                   scale * np.einsum("pk,k->p", q / (2.0 * xi * xi), _W),
+                   flat, math.fsum(flat.tolist()))
 
-    def volume(self, eps):
-        """int q / (2 max(xi, eps)^2) over the sheet. A panel whose samples
-        lie on both sides of eps is cut at the crossing inside every
-        bracketing pair of samples, found by safeguarded Newton on the
-        interpolant of xi (_crossings), and each piece takes mapped Gauss
-        nodes on the interpolants of xi and q; on every other panel
-        max(xi, eps) is smooth."""
-        above = self.samples > eps
-        cross = above[:, 1:] != above[:, :-1]
-        split = cross.any(axis=1)
-        whole = self.q[~split] / (2.0 * np.maximum(self.xi[~split], eps) ** 2)
-        total = float(np.einsum("p,pk,k->", self.scale[~split], whole, _W))
-
-        k = np.flatnonzero(split)
-        xi_c, q_c = (np.einsum("jk,pk->pj", _TO_LEGENDRE, v[k])
-                     for v in (self.xi, self.q))
-        p, j = np.nonzero(cross[k])  # the straddling panel and bracket
-        cuts = np.tile(_SAMPLE_X[1:], (k.size, 1))
-        cuts[p, j] = _crossings(xi_c[p], eps, _SAMPLE_X[j], _SAMPLE_X[j + 1],
-                                above[k[p], j])
-        ones = np.ones((k.size, 1))
-        bounds = np.concatenate([-ones, cuts, ones], axis=1)
-        half = np.diff(bounds, axis=1) / 2.0
-        x = (bounds[:, :-1] + half)[..., None] + half[..., None] * _X
-        basis = legendre.legvander(x, GAUSS_NODES - 1)
-        xi_x, q_x = (np.einsum("pikj,pj->pik", basis, c) for c in (xi_c, q_c))
-        piece = q_x / (2.0 * np.maximum(xi_x, eps) ** 2)
-        return total + float(np.einsum("p,pi,pik,k->", self.scale[k], half,
-                                       piece, _W))
+    def volume(self, heights):
+        """int q / (2 max(xi, eps)^2) over each panel at each height eps, as
+        a (heights, panels) array. A panel whose samples all lie above eps
+        takes its sum `above`, and one whose samples all lie at or below eps
+        `flat / (2 eps^2)`. Every other (height, panel) pair is cut at the
+        crossing inside each bracketing pair of samples, found by
+        safeguarded Newton on the interpolant of xi (_crossings), and each
+        of its pieces takes mapped Gauss nodes on the interpolants of xi and
+        q."""
+        eps = np.asarray(heights, dtype=float)[:, None]
+        low, high = self.samples.min(axis=1), self.samples.max(axis=1)
+        out = np.where(low > eps, self.above, self.flat / (2.0 * eps * eps))
+        h, p = np.nonzero((low <= eps) & (high > eps))
+        eps = eps[h, 0]
+        above = self.samples[p] > eps[:, None]
+        pair, j = np.nonzero(above[:, 1:] != above[:, :-1])
+        cuts = _crossings(self.xi_c[p[pair]], eps[pair], _SAMPLE_X[j],
+                          _SAMPLE_X[j + 1], above[pair, j])
+        # pieces of a pair run from -1 through its crossings, in order, to 1;
+        # crossing k ends piece k + pair[k] and starts the next
+        at = np.arange(cuts.size) + pair
+        lo, hi = np.full(at.size + p.size, -1.0), np.ones(at.size + p.size)
+        hi[at], lo[at + 1] = cuts, cuts
+        owner = np.repeat(np.arange(p.size),
+                          np.bincount(pair, minlength=p.size) + 1)
+        half = (hi - lo) / 2.0
+        basis = legendre.legvander((lo + half)[:, None] + half[:, None] * _X,
+                                   GAUSS_NODES - 1)
+        xi_x, q_x = (np.einsum("ikj,ij->ik", basis, c[p[owner]])
+                     for c in (self.xi_c, self.q_c))
+        piece = half * np.einsum(
+            "ik,k->i", q_x / (2.0 * np.maximum(xi_x, eps[owner, None]) ** 2),
+            _W)
+        out[h, p] = self.scale[p] * np.bincount(owner, piece, minlength=p.size)
+        return out
 
 
 def _ray_sheets(f, g, eps_min):
@@ -438,9 +463,12 @@ def volume(f, g, eps_schedule=None):
             or any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:]))):
         raise DomainError("eps schedule must be three or more decreasing "
                           "positive heights")
-    sheets = _ray_sheets(f, g, eps_schedule[-1])
-    samples = tuple((eps, sum(sheet.volume(eps) for sheet in sheets))
-                    for eps in eps_schedule)
+    levels = np.concatenate([sheet.volume(eps_schedule) for sheet in
+                             _ray_sheets(f, g, eps_schedule[-1])], axis=1)
+    # each level is a small difference of large sums over both sheets: the
+    # exact sum of its panels leaves only their own rounding
+    samples = tuple((eps, math.fsum(row))
+                    for eps, row in zip(eps_schedule, levels.tolist()))
     v, err = richardson_extrapolate(samples)
     return v, samples, err
 

@@ -284,3 +284,42 @@ def polyline_is_simple_sweep(points):
                 return False
         active.append(idx)
     return True
+
+
+# -- the ray volume's level, every straddling panel cut at all its samples ----
+
+def ray_level_eleven_pieces(sheet, eps):
+    """One ray sheet's level, the integral of q / (2 max(xi, eps)^2), by the
+    rule that cut a straddling panel at every sample: its two ends and nine
+    Gauss nodes delimit eleven pieces, the right end of each bracketing pair
+    of samples moved to the crossing inside it. Other panels take their
+    Gauss sums, each piece mapped Gauss nodes on the interpolants of xi and
+    q (by Clenshaw), and every node's term is summed exactly."""
+    from numpy.polynomial import legendre
+
+    from liouvol.volume import GAUSS_NODES, _SAMPLE_X, _W, _X, _crossings
+
+    q = legendre.legval(_X, sheet.q_c.T)  # (panels, GAUSS_NODES)
+    above = sheet.samples > eps
+    cross = above[:, 1:] != above[:, :-1]
+    split = cross.any(axis=1)
+    whole = (sheet.scale[~split, None] * _W * q[~split]
+             / (2.0 * np.maximum(sheet.xi[~split], eps) ** 2))
+
+    k = np.flatnonzero(split)
+    p, j = np.nonzero(cross[k])
+    cuts = np.tile(_SAMPLE_X[1:], (k.size, 1))
+    cuts[p, j] = _crossings(sheet.xi_c[k[p]], eps, _SAMPLE_X[j],
+                            _SAMPLE_X[j + 1], above[k[p], j])
+    ones = np.ones((k.size, 1))
+    bounds = np.concatenate([-ones, cuts, ones], axis=1)
+    half = np.diff(bounds, axis=1) / 2.0
+    # nodes as (pieces, GAUSS_NODES, panels) so each panel's coefficients
+    # broadcast over its own column
+    x = np.moveaxis((bounds[:, :-1] + half)[..., None]
+                    + half[..., None] * _X, 0, -1)
+    xi_x = legendre.legval(x, sheet.xi_c[k].T, tensor=False)
+    q_x = legendre.legval(x, sheet.q_c[k].T, tensor=False)
+    pieces = (sheet.scale[k] * half.T[:, None, :] * _W[:, None] * q_x
+              / (2.0 * np.maximum(xi_x, eps) ** 2))
+    return math.fsum(np.concatenate([whole.ravel(), pieces.ravel()]).tolist())

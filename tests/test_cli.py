@@ -162,6 +162,16 @@ def test_verify_identity_on_uneven_heights(tmp_path):
             <= 1e-5 * payload["action_total"])
 
 
+def test_volume_with_heights_above_both_sheets(tmp_path):
+    # no panel straddles any height: V(eps) is the sheets' area mismatch
+    # at the flat rate alone
+    code = run_cli("volume", "--curve", "ellipse", "--out", str(tmp_path),
+                   "--eps-schedule", "100", "50", "10")
+    assert code == 0
+    payload = json.loads((tmp_path / "volume.json").read_text())
+    assert abs(payload["V"] - 5.13e-14) <= 1e-12
+
+
 def test_missing_curve_file_is_input_error(tmp_path):
     code = run_cli("action", "--curve", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path))

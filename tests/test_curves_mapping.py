@@ -6,6 +6,7 @@ import pytest
 from oracles import polyline_is_simple_sweep
 
 import liouvol.curves as curves_module
+import liouvol.mapping as mapping_module
 from liouvol.cli import load_curve
 from liouvol.curves import (CurveSpec, circle_curve, ellipse_curve,
                             polyline_is_simple, polynomial_curve)
@@ -212,6 +213,32 @@ def _distance_to_boundary(f, points, n=4096, newton=8):
         hess = np.real(np.conj(dv) * dv + np.conj(diff) * ddv)
         phi = phi - grad / hess
     return np.abs(f.eval_unchecked(np.exp(1j * phi)) - points)
+
+
+def test_doubled_orders_start_from_the_previous_solution(monkeypatch):
+    # the star's exterior series doubles 128 -> 256 -> 512; each finer grid
+    # starts from the coarser solution and takes at most 3 iterations, and
+    # the map is a cold solve's at every order to rounding
+    curve = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    solve, runs = mapping_module._solve_correspondence, []
+
+    def counted(rho, n, start=None):
+        out = solve(rho, n, start)
+        runs.append((n, out[1]))
+        return out
+
+    monkeypatch.setattr(mapping_module, "_solve_correspondence", counted)
+    warm, _ = exterior_map(curve, order=128)
+    assert warm.order == 512
+    assert [n for n, _ in runs] == [1024, 2048, 4096]
+    assert all(iters <= 3 for _, iters in runs[1:])
+    monkeypatch.setattr(mapping_module, "_solve_correspondence",
+                        lambda rho, n, start=None: solve(rho, n))
+    cold, _ = exterior_map(curve, order=128)
+    assert cold.order == 512
+    assert abs(warm.b1 - cold.b1) <= 1e-14
+    assert abs(warm.b0 - cold.b0) <= 1e-14
+    assert np.max(np.abs(warm.bneg - cold.bneg)) <= 1e-14
 
 
 def test_recenter_interior_keeps_the_boundary():

@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial import legendre
 
 from oracles import (ball_volume_euclidean_sphere, hyperbolic_annulus_area,
-                     mesh_flux_scalar, slab_volume)
+                     mesh_flux_scalar, ray_level_eleven_pieces, slab_volume)
 
 from liouvol.action import liouville_action
 from liouvol.cli import load_curve
@@ -18,7 +18,7 @@ from liouvol.meshing import aligned_surface_meshes, mesh_surface
 from liouvol.mobius import H3Point
 from liouvol.series import LaurentMap, PowerSeriesMap
 from liouvol.volume import (EPS_BASE, EPS_COUNT, GAUSS_NODES, _SAMPLE_X,
-                            _TO_LEGENDRE, _X, _RaySheet, _check_clip_loops,
+                            _X, _RaySheet, _check_clip_loops,
                             _crossings, _inv_sq_simplex, _ray_sheets,
                             _truncated_volumes, mesh_flux,
                             renormalized_volume, richardson_extrapolate,
@@ -48,18 +48,32 @@ def _mesh_volume(f, g, **mesh_opts):
     return richardson_extrapolate(samples[-3:])[0]
 
 
-def _identity_curves():
-    """The fixtures, the fivefold star z + 0.08 z^5 and a balanced
-    starlike curve z + sum_k a_k z^k, k = 2..6, k |a_k| = 0.2 / 5, with
-    seeded phases."""
+def _balanced(seed):
+    """The balanced starlike curve z + sum_k a_k z^k, k = 2..6,
+    k |a_k| = 0.2 / 5, with phases seeded by [seed, 2]."""
     k = np.arange(2, 7)
-    phases = np.exp(2j * np.pi * np.random.default_rng([1, 2]).random(5))
+    phases = np.exp(2j * np.pi * np.random.default_rng([seed, 2]).random(5))
     balanced = np.concatenate([[0.0, 1.0], phases * 0.2 / (k * 5)])
     series = [[c.real, c.imag] for c in balanced]
+    return CurveSpec.from_json({"series": series})
+
+
+def _identity_curves():
+    """The fixtures, the fivefold star z + 0.08 z^5 and a balanced
+    starlike curve."""
     return {"ellipse": load_curve("ellipse"), "cubic": load_curve("cubic"),
             "wobble": load_curve("wobble"),
             "star": polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8),
-            "balanced": CurveSpec.from_json({"series": series})}
+            "balanced": _balanced(1)}
+
+
+def _default_schedule(g):
+    return [EPS_BASE * abs(g.b1) * 0.5 ** k for k in range(EPS_COUNT)]
+
+
+def _levels(sheet, schedule):
+    """The sheet's level at each height: its panels summed exactly."""
+    return [math.fsum(row) for row in sheet.volume(schedule).tolist()]
 
 
 def test_simplex_integral_closed_forms():
@@ -502,36 +516,34 @@ def test_ring_jets_give_the_horner_sheets(name, monkeypatch):
     # agree at every default height to rounding: neither J nor xi amplifies
     # the jets' last-digit differences
     f, g = conformal_map_pair(_identity_curves()[name], order=128)
-    schedule = [EPS_BASE * abs(g.b1) * 0.5 ** k for k in range(EPS_COUNT)]
-    ring = [[s.volume(e) for e in schedule]
-            for s in _ray_sheets(f, g, schedule[-1])]
+    schedule = _default_schedule(g)
+    ring = [_levels(s, schedule) for s in _ray_sheets(f, g, schedule[-1])]
     monkeypatch.setattr(volume_module, "ring_jet", lambda m, radii, n: m.jet(
         radii[..., None] * np.exp(2j * np.pi * np.arange(n) / n), upto=3))
-    horner = [[s.volume(e) for e in schedule]
-              for s in _ray_sheets(f, g, schedule[-1])]
+    horner = [_levels(s, schedule) for s in _ray_sheets(f, g, schedule[-1])]
     assert np.max(np.abs(np.subtract(ring, horner) / horner)) <= 1e-15
 
 
 @pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "star"])
 def test_newton_cuts_match_bisection(name):
-    # every bracket of both sheets at every default height: the Newton
-    # crossing against 60 halvings of the bracket, on Clenshaw values
+    # every bracket of both sheets at every default height, in one call
+    # with one height per bracket: the Newton crossing against 60 halvings
+    # of the bracket, on Clenshaw values
     f, g = conformal_map_pair(_identity_curves()[name], order=128)
-    schedule = [EPS_BASE * abs(g.b1) * 0.5 ** k for k in range(EPS_COUNT)]
+    schedule = _default_schedule(g)
     for sheet in _ray_sheets(f, g, schedule[-1]):
-        for eps in schedule:
-            above = sheet.samples > eps
-            p, j = np.nonzero(above[:, 1:] != above[:, :-1])
-            coeffs = sheet.xi[p] @ _TO_LEGENDRE.T
-            lo, hi, lo_above = _SAMPLE_X[j], _SAMPLE_X[j + 1], above[p, j]
-            cuts = _crossings(coeffs, eps, lo, hi, lo_above)
-            for _ in range(60):
-                mid = (lo + hi) / 2.0
-                same = (legendre.legval(mid, coeffs.T, tensor=False)
-                        > eps) == lo_above
-                lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-            assert p.size > 0
-            assert np.max(np.abs(cuts - (lo + hi) / 2.0)) <= 1e-14
+        above = sheet.samples > np.array(schedule)[:, None, None]
+        h, p, j = np.nonzero(above[..., 1:] != above[..., :-1])
+        eps, coeffs = np.array(schedule)[h], sheet.xi_c[p]
+        lo, hi, lo_above = _SAMPLE_X[j], _SAMPLE_X[j + 1], above[h, p, j]
+        cuts = _crossings(coeffs, eps, lo, hi, lo_above)
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            same = (legendre.legval(mid, coeffs.T, tensor=False)
+                    > eps) == lo_above
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        assert set(h) == set(range(len(schedule)))
+        assert np.max(np.abs(cuts - (lo + hi) / 2.0)) <= 1e-14
 
 
 def test_newton_keeps_an_iterate_on_the_crossing():
@@ -543,6 +555,45 @@ def test_newton_keeps_an_iterate_on_the_crossing():
     cuts = _crossings(coeffs, 0.5625, np.array([0.0, -1.0]),
                       np.array([1.0, 0.0]), np.array([False, True]))
     assert cuts.tolist() == [0.25, -0.25]
+
+
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "star"])
+def test_levels_match_the_eleven_piece_rule(name):
+    # cutting a straddling panel only at its crossings changes each sheet's
+    # level and V(eps) only at rounding
+    f, g = conformal_map_pair(_identity_curves()[name], order=128)
+    schedule = _default_schedule(g)
+    sheets = _ray_sheets(f, g, schedule[-1])
+    levels = np.array([_levels(s, schedule) for s in sheets])
+    oracle = np.array([[ray_level_eleven_pieces(s, eps) for eps in schedule]
+                       for s in sheets])
+    assert np.max(np.abs(levels / oracle - 1.0)) <= 1e-13
+    v, v_oracle = levels.sum(axis=0), oracle.sum(axis=0)
+    assert np.max(np.abs(v / v_oracle - 1.0)) <= 1e-13
+
+
+def test_circle_levels_in_closed_form():
+    # the unit circle's sheets have levels +-pi (1/2 - ln eps), which cancel
+    f, g = PowerSeriesMap([0, 1], hint_radius=8), LaurentMap(1.0)
+    schedule = _default_schedule(g)
+    inside, outside = (_levels(s, schedule)
+                       for s in _ray_sheets(f, g, schedule[-1]))
+    exact = np.pi * (0.5 - np.log(schedule))
+    assert np.max(np.abs(np.divide(inside, exact) - 1.0)) <= 5e-14
+    assert np.max(np.abs(np.divide(outside, -exact) - 1.0)) <= 5e-14
+    _, samples, _ = volume(f, g)
+    assert max(abs(v) for _, v in samples) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "balanced1",
+                                  "balanced2", "balanced3"])
+def test_identity_to_rounding(name):
+    curves = _identity_curves()
+    curve = (curves[name] if name in curves
+             else _balanced(int(name.removeprefix("balanced"))))
+    f, g = conformal_map_pair(curve, order=128)
+    rep = renormalized_volume(f, g)
+    assert abs(rep.identity_residual) <= 5e-13 * rep.action_total
 
 
 def test_mesh_samples_approach_ray_samples(ellipse_maps):
