@@ -11,9 +11,8 @@ from .errors import (CapTopologyError, ContractError, CorrespondenceError,
                      DeformationError, DivergenceSuspected, DomainError,
                      InputError, LiouvolError, NoConvergence, NonConvergence,
                      RefitError, SingularDerivative, Stalled)
-from .flow import (BeltramiField, DistanceBoundParams, FlowState,
-                   beltrami_step, distance_bound, gradient_field, run_flow,
-                   wp_path_length)
+from .flow import (BeltramiField, FlowState, beltrami_step, gradient_field,
+                   run_flow, wp_path_length)
 from .mapping import conformal_map_pair, exterior_map, interior_map, welding
 from .mobius import (H3Point, MobiusTransform, h3_distance, mobius_on_h3,
                      osculating_mobius)
@@ -22,7 +21,7 @@ from .meshing import (SurfaceMesh, aligned_surface_meshes, load_obj,
                       write_vertex_csv)
 from .quadrature import QuadratureGrid
 from .series import (LaurentMap, PowerSeriesMap, area_norm, equipotential,
-                     nonlinearity, schwarzian)
+                     nonlinearity, nonlinearity_of, schwarzian, schwarzian_of)
 from .volume import (VolumeReport, renormalized_volume, truncated_volume,
                      variation_check, volume)
 

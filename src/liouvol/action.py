@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DivergenceSuspected, DomainError
 from .quadrature import QuadratureGrid
-from .series import area_norm, nonlinearity, ring_values, schwarzian
+from .series import area_norm, nonlinearity_of, ring_values, schwarzian
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ def dirichlet_nonlinearity(m, tol=None):
     With ``tol`` set, DivergenceSuspected is raised when the coefficient
     sum moves by more than 10 * tol between half and full sampling.
     """
-    value, err = area_norm(m, nonlinearity)
+    value, err = area_norm(m, nonlinearity_of)
     if tol is not None and err > 10 * tol:
         raise DivergenceSuspected(
             "Dirichlet integral keeps moving under refinement")
@@ -51,8 +51,8 @@ def liouville_action(f, g):
     d1f = f.jet(0.0, upto=1)[1]
     if abs(d1f) == 0 or g.b1 == 0:
         raise DomainError("maps must have nonzero derivative normalization")
-    interior, err_in = area_norm(f, nonlinearity)
-    exterior, err_out = area_norm(g, nonlinearity)
+    interior, err_in = area_norm(f, nonlinearity_of)
+    exterior, err_out = area_norm(g, nonlinearity_of)
     log_term = 4.0 * math.pi * math.log(abs(d1f) / abs(g.b1))
     total = interior + exterior + log_term
     return ActionReport(interior, exterior, log_term, total, err_in + err_out)

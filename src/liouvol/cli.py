@@ -25,8 +25,7 @@ from .flow import run_flow, wp_path_length
 from .mapping import conformal_map_pair
 from .meshing import (aligned_surface_meshes, mesh_surface,
                       surface_separation, write_obj, write_vertex_csv)
-from .quadrature import QuadratureGrid
-from .series import circle_samples, coefficient_sum, nonlinearity
+from .series import circle_samples, coefficient_sum, nonlinearity_of
 from .volume import renormalized_volume
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -38,7 +37,6 @@ class RunConfig:
     curve: str
     out: str = "."
     series_order: int = 128
-    grid: str | None = None  # None: sized to the maps (grunsky_gap)
     eps_schedule: list | None = None  # None: auto-scaled to the curve
     steps: int = 50
     tol: float = 0.01
@@ -68,22 +66,10 @@ class RunConfig:
         if self.eps_schedule is not None and not all(
                 np.isfinite(e) and e > 0 for e in self.eps_schedule):
             raise InputError("eps schedule must be finite and positive")
-        if self.grid is not None:
-            levels, per, ang = self.parse_grid()
-            if not (2 <= levels <= 40 and 2 <= per <= 64
-                    and 32 <= ang <= 8192):
-                raise InputError(f"grid {self.grid} outside supported ranges")
         rn, an = self.parse_mesh()
         if rn < 8 or an < 8:
             raise InputError("mesh resolution must be at least 8x8")
         return self
-
-    def parse_grid(self):
-        try:
-            levels, per, ang = (int(p) for p in self.grid.split("x"))
-        except ValueError as exc:
-            raise InputError(f"bad grid spec {self.grid!r}") from exc
-        return levels, per, ang
 
     def parse_mesh(self):
         try:
@@ -151,14 +137,6 @@ def load_curve(spec):
     return CurveSpec.from_json(payload)
 
 
-def _grid_from(config):
-    """The --grid quadrature grid, or None to let the callee size it."""
-    if config.grid is None:
-        return None
-    levels, per, ang = config.parse_grid()
-    return QuadratureGrid.disk(levels, per, ang)
-
-
 def cmd_action(config, writer):
     curve = load_curve(config.curve)
     f, g = conformal_map_pair(curve, order=config.series_order)
@@ -166,7 +144,7 @@ def cmd_action(config, writer):
     writer.write_json("action.json", asdict(report))
     if config.trace:
         # the coefficient sums at n/4, n/2 and all n circle samples
-        inside, outside = (circle_samples(m, nonlinearity) for m in (f, g))
+        inside, outside = (circle_samples(m, nonlinearity_of) for m in (f, g))
         rows = []
         for stride in (4, 2, 1):
             interior = coefficient_sum(f, inside[::stride])
@@ -180,9 +158,8 @@ def cmd_action(config, writer):
 
 def cmd_grunsky(config, writer):
     curve = load_curve(config.curve)
-    grid = _grid_from(config)
     f, g = conformal_map_pair(curve, order=config.series_order)
-    gap = grunsky_gap(f, g, grid)
+    gap = grunsky_gap(f, g)
     gap["gap"] = gap["rhs"] - gap["lhs"]
     writer.write_json("grunsky.json", gap)
     if gap["lhs"] > gap["rhs"] + 1e-6:
@@ -314,10 +291,6 @@ def cmd_flow(config, writer):
 # every command also takes --curve and --out; RunConfig holds the defaults
 FLAGS = {
     "--series-order": dict(type=int, help="map truncation order"),
-    "--grid": dict(help="quadrature grid LxPxA: radial levels x nodes per "
-                        "level x angular nodes (default: 20x8xA, A the "
-                        "least power of two >= 256 that covers the longer "
-                        "map series)"),
     "--eps-schedule": dict(type=float, nargs="+",
                            help="decreasing truncation heights "
                                 "(default: scaled to the curve)"),
@@ -334,7 +307,7 @@ FLAGS = {
 
 COMMANDS = {
     "action": (cmd_action, ("--series-order", "--trace")),
-    "grunsky": (cmd_grunsky, ("--series-order", "--grid")),
+    "grunsky": (cmd_grunsky, ("--series-order",)),
     "surface": (cmd_surface, ("--series-order", "--mesh", "--r-max")),
     "volume": (cmd_volume, ("--series-order", "--eps-schedule", "--dump-obj")),
     "verify-identity": (cmd_verify_identity,

@@ -11,24 +11,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .series import PowerSeriesMap
+from .series import PowerSeriesMap, ring_jet
 
 
 # pairs of segments tested at a time by polyline_is_simple
 _PAIR_BLOCK = 1 << 16
 
 
+def _cross(a, b):
+    return a.real * b.imag - a.imag * b.real
+
+
+def _dot(a, b):
+    return a.real * b.real + a.imag * b.imag
+
+
 def _segments_intersect(p1, p2, q1, q2):
-    """Whether segments p1p2 and q1q2 cross away from their ends,
-    elementwise over arrays of end points; parallel segments never do."""
-    d1, d2 = p2 - p1, q2 - q1
-    den = d1.real * d2.imag - d1.imag * d2.real
-    r = q1 - p1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (r.real * d2.imag - r.imag * d2.real) / den
-        u = (r.real * d1.imag - r.imag * d1.real) / den
+    """Whether the closed segments p1p2 and q1q2 meet, elementwise over
+    arrays of end points, to 1e-12 of their lengths: a crossing, a touch at
+    an end, or, for segments parallel to 1e-12, a collinear overlap."""
     eps = 1e-12
-    return (den != 0) & (eps < t) & (t < 1 - eps) & (eps < u) & (u < 1 - eps)
+    d1, d2, r = p2 - p1, q2 - q1, q1 - p1
+    den, len1 = _cross(d1, d2), _dot(d1, d1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t, u = _cross(r, d2) / den, _cross(r, d1) / den
+        # q's ends along p1p2, for parallel segments
+        s0 = _dot(r, d1) / len1
+        s1 = s0 + _dot(d2, d1) / len1
+    meet = (-eps <= t) & (t <= 1 + eps) & (-eps <= u) & (u <= 1 + eps)
+    overlap = ((np.abs(_cross(r, d1)) <= eps * len1)
+               & (np.minimum(s0, s1) <= 1 + eps)
+               & (np.maximum(s0, s1) >= -eps))
+    return np.where(den * den <= eps * eps * len1 * _dot(d2, d2), overlap,
+                    meet)
 
 
 def polyline_is_simple(points):
@@ -134,8 +149,7 @@ class CurveSpec:
 
     def boundary(self, n=2048):
         if self.kind == "series":
-            theta = 2 * np.pi * np.arange(n) / n
-            return self.series.eval_unchecked(np.exp(1j * theta))
+            return ring_jet(self.series, 1.0, n, upto=0)[0]
         pts = self.points
         # resample by arclength-free parameter (vertex index), fine for
         # densely sampled inputs
@@ -188,12 +202,12 @@ class CurveSpec:
 def _argument_inverse(f, a):
     """chi -> f(e^{i theta}) - a with theta solving
     arg(f(e^{i theta}) - a) = chi by Newton, vectorized over chi. The lookup
-    table for the initial guess is built once and shared by every inversion;
-    each Newton step takes f and f' from one Horner pass, and the boundary
-    value at the last iterate takes one more."""
+    table for the initial guess is one ring FFT, built once and shared by
+    every inversion; each Newton step takes f and f' from one Horner pass,
+    and the boundary value at the last iterate takes one more."""
     n = 4096
     grid = 2 * np.pi * np.arange(n) / n
-    vals = f.eval_unchecked(np.exp(1j * grid)) - a
+    vals = ring_jet(f, 1.0, n, upto=0)[0] - a
     ang = np.unwrap(np.angle(vals))
     if ang[-1] < ang[0]:
         raise DomainError("series boundary is clockwise")

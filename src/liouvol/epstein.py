@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, SingularDerivative
 from .mobius import H3Point
-from .series import LaurentMap, area_norm, schwarzian
+from .series import LaurentMap, area_norm, schwarzian, schwarzian_of
 
 UNIT_TOL = 5e-12
 IMMERSION_TOL = 1e-8  # |t - 1| that flags the immersion boundary
@@ -241,4 +241,4 @@ def mean_curvature_total(fmap):
     parameter domain: int |S|^2 (1-|z|^2)^2 / 4 (interior) and the mirrored
     expression for a Laurent exterior map.
     """
-    return area_norm(fmap, schwarzian, p=2)[0] / 4.0
+    return area_norm(fmap, schwarzian_of, p=2)[0] / 4.0

@@ -34,7 +34,8 @@ from .errors import (DeformationError, DomainError, NonConvergence,
 from .mapping import conformal_map_pair, exterior_map, interior_map
 from .quadrature import QuadratureGrid
 from .series import (LaurentMap, PowerSeriesMap, circle_samples,
-                     coefficient_sum, schwarzian)
+                     coefficient_sum, ring_jet, ring_values, schwarzian,
+                     schwarzian_of)
 
 logger = logging.getLogger(__name__)
 
@@ -75,16 +76,6 @@ class FlowState:
     g: LaurentMap
 
 
-@dataclass(frozen=True)
-class DistanceBoundParams:
-    c: float
-    K: float
-
-    def __post_init__(self):
-        if not (self.c > 0 and self.K > 0):
-            raise DomainError("distance bound constants must be positive")
-
-
 @functools.lru_cache(maxsize=4)
 def _ring_powers(n):
     """RING_RADII[:, None] ** k for k < n, built once per sample count."""
@@ -105,7 +96,7 @@ def gradient_field(g):
         w = np.asarray(w, dtype=complex)
         return -np.conj(schwarzian(g, w)) * (np.abs(w) ** 2 - 1.0) ** 2
 
-    samples = circle_samples(g, schwarzian)
+    samples = circle_samples(g, schwarzian_of)
     s = np.fft.fft(samples) / samples.size
     s[:4] = 0.0  # S(g) = O(w^-4): these are rounding noise
     rings = np.fft.ifft(s * _ring_powers(s.size), axis=1) * s.size
@@ -122,12 +113,6 @@ def contour_points(g):
     return max(256, 2 ** math.ceil(math.log2(max(2 * g.order, 1))))
 
 
-def _on_roots(c, n):
-    """sum_p c[p] w^p at the n-th roots of unity exp(2 pi i j / n)."""
-    c = np.concatenate([c, np.zeros(-c.size % n, dtype=complex)])
-    return n * np.fft.ifft(c.reshape(-1, n).sum(axis=0))
-
-
 def _contour_displacement(g, s, n):
     """Cauchy transform of the descent field with coefficients s, as a
     contour integral over the curve zeta = g(w) at n uniform points w_j.
@@ -135,15 +120,16 @@ def _contour_displacement(g, s, n):
     X = 2 sum conj(s_k) w^(k-1) / ((k-1)(k-2)(k-3)) is the d-bar primitive
     of nu on |w| = 1, and Stokes turns the area transform into
     F(z0) = q(z0) + (1/2 pi i) oint (q - q(z0)) / (zeta - z0) dzeta with
-    q = g' X. The trapezoid rule takes dq/dzeta on the diagonal.
+    q = g' X. The trapezoid rule takes dq/dzeta on the diagonal. X, X' and
+    the 2-jet of g at the w_j are ring FFTs.
     """
     k = np.arange(4, s.size)
     x = np.zeros(s.size - 1, dtype=complex)  # coefficients of X by power
     x[3:] = 2.0 * np.conj(s[4:]) / ((k - 1.0) * (k - 2.0) * (k - 3.0))
-    big_x = _on_roots(x, n)
-    dx = _on_roots(np.arange(1, x.size) * x[1:], n)
+    big_x = ring_values(x, 1.0, n)
+    dx = ring_values(np.arange(1, x.size) * x[1:], 1.0, n)
     w = np.exp(2j * np.pi * np.arange(n) / n)
-    zeta, g1, g2 = g.jet(w, upto=2)
+    zeta, g1, g2 = ring_jet(g, 1.0, n, upto=2)
     q = g1 * big_x
     dq = (g2 * big_x + g1 * dx) / g1  # dq/dzeta
     zeta_t = 1j * w * g1              # dzeta/dtheta
@@ -304,15 +290,3 @@ def wp_path_length(states):
     return math.fsum(s.step_size * math.sqrt(prev.grad_wp_norm_sq)
                      for prev, s in zip(states, states[1:]))
 
-
-def distance_bound(action_value, params):
-    """Upper bound on the Weil-Petersson distance to the circle implied by
-    the action: dist <= action/c + K*c.
-
-    The underlying inequality holds for c below a universal threshold
-    (2 * delta * sqrt(4 pi / 3) with delta in (0,1) not computed here);
-    the constants are caller-supplied.
-    """
-    if action_value < 0:
-        raise DomainError("action must be nonnegative")
-    return action_value / params.c + params.K * params.c

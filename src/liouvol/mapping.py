@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorrespondenceError, DomainError, NonConvergence
-from .series import LaurentMap, PowerSeriesMap
+from .series import LaurentMap, PowerSeriesMap, ring_jet
 
 logger = logging.getLogger(__name__)
 
@@ -184,7 +184,7 @@ def _solve_polar(rho_solve, rho, anchor, order, tol, fit, side,
         order = min(MAX_ORDER, order * 2)
         logger.debug("%s solve: doubling order to %d (tail %.2e)",
                      side, order, tail)
-    probe = fmap(np.exp(2j * np.pi * np.arange(4096) / 4096))
+    probe = ring_jet(fmap, 1.0, 4096, upto=0)[0]
     mismatch = max(_boundary_mismatch_polar(probe, anchor, rho), spurious)
     if mismatch > max(tol, 50 * corr):
         raise NonConvergence(iters, mismatch,
@@ -250,7 +250,7 @@ def welding(f, g, theta, tol=1e-8):
 
     n = 4096
     grid = 2 * np.pi * np.arange(n) / n
-    gb = g(np.exp(1j * grid))
+    gb = ring_jet(g, 1.0, n, upto=0)[0]
     ang = np.unwrap(np.angle(gb - anchor))
     if ang[-1] < ang[0]:
         raise DomainError("exterior boundary runs clockwise")

@@ -2,12 +2,14 @@
 
 PowerSeriesMap holds f(z) = sum_k a_k z^k on a disk of radius > 1,
 LaurentMap holds g(w) = b1 w + b0 + sum_k b_{-k} w^{-k} on |w| > 1.
-Differentiation is exact on coefficients; evaluation is Horner, and a jet
-(the value with its first derivatives) takes one Horner pass. On rings of
-points uniform in angle, r e^{2 pi i j/n}, a jet is instead one length-n FFT
-per radius and derivative (ring_jet), and a value one FFT (ring_values).
-Integrals of |analytic|^2 against a radial weight over the parameter
-domain are coefficient sums from one FFT of boundary samples (area_norm).
+Differentiation is exact on coefficients. Evaluation is Horner at
+scattered points, where a jet (the value with its first derivatives) takes
+one Horner pass, and FFT on rings: at the points r e^{2 pi i j/n}, uniform
+in angle, a jet is one length-n FFT per radius and derivative (ring_jet),
+and a value one FFT (ring_values). Every evaluation of a map at n uniform
+angles takes the ring path. Integrals of |analytic|^2 against a radial
+weight over the parameter domain are coefficient sums from one FFT of
+boundary samples (area_norm).
 """
 
 import math
@@ -201,15 +203,15 @@ def _fold_fft(terms, n, sign):
             else np.fft.fft(terms, n))
 
 
-def _ring_taylor(c, radii, n, sign):
-    """p^(m)(x)/m! for m = 0..3, p(x) = sum_k c[k] x^k, at the points
+def _ring_taylor(c, radii, n, sign, upto):
+    """p^(m)(x)/m! for m = 0..upto, p(x) = sum_k c[k] x^k, at the points
     x = r e^{sign 2 pi i j/n}, j < n, of every radius r: arrays of shape
     radii.shape + (n,). At one radius p^(m)(x)/m! is
     sum_k C(k, m) c[k] r^(k-m) e^{sign 2 pi i j (k-m)/n}, one length-n DFT of
     these terms folded onto (k - m) mod n."""
     powers = np.asarray(radii, dtype=float)[..., None] ** np.arange(c.size)
     out = []
-    for m in range(4):
+    for m in range(upto + 1):
         k = np.arange(m, c.size)
         comb = np.prod([k - i for i in range(m)], axis=0) / math.factorial(m)
         out.append(_fold_fft(powers[..., :k.size] * (comb * c[m:]), n, sign))
@@ -220,14 +222,12 @@ def ring_values(c, radii, n):
     """p(x) = sum_k c[k] x^k at the points x = r e^{2 pi i j/n}, j < n, of
     every radius r in radii, as an array of shape radii.shape + (n,): one
     length-n FFT per radius, the value alone of _ring_taylor."""
-    c = np.asarray(c, dtype=complex)
-    powers = np.asarray(radii, dtype=float)[..., None] ** np.arange(c.size)
-    return _fold_fft(powers * c, n, 1)
+    return _ring_taylor(np.asarray(c, dtype=complex), radii, n, 1, 0)[0]
 
 
-def ring_jet(m, radii, n):
-    """The 3-jet m.jet(z, upto=3) at the points z = r e^{2 pi i j/n}, j < n,
-    of every radius r in radii, as arrays of shape radii.shape + (n,), from
+def ring_jet(m, radii, n, upto=3):
+    """The jet m.jet(z, upto) at the points z = r e^{2 pi i j/n}, j < n, of
+    every radius r in radii, as arrays of shape radii.shape + (n,), from
     one length-n FFT per radius and derivative: O(n log n) per radius where
     Horner costs O(n order)."""
     radii = np.asarray(radii, dtype=float)
@@ -237,40 +237,48 @@ def ring_jet(m, radii, n):
         w = radii[..., None] * np.exp(2j * np.pi * np.arange(n) / n)
         # h(u) = sum_k b_{-k} u^k at u = 1/w = r^-1 e^{-2 pi i j/n}
         h = np.concatenate([[0.0], m.bneg])
-        return m._chain(w, 1.0 / w, _ring_taylor(h, 1.0 / radii, n, -1))
-    d = _ring_taylor(m.coeffs, radii, n, 1)
+        return m._chain(w, 1.0 / w,
+                        _ring_taylor(h, 1.0 / radii, n, -1, upto))
+    d = _ring_taylor(m.coeffs, radii, n, 1, upto)
     return tuple(dm * math.factorial(k) if k > 1 else dm
                  for k, dm in enumerate(d))
 
 
-def _jet12(m, z):
-    j = m.jet(z, upto=2)
-    return j[1], j[2]
-
-
-def nonlinearity(m, z):
-    """f''/f' from exact series differentiation."""
-    d1, d2 = _jet12(m, z)
+def nonlinearity_of(jet):
+    """f''/f' from a jet (f, f', f'', ...) of the map."""
+    d1, d2 = jet[1], jet[2]
     if np.any(np.abs(d1) < DERIVATIVE_FLOOR):
         raise SingularDerivative(f"|f'| below {DERIVATIVE_FLOOR}")
     return d2 / d1
 
 
+def schwarzian_of(jet):
+    """f'''/f' - (3/2)(f''/f')^2 from a jet (f, f', f'', f''') of the map."""
+    nl = nonlinearity_of(jet)
+    return jet[3] / jet[1] - 1.5 * nl * nl
+
+
+def nonlinearity(m, z):
+    """f''/f' at scattered points z, from exact series differentiation."""
+    return nonlinearity_of(m.jet(z, upto=2))
+
+
 def schwarzian(m, z):
-    """f'''/f' - (3/2)(f''/f')^2 from exact series differentiation."""
-    _, d1, d2, d3 = m.jet(z, upto=3)
-    if np.any(np.abs(d1) < DERIVATIVE_FLOOR):
-        raise SingularDerivative(f"|f'| below {DERIVATIVE_FLOOR}")
-    nl = d2 / d1
-    return d3 / d1 - 1.5 * nl * nl
+    """The Schwarzian derivative at scattered points z, from exact series
+    differentiation."""
+    return schwarzian_of(m.jet(z, upto=3))
 
 
 def circle_samples(m, h):
-    """h(m, .) at the n-th roots of unity z_j, or at 1/z_j for a LaurentMap,
-    with n = max(1024, 8 * 2^ceil(log2(order + 1)))."""
+    """h of the 3-jet of m at the n-th roots of unity z_j, or at 1/z_j for
+    a LaurentMap, with n = max(1024, 8 * 2^ceil(log2(order + 1))). The jet
+    takes one ring FFT per derivative (ring_jet), and h maps it pointwise to
+    the samples, as nonlinearity_of and schwarzian_of do."""
     n = max(1024, 8 * 2 ** math.ceil(math.log2(m.order + 1)))
-    z = np.exp(2j * np.pi * np.arange(n) / n)
-    return h(m, 1.0 / z if isinstance(m, LaurentMap) else z)
+    samples = h(ring_jet(m, 1.0, n))
+    if isinstance(m, LaurentMap):
+        samples = np.roll(samples[::-1], 1)  # 1/z_j = z_{-j mod n}
+    return samples
 
 
 def coefficient_sum(m, samples, p=0):
@@ -290,8 +298,9 @@ def coefficient_sum(m, samples, p=0):
 
 
 def area_norm(m, h, p=0):
-    """(value, error) of the integral of |h(m, .)|^2 (+-(1 - |z|^2))^p over
-    |z| < 1 for a PowerSeriesMap, or over |w| > 1 for a LaurentMap.
+    """(value, error) of the integral of |h|^2 (+-(1 - |z|^2))^p over
+    |z| < 1 for a PowerSeriesMap, or over |w| > 1 for a LaurentMap, with h
+    a function of the map's jet as circle_samples takes it.
 
     The error is the change against the sum from every other sample.
     """

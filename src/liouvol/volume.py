@@ -12,16 +12,18 @@ with xi the sheet's height and J the Jacobian of its projection z -> Z
 int J dA is +-area(Omega), so the two must cancel: a check that the rays
 resolve the maps.
 
-The integral runs along n = angular_count(order) rays (the trapezoid rule
-in angle) in t = 1 - r inside and t = 1 - 1/|w| outside, where the area
-element is (1 - t) dt or (1 - t)^-3 dt and the center and the apex at
-infinity are ordinary points. Gauss-Legendre panels along a ray have edges
-0, 2^-K, ..., 1/2, 1, with 2^-K |g'(inf)| at most the smallest height. Each
-sheet is tabulated once for the whole schedule: the rays are uniform in
-angle, so the map's 3-jet on all of them at one radius is one length-n FFT
-per derivative (series.ring_jet), and tau = s (1 - |z|^2), to which xi and
-J are proportional at the rim, comes from t rather than from the rounded
-point. The tabulation keeps per panel the Gauss sums of q / (2 xi^2) and of
+Each sheet's integral runs along n = angular_count(2 * order) rays of its
+own map (the trapezoid rule in angle; the integrand is nonlinear in the
+3-jet, so its angular spectrum reaches about twice the order) in t = 1 - r
+inside and t = 1 - 1/|w| outside, where the area element is (1 - t) dt or
+(1 - t)^-3 dt and the center and the apex at infinity are ordinary
+points. Gauss-Legendre panels along a ray have edges 0, 2^-K, ..., 1/2, 1,
+with 2^-K |g'(inf)| at most the smallest height. Each sheet is tabulated
+once for the whole schedule: the rays are uniform in angle, so the map's
+3-jet on all of them at one radius is one length-n FFT per derivative
+(series.ring_jet), and tau = s (1 - |z|^2), to which xi and J are
+proportional at the rim, comes from t rather than from the rounded point.
+The tabulation keeps per panel the Gauss sums of q / (2 xi^2) and of
 q (q = J times the area element), which give a panel wholly above or below
 a height, and the interpolants of xi and q. One pass covers every height:
 a panel that straddles one is cut at the crossings of its interpolant of
@@ -410,18 +412,18 @@ class _RaySheet:
 
 
 def _ray_sheets(f, g, eps_min):
-    """Both sheets on angular_count(order) rays, with panel edges down to
-    2^-K <= eps_min / |g'(inf)|. Their areas must cancel to AREA_TOL, or the
-    rays are too few for the maps."""
-    n = angular_count(max(f.order, g.order))
+    """Each sheet on angular_count(2 * order) rays of its own map, with
+    panel edges down to 2^-K <= eps_min / |g'(inf)|. Their areas must cancel
+    to AREA_TOL, or the rays are too few for the maps."""
     depth = max(1, math.ceil(math.log2(abs(g.b1) / eps_min)))
     edges = np.concatenate([[0.0], 0.5 ** np.arange(depth, -1, -1)])
-    sheets = (_RaySheet.of(f, n, edges), _RaySheet.of(g, n, edges))
+    rays = [angular_count(2 * m.order) for m in (f, g)]
+    sheets = tuple(_RaySheet.of(m, n, edges) for m, n in zip((f, g), rays))
     a_in, a_out = (sheet.area for sheet in sheets)
     if abs(a_in + a_out) > AREA_TOL * abs(a_in):
         raise DivergenceSuspected(
             f"sheet areas {a_in:.12e} and {a_out:.12e} do not cancel on "
-            f"{n} rays")
+            f"{rays[0]} and {rays[1]} rays")
     return sheets
 
 
@@ -504,8 +506,8 @@ def variation_check(f, g, nu, dt, grid=None, deform_opts=None):
     nu_vals = nu(ext.nodes) if callable(nu) else np.asarray(nu)
     rhs = float(np.real(ext.integrate(nu_vals * schwarzian(g, ext.nodes))))
 
-    base = CurveSpec.from_polyline(f.eval_unchecked(
-        np.exp(2j * np.pi * np.arange(1024) / 1024)), check=False)
+    base = CurveSpec.from_polyline(ring_jet(f, 1.0, 1024, upto=0)[0],
+                                   check=False)
 
     def v_r_at(t):
         moved = beltrami_step(base, nu, t, exterior=g, **deform_opts)

@@ -245,21 +245,34 @@ def grunsky_gap_horner(f, g, grid):
 # -- polyline simplicity by a per-segment sweep -------------------------------
 
 def _segments_cross(p1, p2, q1, q2):
-    d1, d2 = p2 - p1, q2 - q1
-    den = d1.real * d2.imag - d1.imag * d2.real
-    if den == 0:
-        return False
-    r = q1 - p1
-    t = (r.real * d2.imag - r.imag * d2.real) / den
-    u = (r.real * d1.imag - r.imag * d1.real) / den
+    """Whether the closed segments meet to 1e-12 of their lengths: a
+    crossing, a touch at an end, or a collinear overlap of segments parallel
+    to 1e-12."""
+    def cross(a, b):
+        return a.real * b.imag - a.imag * b.real
+
+    def dot(a, b):
+        return a.real * b.real + a.imag * b.imag
+
     eps = 1e-12
-    return eps < t < 1 - eps and eps < u < 1 - eps
+    d1, d2, r = p2 - p1, q2 - q1, q1 - p1
+    den, len1 = cross(d1, d2), dot(d1, d1)
+    if den * den > eps * eps * len1 * dot(d2, d2):
+        t, u = cross(r, d2) / den, cross(r, d1) / den
+        return -eps <= t <= 1 + eps and -eps <= u <= 1 + eps
+    if len1 == 0 or abs(cross(r, d1)) > eps * len1:
+        return False
+    s0 = dot(r, d1) / len1
+    s1 = s0 + dot(d2, d1) / len1
+    return min(s0, s1) <= 1 + eps and max(s0, s1) >= -eps
 
 
 def polyline_is_simple_sweep(points):
     """Segment sweep over the closed polyline, one segment at a time:
     sorted by min-x, an active list pruned by max-x, and y-boxes checked
-    before the crossing test. Adjacent segments are never compared."""
+    before the crossing test. Adjacent segments are never compared; any
+    other two that meet, at an end or along a shared line, make the
+    polyline not simple."""
     pts = np.asarray(points, dtype=complex)
     n = pts.size
     seg_a = pts

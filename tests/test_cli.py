@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import liouvol
@@ -45,7 +46,7 @@ def test_action_subcommand_and_trace(tmp_path):
 
 def test_grunsky_subcommand(tmp_path):
     code = run_cli("grunsky", "--curve", "cubic", "--out", str(tmp_path),
-                   "--grid", "16x6x128", "--series-order", "64")
+                   "--series-order", "64")
     assert code == 0
     payload = json.loads((tmp_path / "grunsky.json").read_text())
     assert payload["lhs"] <= payload["rhs"] + 1e-9
@@ -64,7 +65,7 @@ def test_grunsky_default_grid_is_sized_to_the_maps(tmp_path):
     payload = json.loads((tmp_path / "run" / "grunsky.json").read_text())
     assert payload["gap"] >= -1e-10 * payload["rhs"]
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["config"]["grid"] is None
+    assert "grid" not in manifest["config"]
 
 
 def test_surface_subcommand(tmp_path):
@@ -186,6 +187,7 @@ def test_malformed_curve_json_is_input_error(tmp_path):
 
 
 def test_bad_grid_spec_is_input_error(tmp_path):
+    # grunsky takes no --grid: the flag is a usage error
     code = run_cli("grunsky", "--curve", "circle", "--out", str(tmp_path),
                    "--grid", "banana")
     assert code == 1
@@ -225,7 +227,7 @@ def test_subcommands_take_only_their_flags():
     common = {"--curve", "--out"}
     table = {
         "action": {"--series-order", "--trace"},
-        "grunsky": {"--series-order", "--grid"},
+        "grunsky": {"--series-order"},
         "surface": {"--series-order", "--mesh", "--r-max"},
         "volume": {"--series-order", "--eps-schedule", "--dump-obj"},
         "verify-identity": {"--series-order", "--eps-schedule", "--tol"},
@@ -290,3 +292,42 @@ def test_cli_import_leaves_scipy_unloaded():
          "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _uniform_angles(x):
+    """Whether x holds the n-th roots of unity, or their inverses, in
+    order, for some n >= 64."""
+    x = np.asarray(x).ravel()
+    if x.size < 64:
+        return False
+    roots = np.exp(2j * np.pi * np.arange(x.size) / x.size)
+    return any(np.max(np.abs(x - r)) < 1e-12 for r in (roots, roots.conj()))
+
+
+def test_horner_sees_no_uniform_angles(tmp_path, monkeypatch):
+    # the commands evaluate maps at n uniform angles only by ring FFTs:
+    # Horner (the jets' _taylor_horner, and polyval behind __call__,
+    # eval_unchecked and deriv_at) is left the scattered points
+    import liouvol.series as series
+    horner, polyval = series._taylor_horner, series.npoly.polyval
+    uniform = []
+
+    def taylor(c, x, upto):
+        uniform.append(_uniform_angles(x))
+        return horner(c, x, upto)
+
+    def poly(x, c, *args, **kwargs):
+        uniform.append(_uniform_angles(x))
+        return polyval(x, c, *args, **kwargs)
+
+    monkeypatch.setattr(series, "_taylor_horner", taylor)
+    monkeypatch.setattr(series.npoly, "polyval", poly)
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps({"series": [[0, 0], [1, 0], [0, 0], [0, 0],
+                                           [0, 0], [0.08, 0]]}))
+    for args in (("action", "--curve", str(star)),
+                 ("grunsky", "--curve", str(star)),
+                 ("verify-identity", "--curve", str(star)),
+                 ("flow", "--curve", "ellipse", "--steps", "2")):
+        assert run_cli(*args, "--out", str(tmp_path / args[0])) == 0
+    assert uniform and not any(uniform)

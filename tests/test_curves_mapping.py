@@ -54,6 +54,8 @@ def _simplicity_cases():
         notch = np.array([0, 4, 4 + 4j, 2.2 + 4j, 2 + 1j * d, 1.8 + 4j, 4j])
         turn = np.exp(2j * np.pi * rng.random())
         cases[f"notch-{d:g}"] = turn * notch + (0.3 - 0.7j)
+    # the segment from 2 to 1 runs along the one from 0 to 3
+    cases["overlap"] = np.array([0, 3, 3 + 1j, 2 + 1j, 2, 1, 1 + 2j, 2j])
     return cases
 
 
@@ -64,6 +66,23 @@ _SIMPLICITY_CASES = _simplicity_cases()
                          ids=_SIMPLICITY_CASES.keys())
 def test_simplicity_sweep_matches_the_oracle(points):
     assert polyline_is_simple(points) == polyline_is_simple_sweep(points)
+
+
+def test_touching_or_overlapping_polylines_are_not_simple():
+    # non-adjacent segments that cross, touch at an end (to 1e-12 of their
+    # lengths) or overlap along a line make a polyline not simple
+    cases = _SIMPLICITY_CASES
+    for name in ("figure-eight", "figure-eight-vertex", "notch-0",
+                 "notch--1e-13", "notch--1e-10", "notch--0.001", "overlap"):
+        assert not polyline_is_simple(cases[name]), name
+    for name in ("notch-0.001", "notch-1e-10", "ellipse-4096", "cubic"):
+        assert polyline_is_simple(cases[name]), name
+    assert all(polyline_is_simple(cases[f"star-{i}"]) for i in range(40))
+    # as under the rule that counted crossings strictly inside both segments
+    assert sum(polyline_is_simple(cases[f"jitter-{i}"])
+               for i in range(40)) == 15
+    with pytest.raises(DomainError):
+        CurveSpec.from_polyline(cases["overlap"])
 
 
 def test_simplicity_in_blocks_when_every_x_range_overlaps(monkeypatch):

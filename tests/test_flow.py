@@ -6,9 +6,9 @@ import pytest
 from liouvol.action import liouville_action
 from liouvol.curves import circle_curve, ellipse_curve, polynomial_curve
 from liouvol.errors import DomainError
-from liouvol.flow import (BeltramiField, DistanceBoundParams, beltrami_step,
-                          contour_points, displacement_field, distance_bound,
-                          gradient_field, roundness_deficit, run_flow)
+from liouvol.flow import (BeltramiField, beltrami_step, contour_points,
+                          displacement_field, gradient_field,
+                          roundness_deficit, run_flow)
 from liouvol.mapping import conformal_map_pair
 from liouvol.quadrature import QuadratureGrid
 from liouvol.series import LaurentMap, schwarzian
@@ -67,8 +67,9 @@ def test_contour_displacement_matches_fine_grid(ellipse, ellipse_maps, cubic,
         field = gradient_field(g)
         z, fdot = displacement_field(curve, field)
         assert z.size == contour_points(g) == 256
+        # the ring FFT's z against Horner at the same points
         assert np.max(np.abs(z - g(np.exp(2j * np.pi * np.arange(256)
-                                          / 256)))) == 0
+                                          / 256)))) <= 1e-13 * np.max(np.abs(z))
         ref = grid_transform(g, field, z[::8], FINE)
         assert np.max(np.abs(fdot[::8] - ref)) <= 1e-6 * np.max(np.abs(ref))
 
@@ -254,14 +255,3 @@ def test_roundness_deficit_zero_on_circle():
     assert abs(roundness_deficit(circle_curve())) < 1e-6
     assert roundness_deficit(ellipse_curve(1.2, 1.0)) > 1e-3
 
-
-def test_distance_bound_values():
-    params = DistanceBoundParams(0.5, 2.0)
-    assert distance_bound(0.0, params) == pytest.approx(1.0)   # K * c
-    assert distance_bound(1.0, params) == pytest.approx(3.0)
-    bounds = [distance_bound(s, params) for s in (0.0, 0.5, 1.0, 2.0)]
-    assert all(b > a for a, b in zip(bounds, bounds[1:]))
-    with pytest.raises(DomainError):
-        DistanceBoundParams(-1.0, 2.0)
-    with pytest.raises(DomainError):
-        distance_bound(-0.1, params)

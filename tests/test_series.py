@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+import liouvol.curves as curves_module
+import liouvol.flow as flow_module
+import liouvol.mapping as mapping_module
+import liouvol.series as series_module
+from liouvol.curves import CurveSpec, polynomial_curve
 from liouvol.errors import DomainError, SingularDerivative
+from liouvol.flow import (displacement_field, gradient_field,
+                          roundness_deficit)
+from liouvol.mapping import conformal_map_pair, exterior_map, welding
 from liouvol.mobius import MobiusTransform
 from liouvol.series import (LaurentMap, PowerSeriesMap, area_norm,
-                            equipotential, nonlinearity, ring_jet,
-                            ring_values, schwarzian)
+                            circle_samples, equipotential, nonlinearity,
+                            ring_jet, ring_values, schwarzian)
 
 
 def test_eval_identity():
@@ -160,9 +168,11 @@ def test_area_norm_of_monomials(k, p):
     # v^{m-p-2} inside under v = 1/w
     exact = math.pi * math.factorial(k) * math.factorial(p) \
         / math.factorial(k + p + 1)
-    inside, err_in = area_norm(PowerSeriesMap([0, 1]), lambda m, z: z ** k, p)
+    # both maps are the identity, so the jet's value is the point itself
+    inside, err_in = area_norm(PowerSeriesMap([0, 1]),
+                               lambda jet: jet[0] ** k, p)
     outside, err_out = area_norm(LaurentMap(1.0),
-                                 lambda m, w: w ** -(k + p + 2), p)
+                                 lambda jet: jet[0] ** -(k + p + 2), p)
     assert inside == pytest.approx(exact, rel=1e-14)
     assert outside == pytest.approx(exact, rel=1e-14)
     assert err_in < 1e-15 and err_out < 1e-15
@@ -249,3 +259,107 @@ def test_ring_values_match_horner(rng, order, n):
     assert ring.shape == radii.shape + (n,)
     scale = _derivative_scale(np.arange(order + 1), c, radii, 0)[..., None]
     assert np.all(np.abs(ring - ref) <= 1e-13 * scale)
+
+
+def _roots(n):
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _close(values, ref, rel=1e-13):
+    """Agreement to rel of the largest reference value."""
+    assert np.max(np.abs(values - ref)) <= rel * np.max(np.abs(ref))
+
+
+def _sampled(n):
+    """Every (n // 256)-th of n indices."""
+    return np.arange(0, n, max(1, n // 256))
+
+
+def _long_jet(m, n, inverse=False):
+    """The 3-jet of m at the n-th roots of unity z_j, or at 1/z_j, for the
+    indices j = _sampled(n), by Horner in long double. In double precision
+    Horner at the rounded z_j is off by about |m^(d+1)| 1e-16, 1e-13 of the
+    third derivative at order 2048; the ring FFT sums at the exact roots."""
+    z = np.exp(2j * (4 * np.arctan(np.longdouble(1)))
+               * _sampled(n).astype(np.longdouble) / n)
+    z = 1 / z if inverse else z
+    if isinstance(m, PowerSeriesMap):
+        return [npoly.polyval(z, npoly.polyder(m.coeffs, d))
+                if d <= m.order else np.zeros(z.size) for d in range(4)]
+    # d^d/dw^d w^-k = (-k)(-k-1)...(-k-d+1) u^(k+d), u = 1/w
+    u, k = 1 / z, np.arange(1, m.order + 1)
+    heads = (m.b1 * z + m.b0, m.b1, 0.0, 0.0)
+    return [heads[d] + u ** d * npoly.polyval(u, np.concatenate(
+        [[0.0], np.prod([-(k + i) for i in range(d)], axis=0) * m.bneg]))
+            for d in range(4)]
+
+
+@pytest.mark.parametrize("order", [0, 5, 128, 2048, 3000])
+def test_uniform_angle_evaluations_match_horner(rng, order):
+    # every evaluation at n uniform angles is a ring FFT; against Horner at
+    # the same points (256 of them per ring, in long double): circle_samples
+    # (each jet component, at z_j inside and 1/z_j outside),
+    # CurveSpec.boundary at 2048 points, and the value rings of 1024
+    # (variation_check), 4096 (the solve probe, the polar lookup table and
+    # the welding table) and 256 points. Order 3000 runs past every fixed
+    # count, so its terms fold onto k mod n.
+    k = np.arange(order + 1)
+    c = (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)) \
+        / (k + 1.0) ** 4
+    f = PowerSeriesMap(c)
+    g = LaurentMap(1.3 - 0.2j, c[0], c[1:])
+    n = max(1024, 8 * 2 ** math.ceil(math.log2(order + 1)))
+    for m in (f, g):
+        ref = _long_jet(m, n, inverse=m is g)
+        for d in range(4):
+            samples = circle_samples(m, lambda jet, d=d: jet[d])
+            _close(samples[_sampled(n)], ref[d])
+    _close(CurveSpec("series", series=f).boundary(2048)[_sampled(2048)],
+           _long_jet(f, 2048)[0])
+    for n in (256, 1024, 4096):
+        for m in (f, g):
+            _close(ring_jet(m, 1.0, n, upto=0)[0][_sampled(n)],
+                   _long_jet(m, n)[0])
+
+
+def _horner_ring_jet(m, radii, n, upto=3):
+    return m.jet(np.asarray(radii, dtype=float)[..., None] * _roots(n),
+                 upto=upto)
+
+
+def _horner_ring_values(c, radii, n):
+    return npoly.polyval(np.asarray(radii, dtype=float)[..., None]
+                         * _roots(n), c)
+
+
+@pytest.mark.parametrize("name", ["cubic", "star"])
+def test_solver_and_flow_sites_match_horner(name, monkeypatch):
+    # the exterior solve (polar lookup table, fit probe), welding, the
+    # flow's contour path and the roundness deficit, first on ring FFTs and
+    # then with every ring evaluation of their modules replaced by Horner
+    # at the same points: the outputs agree to rounding
+    curve = (polynomial_curve(0.0, 0.05) if name == "cubic" else
+             polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8))
+    theta = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)
+
+    def outputs():
+        f, g = conformal_map_pair(curve)
+        _, diag = exterior_map(curve)
+        z, fdot = displacement_field(curve, gradient_field(g))
+        return {"g": np.concatenate([[g.b1, g.b0], g.bneg]),
+                "mismatch": diag.boundary_mismatch, "z": z, "fdot": fdot,
+                "welding": welding(f, g, theta),
+                "roundness": roundness_deficit(curve)}
+
+    ring = outputs()
+    for module in (series_module, curves_module, mapping_module,
+                   flow_module):
+        if hasattr(module, "ring_jet"):
+            monkeypatch.setattr(module, "ring_jet", _horner_ring_jet)
+        if hasattr(module, "ring_values"):
+            monkeypatch.setattr(module, "ring_values", _horner_ring_values)
+    horner = outputs()
+    for key in ("g", "z", "fdot", "welding"):
+        _close(ring[key], horner[key])
+    assert abs(ring["mismatch"] - horner["mismatch"]) <= 1e-13
+    assert abs(ring["roundness"] - horner["roundness"]) <= 1e-13

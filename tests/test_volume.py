@@ -585,8 +585,8 @@ def test_circle_levels_in_closed_form():
     assert max(abs(v) for _, v in samples) <= 1e-13
 
 
-@pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "balanced1",
-                                  "balanced2", "balanced3"])
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "star",
+                                  "balanced1", "balanced2", "balanced3"])
 def test_identity_to_rounding(name):
     curves = _identity_curves()
     curve = (curves[name] if name in curves
@@ -613,3 +613,33 @@ def test_identity_to_eight_digits(name):
     f, g = conformal_map_pair(_identity_curves()[name], order=128)
     rep = renormalized_volume(f, g)
     assert abs(rep.identity_residual) <= 1e-8 * rep.action_total
+
+
+def test_identity_on_the_order_2048_star():
+    # the exterior map of z + 0.12 z^5 runs to order 2048, and its sheet's
+    # integrand to about twice that in angle: on 2048 rays it aliases, and
+    # the residual reads 1.2e-8 of the action
+    curve = polynomial_curve(0.0, 0.0, 0.0, 0.12, hint_radius=1.8)
+    f, g = conformal_map_pair(curve, order=128)
+    assert g.order == 2048
+    rep = renormalized_volume(f, g)
+    assert abs(rep.identity_residual) <= 1e-11 * rep.action_total
+
+
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "star"])
+@pytest.mark.parametrize("doubled", ["inside", "outside"])
+def test_doubling_a_sheets_rays_moves_v_at_rounding(name, doubled,
+                                                    monkeypatch):
+    # each sheet takes angular_count(2 * order) rays of its own map: 256
+    # on the fixtures, and 256 inside and 1024 outside on the star
+    f, g = conformal_map_pair(_identity_curves()[name], order=128)
+    inside, outside = _ray_sheets(f, g, 1e-4 * abs(g.b1))
+    ratio = 4 if name == "star" else 1
+    assert outside.samples.shape == (ratio * inside.samples.shape[0],
+                                     GAUSS_NODES + 2)
+    v = volume(f, g)[0]
+    target = f if doubled == "inside" else g
+    of = _RaySheet.of
+    monkeypatch.setattr(_RaySheet, "of", lambda m, n, edges: of(
+        m, 2 * n if m is target else n, edges))
+    assert abs(volume(f, g)[0] - v) <= 1e-13 * abs(v)
