@@ -16,6 +16,8 @@ from .series import PowerSeriesMap, ring_jet
 
 # pairs of segments tested at a time by polyline_is_simple
 _PAIR_BLOCK = 1 << 16
+# two segments meet when they come within this fraction of their lengths
+MEET_TOL = 1e-12
 
 
 def _cross(a, b):
@@ -28,9 +30,10 @@ def _dot(a, b):
 
 def _segments_intersect(p1, p2, q1, q2):
     """Whether the closed segments p1p2 and q1q2 meet, elementwise over
-    arrays of end points, to 1e-12 of their lengths: a crossing, a touch at
-    an end, or, for segments parallel to 1e-12, a collinear overlap."""
-    eps = 1e-12
+    arrays of end points, to MEET_TOL of their lengths: a crossing, a touch
+    at an end, or, for segments parallel to MEET_TOL, a collinear
+    overlap."""
+    eps = MEET_TOL
     d1, d2, r = p2 - p1, q2 - q1, q1 - p1
     den, len1 = _cross(d1, d2), _dot(d1, d1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -50,16 +53,19 @@ def polyline_is_simple(points):
     """Segment sweep over the closed polyline: with the segments sorted by
     min-x, each is paired with every later one whose min-x is within its
     max-x; pairs of adjacent segments or of disjoint y-ranges are dropped,
-    and the rest go to the crossing test in blocks of _PAIR_BLOCK pairs."""
+    and the rest go to the crossing test in blocks of _PAIR_BLOCK pairs.
+    The ranges are widened by twice MEET_TOL of each segment's length, so
+    no pair that meets is dropped."""
     seg_a = np.asarray(points, dtype=complex)
     seg_b = np.roll(seg_a, -1)
     n = seg_a.size
-    order = np.argsort(np.minimum(seg_a.real, seg_b.real), kind="stable")
-    seg_a, seg_b = seg_a[order], seg_b[order]
-    lo = np.minimum(seg_a.real, seg_b.real)
-    hi = np.maximum(seg_a.real, seg_b.real)
-    ylo = np.minimum(seg_a.imag, seg_b.imag)
-    yhi = np.maximum(seg_a.imag, seg_b.imag)
+    pad = 2.0 * MEET_TOL * np.abs(seg_b - seg_a)
+    order = np.argsort(np.minimum(seg_a.real, seg_b.real) - pad, kind="stable")
+    seg_a, seg_b, pad = seg_a[order], seg_b[order], pad[order]
+    lo = np.minimum(seg_a.real, seg_b.real) - pad
+    hi = np.maximum(seg_a.real, seg_b.real) + pad
+    ylo = np.minimum(seg_a.imag, seg_b.imag) - pad
+    yhi = np.maximum(seg_a.imag, seg_b.imag) + pad
     # segment j pairs with the later ones i < stop[j] in sorted order
     stop = np.searchsorted(lo, hi, side="right")
     counts = stop - np.arange(n) - 1

@@ -277,8 +277,11 @@ def polyline_is_simple_sweep(points):
     n = pts.size
     seg_a = pts
     seg_b = np.roll(pts, -1)
-    lo = np.minimum(seg_a.real, seg_b.real)
-    hi = np.maximum(seg_a.real, seg_b.real)
+    pad = 2e-12 * np.abs(seg_b - seg_a)  # boxes of segments that may meet
+    lo = np.minimum(seg_a.real, seg_b.real) - pad
+    hi = np.maximum(seg_a.real, seg_b.real) + pad
+    ylo = (np.minimum(seg_a.imag, seg_b.imag) - pad).tolist()
+    yhi = (np.maximum(seg_a.imag, seg_b.imag) + pad).tolist()
     order = np.argsort(lo, kind="stable")
     active = []
     for idx in order:
@@ -287,11 +290,7 @@ def polyline_is_simple_sweep(points):
         for j in active:
             if (j - idx) % n in (0, 1, n - 1):
                 continue
-            ylo_i = min(seg_a[idx].imag, seg_b[idx].imag)
-            yhi_i = max(seg_a[idx].imag, seg_b[idx].imag)
-            ylo_j = min(seg_a[j].imag, seg_b[j].imag)
-            yhi_j = max(seg_a[j].imag, seg_b[j].imag)
-            if yhi_i < ylo_j or yhi_j < ylo_i:
+            if yhi[idx] < ylo[j] or yhi[j] < ylo[idx]:
                 continue
             if _segments_cross(seg_a[idx], seg_b[idx], seg_a[j], seg_b[j]):
                 return False

@@ -77,6 +77,11 @@ def test_touching_or_overlapping_polylines_are_not_simple():
         assert not polyline_is_simple(cases[name]), name
     for name in ("notch-0.001", "notch-1e-10", "ellipse-4096", "cubic"):
         assert polyline_is_simple(cases[name]), name
+    # a tip 1e-13 above the opposite edge meets it however it is turned
+    notch = np.array([0, 4, 4 + 4j, 2.2 + 4j, 2 + 1e-13j, 1.8 + 4j, 4j])
+    for turn in (1.0, np.exp(0.3j)):
+        assert not polyline_is_simple(turn * notch)
+        assert not polyline_is_simple_sweep(turn * notch)
     assert all(polyline_is_simple(cases[f"star-{i}"]) for i in range(40))
     # as under the rule that counted crossings strictly inside both segments
     assert sum(polyline_is_simple(cases[f"jitter-{i}"])
