@@ -176,7 +176,8 @@ def cmd_surface(config, writer):
     mesh_out = mesh_surface(g, rn, an, config.r_max)
     for name, mesh in (("surface_in", mesh_in), ("surface_out", mesh_out)):
         obj = writer.out_dir / f"{name}.obj"
-        write_obj(obj, mesh, comment=f"{name} {config.config_hash()}")
+        write_obj(obj, mesh.vertices, mesh.faces, mesh.eta,
+                  comment=f"{name} {config.config_hash()}")
         writer.register_external(obj)
         csv = writer.out_dir / f"{name}.csv"
         write_vertex_csv(csv, mesh)
@@ -221,22 +222,13 @@ def cmd_volume(config, writer):
             verts, faces, loop = clip_mesh_above(mesh, eps)
             loops.append(loop)
             obj = writer.out_dir / f"{name}.obj"
-            _write_soup_obj(obj, verts, faces, name)
+            write_obj(obj, verts, faces, comment=name)
             writer.register_external(obj)
         cap_v, cap_f = cap_annulus(*loops)
         obj = writer.out_dir / "volume_cap.obj"
-        _write_soup_obj(obj, cap_v, cap_f, "cap")
+        write_obj(obj, cap_v, cap_f, comment="cap")
         writer.register_external(obj)
     return 0
-
-
-def _write_soup_obj(path, verts, faces, comment):
-    lines = [f"# {comment}"]
-    for v in verts:
-        lines.append("v %.17g %.17g %.17g" % (v[0], v[2], v[1]))
-    for tri in faces:
-        lines.append("f %d %d %d" % (tri[0] + 1, tri[1] + 1, tri[2] + 1))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def cmd_verify_identity(config, writer):
@@ -274,7 +266,8 @@ def cmd_flow(config, writer):
                 for name, mesh in ((f"flow_{s.step:04d}_in", mi),
                                    (f"flow_{s.step:04d}_out", mo)):
                     obj = writer.out_dir / f"{name}.obj"
-                    write_obj(obj, mesh, comment=name)
+                    write_obj(obj, mesh.vertices, mesh.faces, mesh.eta,
+                              comment=name)
                     writer.register_external(obj)
     writer.write_json("flow.json", {
         "steps_accepted": len(states) - 1,

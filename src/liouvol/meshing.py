@@ -256,22 +256,23 @@ def surface_separation(mesh_in, mesh_out):
 
 # -- export -------------------------------------------------------------------
 
-def write_obj(path, mesh, comment=None):
-    """OBJ export, y-up: file coordinates are (x, xi, y)."""
+def write_obj(path, vertices, faces, normals=None, comment=None):
+    """OBJ export, y-up: file coordinates are (x, xi, y). Faces index the
+    normals too when they are given."""
     lines = []
     if comment:
         lines.append(f"# {comment}")
-    v = mesh.vertices
-    n = mesh.eta
-    for i in range(v.shape[0]):
+    for v in vertices:
         lines.append("v " + " ".join(
-            FLOAT_FMT % c for c in (v[i, 0], v[i, 2], v[i, 1])))
-    for i in range(n.shape[0]):
-        lines.append("vn " + " ".join(
-            FLOAT_FMT % c for c in (n[i, 0], n[i, 2], n[i, 1])))
-    for tri in mesh.faces:
+            FLOAT_FMT % c for c in (v[0], v[2], v[1])))
+    if normals is not None:
+        for n in normals:
+            lines.append("vn " + " ".join(
+                FLOAT_FMT % c for c in (n[0], n[2], n[1])))
+    for tri in faces:
         a, b, c = (int(x) + 1 for x in tri)
-        lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
+        lines.append(f"f {a}//{a} {b}//{b} {c}//{c}" if normals is not None
+                     else f"f {a} {b} {c}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
