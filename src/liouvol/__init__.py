@@ -22,7 +22,6 @@ from .meshing import (SurfaceMesh, aligned_surface_meshes, load_obj,
 from .quadrature import QuadratureGrid
 from .series import (LaurentMap, PowerSeriesMap, area_norm, equipotential,
                      nonlinearity, nonlinearity_of, schwarzian, schwarzian_of)
-from .volume import (VolumeReport, renormalized_volume, truncated_volume,
-                     variation_check, volume)
+from .volume import VolumeReport, renormalized_volume, truncated_volume, volume
 
 __version__ = "0.1.0"

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DivergenceSuspected, DomainError
 from .quadrature import QuadratureGrid
-from .series import area_norm, nonlinearity_of, ring_values, schwarzian
+from .series import (area_norm, nonlinearity_of, ring_jet, ring_values,
+                     schwarzian_of)
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,13 @@ def grunsky_gap(f, g, grid=None):
 
 def first_variation_action(g, nu, grid=None):
     """Directional derivative of the action under an exterior Beltrami
-    field nu: 4 Re int_D* nu * S(g), by default on the grid sized to g."""
+    field nu: 4 Re int_D* nu * S(g), by default on the grid sized to g.
+    S(g) is evaluated on the grid's rings by one FFT per radius."""
     grid = grid or QuadratureGrid.for_order(g.order)
     ext = grid.exterior()
-    w = ext.nodes
-    sg = schwarzian(g, w)
-    nu_vals = nu(w) if callable(nu) else np.asarray(nu)
+    # the exterior nodes are rings r^-1 e^{2 pi i j/n}, radius-major
+    radii = ext.nodes[::ext.angular_n].real
+    sg = schwarzian_of(ring_jet(g, radii, ext.angular_n)).ravel()
+    nu_vals = nu(ext.nodes) if callable(nu) else np.asarray(nu)
     return 4.0 * float(np.real(ext.integrate(nu_vals * sg)))
 

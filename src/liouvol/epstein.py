@@ -45,9 +45,6 @@ class EpsteinFrame:
         if abs(n - 1.0) > UNIT_TOL:
             raise DomainError(f"normal is not unit: |eta|^2 = {n}")
 
-    def eta_xyz(self):
-        return np.array([self.eta_h.real, self.eta_h.imag, self.eta_v])
-
 
 @dataclass(frozen=True)
 class CurvatureData:

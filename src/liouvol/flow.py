@@ -13,11 +13,14 @@ failure.
 
 The field is carried by the coefficients s_k of S(g) = sum s_k w^-k from
 one FFT of circle samples: its norms are coefficient sums and ring FFTs,
-and its Cauchy transform is a contour integral over the curve (Stokes on
-the explicit d-bar primitive of nu), so the flow needs no area grid. The
-contour sum reduces with einsum rather than a BLAS product: a threaded
-gemv would wake a thread pool that spins between steps and would make the
-summation order depend on the core count.
+and its Cauchy transform (displacement_field, the only one in the
+library) is a contour integral over the curve (Stokes on the explicit
+d-bar primitive of nu), so the flow needs no area grid. Such harmonic
+fields span the Weil-Petersson tangent space; a step along any other
+field takes its boundary velocity from the caller (beltrami_step's
+``precomputed``). The contour sum reduces with einsum rather than a BLAS
+product: a threaded gemv would wake a thread pool that spins between
+steps and would make the summation order depend on the core count.
 """
 
 import functools
@@ -31,8 +34,8 @@ from .action import liouville_action
 from .curves import CurveSpec, polyline_is_simple
 from .errors import (DeformationError, DomainError, NonConvergence,
                      RefitError, Stalled)
-from .mapping import conformal_map_pair, exterior_map, interior_map
-from .quadrature import QuadratureGrid
+from .mapping import conformal_map_pair, interior_map
+from .quadrature import angular_count
 from .series import (LaurentMap, PowerSeriesMap, circle_samples,
                      coefficient_sum, ring_jet, ring_values, schwarzian,
                      schwarzian_of)
@@ -47,7 +50,6 @@ STEP_CAP = 0.02        # largest t * sup|nu| a flow step tries
 T_MIN = 1e-8           # step size below which the flow has stalled
 ACTION_FLOOR = 1e-9    # action at which the flow has converged
 CONTOUR_CHUNK = 256    # rows per block of the contour sum
-GRID_CHUNK = 64        # boundary points per block of the grid sum
 
 
 @dataclass(frozen=True)
@@ -107,22 +109,26 @@ def gradient_field(g):
     return BeltramiField(nu, sup, wp, exterior=g, coeffs=s)
 
 
-def contour_points(g):
-    """Uniform circle points of the contour path for the exterior map g:
-    twice its order, at least 256, rounded up to a power of two."""
-    return max(256, 2 ** math.ceil(math.log2(max(2 * g.order, 1))))
+def displacement_field(field, n_boundary=None):
+    """Boundary velocity of the deformation along a descent field from
+    gradient_field: the Cauchy transform F of the transported field, on the
+    curve zeta = g(w) of the field's exterior map g at n uniform points w_j
+    (by default angular_count(2 * order of g)). Returns (zeta_j, F(zeta_j)).
 
-
-def _contour_displacement(g, s, n):
-    """Cauchy transform of the descent field with coefficients s, as a
-    contour integral over the curve zeta = g(w) at n uniform points w_j.
-
-    X = 2 sum conj(s_k) w^(k-1) / ((k-1)(k-2)(k-3)) is the d-bar primitive
-    of nu on |w| = 1, and Stokes turns the area transform into
+    X = 2 sum conj(s_k) w^(k-1) / ((k-1)(k-2)(k-3)), from the field's
+    coefficients s_k, is the d-bar primitive of nu on |w| = 1, and Stokes
+    turns the area transform into
     F(z0) = q(z0) + (1/2 pi i) oint (q - q(z0)) / (zeta - z0) dzeta with
     q = g' X. The trapezoid rule takes dq/dzeta on the diagonal. X, X' and
     the 2-jet of g at the w_j are ring FFTs.
     """
+    s = getattr(field, "coeffs", None)
+    if s is None:
+        raise DomainError("displacement_field needs the coefficients of a "
+                          "field from gradient_field; pass the displacement "
+                          "of any other field as beltrami_step's precomputed")
+    g = field.exterior
+    n = n_boundary or angular_count(2 * g.order)
     k = np.arange(4, s.size)
     x = np.zeros(s.size - 1, dtype=complex)  # coefficients of X by power
     x[3:] = 2.0 * np.conj(s[4:]) / ((k - 1.0) * (k - 2.0) * (k - 3.0))
@@ -146,50 +152,14 @@ def _contour_displacement(g, s, n):
     return zeta, q + total / (1j * n)
 
 
-def displacement_field(curve, nu, exterior=None, grid=None, n_boundary=None):
-    """Boundary velocity of the deformation: solves d-bar F = transported nu
-    by the Cauchy transform, pulled back to the exterior parameter disk.
-    Returns (boundary points z_j, F(z_j)).
-
-    A field from gradient_field (one carrying ``coeffs``) takes the contour
-    path on its own exterior map: z_j = g(w_j) at ``n_boundary`` uniform
-    w_j, by default contour_points(g). Any other callable, or an array of
-    values at the exterior grid nodes, is integrated over ``grid`` (by
-    default sized to the exterior map's order) at n_boundary points of
-    ``curve`` (default: the grid's angular count).
-    """
-    coeffs = getattr(nu, "coeffs", None)
-    if coeffs is not None:
-        g = nu.exterior
-        return _contour_displacement(g, coeffs,
-                                     n_boundary or contour_points(g))
-    if exterior is None:
-        exterior, _ = exterior_map(curve)
-    grid = grid or QuadratureGrid.for_order(exterior.order)
-    n_boundary = n_boundary or grid.angular_n
-    ext = grid.exterior()
-    w = ext.nodes
-    nu_vals = nu(w) if callable(nu) else np.asarray(nu)
-    g1 = exterior.deriv_at(w, 1)
-    gv = exterior(w)
-    density = ext.weights * nu_vals * g1 * g1
-
-    z = curve.boundary(n_boundary)
-    out = np.empty(z.size, dtype=complex)
-    for lo in range(0, z.size, GRID_CHUNK):
-        hi = min(lo + GRID_CHUNK, z.size)
-        kernel = 1.0 / (gv[None, :] - z[lo:hi, None])
-        out[lo:hi] = np.einsum("ij,j->i", kernel, density)
-    return z, -out / math.pi
-
-
-def beltrami_step(curve, nu, t, exterior=None, grid=None, order=128,
-                  precomputed=None):
+def beltrami_step(curve, nu, t, order=128, precomputed=None):
     """First-order quasiconformal move of the curve along t * nu.
 
-    The moved boundary is refit to an interior series; raises
-    DeformationError if the moved curve self-intersects and RefitError if
-    the series fit cannot certify its residual.
+    The boundary velocity is displacement_field(nu), or ``precomputed``
+    (boundary points, velocity) for a field without coefficients. The moved
+    boundary is refit to an interior series; raises DeformationError if the
+    moved curve self-intersects and RefitError if the series fit cannot
+    certify its residual.
     """
     sup = getattr(nu, "sup_norm", None)
     if sup is not None and abs(t) * sup >= 0.1:
@@ -198,7 +168,7 @@ def beltrami_step(curve, nu, t, exterior=None, grid=None, order=128,
     if t == 0:
         return curve
     if precomputed is None:
-        z, fdot = displacement_field(curve, nu, exterior=exterior, grid=grid)
+        z, fdot = displacement_field(nu)
     else:
         z, fdot = precomputed
     moved = z + t * fdot
@@ -254,12 +224,12 @@ def run_flow(curve, max_steps=50, order=128):
         t = t_cap if t_prev is None else min(t_cap, 2.0 * t_prev)
         while t >= t_over:
             t *= 0.5
-        pre = displacement_field(curve, field)
+        pre = displacement_field(field)
         accepted = False
         while t >= T_MIN:
             try:
-                cand = beltrami_step(curve, field, t, exterior=g,
-                                     order=order, precomputed=pre)
+                cand = beltrami_step(curve, field, t, order=order,
+                                     precomputed=pre)
                 fc, gc = conformal_map_pair(cand, order=order, tol=1e-8)
                 cand_action = liouville_action(fc, gc).total
             except (DeformationError, RefitError, NonConvergence):

@@ -96,9 +96,6 @@ class H3Point:
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "xi", float(self.xi))
 
-    def as_xyz(self):
-        return np.array([self.z.real, self.z.imag, self.xi])
-
 
 def h3_distance(p, q):
     """Hyperbolic distance in the upper half-space model."""

@@ -50,8 +50,8 @@ from .action import liouville_action
 from .epstein import _frame_fields, mean_curvature_total
 from .errors import (CapTopologyError, DivergenceSuspected, DomainError,
                      NoConvergence)
-from .quadrature import QuadratureGrid, angular_count
-from .series import LaurentMap, ring_jet, schwarzian
+from .quadrature import angular_count
+from .series import LaurentMap, ring_jet
 
 ORIENT_SIGN = -1.0  # mesh sheet normals point into the enclosed region
 EPS_BASE = 0.1      # leading truncation height relative to the curve scale
@@ -78,8 +78,8 @@ class VolumeReport:
     V: float
     mean_curvature_half: float
     V_R: float
-    action_total: float | None
-    identity_residual: float | None
+    action_total: float
+    identity_residual: float
     extrapolation_error: float
 
 
@@ -475,44 +475,12 @@ def volume(f, g, eps_schedule=None):
     return v, samples, err
 
 
-def renormalized_volume(f, g, with_action=True, eps_schedule=None):
+def renormalized_volume(f, g, eps_schedule=None):
     """VolumeReport with V, the mean-curvature correction, V_R, and the
-    residual against the Liouville action (when requested)."""
+    residual against the Liouville action."""
     v, samples, err = volume(f, g, eps_schedule)
     mch = 0.5 * (mean_curvature_total(f) + mean_curvature_total(g))
     v_r = v - mch
-    action_total = residual = None
-    if with_action:
-        action_total = liouville_action(f, g).total
-        residual = action_total - 4.0 * v_r
+    action_total = liouville_action(f, g).total
+    residual = action_total - 4.0 * v_r
     return VolumeReport(samples, v, mch, v_r, action_total, residual, err)
-
-
-def variation_check(f, g, nu, dt, grid=None, deform_opts=None):
-    """Compare the centered difference of V_R along a Beltrami deformation
-    against the boundary-integral derivative formula, integrated over
-    ``grid`` (by default sized to g's order).
-
-    Returns {"lhs": finite difference, "rhs": formula value}.
-    """
-    from .curves import CurveSpec
-    from .flow import beltrami_step
-    from .mapping import conformal_map_pair
-
-    grid = grid or QuadratureGrid.for_order(g.order)
-    deform_opts = deform_opts or {}
-
-    ext = grid.exterior()
-    nu_vals = nu(ext.nodes) if callable(nu) else np.asarray(nu)
-    rhs = float(np.real(ext.integrate(nu_vals * schwarzian(g, ext.nodes))))
-
-    base = CurveSpec.from_polyline(ring_jet(f, 1.0, 1024, upto=0)[0],
-                                   check=False)
-
-    def v_r_at(t):
-        moved = beltrami_step(base, nu, t, exterior=g, **deform_opts)
-        fm, gm = conformal_map_pair(moved)
-        return renormalized_volume(fm, gm, with_action=False).V_R
-
-    lhs = (v_r_at(dt) - v_r_at(-dt)) / (2.0 * dt)
-    return {"lhs": float(lhs), "rhs": rhs}

@@ -242,6 +242,68 @@ def grunsky_gap_horner(f, g, grid):
     return {"lhs": float(lhs), "rhs": float(rhs)}
 
 
+# -- the area Cauchy transform on the exterior grid ----------------------------
+
+def grid_transform(g, nu, z, grid, chunk=64):
+    """The area Cauchy transform -(1/pi) int nu g'^2 / (g - z) over the
+    exterior nodes of ``grid``, at the points z."""
+    ext = grid.exterior()
+    w = ext.nodes
+    g1 = g.deriv_at(w, 1)
+    density = ext.weights * nu(w) * g1 * g1
+    gv = g(w)
+    out = np.empty(z.size, dtype=complex)
+    for lo in range(0, z.size, chunk):
+        hi = min(lo + chunk, z.size)
+        kernel = 1.0 / (gv[None, :] - z[lo:hi, None])
+        out[lo:hi] = np.einsum("ij,j->i", kernel, density)
+    return -out / math.pi
+
+
+def grid_displacement(curve, g, nu, grid):
+    """(z, F(z)) at grid.angular_n points z of ``curve``, F the grid
+    transform of any Beltrami field nu on the exterior of g: a boundary
+    velocity for beltrami_step's ``precomputed``."""
+    z = curve.boundary(grid.angular_n)
+    return z, grid_transform(g, nu, z, grid)
+
+
+def variation_check(f, g, nu, dt, grid=None, deform_opts=None):
+    """Centered difference of V_R along the Beltrami deformation nu against
+    the boundary-integral formula Re int nu S(g), integrated over ``grid``
+    (by default sized to g's order). The curve moves by grid_displacement
+    on the grid sized to g's order.
+
+    Returns {"lhs": finite difference, "rhs": formula value}.
+    """
+    from liouvol.curves import CurveSpec
+    from liouvol.flow import beltrami_step
+    from liouvol.mapping import conformal_map_pair
+    from liouvol.quadrature import QuadratureGrid
+    from liouvol.series import ring_jet, schwarzian
+    from liouvol.volume import renormalized_volume
+
+    sized = QuadratureGrid.for_order(g.order)
+    grid = grid or sized
+    deform_opts = deform_opts or {}
+
+    ext = grid.exterior()
+    rhs = float(np.real(ext.integrate(nu(ext.nodes)
+                                      * schwarzian(g, ext.nodes))))
+
+    base = CurveSpec.from_polyline(ring_jet(f, 1.0, 1024, upto=0)[0],
+                                   check=False)
+    velocity = grid_displacement(base, g, nu, sized)
+
+    def v_r_at(t):
+        moved = beltrami_step(base, nu, t, precomputed=velocity,
+                              **deform_opts)
+        return renormalized_volume(*conformal_map_pair(moved)).V_R
+
+    lhs = (v_r_at(dt) - v_r_at(-dt)) / (2.0 * dt)
+    return {"lhs": float(lhs), "rhs": rhs}
+
+
 # -- polyline simplicity by a per-segment sweep -------------------------------
 
 def _segments_cross(p1, p2, q1, q2):

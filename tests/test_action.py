@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (dirichlet_exterior_series, dirichlet_interior_series,
-                     grunsky_gap_horner, mc_disk_integral)
+                     grid_displacement, grunsky_gap_horner, mc_disk_integral)
 
 from liouvol.action import (dirichlet_nonlinearity, first_variation_action,
                             grunsky_gap, liouville_action)
@@ -178,8 +178,10 @@ def test_first_variation_matches_finite_difference(grid, ellipse, ellipse_maps):
     formula = first_variation_action(g, nu, grid)
     base = liouville_action(f, g).total
 
+    velocity = grid_displacement(ellipse, g, nu, grid)
+
     def action_at(t):
-        moved = beltrami_step(ellipse, nu, t, exterior=g, grid=grid, order=96)
+        moved = beltrami_step(ellipse, nu, t, order=96, precomputed=velocity)
         fm, gm = conformal_map_pair(moved, order=96, tol=1e-8)
         return liouville_action(fm, gm).total
 
@@ -266,6 +268,24 @@ def test_grunsky_rings_match_horner(curve, order, angular_n):
     assert gap["rhs"] == ref["rhs"]
     scale = 1.0 if curve == "circle" else ref["rhs"]
     assert abs(gap["lhs"] - ref["lhs"]) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("curve", ["ellipse", "cubic", "star"])
+def test_first_variation_rings_match_horner(curve):
+    # S(g) on the exterior grid's rings by FFT against Horner at every node,
+    # paired with nu = conj(S(g)) (|w|^2 - 1)^2, whose integrand is positive
+    if curve == "star":
+        spec = CurveSpec.from_series(PowerSeriesMap([0, 1, 0, 0, 0, 0.08]))
+    else:
+        spec = load_curve(curve)
+    _, g = conformal_map_pair(spec)
+    grid = QuadratureGrid.for_order(g.order)
+    ext = grid.exterior()
+    sg = schwarzian(g, ext.nodes)
+    nu = np.conj(sg) * (np.abs(ext.nodes) ** 2 - 1) ** 2
+    ref = 4.0 * ext.integrate(np.abs(sg) ** 2
+                              * (np.abs(ext.nodes) ** 2 - 1) ** 2)
+    assert abs(first_variation_action(g, nu, grid) - ref) <= 1e-13 * ref
 
 
 @settings(max_examples=8, derandomize=True, deadline=None)

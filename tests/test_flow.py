@@ -6,30 +6,14 @@ import pytest
 from liouvol.action import liouville_action
 from liouvol.curves import circle_curve, ellipse_curve, polynomial_curve
 from liouvol.errors import DomainError
-from liouvol.flow import (BeltramiField, beltrami_step, contour_points,
-                          displacement_field, gradient_field,
-                          roundness_deficit, run_flow)
+from liouvol.flow import (BeltramiField, beltrami_step, displacement_field,
+                          gradient_field, roundness_deficit, run_flow)
 from liouvol.mapping import conformal_map_pair
-from liouvol.quadrature import QuadratureGrid
+from liouvol.quadrature import QuadratureGrid, angular_count
 from liouvol.series import LaurentMap, schwarzian
+from oracles import grid_displacement, grid_transform
 
 FINE = QuadratureGrid.disk(30, 16, 1024)
-
-
-def grid_transform(g, nu, z, grid, chunk=64):
-    """The area Cauchy transform -(1/pi) int nu g'^2 / (g - z) over the
-    exterior nodes of ``grid``, at the points z."""
-    ext = grid.exterior()
-    w = ext.nodes
-    g1 = g.deriv_at(w, 1)
-    density = ext.weights * nu(w) * g1 * g1
-    gv = g(w)
-    out = np.empty(z.size, dtype=complex)
-    for lo in range(0, z.size, chunk):
-        hi = min(lo + chunk, z.size)
-        kernel = 1.0 / (gv[None, :] - z[lo:hi, None])
-        out[lo:hi] = np.einsum("ij,j->i", kernel, density)
-    return -out / math.pi
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +45,11 @@ def test_gradient_wp_norm_matches_pairing(grid, ellipse_maps):
     assert abs(-pairing - field.wp_norm_sq) < 0.01 * field.wp_norm_sq
 
 
-def test_contour_displacement_matches_fine_grid(ellipse, ellipse_maps, cubic,
-                                               cubic_maps, grid):
-    for curve, (_, g) in ((ellipse, ellipse_maps), (cubic, cubic_maps)):
+def test_contour_displacement_matches_fine_grid(ellipse_maps, cubic_maps):
+    for _, g in (ellipse_maps, cubic_maps):
         field = gradient_field(g)
-        z, fdot = displacement_field(curve, field)
-        assert z.size == contour_points(g) == 256
+        z, fdot = displacement_field(field)
+        assert z.size == angular_count(2 * g.order) == 256
         # the ring FFT's z against Horner at the same points
         assert np.max(np.abs(z - g(np.exp(2j * np.pi * np.arange(256)
                                           / 256)))) <= 1e-13 * np.max(np.abs(z))
@@ -77,19 +60,12 @@ def test_contour_displacement_matches_fine_grid(ellipse, ellipse_maps, cubic,
     star = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
     _, g = conformal_map_pair(star)
     field = gradient_field(g)
-    n = contour_points(g)
+    n = angular_count(2 * g.order)
     assert n >= 2 * g.order
-    _, fdot = displacement_field(star, field)
-    _, fine = displacement_field(star, field, n_boundary=2 * n)
+    _, fdot = displacement_field(field)
+    _, fine = displacement_field(field, n_boundary=2 * n)
     assert fdot.size == n
     assert np.max(np.abs(fdot - fine[::2])) <= 1e-10 * np.max(np.abs(fine))
-
-    # a plain callable keeps the grid formula, bit for bit
-    _, g = cubic_maps
-    nu = lambda w: np.conj(schwarzian(g, w)) * (np.abs(w) ** 2 - 1) ** 2
-    z, fdot = displacement_field(cubic, nu, exterior=g, grid=grid)
-    assert np.array_equal(z, cubic.boundary(grid.angular_n))
-    assert np.array_equal(fdot, grid_transform(g, nu, z, grid))
 
 
 def test_gradient_field_norms_are_spectral(ellipse_maps, cubic_maps,
@@ -112,38 +88,37 @@ def test_gradient_field_norms_are_spectral(ellipse_maps, cubic_maps,
 def test_beltrami_step_zero_field_or_time(grid, ellipse, ellipse_maps):
     _, g = ellipse_maps
     zero = BeltramiField(lambda w: np.zeros_like(w), 0.0, 0.0, g)
-    moved = beltrami_step(ellipse, zero, 0.37, exterior=g, grid=grid,
-                          order=64)
+    moved = beltrami_step(ellipse, zero, 0.37, order=64,
+                          precomputed=grid_displacement(ellipse, g, zero, grid))
     # same curve as a point set (the refit may reparametrize the boundary)
     pts = moved.boundary(512)
     radial_gap = np.abs(pts) - 1.2 / np.sqrt(
         np.cos(np.angle(pts)) ** 2 + 1.44 * np.sin(np.angle(pts)) ** 2)
     assert np.max(np.abs(radial_gap)) < 1e-5
-    same = beltrami_step(ellipse, gradient_field(g), 0.0, exterior=g,
-                         grid=grid)
+    same = beltrami_step(ellipse, gradient_field(g), 0.0)
     assert same is ellipse
 
 
-def test_beltrami_step_regime_guard(grid, ellipse, ellipse_maps):
+def test_beltrami_step_regime_guard(ellipse, ellipse_maps):
     _, g = ellipse_maps
     field = gradient_field(g)
     with pytest.raises(DomainError):
-        beltrami_step(ellipse, field, 1.0, exterior=g, grid=grid)
+        beltrami_step(ellipse, field, 1.0)
 
 
-def test_beltrami_step_first_order_decrease(grid, ellipse, ellipse_maps):
+def test_beltrami_step_first_order_decrease(ellipse, ellipse_maps):
     f, g = ellipse_maps
     field = gradient_field(g)
     s0 = liouville_action(f, g).total
     t = 1e-3
-    moved = beltrami_step(ellipse, field, t, exterior=g, grid=grid, order=96)
+    moved = beltrami_step(ellipse, field, t, order=96)
     fm, gm = conformal_map_pair(moved, order=96, tol=1e-8)
     drop = liouville_action(fm, gm).total - s0
     predicted = -t * field.wp_norm_sq
     assert abs(drop - predicted) < 0.1 * abs(predicted)
 
 
-def test_beltrami_step_detects_self_intersection(grid, ellipse, ellipse_maps):
+def test_beltrami_step_detects_self_intersection(ellipse, ellipse_maps):
     from liouvol.errors import DeformationError
     _, g = ellipse_maps
     zero = BeltramiField(lambda w: np.zeros_like(w), 0.5, 0.0, g)
@@ -151,32 +126,42 @@ def test_beltrami_step_detects_self_intersection(grid, ellipse, ellipse_maps):
     # engineered displacement pinching half the curve through the other
     fdot = -12.0 * z * (np.cos(np.angle(z)) > 0)
     with pytest.raises(DeformationError):
-        beltrami_step(ellipse, zero, 0.15, exterior=g, grid=grid,
-                      precomputed=(z, fdot))
+        beltrami_step(ellipse, zero, 0.15, precomputed=(z, fdot))
 
 
-def test_flow_circle_start_is_stationary(grid):
+def test_field_without_coefficients_is_a_domain_error(ellipse, ellipse_maps):
+    # only a field from gradient_field carries the coefficients of its
+    # contour transform; any other field brings its own displacement
+    _, g = ellipse_maps
+    nu = lambda w: np.conj(schwarzian(g, w)) * (np.abs(w) ** 2 - 1) ** 2
+    zero = BeltramiField(lambda w: np.zeros_like(w), 0.0, 0.0, g)
+    for field in (nu, zero):
+        with pytest.raises(DomainError, match="gradient_field"):
+            displacement_field(field)
+        with pytest.raises(DomainError, match="gradient_field"):
+            beltrami_step(ellipse, field, 1e-3)
+
+
+def test_flow_circle_start_is_stationary():
     states = run_flow(circle_curve(), max_steps=5, order=64)
     assert len(states) == 1
     assert states[0].action < 1e-9
     # one explicit step moves nothing
     g = LaurentMap(1.0)
     field = gradient_field(g)
-    moved = beltrami_step(circle_curve(), field, 1e-2, exterior=g, grid=grid,
-                          order=64)
+    moved = beltrami_step(circle_curve(), field, 1e-2, order=64)
     assert np.max(np.abs(moved.series.coeffs[:2]
                          - np.array([0, 1]))) < 1e-9
     assert np.max(np.abs(moved.series.coeffs[2:])) < 1e-9
 
 
-def test_first_order_slope_decay_along_gradient(grid, ellipse, ellipse_maps):
+def test_first_order_slope_decay_along_gradient(ellipse, ellipse_maps):
     f, g = ellipse_maps
     field = gradient_field(g)
     s0 = liouville_action(f, g).total
     errors = []
     for t in (1e-3, 5e-4, 2.5e-4):
-        moved = beltrami_step(ellipse, field, t, exterior=g, grid=grid,
-                              order=96)
+        moved = beltrami_step(ellipse, field, t, order=96)
         fm, gm = conformal_map_pair(moved, order=96, tol=1e-8)
         slope = (liouville_action(fm, gm).total - s0) / t
         errors.append(abs(slope + field.wp_norm_sq))

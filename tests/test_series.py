@@ -300,7 +300,7 @@ def test_uniform_angle_evaluations_match_horner(rng, order):
     # the same points (256 of them per ring, in long double): circle_samples
     # (each jet component, at z_j inside and 1/z_j outside),
     # CurveSpec.boundary at 2048 points, and the value rings of 1024
-    # (variation_check), 4096 (the solve probe, the polar lookup table and
+    # (the variation oracle), 4096 (the solve probe, the polar lookup table and
     # the welding table) and 256 points. Order 3000 runs past every fixed
     # count, so its terms fold onto k mod n.
     k = np.arange(order + 1)
@@ -345,7 +345,7 @@ def test_solver_and_flow_sites_match_horner(name, monkeypatch):
     def outputs():
         f, g = conformal_map_pair(curve)
         _, diag = exterior_map(curve)
-        z, fdot = displacement_field(curve, gradient_field(g))
+        z, fdot = displacement_field(gradient_field(g))
         return {"g": np.concatenate([[g.b1, g.b0], g.bneg]),
                 "mismatch": diag.boundary_mismatch, "z": z, "fdot": fdot,
                 "welding": welding(f, g, theta),

