@@ -175,7 +175,7 @@ class CurveSpec:
             f = self.series
             invert = _argument_inverse(f, a)
             def rho(chi):
-                return np.abs(invert(chi))
+                return np.abs(f.eval_unchecked(np.exp(1j * invert(chi))) - a)
             return rho
         rel = self.points - a
         chi = np.unwrap(np.angle(rel))
@@ -205,18 +205,18 @@ class CurveSpec:
         return self
 
 
-def _argument_inverse(f, a):
-    """chi -> f(e^{i theta}) - a with theta solving
-    arg(f(e^{i theta}) - a) = chi by Newton, vectorized over chi. The lookup
-    table for the initial guess is one ring FFT, built once and shared by
-    every inversion; each Newton step takes f and f' from one Horner pass,
-    and the boundary value at the last iterate takes one more."""
+def _argument_inverse(m, a):
+    """chi -> theta solving arg(m(e^{i theta}) - a) = chi by Newton,
+    vectorized over chi, for a series or a Laurent map m whose boundary
+    winds counterclockwise about a. The lookup table for the initial guess
+    is one ring FFT, built once and shared by every inversion; each Newton
+    step takes m and m' from one Horner pass."""
     n = 4096
     grid = 2 * np.pi * np.arange(n) / n
-    vals = ring_jet(f, 1.0, n, upto=0)[0] - a
+    vals = ring_jet(m, 1.0, n, upto=0)[0] - a
     ang = np.unwrap(np.angle(vals))
     if ang[-1] < ang[0]:
-        raise DomainError("series boundary is clockwise")
+        raise DomainError("map boundary runs clockwise")
     # monotone lookup table for the initial guess
     ang_ext = np.concatenate([ang, [ang[0] + 2 * np.pi]])
     grid_ext = np.concatenate([grid, [2 * np.pi]])
@@ -227,17 +227,18 @@ def _argument_inverse(f, a):
         theta = np.interp(target, ang_ext, grid_ext)
         for _ in range(40):
             e = np.exp(1j * theta)
-            w, d1 = f.jet(e, upto=1)
+            w, d1 = m.jet(e, upto=1)
             w = w - a
             arg_err = np.angle(w * np.exp(-1j * target))
             slope = np.real(e * d1 / w)   # d(arg)/d(theta)
             if np.any(slope <= 0):
-                raise DomainError("series curve is not star shaped about f(0)")
+                raise DomainError("map boundary is not star shaped about "
+                                  "its anchor")
             step = arg_err / slope
             theta = theta - step
             if np.max(np.abs(step)) < 1e-14:
                 break
-        return f.eval_unchecked(np.exp(1j * theta)) - a
+        return theta
     return invert
 
 

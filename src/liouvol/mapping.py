@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorrespondenceError, DomainError, NonConvergence
+from .curves import _argument_inverse
+from .errors import CorrespondenceError, NonConvergence
 from .series import LaurentMap, PowerSeriesMap, ring_jet
 
 logger = logging.getLogger(__name__)
@@ -239,43 +240,18 @@ def recenter_interior(f):
 
 
 def welding(f, g, theta, tol=1e-8):
-    """Boundary correspondence angle arg(g^{-1}(f(e^{i theta}))).
+    """Boundary correspondence angle arg(g^{-1}(f(e^{i theta}))): the angle
+    at which g's boundary has the argument of f(e^{i theta}) about f(0).
 
     Accepts a scalar or an array of angles; the returned angles are
-    unwrapped to be increasing along with theta.
+    unwrapped to be increasing along with theta. Raises
+    CorrespondenceError where g there misses f(e^{i theta}) by more than
+    ``tol``.
     """
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     targets = f.eval_unchecked(np.exp(1j * theta_arr))
     anchor = complex(f.coeffs[0])
-
-    n = 4096
-    grid = 2 * np.pi * np.arange(n) / n
-    gb = ring_jet(g, 1.0, n, upto=0)[0]
-    ang = np.unwrap(np.angle(gb - anchor))
-    if ang[-1] < ang[0]:
-        raise DomainError("exterior boundary runs clockwise")
-    ang_ext = np.concatenate([ang, [ang[0] + 2 * np.pi]])
-    grid_ext = np.concatenate([grid, [2 * np.pi]])
-
-    t_ang = np.angle(targets - anchor)
-    t_ang = np.mod(t_ang - ang_ext[0], 2 * np.pi) + ang_ext[0]
-    phi = np.interp(t_ang, ang_ext, grid_ext)
-
-    # Newton refinement of the squared distance |g(e^{i phi}) - target|^2
-    for _ in range(60):
-        e = np.exp(1j * phi)
-        gv, g1, g2 = g.jet(e, upto=2)
-        diff = gv - targets
-        de = 1j * e
-        d1 = g1 * de                       # d g / d phi
-        d2 = g2 * de * de + g1 * (1j * de)  # second derivative in phi
-        grad = 2 * np.real(np.conj(diff) * d1)
-        hess = 2 * np.real(np.conj(d1) * d1 + np.conj(diff) * d2)
-        hess = np.where(np.abs(hess) < 1e-14, 1e-14, hess)
-        step = grad / hess
-        phi = phi - step
-        if np.max(np.abs(step)) < 1e-14:
-            break
+    phi = _argument_inverse(g, anchor)(np.angle(targets - anchor))
 
     dist = np.abs(g(np.exp(1j * phi)) - targets)
     if np.max(dist) > tol:

@@ -212,13 +212,15 @@ def test_welding_mismatch_raises(ellipse_maps):
         welding(f, g_wrong, 0.3, tol=1e-8)
 
 
-def test_conformal_pair_consistency(cubic):
-    f, g = conformal_map_pair(cubic, order=96)
-    # boundary images coincide as point sets: sample f-side, match g-side
+def test_conformal_pair_consistency(cubic, ellipse):
+    star = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
     th = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-    phi = welding(f, g, th)
-    d = np.abs(g(np.exp(1j * phi)) - f.eval_unchecked(np.exp(1j * th)))
-    assert np.max(d) < 1e-8
+    for curve in (cubic, ellipse, star):
+        f, g = conformal_map_pair(curve, order=96)
+        # boundary images coincide as point sets: sample f-side, match g-side
+        phi = welding(f, g, th)
+        d = np.abs(g(np.exp(1j * phi)) - f.eval_unchecked(np.exp(1j * th)))
+        assert np.max(d) < 1e-13
 
 
 def _distance_to_boundary(f, points, n=4096, newton=8):
