@@ -245,8 +245,8 @@ def welding(f, g, theta, tol=1e-8):
 
     Accepts a scalar or an array of angles; the returned angles are
     unwrapped to be increasing along with theta. Raises
-    CorrespondenceError where g there misses f(e^{i theta}) by more than
-    ``tol``.
+    CorrespondenceError when g(e^{i phi}) misses f(e^{i theta}) by more
+    than ``tol``.
     """
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     targets = f.eval_unchecked(np.exp(1j * theta_arr))

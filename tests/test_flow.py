@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import grid_displacement, grid_transform
+
 from liouvol.action import liouville_action
 from liouvol.curves import circle_curve, ellipse_curve, polynomial_curve
 from liouvol.errors import DomainError
@@ -11,7 +13,6 @@ from liouvol.flow import (BeltramiField, beltrami_step, displacement_field,
 from liouvol.mapping import conformal_map_pair
 from liouvol.quadrature import QuadratureGrid, angular_count
 from liouvol.series import LaurentMap, schwarzian
-from oracles import grid_displacement, grid_transform
 
 FINE = QuadratureGrid.disk(30, 16, 1024)
 
