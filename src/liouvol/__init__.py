@@ -1,12 +1,9 @@
 """Liouville action, envelope surfaces and renormalized volume of Jordan
 curves, with the Weil-Petersson gradient descent flow of the action."""
 
-from .action import (ActionReport, dirichlet_nonlinearity,
-                     first_variation_action, grunsky_gap, liouville_action)
-from .curves import (CurveSpec, circle_curve, ellipse_curve, polynomial_curve)
-from .epstein import (CurvatureData, EpsteinFrame, MetricJet, curvatures,
-                      epstein_point, epstein_poincare, geodesic_shift,
-                      mean_curvature_total, poincare_jet)
+from .action import ActionReport, grunsky_gap, liouville_action
+from .curves import CurveSpec
+from .epstein import mean_curvature_total
 from .errors import (CapTopologyError, ContractError, CorrespondenceError,
                      DeformationError, DivergenceSuspected, DomainError,
                      InputError, LiouvolError, NoConvergence, NonConvergence,
@@ -14,14 +11,11 @@ from .errors import (CapTopologyError, ContractError, CorrespondenceError,
 from .flow import (BeltramiField, FlowState, beltrami_step, gradient_field,
                    run_flow, wp_path_length)
 from .mapping import conformal_map_pair, exterior_map, interior_map, welding
-from .mobius import (H3Point, MobiusTransform, h3_distance, mobius_on_h3,
-                     osculating_mobius)
-from .meshing import (SurfaceMesh, aligned_surface_meshes, load_obj,
-                      mesh_surface, surface_separation, write_obj,
-                      write_vertex_csv)
+from .meshing import (SurfaceMesh, aligned_surface_meshes, mesh_surface,
+                      surface_separation, write_obj, write_vertex_csv)
 from .quadrature import QuadratureGrid
-from .series import (LaurentMap, PowerSeriesMap, area_norm, equipotential,
-                     nonlinearity, nonlinearity_of, schwarzian, schwarzian_of)
+from .series import (LaurentMap, PowerSeriesMap, area_norm, nonlinearity,
+                     nonlinearity_of, schwarzian, schwarzian_of)
 from .volume import VolumeReport, renormalized_volume, truncated_volume, volume
 
 __version__ = "0.1.0"

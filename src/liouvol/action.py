@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceSuspected, DomainError
+from .errors import DomainError
 from .quadrature import QuadratureGrid
-from .series import (area_norm, nonlinearity_of, ring_jet, ring_values,
-                     schwarzian_of)
+from .series import area_norm, nonlinearity_of, ring_values
 
 
 @dataclass(frozen=True)
@@ -27,20 +26,6 @@ class ActionReport:
     log_term: float
     total: float
     error_estimate: float
-
-
-def dirichlet_nonlinearity(m, tol=None):
-    """Integral of |f''/f'|^2 over the parameter domain of m: the unit disk
-    for a series map, its exterior for a Laurent map.
-
-    With ``tol`` set, DivergenceSuspected is raised when the coefficient
-    sum moves by more than 10 * tol between half and full sampling.
-    """
-    value, err = area_norm(m, nonlinearity_of)
-    if tol is not None and err > 10 * tol:
-        raise DivergenceSuspected(
-            "Dirichlet integral keeps moving under refinement")
-    return value
 
 
 def liouville_action(f, g):
@@ -96,17 +81,3 @@ def grunsky_gap(f, g, grid=None):
 
     rhs = 2.0 * math.pi * math.log(abs(g.b1) / abs(f.coeffs[1]))
     return {"lhs": float(lhs), "rhs": float(rhs)}
-
-
-def first_variation_action(g, nu, grid=None):
-    """Directional derivative of the action under an exterior Beltrami
-    field nu: 4 Re int_D* nu * S(g), by default on the grid sized to g.
-    S(g) is evaluated on the grid's rings by one FFT per radius."""
-    grid = grid or QuadratureGrid.for_order(g.order)
-    ext = grid.exterior()
-    # the exterior nodes are rings r^-1 e^{2 pi i j/n}, radius-major
-    radii = ext.nodes[::ext.angular_n].real
-    sg = schwarzian_of(ring_jet(g, radii, ext.angular_n)).ravel()
-    nu_vals = nu(ext.nodes) if callable(nu) else np.asarray(nu)
-    return 4.0 * float(np.real(ext.integrate(nu_vals * sg)))
-

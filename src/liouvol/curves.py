@@ -240,25 +240,3 @@ def _argument_inverse(m, a):
                 break
         return theta
     return invert
-
-
-# -- reference shapes -------------------------------------------------------
-
-def circle_curve(radius=1.0, center=0.0):
-    c = np.zeros(2, complex)
-    c[0], c[1] = center, radius
-    return CurveSpec.from_series(PowerSeriesMap(c, hint_radius=8.0), check=False)
-
-
-def ellipse_curve(a=1.2, b=1.0, n=4096):
-    tau = 2 * np.pi * np.arange(n) / n
-    pts = a * np.cos(tau) + 1j * b * np.sin(tau)
-    return CurveSpec.from_polyline(pts, check=False)
-
-
-def polynomial_curve(*coeffs, hint_radius=2.0):
-    """Curve traced by z + c2 z^2 + ... on the unit circle; coeffs start at z^2."""
-    c = np.zeros(len(coeffs) + 2, complex)
-    c[1] = 1.0
-    c[2:] = coeffs
-    return CurveSpec.from_series(PowerSeriesMap(c, hint_radius=hint_radius))

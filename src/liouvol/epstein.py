@@ -12,79 +12,9 @@ Jacobian of the sheet's projection), and the curvature data reduces to the
 norm of the Schwarzian derivative.
 """
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, SingularDerivative
-from .mobius import H3Point
 from .series import LaurentMap, area_norm, schwarzian, schwarzian_of
-
-UNIT_TOL = 5e-12
-IMMERSION_TOL = 1e-8  # |t - 1| that flags the immersion boundary
-
-
-@dataclass(frozen=True)
-class MetricJet:
-    """log-density phi and its first z-bar derivative at a point."""
-
-    phi: float
-    phi_zbar: complex
-
-
-@dataclass(frozen=True)
-class EpsteinFrame:
-    base: H3Point
-    eta_h: complex      # horizontal component of the Euclidean unit normal
-    eta_v: float        # vertical component
-    source: complex     # boundary parameter point the frame sits over
-
-    def __post_init__(self):
-        n = abs(self.eta_h) ** 2 + self.eta_v ** 2
-        if abs(n - 1.0) > UNIT_TOL:
-            raise DomainError(f"normal is not unit: |eta|^2 = {n}")
-
-
-@dataclass(frozen=True)
-class CurvatureData:
-    k_plus: float
-    k_minus: float
-    khat_plus: float
-    khat_minus: float
-    H: float
-    schwarzian_norm: float
-    mean_density: float
-    immersion_boundary: bool = False
-
-
-def epstein_point(jet, z):
-    """Envelope frame of a general conformal metric from its 1-jet at z."""
-    em = math.exp(-jet.phi / 2.0)
-    if not em > 0:
-        raise DomainError("metric density must be finite and positive")
-    psi = jet.phi_zbar * em
-    denom = 1.0 + abs(psi) ** 2
-    xi = 2.0 * em / denom
-    Z = z + xi * psi
-    eta_h = 2.0 * psi / denom
-    eta_v = (1.0 - abs(psi) ** 2) / denom
-    return EpsteinFrame(H3Point(Z, xi), eta_h, eta_v, complex(z))
-
-
-def poincare_jet(f, zeta):
-    """1-jet of the hyperbolic metric of f(D) at z = f(zeta), pulled through f."""
-    z0, d1, d2 = f.jet(zeta, upto=2)
-    if abs(d1) < 1e-14:
-        raise SingularDerivative("f' vanishes at the requested point")
-    r2 = abs(zeta) ** 2
-    if r2 >= 1.0:
-        raise DomainError("poincare_jet needs |zeta| < 1")
-    em = 0.5 * abs(d1) * (1.0 - r2)          # e^{-phi/2}
-    phi = -2.0 * math.log(em)
-    psi = (abs(d1) / np.conj(d1)) * (
-        -np.conj(d2 / d1) * (1.0 - r2) / 2.0 + zeta)
-    return MetricJet(phi, psi / em)
 
 
 def _frame_fields(fmap, z, jet=None, tau=None):
@@ -100,7 +30,7 @@ def _frame_fields(fmap, z, jet=None, tau=None):
     tau = s (1 - |z|^2) > 0, beta = conj(b/a), chi = s z - beta tau / 2 and
     D = 1 + |chi|^2: Z = f + a tau chi / D, xi = |a| tau / D and the unit
     normal is (2 u chi, 1 - |chi|^2) / D with u = a/|a| (chi is psi/u of
-    epstein_point). J = |Z_z|^2 - |Z_zbar|^2 is the Jacobian of z -> Z;
+    the general-metric formula above). J = |Z_z|^2 - |Z_zbar|^2 is the Jacobian of z -> Z;
     beta is antiholomorphic, with beta_zbar = conj(c/a) - beta^2.
 
     Both terms of J tend to |a|^2 / D^2 at the rim |z| = 1, where J
@@ -140,54 +70,6 @@ def _frame_fields(fmap, z, jet=None, tau=None):
     return frame + (np.abs(a) ** 2 * np.where(tau < 1.0, near, far) / D ** 4,)
 
 
-def epstein_poincare(fmap, zeta):
-    """Envelope frame of the hyperbolic metric of the image domain.
-
-    Accepts an interior series map (|zeta| < 1) or a Laurent exterior map
-    (|zeta| > 1); the frame depends only on the 2-jet of the map at zeta.
-    """
-    if isinstance(fmap, LaurentMap):
-        if abs(zeta) <= 1.0:
-            raise DomainError("exterior frame needs |zeta| > 1")
-    else:
-        if abs(zeta) >= 1.0:
-            raise DomainError("interior frame needs |zeta| < 1")
-        d1 = fmap.jet(zeta, upto=1)[1]
-        if abs(d1) < 1e-14:
-            raise SingularDerivative("f' vanishes at the requested point")
-    Z, xi, eh, ev, _ = _frame_fields(fmap, zeta)
-    return EpsteinFrame(H3Point(complex(Z), float(xi)),
-                        complex(eh), float(ev), complex(zeta))
-
-
-def geodesic_flow(point, eta_h, eta_v, time):
-    """Unit-speed geodesic flow of a frame in upper half-space.
-
-    Returns the transported (H3Point, eta_h, eta_v) after the given time
-    along the direction eta.
-    """
-    xi = point.xi
-    if abs(eta_h) < 1e-13:
-        sign = 1.0 if eta_v >= 0 else -1.0
-        return H3Point(point.z, xi * math.exp(sign * time)), eta_h, eta_v
-    e_dir = eta_h / abs(eta_h)
-    sigma0 = math.atanh(max(-1 + 1e-16, min(1 - 1e-16, -eta_v)))
-    radius = xi * math.cosh(sigma0)
-    center = point.z - radius * math.tanh(sigma0) * e_dir
-    sigma = sigma0 + time
-    z_new = center + radius * math.tanh(sigma) * e_dir
-    xi_new = radius / math.cosh(sigma)
-    eta_h_new = e_dir / math.cosh(sigma)
-    eta_v_new = -math.tanh(sigma)
-    return H3Point(z_new, xi_new), eta_h_new, eta_v_new
-
-
-def geodesic_shift(frame, t):
-    """Frame of the metric scaled by e^{2t}: flow time -t along the normal."""
-    base, eh, ev = geodesic_flow(frame.base, frame.eta_h, frame.eta_v, -t)
-    return EpsteinFrame(base, eh, ev, frame.source)
-
-
 def schwarzian_norm(fmap, z):
     """Norm of the Schwarzian quadratic differential against the hyperbolic
     metric of the parameter domain, inside or outside the unit circle:
@@ -218,17 +100,6 @@ def curvature_columns(fmap, source):
         k_m = np.where(t == 1.0, -np.inf, -t / (t - 1.0))
     H = np.where(t == 1.0, np.inf, t * t / (1.0 - t * t))
     return np.column_stack([t, k_p, k_m, H, t * t * rho])
-
-
-def curvatures(f, zeta):
-    """Principal curvatures, curvatures at infinity, mean curvature and the
-    mean-curvature density of the interior-side surface at parameter zeta."""
-    zeta_c = complex(zeta)
-    if abs(zeta_c) >= 1.0:
-        raise DomainError("curvatures expects |zeta| < 1")
-    t, k_p, k_m, H, dens = curvature_columns(f, [zeta_c])[0].tolist()
-    return CurvatureData(k_p, k_m, 1.0 + 2.0 * t, 1.0 - 2.0 * t, H, t, dens,
-                         immersion_boundary=abs(t - 1.0) < IMMERSION_TOL)
 
 
 def mean_curvature_total(fmap):

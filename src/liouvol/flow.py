@@ -152,21 +152,20 @@ def displacement_field(field, n_boundary=None):
     return zeta, q + total / (1j * n)
 
 
-def beltrami_step(curve, nu, t, order=128, precomputed=None):
-    """First-order quasiconformal move of the curve along t * nu.
-
-    The boundary velocity is displacement_field(nu), or ``precomputed``
-    (boundary points, velocity) for a field without coefficients. The moved
-    boundary is refit to an interior series; raises DeformationError if the
-    moved curve self-intersects and RefitError if the series fit cannot
-    certify its residual.
+def beltrami_step(nu, t, order=128, precomputed=None):
+    """First-order quasiconformal move along t * nu, t != 0, of the curve
+    that carries the boundary velocity: displacement_field(nu), or
+    ``precomputed`` (boundary points, velocity) for a field without
+    coefficients. The moved boundary is refit to an interior series; raises
+    DeformationError if the moved curve self-intersects and RefitError if
+    the series fit cannot certify its residual.
     """
     sup = getattr(nu, "sup_norm", None)
     if sup is not None and abs(t) * sup >= 0.1:
         raise DomainError("step too large for the first-order regime: "
                           f"|t| * sup|nu| = {abs(t) * sup:.3f} >= 0.1")
     if t == 0:
-        return curve
+        raise DomainError("a step needs t != 0")
     if precomputed is None:
         z, fdot = displacement_field(nu)
     else:
@@ -228,8 +227,7 @@ def run_flow(curve, max_steps=50, order=128):
         accepted = False
         while t >= T_MIN:
             try:
-                cand = beltrami_step(curve, field, t, order=order,
-                                     precomputed=pre)
+                cand = beltrami_step(field, t, order=order, precomputed=pre)
                 fc, gc = conformal_map_pair(cand, order=order, tol=1e-8)
                 cand_action = liouville_action(fc, gc).total
             except (DeformationError, RefitError, NonConvergence):

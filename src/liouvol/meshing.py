@@ -277,25 +277,6 @@ def write_obj(path, vertices, faces, normals=None, comment=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_obj(path):
-    """Read back vertices, normals and faces written by write_obj."""
-    verts, norms, faces = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                x, up, y = (float(p) for p in parts[1:4])
-                verts.append((x, y, up))
-            elif parts[0] == "vn":
-                x, up, y = (float(p) for p in parts[1:4])
-                norms.append((x, y, up))
-            elif parts[0] == "f":
-                faces.append(tuple(int(p.split("/")[0]) - 1 for p in parts[1:4]))
-    return (np.array(verts), np.array(norms), np.array(faces, dtype=int))
-
-
 def write_vertex_csv(path, mesh):
     cols = ["z_re", "z_im", "Z_re", "Z_im", "xi", "eta_x", "eta_y", "eta_up",
             "schwarzian_norm", "k_plus", "k_minus", "H", "mean_density"]

@@ -88,12 +88,6 @@ class PowerSeriesMap:
     def eval_unchecked(self, z):
         return npoly.polyval(np.asarray(z, dtype=complex), self.coeffs)
 
-    def deriv(self, m=1):
-        c = npoly.polyder(self.coeffs, m=m)
-        if c.size == 0:
-            c = np.zeros(1, dtype=complex)
-        return PowerSeriesMap(c, self.hint_radius)
-
     def jet(self, z, upto=3):
         """Values (f, f', f'', f''') at z, truncated to ``upto`` derivatives."""
         d = _taylor_horner(self.coeffs, z, upto)
@@ -307,13 +301,3 @@ def area_norm(m, h, p=0):
     samples = circle_samples(m, h)
     value = coefficient_sum(m, samples, p)
     return value, abs(value - coefficient_sum(m, samples[::2], p))
-
-
-def equipotential(f, n):
-    """Level-n approximating curve map: scale the domain by (n-1)/n and
-    renormalize so the derivative at 0 is unchanged."""
-    if n < 2:
-        raise DomainError("equipotential level must be >= 2")
-    k = np.arange(f.coeffs.size)
-    factor = (n / (n - 1.0)) * ((n - 1.0) / n) ** k
-    return PowerSeriesMap(f.coeffs * factor, f.hint_radius * n / (n - 1.0))

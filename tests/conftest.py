@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from liouvol.curves import circle_curve, ellipse_curve, polynomial_curve
+from oracles import circle_curve, ellipse_curve, polynomial_curve
+
 from liouvol.mapping import conformal_map_pair
 from liouvol.quadrature import QuadratureGrid
 

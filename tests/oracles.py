@@ -4,11 +4,23 @@ Everything here deliberately avoids the code paths it is used to check:
 Monte-Carlo integration instead of the product quadrature, coefficient
 recurrences instead of grid evaluation, finite differences of the raw
 embedding instead of the closed-form curvature formulas.
+
+It also holds the code that only the tests call: the reference curves,
+the quaternion model of upper half-space, the Epstein construction of a
+general conformal metric (the oracle for epstein._frame_fields), the grid
+pairing of the action's first variation, and an OBJ reader.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from liouvol.curves import CurveSpec
+from liouvol.epstein import _frame_fields, curvature_columns
+from liouvol.errors import DomainError, SingularDerivative
+from liouvol.quadrature import QuadratureGrid
+from liouvol.series import LaurentMap, PowerSeriesMap, ring_jet, schwarzian_of
 
 
 # -- Monte-Carlo disk/exterior integration -----------------------------------
@@ -242,7 +254,7 @@ def grunsky_gap_horner(f, g, grid):
     return {"lhs": float(lhs), "rhs": float(rhs)}
 
 
-# -- the area Cauchy transform on the exterior grid ----------------------------
+# -- the area Cauchy transform and the first variation on the exterior grid --
 
 def grid_transform(g, nu, z, grid, chunk=64):
     """The area Cauchy transform -(1/pi) int nu g'^2 / (g - z) over the
@@ -258,6 +270,19 @@ def grid_transform(g, nu, z, grid, chunk=64):
         kernel = 1.0 / (gv[None, :] - z[lo:hi, None])
         out[lo:hi] = np.einsum("ij,j->i", kernel, density)
     return -out / math.pi
+
+
+def first_variation_action(g, nu, grid=None):
+    """Directional derivative of the action under an exterior Beltrami
+    field nu: 4 Re int_D* nu * S(g), by default on the grid sized to g.
+    S(g) is evaluated on the grid's rings by one FFT per radius."""
+    grid = grid or QuadratureGrid.for_order(g.order)
+    ext = grid.exterior()
+    # the exterior nodes are rings r^-1 e^{2 pi i j/n}, radius-major
+    radii = ext.nodes[::ext.angular_n].real
+    sg = schwarzian_of(ring_jet(g, radii, ext.angular_n)).ravel()
+    nu_vals = nu(ext.nodes) if callable(nu) else np.asarray(nu)
+    return 4.0 * float(np.real(ext.integrate(nu_vals * sg)))
 
 
 def grid_displacement(curve, g, nu, grid):
@@ -276,11 +301,9 @@ def variation_check(f, g, nu, dt, grid=None, deform_opts=None):
 
     Returns {"lhs": finite difference, "rhs": formula value}.
     """
-    from liouvol.curves import CurveSpec
     from liouvol.flow import beltrami_step
     from liouvol.mapping import conformal_map_pair
-    from liouvol.quadrature import QuadratureGrid
-    from liouvol.series import ring_jet, schwarzian
+    from liouvol.series import schwarzian
     from liouvol.volume import renormalized_volume
 
     sized = QuadratureGrid.for_order(g.order)
@@ -296,8 +319,7 @@ def variation_check(f, g, nu, dt, grid=None, deform_opts=None):
     velocity = grid_displacement(base, g, nu, sized)
 
     def v_r_at(t):
-        moved = beltrami_step(base, nu, t, precomputed=velocity,
-                              **deform_opts)
+        moved = beltrami_step(nu, t, precomputed=velocity, **deform_opts)
         return renormalized_volume(*conformal_map_pair(moved)).V_R
 
     lhs = (v_r_at(dt) - v_r_at(-dt)) / (2.0 * dt)
@@ -397,3 +419,334 @@ def ray_level_eleven_pieces(sheet, eps):
     pieces = (sheet.scale[k] * half.T[:, None, :] * _W[:, None] * q_x
               / (2.0 * np.maximum(xi_x, eps) ** 2))
     return math.fsum(np.concatenate([whole.ravel(), pieces.ravel()]).tolist())
+
+
+# -- reference curves and their equipotentials -------------------------------
+
+def circle_curve(radius=1.0, center=0.0):
+    c = np.zeros(2, complex)
+    c[0], c[1] = center, radius
+    return CurveSpec.from_series(PowerSeriesMap(c, hint_radius=8.0), check=False)
+
+
+def ellipse_curve(a=1.2, b=1.0, n=4096):
+    tau = 2 * np.pi * np.arange(n) / n
+    pts = a * np.cos(tau) + 1j * b * np.sin(tau)
+    return CurveSpec.from_polyline(pts, check=False)
+
+
+def polynomial_curve(*coeffs, hint_radius=2.0):
+    """Curve traced by z + c2 z^2 + ... on the unit circle; coeffs start at z^2."""
+    c = np.zeros(len(coeffs) + 2, complex)
+    c[1] = 1.0
+    c[2:] = coeffs
+    return CurveSpec.from_series(PowerSeriesMap(c, hint_radius=hint_radius))
+
+
+def equipotential(f, n):
+    """Level-n approximating curve map: scale the domain by (n-1)/n and
+    renormalize so the derivative at 0 is unchanged."""
+    if n < 2:
+        raise DomainError("equipotential level must be >= 2")
+    k = np.arange(f.coeffs.size)
+    factor = (n / (n - 1.0)) * ((n - 1.0) / n) ** k
+    return PowerSeriesMap(f.coeffs * factor, f.hint_radius * n / (n - 1.0))
+
+
+# -- the quaternion model of upper half-space --------------------------------
+#
+# Mobius transformations of the plane and their isometric action on
+# upper half-space, via quaternion multiplication on Z + j*xi.
+
+DET_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class MobiusTransform:
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+
+    def __post_init__(self):
+        det = self.a * self.d - self.b * self.c
+        if det == 0:
+            raise DomainError("degenerate Mobius matrix")
+        s = np.sqrt(complex(det))
+        for name in "abcd":
+            object.__setattr__(self, name, complex(getattr(self, name)) / s)
+        det = self.a * self.d - self.b * self.c
+        if abs(det - 1.0) > DET_TOL:
+            raise DomainError(f"could not normalize determinant: {det}")
+
+    @classmethod
+    def identity(cls):
+        return cls(1.0, 0.0, 0.0, 1.0)
+
+    @classmethod
+    def translation(cls, t):
+        return cls(1.0, t, 0.0, 1.0)
+
+    @classmethod
+    def scaling(cls, k):
+        if k == 0:
+            raise DomainError("zero scaling")
+        s = np.sqrt(complex(k))
+        return cls(s, 0.0, 0.0, 1.0 / s)
+
+    def __call__(self, z):
+        if z == math.inf or z == complex(math.inf, 0):
+            return math.inf if self.c == 0 else self.a / self.c
+        num = self.a * z + self.b
+        den = self.c * z + self.d
+        if den == 0:
+            return math.inf
+        return num / den
+
+    def eval_array(self, z):
+        z = np.asarray(z, dtype=complex)
+        return (self.a * z + self.b) / (self.c * z + self.d)
+
+    def deriv(self, z):
+        den = self.c * z + self.d
+        if np.any(np.abs(den) == 0):
+            raise SingularDerivative("evaluation at the pole")
+        return 1.0 / den ** 2
+
+    def deriv2(self, z):
+        den = self.c * z + self.d
+        return -2.0 * self.c / den ** 3
+
+    def compose(self, other):
+        """self after other (matrix product)."""
+        return MobiusTransform(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def inverse(self):
+        return MobiusTransform(self.d, -self.b, -self.c, self.a)
+
+    def matrix(self):
+        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
+
+
+@dataclass(frozen=True)
+class H3Point:
+    """Upper half-space point (Z, xi), xi > 0."""
+
+    z: complex
+    xi: float
+
+    def __post_init__(self):
+        if not self.xi > 0:
+            raise DomainError("height must be strictly positive")
+        object.__setattr__(self, "z", complex(self.z))
+        object.__setattr__(self, "xi", float(self.xi))
+
+
+def h3_distance(p, q):
+    """Hyperbolic distance in the upper half-space model."""
+    num = abs(p.z - q.z) ** 2 + (p.xi - q.xi) ** 2
+    return math.acosh(1.0 + num / (2.0 * p.xi * q.xi))
+
+
+# Quaternions as (w, x, y, z); complex a+bi embeds as (a, b, 0, 0) and the
+# vertical unit as (0, 0, 1, 0).
+
+def _quat(c, j=0.0):
+    return np.array([c.real, c.imag, j, 0.0])
+
+
+def _quat_mul(p, q):
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return np.array([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ])
+
+
+def _quat_inv(q):
+    n2 = float(np.dot(q, q))
+    if n2 == 0:
+        raise DomainError("inverting zero quaternion")
+    conj = q * np.array([1.0, -1.0, -1.0, -1.0])
+    return conj / n2
+
+
+def mobius_on_h3(mob, p):
+    """Isometric extension of a Mobius map: P -> (aP+b)(cP+d)^{-1} on quaternions."""
+    P = _quat(complex(p.z), p.xi)
+    num = _quat_mul(_quat(complex(mob.a)), P) + _quat(complex(mob.b))
+    den = _quat_mul(_quat(complex(mob.c)), P) + _quat(complex(mob.d))
+    res = _quat_mul(num, _quat_inv(den))
+    if abs(res[3]) > 1e-9 * max(1.0, float(np.max(np.abs(res)))):
+        raise DomainError("quaternion action left the upper half-space slice")
+    return H3Point(complex(res[0], res[1]), res[2])
+
+
+def osculating_mobius(f, z0):
+    """Unique Mobius map sharing the 2-jet (value, f', f'') of f at z0."""
+    w0, w1, w2 = f.jet(z0, upto=2)
+    w0, w1, w2 = complex(w0), complex(w1), complex(w2)
+    if abs(w1) < 1e-14:
+        raise SingularDerivative("f'(z0) too small for an osculating map")
+    alpha = np.sqrt(w1)
+    beta = -w2 / (2.0 * w1 * alpha)
+    core = MobiusTransform(alpha, 0.0, beta, 1.0 / alpha)
+    shift = MobiusTransform.translation(w0)
+    recenter = MobiusTransform.translation(-z0)
+    return shift.compose(core).compose(recenter)
+
+
+# -- Epstein envelopes of a general conformal metric -------------------------
+
+UNIT_TOL = 5e-12
+IMMERSION_TOL = 1e-8  # |t - 1| that flags the immersion boundary
+
+
+@dataclass(frozen=True)
+class MetricJet:
+    """log-density phi and its first z-bar derivative at a point."""
+
+    phi: float
+    phi_zbar: complex
+
+
+@dataclass(frozen=True)
+class EpsteinFrame:
+    base: H3Point
+    eta_h: complex      # horizontal component of the Euclidean unit normal
+    eta_v: float        # vertical component
+    source: complex     # boundary parameter point the frame sits over
+
+    def __post_init__(self):
+        n = abs(self.eta_h) ** 2 + self.eta_v ** 2
+        if abs(n - 1.0) > UNIT_TOL:
+            raise DomainError(f"normal is not unit: |eta|^2 = {n}")
+
+
+@dataclass(frozen=True)
+class CurvatureData:
+    k_plus: float
+    k_minus: float
+    khat_plus: float
+    khat_minus: float
+    H: float
+    schwarzian_norm: float
+    mean_density: float
+    immersion_boundary: bool = False
+
+
+def epstein_point(jet, z):
+    """Envelope frame of a general conformal metric from its 1-jet at z."""
+    em = math.exp(-jet.phi / 2.0)
+    if not em > 0:
+        raise DomainError("metric density must be finite and positive")
+    psi = jet.phi_zbar * em
+    denom = 1.0 + abs(psi) ** 2
+    xi = 2.0 * em / denom
+    Z = z + xi * psi
+    eta_h = 2.0 * psi / denom
+    eta_v = (1.0 - abs(psi) ** 2) / denom
+    return EpsteinFrame(H3Point(Z, xi), eta_h, eta_v, complex(z))
+
+
+def poincare_jet(f, zeta):
+    """1-jet of the hyperbolic metric of f(D) at z = f(zeta), pulled through f."""
+    z0, d1, d2 = f.jet(zeta, upto=2)
+    if abs(d1) < 1e-14:
+        raise SingularDerivative("f' vanishes at the requested point")
+    r2 = abs(zeta) ** 2
+    if r2 >= 1.0:
+        raise DomainError("poincare_jet needs |zeta| < 1")
+    em = 0.5 * abs(d1) * (1.0 - r2)          # e^{-phi/2}
+    phi = -2.0 * math.log(em)
+    psi = (abs(d1) / np.conj(d1)) * (
+        -np.conj(d2 / d1) * (1.0 - r2) / 2.0 + zeta)
+    return MetricJet(phi, psi / em)
+
+
+def epstein_poincare(fmap, zeta):
+    """Envelope frame of the hyperbolic metric of the image domain.
+
+    Accepts an interior series map (|zeta| < 1) or a Laurent exterior map
+    (|zeta| > 1); the frame depends only on the 2-jet of the map at zeta.
+    """
+    if isinstance(fmap, LaurentMap):
+        if abs(zeta) <= 1.0:
+            raise DomainError("exterior frame needs |zeta| > 1")
+    else:
+        if abs(zeta) >= 1.0:
+            raise DomainError("interior frame needs |zeta| < 1")
+        d1 = fmap.jet(zeta, upto=1)[1]
+        if abs(d1) < 1e-14:
+            raise SingularDerivative("f' vanishes at the requested point")
+    Z, xi, eh, ev, _ = _frame_fields(fmap, zeta)
+    return EpsteinFrame(H3Point(complex(Z), float(xi)),
+                        complex(eh), float(ev), complex(zeta))
+
+
+def geodesic_flow(point, eta_h, eta_v, time):
+    """Unit-speed geodesic flow of a frame in upper half-space.
+
+    Returns the transported (H3Point, eta_h, eta_v) after the given time
+    along the direction eta.
+    """
+    xi = point.xi
+    if abs(eta_h) < 1e-13:
+        sign = 1.0 if eta_v >= 0 else -1.0
+        return H3Point(point.z, xi * math.exp(sign * time)), eta_h, eta_v
+    e_dir = eta_h / abs(eta_h)
+    sigma0 = math.atanh(max(-1 + 1e-16, min(1 - 1e-16, -eta_v)))
+    radius = xi * math.cosh(sigma0)
+    center = point.z - radius * math.tanh(sigma0) * e_dir
+    sigma = sigma0 + time
+    z_new = center + radius * math.tanh(sigma) * e_dir
+    xi_new = radius / math.cosh(sigma)
+    eta_h_new = e_dir / math.cosh(sigma)
+    eta_v_new = -math.tanh(sigma)
+    return H3Point(z_new, xi_new), eta_h_new, eta_v_new
+
+
+def geodesic_shift(frame, t):
+    """Frame of the metric scaled by e^{2t}: flow time -t along the normal."""
+    base, eh, ev = geodesic_flow(frame.base, frame.eta_h, frame.eta_v, -t)
+    return EpsteinFrame(base, eh, ev, frame.source)
+
+
+def curvatures(f, zeta):
+    """Principal curvatures, curvatures at infinity, mean curvature and the
+    mean-curvature density of the interior-side surface at parameter zeta."""
+    zeta_c = complex(zeta)
+    if abs(zeta_c) >= 1.0:
+        raise DomainError("curvatures expects |zeta| < 1")
+    t, k_p, k_m, H, dens = curvature_columns(f, [zeta_c])[0].tolist()
+    return CurvatureData(k_p, k_m, 1.0 + 2.0 * t, 1.0 - 2.0 * t, H, t, dens,
+                         immersion_boundary=abs(t - 1.0) < IMMERSION_TOL)
+
+
+# -- OBJ reader --------------------------------------------------------------
+
+def load_obj(path):
+    """Read back vertices, normals and faces written by write_obj."""
+    verts, norms, faces = [], [], []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "v":
+                x, up, y = (float(p) for p in parts[1:4])
+                verts.append((x, y, up))
+            elif parts[0] == "vn":
+                x, up, y = (float(p) for p in parts[1:4])
+                norms.append((x, y, up))
+            elif parts[0] == "f":
+                faces.append(tuple(int(p.split("/")[0]) - 1 for p in parts[1:4]))
+    return (np.array(verts), np.array(norms), np.array(faces, dtype=int))

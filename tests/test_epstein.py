@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_shape_operator, mc_disk_integral
+from oracles import (H3Point, MetricJet, MobiusTransform, curvatures,
+                     epstein_point, epstein_poincare, fd_shape_operator,
+                     geodesic_shift, mc_disk_integral, mobius_on_h3,
+                     osculating_mobius, poincare_jet)
 
-from liouvol.epstein import (MetricJet, _frame_fields, curvatures,
-                             epstein_point, epstein_poincare, geodesic_shift,
-                             mean_curvature_total, poincare_jet,
-                             schwarzian_norm)
-from liouvol.mobius import H3Point, MobiusTransform, mobius_on_h3, \
-    osculating_mobius
+from liouvol.epstein import _frame_fields, mean_curvature_total, schwarzian_norm
 from liouvol.series import LaurentMap, PowerSeriesMap, schwarzian
 
 

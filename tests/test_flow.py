@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import grid_displacement, grid_transform
+from oracles import (circle_curve, ellipse_curve, first_variation_action,
+                     grid_displacement, grid_transform, polynomial_curve)
 
 from liouvol.action import liouville_action
-from liouvol.curves import circle_curve, ellipse_curve, polynomial_curve
 from liouvol.errors import DomainError
 from liouvol.flow import (BeltramiField, beltrami_step, displacement_field,
                           gradient_field, roundness_deficit, run_flow)
@@ -39,7 +39,6 @@ def test_gradient_field_ellipse(ellipse_maps):
 
 
 def test_gradient_wp_norm_matches_pairing(grid, ellipse_maps):
-    from liouvol.action import first_variation_action
     _, g = ellipse_maps
     field = gradient_field(g)
     pairing = first_variation_action(g, field, grid)
@@ -89,30 +88,30 @@ def test_gradient_field_norms_are_spectral(ellipse_maps, cubic_maps,
 def test_beltrami_step_zero_field_or_time(grid, ellipse, ellipse_maps):
     _, g = ellipse_maps
     zero = BeltramiField(lambda w: np.zeros_like(w), 0.0, 0.0, g)
-    moved = beltrami_step(ellipse, zero, 0.37, order=64,
+    moved = beltrami_step(zero, 0.37, order=64,
                           precomputed=grid_displacement(ellipse, g, zero, grid))
     # same curve as a point set (the refit may reparametrize the boundary)
     pts = moved.boundary(512)
     radial_gap = np.abs(pts) - 1.2 / np.sqrt(
         np.cos(np.angle(pts)) ** 2 + 1.44 * np.sin(np.angle(pts)) ** 2)
     assert np.max(np.abs(radial_gap)) < 1e-5
-    same = beltrami_step(ellipse, gradient_field(g), 0.0)
-    assert same is ellipse
+    with pytest.raises(DomainError):
+        beltrami_step(gradient_field(g), 0.0)
 
 
-def test_beltrami_step_regime_guard(ellipse, ellipse_maps):
+def test_beltrami_step_regime_guard(ellipse_maps):
     _, g = ellipse_maps
     field = gradient_field(g)
     with pytest.raises(DomainError):
-        beltrami_step(ellipse, field, 1.0)
+        beltrami_step(field, 1.0)
 
 
-def test_beltrami_step_first_order_decrease(ellipse, ellipse_maps):
+def test_beltrami_step_first_order_decrease(ellipse_maps):
     f, g = ellipse_maps
     field = gradient_field(g)
     s0 = liouville_action(f, g).total
     t = 1e-3
-    moved = beltrami_step(ellipse, field, t, order=96)
+    moved = beltrami_step(field, t, order=96)
     fm, gm = conformal_map_pair(moved, order=96, tol=1e-8)
     drop = liouville_action(fm, gm).total - s0
     predicted = -t * field.wp_norm_sq
@@ -127,10 +126,10 @@ def test_beltrami_step_detects_self_intersection(ellipse, ellipse_maps):
     # engineered displacement pinching half the curve through the other
     fdot = -12.0 * z * (np.cos(np.angle(z)) > 0)
     with pytest.raises(DeformationError):
-        beltrami_step(ellipse, zero, 0.15, precomputed=(z, fdot))
+        beltrami_step(zero, 0.15, precomputed=(z, fdot))
 
 
-def test_field_without_coefficients_is_a_domain_error(ellipse, ellipse_maps):
+def test_field_without_coefficients_is_a_domain_error(ellipse_maps):
     # only a field from gradient_field carries the coefficients of its
     # contour transform; any other field brings its own displacement
     _, g = ellipse_maps
@@ -140,7 +139,7 @@ def test_field_without_coefficients_is_a_domain_error(ellipse, ellipse_maps):
         with pytest.raises(DomainError, match="gradient_field"):
             displacement_field(field)
         with pytest.raises(DomainError, match="gradient_field"):
-            beltrami_step(ellipse, field, 1e-3)
+            beltrami_step(field, 1e-3)
 
 
 def test_flow_circle_start_is_stationary():
@@ -150,19 +149,19 @@ def test_flow_circle_start_is_stationary():
     # one explicit step moves nothing
     g = LaurentMap(1.0)
     field = gradient_field(g)
-    moved = beltrami_step(circle_curve(), field, 1e-2, order=64)
+    moved = beltrami_step(field, 1e-2, order=64)
     assert np.max(np.abs(moved.series.coeffs[:2]
                          - np.array([0, 1]))) < 1e-9
     assert np.max(np.abs(moved.series.coeffs[2:])) < 1e-9
 
 
-def test_first_order_slope_decay_along_gradient(ellipse, ellipse_maps):
+def test_first_order_slope_decay_along_gradient(ellipse_maps):
     f, g = ellipse_maps
     field = gradient_field(g)
     s0 = liouville_action(f, g).total
     errors = []
     for t in (1e-3, 5e-4, 2.5e-4):
-        moved = beltrami_step(ellipse, field, t, order=96)
+        moved = beltrami_step(field, t, order=96)
         fm, gm = conformal_map_pair(moved, order=96, tol=1e-8)
         slope = (liouville_action(fm, gm).total - s0) / t
         errors.append(abs(slope + field.wp_norm_sq))
@@ -202,9 +201,9 @@ def test_step_policy_never_retries_an_overshoot(monkeypatch, curve):
     trials = []  # [t, "raised" | "moved" | "solved"] per trial
     step, solve = flow.beltrami_step, flow.conformal_map_pair
 
-    def recording_step(curve, nu, t, **kwargs):
+    def recording_step(nu, t, **kwargs):
         trials.append([t, "raised"])
-        moved = step(curve, nu, t, **kwargs)
+        moved = step(nu, t, **kwargs)
         trials[-1][1] = "moved"
         return moved
 

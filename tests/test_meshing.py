@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import curvatures, load_obj
+
 import liouvol.epstein
-from liouvol.epstein import _frame_fields, curvatures, schwarzian_norm
+from liouvol.epstein import _frame_fields, schwarzian_norm
 from liouvol.errors import DomainError
-from liouvol.meshing import (_exterior_apex, aligned_surface_meshes, load_obj,
+from liouvol.meshing import (_exterior_apex, aligned_surface_meshes,
                              mesh_surface, surface_separation, write_obj,
                              write_vertex_csv)
 from liouvol.series import LaurentMap, PowerSeriesMap

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import (H3Point, MobiusTransform, h3_distance, mobius_on_h3,
+                     osculating_mobius)
+
 from liouvol.errors import DomainError
-from liouvol.mobius import (H3Point, MobiusTransform, h3_distance,
-                            mobius_on_h3, osculating_mobius)
 from liouvol.series import PowerSeriesMap
 
 

@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre
 
-from oracles import (ball_volume_euclidean_sphere, hyperbolic_annulus_area,
-                     mesh_flux_scalar, ray_level_eleven_pieces, slab_volume,
-                     variation_check)
+from oracles import (H3Point, MobiusTransform, ball_volume_euclidean_sphere,
+                     equipotential, geodesic_flow, hyperbolic_annulus_area,
+                     mesh_flux_scalar, polynomial_curve,
+                     ray_level_eleven_pieces, slab_volume, variation_check)
 
 from liouvol.action import liouville_action
 from liouvol.cli import load_curve
-from liouvol.curves import CurveSpec, polynomial_curve
-from liouvol.epstein import _frame_fields, geodesic_flow, mean_curvature_total
+from liouvol.curves import CurveSpec
+from liouvol.epstein import _frame_fields, mean_curvature_total
 from liouvol.errors import CapTopologyError, DivergenceSuspected, DomainError
 from liouvol.mapping import conformal_map_pair, recenter_interior
 from liouvol.meshing import aligned_surface_meshes, mesh_surface
-from liouvol.mobius import H3Point
 from liouvol.series import LaurentMap, PowerSeriesMap
 from liouvol.volume import (EPS_BASE, EPS_COUNT, GAUSS_NODES, _SAMPLE_X,
                             _X, _RaySheet, _check_clip_loops,
@@ -384,7 +384,6 @@ def test_volume_ellipse_refinement_stable(ellipse_maps):
 def test_volume_mobius_invariance(ellipse, ellipse_maps):
     from liouvol.curves import CurveSpec
     from liouvol.mapping import conformal_map_pair
-    from liouvol.mobius import MobiusTransform
 
     f, g = ellipse_maps
     v_base, _, _ = volume(f, g)
@@ -415,7 +414,6 @@ def test_identity_residual_shrinks_under_refinement(ellipse_maps):
 def test_equipotential_family_tracks_identity(ellipse_maps):
     from liouvol.curves import CurveSpec
     from liouvol.mapping import exterior_map
-    from liouvol.series import equipotential
     from liouvol.volume import renormalized_volume
 
     f, _ = ellipse_maps
@@ -440,7 +438,6 @@ def test_renormalized_volume_circle():
 def test_identity_on_energetic_star_curve():
     # fivefold star with action ~30x the ellipse; the solvers auto-refine
     # the series order and the identity still holds at the 1% level
-    from liouvol.curves import polynomial_curve
     from liouvol.mapping import conformal_map_pair
     from liouvol.volume import renormalized_volume
 
