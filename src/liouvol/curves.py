@@ -97,6 +97,18 @@ def _winding_turns(samples):
     return float(np.sum(dd) / (2 * np.pi))
 
 
+def _json_pairs(payload, key):
+    """payload[key], a list of [re, im] pairs of finite numbers, as complex."""
+    try:
+        c = np.array([complex(re, im) for re, im in payload[key]], complex)
+        if np.all(np.isfinite(c)):
+            return c
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"curve JSON '{key}' must hold [re, im] pairs of "
+                      "finite numbers")
+
+
 @dataclass(frozen=True, eq=False)
 class CurveSpec:
     """A Jordan curve, given either by an interior conformal series or by an
@@ -132,14 +144,16 @@ class CurveSpec:
     @classmethod
     def from_json(cls, payload):
         if isinstance(payload, (str, bytes)):
-            payload = json.loads(payload)
+            try:
+                payload = json.loads(payload)
+            except ValueError as exc:
+                raise DomainError(f"cannot parse curve JSON: {exc}") from exc
+        if not (isinstance(payload, dict)
+                and payload.keys() & {"series", "points"}):
+            raise DomainError("curve JSON needs a 'series' or 'points' entry")
         if "series" in payload:
-            c = np.array([complex(re, im) for re, im in payload["series"]])
-            return cls.from_series(PowerSeriesMap(c))
-        if "points" in payload:
-            p = np.array([complex(x, y) for x, y in payload["points"]])
-            return cls.from_polyline(p)
-        raise DomainError("curve JSON needs a 'series' or 'points' entry")
+            return cls.from_series(_json_pairs(payload, "series"))
+        return cls.from_polyline(_json_pairs(payload, "points"))
 
     def to_json(self):
         if self.kind == "series":

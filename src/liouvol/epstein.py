@@ -30,7 +30,7 @@ def _frame_fields(fmap, z, jet=None, tau=None):
     tau = s (1 - |z|^2) > 0, beta = conj(b/a), chi = s z - beta tau / 2 and
     D = 1 + |chi|^2: Z = f + a tau chi / D, xi = |a| tau / D and the unit
     normal is (2 u chi, 1 - |chi|^2) / D with u = a/|a| (chi is psi/u of
-    the general-metric formula above). J = |Z_z|^2 - |Z_zbar|^2 is the Jacobian of z -> Z;
+    the formula above). J = |Z_z|^2 - |Z_zbar|^2 is the Jacobian of z -> Z;
     beta is antiholomorphic, with beta_zbar = conj(c/a) - beta^2.
 
     Both terms of J tend to |a|^2 / D^2 at the rim |z| = 1, where J

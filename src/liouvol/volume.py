@@ -63,6 +63,8 @@ NEWTON_TOL = 1e-15  # step or bracket width that ends a crossing's search; a
 NEWTON_CAP = 60     # most iterations per crossing, a safety cap: the bracket
                     # at least halves on every step Newton does not take
 AREA_TOL = 1e-10    # relative mismatch of the two sheet areas
+CAP_TIE = 1e-9      # angular gaps (rad) this close to the widest are tied
+CAP_CUT = 1.0       # angle (rad) from which ties go counterclockwise
 
 _X, _W = legendre.leggauss(GAUSS_NODES)
 # node values -> Legendre coefficients of their interpolant
@@ -277,12 +279,20 @@ def clip_mesh_above(mesh, eps):
 
 def cap_annulus(loop_in, loop_out):
     """Triangle strip spanning the flat region between two clip loops at a
-    common height, ordered by angle about the shared centroid."""
+    common height, each ordered by angle about the shared centroid from a
+    cut in the widest gap between both loops' vertices, so that rounding
+    moves no vertex across it; of gaps tied with the widest (a symmetric
+    curve has twins), the first counterclockwise from CAP_CUT."""
     if len(loop_in) == 0 or len(loop_out) == 0:
         return np.zeros((0, 3)), np.zeros((0, 3), dtype=int)
     center = np.mean(np.vstack([loop_in, loop_out])[:, :2], axis=0)
-    order = lambda loop: loop[np.argsort(np.arctan2(
-        loop[:, 1] - center[1], loop[:, 0] - center[0]))]
+    angle = lambda loop: np.arctan2(loop[:, 1] - center[1],
+                                    loop[:, 0] - center[0])
+    both = np.sort(np.concatenate([angle(loop_in), angle(loop_out)]))
+    gaps = np.diff(both, append=both[0] + 2.0 * np.pi)
+    mids = (both + gaps / 2.0)[gaps >= gaps.max() - CAP_TIE]
+    cut = mids[np.argmin((mids - CAP_CUT) % (2.0 * np.pi))]
+    order = lambda loop: loop[np.argsort((angle(loop) - cut) % (2.0 * np.pi))]
     a, b = order(loop_in), order(loop_out)
     n = min(len(a), len(b))
     idx_a = np.linspace(0, len(a) - 1, n).astype(int)

@@ -1,4 +1,6 @@
 import argparse
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -186,6 +188,25 @@ def test_malformed_curve_json_is_input_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("payload", [
+    '{"series": [[0, 0], [1]]}',
+    '{"series": [[0, 0], [1, "x"]]}',
+    '{"series": 5}',
+    '{"series": [[0, 0], [1, 0], [null, 0]]}',
+    '{"series": [[0, 0], [1e400, 0]]}',           # parses as inf
+    '{"points": [[1, 0], [0, 1], [-1, 0], [0, -1e400]]}',
+    '"series"',
+    '5',
+])
+def test_malformed_curve_entries_are_input_errors(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    code = run_cli("action", "--curve", str(bad), "--out", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+
+
 def test_bad_grid_spec_is_input_error(tmp_path):
     # grunsky takes no --grid: the flag is a usage error
     code = run_cli("grunsky", "--curve", "circle", "--out", str(tmp_path),
@@ -331,3 +352,37 @@ def test_horner_sees_no_uniform_angles(tmp_path, monkeypatch):
                  ("flow", "--curve", "ellipse", "--steps", "2")):
         assert run_cli(*args, "--out", str(tmp_path / args[0])) == 0
     assert uniform and not any(uniform)
+
+
+def test_every_exported_function_runs_under_the_cli_or_is_hooked(
+        tmp_path, monkeypatch):
+    # the library is what the CLI runs: a function liouvol exports is called
+    # by one of these commands or hooked by the benchmark's spans; code that
+    # only the tests call belongs in tests/oracles.py
+    path = Path(__file__).parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    hooked = {(hook.module, hook.attr) for hook in spans.HOOKS}
+
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    runs = [("action", "--trace"), ("grunsky",), ("surface", "--mesh", "8x8"),
+            ("volume", "--dump-obj"), ("verify-identity",),
+            ("flow", "--steps", "1", "--obj-every", "1")]
+    sys.setprofile(profile)
+    try:
+        codes = [run_cli(*run, "--curve", "cubic",
+                         "--out", str(tmp_path / run[0])) for run in runs]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(runs)
+    unused = [name for name, fn in vars(liouvol).items()
+              if inspect.isfunction(fn) and fn.__code__ not in called
+              and (fn.__module__.rpartition(".")[2], name) not in hooked]
+    assert unused == []

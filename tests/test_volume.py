@@ -21,7 +21,7 @@ from liouvol.series import LaurentMap, PowerSeriesMap
 from liouvol.volume import (EPS_BASE, EPS_COUNT, GAUSS_NODES, _SAMPLE_X,
                             _X, _RaySheet, _check_clip_loops,
                             _crossings, _inv_sq_simplex, _ray_sheets,
-                            _truncated_volumes, mesh_flux,
+                            _truncated_volumes, cap_annulus, mesh_flux,
                             renormalized_volume, richardson_extrapolate,
                             truncated_volume, volume)
 
@@ -318,6 +318,22 @@ def test_clip_loop_closes_on_open_sheet():
     mesh = mesh_surface(f, 32, 32, r_max=0.9)
     _, segs = mesh_flux(mesh.vertices, mesh.faces, 0.6)
     assert _check_clip_loops(segs) == len(segs) > 0
+
+
+def test_cap_order_is_stable_under_rounding():
+    # both loops have a vertex on the negative real axis, where the
+    # centroid's y is rounding noise, and equal gaps between their vertices:
+    # moving the outer loop by +-1e-14 must not rotate the cap's lists
+    def loop(radius, n):
+        pts = radius * np.exp(2j * np.pi * np.arange(n) / n)
+        pts[n // 2] = -radius
+        return np.column_stack([pts.real, pts.imag, np.full(n, 0.1)])
+
+    inner, outer = loop(1.0, 12), loop(2.0, 20)
+    (v_up, f_up), (v_down, f_down) = (
+        cap_annulus(inner, outer + [0.0, dy, 0.0]) for dy in (1e-14, -1e-14))
+    assert np.array_equal(f_up, f_down)
+    assert np.max(np.abs(v_up - v_down)) <= 1e-12
 
 
 def test_clip_loops_keep_nearby_crossings_on_distinct_edges_apart():
