@@ -354,15 +354,13 @@ def test_horner_sees_no_uniform_angles(tmp_path, monkeypatch):
     assert uniform and not any(uniform)
 
 
-def test_every_exported_function_runs_under_the_cli_or_is_hooked(
-        tmp_path, monkeypatch):
+def test_every_exported_function_runs_under_the_cli_or_is_hooked(tmp_path):
     # the library is what the CLI runs: a function liouvol exports is called
     # by one of these commands or hooked by the benchmark's spans; code that
     # only the tests call belongs in tests/oracles.py
     path = Path(__file__).parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
     hooked = {(hook.module, hook.attr) for hook in spans.HOOKS}
 
