@@ -29,6 +29,12 @@ from .series import circle_samples, coefficient_sum, nonlinearity_of
 from .volume import renormalized_volume
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+# the Grunsky contract holds when lhs <= rhs (1 + GRUNSKY_SLACK) +
+# GRUNSKY_FLOOR: a slack relative to rhs, about 20 times the worst excess
+# seen on resolved maps (5.5e-10 rhs), and a floor for the circle, where
+# both sides are 0
+GRUNSKY_SLACK = 1e-8
+GRUNSKY_FLOOR = 1e-13
 
 
 @dataclass
@@ -162,7 +168,7 @@ def cmd_grunsky(config, writer):
     gap = grunsky_gap(f, g)
     gap["gap"] = gap["rhs"] - gap["lhs"]
     writer.write_json("grunsky.json", gap)
-    if gap["lhs"] > gap["rhs"] + 1e-6:
+    if gap["lhs"] > gap["rhs"] * (1 + GRUNSKY_SLACK) + GRUNSKY_FLOOR:
         raise ContractError(
             f"area inequality violated: lhs {gap['lhs']} > rhs {gap['rhs']}")
     return 0

@@ -3,11 +3,16 @@
 The interior solver runs the classical boundary-correspondence iteration
 for star-shaped curves: with the map written as z*exp(h(z)), the boundary
 angle function theta(phi) satisfies theta - phi = conj[log rho(theta)],
-where conj is FFT-based harmonic conjugation. The exterior map is obtained
-by solving the interior problem of the inverted curve and composing with
-w -> 1/w, which keeps infinity fixed and the leading coefficient positive.
-Both sides run one solve loop (_solve_polar); each supplies the radius to
-solve and the fit of its boundary samples.
+where conj is FFT-based harmonic conjugation (Theodorsen). A polyline's
+exterior map is obtained by solving the interior problem of the inverted
+curve and composing with w -> 1/w, which keeps infinity fixed and the
+leading coefficient positive. A series curve f is solved on its welding
+instead: g(e^{i psi}) = f(e^{i t(psi)}), by one jet of f and one Newton
+step per iteration, so its polar radius, whose every evaluation inverts
+arg(f - anchor), is read only to certify the map. Every solve runs one
+loop (_solve_polar): the correspondence iteration, order doubling and the
+polar certification; each solve supplies its iteration and the fit of its
+boundary samples.
 """
 
 import logging
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _argument_inverse
+from .curves import _argument_guess, _argument_inverse, _argument_ratio
 from .errors import CorrespondenceError, NonConvergence
 from .series import LaurentMap, PowerSeriesMap, ring_jet
 
@@ -40,17 +45,20 @@ def conjugate_periodic(u):
     return np.real(np.fft.ifft(spec))
 
 
-def _solve_correspondence(rho, n, start=None):
-    """Fixed point of theta = phi + conj[log rho(theta)] on an n-point grid,
-    iterated from ``start`` (by default theta = phi)."""
+def _solve_correspondence(problem, n, start=None):
+    """Iterate theta <- theta + relax * change on an n-point grid phi, with
+    (change, error) = problem.step(theta, phi), from ``start`` (by default
+    problem.start(phi)) until the sup of the error is below
+    CORRESPONDENCE_TOL. relax halves, down to 1/4, whenever the error
+    grows."""
     phi = 2 * np.pi * np.arange(n) / n
-    theta = phi.copy() if start is None else start
+    theta = problem.start(phi) if start is None else start
     relax = 1.0
     prev_delta = np.inf
     for it in range(1, MAX_ITER + 1):
-        target = phi + conjugate_periodic(np.log(rho(theta)))
-        delta = float(np.max(np.abs(target - theta)))
-        theta = theta + relax * (target - theta)
+        change, error = problem.step(theta, phi)
+        delta = float(np.max(np.abs(error)))
+        theta = theta + relax * change
         if delta < CORRESPONDENCE_TOL:
             return theta, it, delta
         if delta > prev_delta and relax > 0.25:
@@ -58,6 +66,66 @@ def _solve_correspondence(rho, n, start=None):
         prev_delta = delta
     raise NonConvergence(MAX_ITER, prev_delta,
                          "boundary correspondence did not converge")
+
+
+class _Polar:
+    """Theodorsen's fixed point theta = phi + conj[log rho(theta)] of a
+    curve with polar radius rho, from theta = phi. Its boundary samples at
+    phi are rho(theta) e^{i theta}."""
+
+    def __init__(self, rho):
+        self.rho = rho
+
+    def start(self, phi):
+        return phi.copy()
+
+    def step(self, theta, phi):
+        change = phi + conjugate_periodic(np.log(self.rho(theta))) - theta
+        return change, change
+
+    def boundary(self, theta):
+        return self.rho(theta) * np.exp(1j * theta)
+
+
+class _Welding:
+    """The welding t(psi) of a series curve f about its anchor a, with
+    g(e^{i psi}) = f(e^{i t(psi)}) on the exterior map g: it solves
+    X(t) = psi - conj[R(t)], where f(e^{it}) - a = e^{R + iX}. This is
+    Theodorsen's equation read in f's parameter, so the curve's polar
+    radius is never inverted. Each step takes one jet of f at e^{it} and
+    one Newton step of X(t) = target at every point; the error is
+    target - X(t). The start is the lookup guess of arg(f - a) = psi; when
+    that guess is psi itself to rounding (a circle about a), the start is
+    the uniform grid, and its jet a ring FFT. Its boundary samples at psi
+    are g(e^{i psi}) - a."""
+
+    def __init__(self, f, anchor):
+        self.f, self.anchor = f, anchor
+        self.last = None
+
+    def start(self, psi):
+        # unwrapped, with t(0) near 0, so that t - psi is periodic: a
+        # doubled grid's warm start resamples it
+        t = np.unwrap(_argument_guess(self.f, self.anchor)(psi)[0])
+        t -= 2 * np.pi * np.round(t[0] / (2 * np.pi))
+        return psi.copy() if np.max(np.abs(t - psi)) <= 1e-12 else t
+
+    def step(self, t, psi):
+        e = np.exp(1j * t)
+        w, d1 = (ring_jet(self.f, 1.0, t.size, upto=1)
+                 if np.array_equal(t, psi) else self.f.jet(e, upto=1))
+        w = w - self.anchor
+        ratio = _argument_ratio(e, w, d1)
+        target = psi - conjugate_periodic(np.log(np.abs(w)))
+        error = -np.angle(w * np.exp(-1j * target))
+        self.last = t, w, ratio
+        return error / ratio.real, error
+
+    def boundary(self, t):
+        # the last step's values, carried to t to first order: the step is
+        # below the iteration's tolerance, so the rest is below rounding
+        t_last, w, ratio = self.last
+        return w * (1 + 1j * ratio * (t - t_last))
 
 
 @dataclass(frozen=True)
@@ -105,8 +173,8 @@ def _interior_from_polar(rho, anchor, order, tol, auto_refine=True):
         coeffs = coeffs + np.concatenate([[anchor], np.zeros(order, complex)])
         return PowerSeriesMap(coeffs, hint), spurious, tail, scale
 
-    return _solve_polar(rho, rho, anchor, order, tol, fit, "interior",
-                        auto_refine)
+    return _solve_polar(_Polar(rho), rho, anchor, order, tol, fit,
+                        "interior", auto_refine)
 
 
 def _decay_radius(coeffs):
@@ -124,31 +192,48 @@ def _decay_radius(coeffs):
 def exterior_map(curve, order=128, tol=FIT_TOL):
     """Conformal map of |w| > 1 onto the outside of ``curve``.
 
-    Normalization: g(inf) = inf with g'(inf) real positive. Solved through
-    the interior problem of the inverted curve. Returns
+    Normalization: g(inf) = inf with g'(inf) real positive. A series curve
+    is solved on its welding (_Welding), a polyline through the interior
+    problem of the inverted curve (_exterior_from_polar). Returns
     (LaurentMap, SolveDiagnostics).
     """
-    anchor = curve.anchor()
-    rho = curve.polar()
+    if curve.kind == "series":
+        anchor = curve.anchor()
+        return _solve_polar(_Welding(curve.series, anchor), curve.polar(),
+                            anchor, order, tol,
+                            lambda samples, order: _fit_exterior(
+                                samples, order, anchor), "exterior")
+    return _exterior_from_polar(curve.polar(), curve.anchor(), order, tol)
 
+
+def _exterior_from_polar(rho, anchor, order, tol):
     def rho_inv(chi):
         return 1.0 / rho(-np.asarray(chi, float))
 
     def fit(boundary_inv, order):
-        n = boundary_inv.size
         # g(e^{i phi}) = 1 / G(e^{-i phi}): reverse the sample order and
         # keep sample 0 at phi = 0
-        spec = np.fft.fft(np.roll(1.0 / boundary_inv[::-1], 1)) / n
-        spurious = float(np.max(np.abs(spec[2: n // 4])))
-        g = LaurentMap(spec[1], spec[0] + anchor,
-                       spec[-1: -(order + 1): -1].copy())
-        g = g.rotated(np.angle(g.b1))
-        g = LaurentMap(abs(g.b1), g.b0, g.bneg)
-        tail = float(np.max(np.abs(g.bneg[3 * g.bneg.size // 4:])))
-        scale = float(max(abs(g.b1), np.max(np.abs(g.bneg))))
-        return g, spurious, tail, scale
+        return _fit_exterior(np.roll(1.0 / boundary_inv[::-1], 1), order,
+                             anchor)
 
-    return _solve_polar(rho_inv, rho, anchor, order, tol, fit, "exterior")
+    return _solve_polar(_Polar(rho_inv), rho, anchor, order, tol, fit,
+                        "exterior")
+
+
+def _fit_exterior(samples, order, anchor):
+    """The LaurentMap of order ``order`` from samples of g - anchor at the n
+    uniform angles, rotated so g'(inf) > 0, with its spurious mass (the
+    largest positive frequency above 1), tail and scale."""
+    n = samples.size
+    spec = np.fft.fft(samples) / n
+    spurious = float(np.max(np.abs(spec[2: n // 4])))
+    g = LaurentMap(spec[1], spec[0] + anchor,
+                   spec[-1: -(order + 1): -1].copy())
+    g = g.rotated(np.angle(g.b1))
+    g = LaurentMap(abs(g.b1), g.b0, g.bneg)
+    tail = float(np.max(np.abs(g.bneg[3 * g.bneg.size // 4:])))
+    scale = float(max(abs(g.b1), np.max(np.abs(g.bneg))))
+    return g, spurious, tail, scale
 
 
 def _resample(theta, n):
@@ -161,14 +246,15 @@ def _resample(theta, n):
             + 2 * np.pi * np.arange(n) / n)
 
 
-def _solve_polar(rho_solve, rho, anchor, order, tol, fit, side,
+def _solve_polar(problem, rho, anchor, order, tol, fit, side,
                  auto_refine=True):
     """(map, SolveDiagnostics) of one side of the curve with polar radius
-    ``rho`` about ``anchor``. ``fit(samples, order)`` turns the boundary
-    samples of the solved radius ``rho_solve`` into (map, largest Fourier
-    coefficient the map cannot carry, tail, scale); the order doubles while
-    tail > TAIL_TARGET * max(1, scale). The map's distance to the curve,
-    raised to that spurious mass, must stay within max(tol, 50 *
+    ``rho`` about ``anchor``. _solve_correspondence solves ``problem`` (a
+    _Polar or a _Welding), and ``fit(problem.boundary(theta), order)``
+    turns its boundary samples into (map, largest Fourier coefficient the
+    map cannot carry, tail, scale); the order doubles while tail >
+    TAIL_TARGET * max(1, scale). The map's distance to the curve by
+    ``rho``, raised to that spurious mass, must stay within max(tol, 50 *
     correspondence residual). A doubled order on a finer grid starts its
     iteration from the previous solution; on the same grid it keeps it."""
     order, theta = int(order), None
@@ -176,9 +262,8 @@ def _solve_polar(rho_solve, rho, anchor, order, tol, fit, side,
         n = max(1024, 8 * order)
         if theta is None or theta.size != n:
             start = None if theta is None else _resample(theta, n)
-            theta, iters, corr = _solve_correspondence(rho_solve, n, start)
-        fmap, spurious, tail, scale = fit(rho_solve(theta)
-                                          * np.exp(1j * theta), order)
+            theta, iters, corr = _solve_correspondence(problem, n, start)
+        fmap, spurious, tail, scale = fit(problem.boundary(theta), order)
         if not auto_refine or order >= MAX_ORDER \
                 or tail <= TAIL_TARGET * max(1.0, scale):
             break

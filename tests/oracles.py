@@ -8,7 +8,8 @@ embedding instead of the closed-form curvature formulas.
 It also holds the code that only the tests call: the reference curves,
 the quaternion model of upper half-space, the Epstein construction of a
 general conformal metric (the oracle for epstein._frame_fields), the grid
-pairing of the action's first variation, and an OBJ reader.
+pairing of the action's first variation, the polar route to a series
+curve's exterior map, a curve JSON writer and an OBJ reader.
 """
 
 import math
@@ -19,6 +20,7 @@ import numpy as np
 from liouvol.curves import CurveSpec
 from liouvol.epstein import _frame_fields, curvature_columns
 from liouvol.errors import DomainError, SingularDerivative
+from liouvol.mapping import FIT_TOL, _exterior_from_polar
 from liouvol.quadrature import QuadratureGrid
 from liouvol.series import LaurentMap, PowerSeriesMap, ring_jet, schwarzian_of
 
@@ -421,6 +423,16 @@ def ray_level_eleven_pieces(sheet, eps):
     return math.fsum(np.concatenate([whole.ravel(), pieces.ravel()]).tolist())
 
 
+# -- the exterior map by Theodorsen's fixed point on the polar radius ---------
+
+def polar_exterior_map(curve, order=128, tol=FIT_TOL):
+    """exterior_map by the route polylines take, for any curve: the
+    interior fixed point of the inverted curve on the polar radius, whose
+    every iteration inverts arg(f - anchor) by Newton on a series curve.
+    The oracle for the welding solve of series curves."""
+    return _exterior_from_polar(curve.polar(), curve.anchor(), order, tol)
+
+
 # -- reference curves and their equipotentials -------------------------------
 
 def circle_curve(radius=1.0, center=0.0):
@@ -441,6 +453,13 @@ def polynomial_curve(*coeffs, hint_radius=2.0):
     c[1] = 1.0
     c[2:] = coeffs
     return CurveSpec.from_series(PowerSeriesMap(c, hint_radius=hint_radius))
+
+
+def curve_to_json(curve):
+    """The curve JSON payload that CurveSpec.from_json reads back."""
+    if curve.kind == "series":
+        return {"series": [[c.real, c.imag] for c in curve.series.coeffs]}
+    return {"points": [[p.real, p.imag] for p in curve.points]}
 
 
 def equipotential(f, n):

@@ -70,6 +70,24 @@ def test_grunsky_default_grid_is_sized_to_the_maps(tmp_path):
     assert "grid" not in manifest["config"]
 
 
+def test_grunsky_contract_is_relative_to_rhs(tmp_path, monkeypatch):
+    # an excess of 1e-7 rhs fails the contract however small rhs is (an
+    # absolute slack of 1e-6 let it pass), one of 1e-9 rhs does not, and
+    # the circle, where lhs and rhs are both 0 to rounding, passes
+    import liouvol.cli as cli
+    real_gap = cli.grunsky_gap
+    codes = []
+    for excess in (1e-7, 1e-9):
+        monkeypatch.setattr(cli, "grunsky_gap", lambda f, g, excess=excess:
+                            {"lhs": 1e-3 * (1 + excess), "rhs": 1e-3})
+        codes.append(run_cli("grunsky", "--curve", "cubic",
+                             "--out", str(tmp_path / str(excess))))
+    monkeypatch.setattr(cli, "grunsky_gap", real_gap)
+    codes.append(run_cli("grunsky", "--curve", "circle",
+                         "--out", str(tmp_path / "circle")))
+    assert codes == [2, 0, 0]
+
+
 def test_surface_subcommand(tmp_path):
     code = run_cli("surface", "--curve", "cubic", "--out", str(tmp_path),
                    "--mesh", "16x32", "--series-order", "64")

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import (circle_curve, ellipse_curve, polyline_is_simple_sweep,
+from oracles import (circle_curve, curve_to_json, ellipse_curve,
+                     polar_exterior_map, polyline_is_simple_sweep,
                      polynomial_curve)
 
 import liouvol.curves as curves_module
@@ -107,12 +108,12 @@ def test_simplicity_in_blocks_when_every_x_range_overlaps(monkeypatch):
 
 def test_curvespec_json_roundtrip():
     c = polynomial_curve(0.0, 0.05)
-    payload = json.dumps(c.to_json())
+    payload = json.dumps(curve_to_json(c))
     c2 = CurveSpec.from_json(payload)
     assert np.allclose(c2.series.coeffs, c.series.coeffs)
 
     e = ellipse_curve(1.2, 1.0, n=64)
-    e2 = CurveSpec.from_json(json.dumps(e.to_json()))
+    e2 = CurveSpec.from_json(json.dumps(curve_to_json(e)))
     assert np.allclose(e2.points, e.points)
 
 
@@ -248,8 +249,8 @@ def test_doubled_orders_start_from_the_previous_solution(monkeypatch):
     curve = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
     solve, runs = mapping_module._solve_correspondence, []
 
-    def counted(rho, n, start=None):
-        out = solve(rho, n, start)
+    def counted(problem, n, start=None):
+        out = solve(problem, n, start)
         runs.append((n, out[1]))
         return out
 
@@ -259,12 +260,105 @@ def test_doubled_orders_start_from_the_previous_solution(monkeypatch):
     assert [n for n, _ in runs] == [1024, 2048, 4096]
     assert all(iters <= 3 for _, iters in runs[1:])
     monkeypatch.setattr(mapping_module, "_solve_correspondence",
-                        lambda rho, n, start=None: solve(rho, n))
+                        lambda problem, n, start=None: solve(problem, n))
     cold, _ = exterior_map(curve, order=128)
     assert cold.order == 512
     assert abs(warm.b1 - cold.b1) <= 1e-14
     assert abs(warm.b0 - cold.b0) <= 1e-14
     assert np.max(np.abs(warm.bneg - cold.bneg)) <= 1e-14
+
+
+def _starlike_series(seed, degree, b):
+    # z + sum a_k z^k with sum k|a_k| = b < 1: starlike, hence univalent
+    rng = np.random.default_rng(seed)
+    k = np.arange(2, degree + 1)
+    a = rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
+    coeffs = np.concatenate([[0.0, 1.0], a * (b / np.sum(k * np.abs(a)))])
+    return CurveSpec.from_series(coeffs)
+
+
+def test_series_exterior_map_matches_the_polar_fixed_point(monkeypatch):
+    # the welding solve of a series curve and Theodorsen's fixed point on
+    # its polar radius reach the same order and the same coefficients, and
+    # their iterations agree to one on every grid: the welding's
+    # linearisation is Theodorsen's, and its warm starts on doubled grids
+    # are as good
+    solve, runs = mapping_module._solve_correspondence, []
+
+    def counted(problem, n, start=None):
+        out = solve(problem, n, start)
+        runs[-1].append(out[1])
+        return out
+
+    monkeypatch.setattr(mapping_module, "_solve_correspondence", counted)
+    curves = [load_curve("cubic"), load_curve("wobble"),
+              polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8),
+              polynomial_curve(0.0, 0.0, 0.0, 0.12, hint_radius=1.5)]
+    curves += [_starlike_series(seed, degree, b) for seed, degree, b in
+               ((1, 2, 0.45), (2, 4, 0.3), (3, 6, 0.4), (4, 8, 0.45),
+                (5, 5, 0.45))]
+    for curve in curves:
+        runs.append([])
+        g, _ = exterior_map(curve)
+        runs.append([])
+        ref, _ = polar_exterior_map(curve)
+        assert g.order == ref.order
+        assert len(runs[-2]) == len(runs[-1])
+        assert all(abs(a - b) <= 1 for a, b in zip(runs[-2], runs[-1]))
+        assert abs(g.b1 - ref.b1) <= 1e-13
+        assert abs(g.b0 - ref.b0) <= 1e-13
+        assert np.max(np.abs(g.bneg - ref.bneg)) <= 1e-13
+
+
+def _horner_outside_certification(monkeypatch, curve):
+    """(Horner passes of the exterior solve of ``curve`` outside its
+    certification, correspondence iterations, whether the certification
+    took any)."""
+    import liouvol.series as series
+    horner, polyval = series._taylor_horner, series.npoly.polyval
+    certify = mapping_module._boundary_mismatch_polar
+    solve = mapping_module._solve_correspondence
+    passes, iterations, in_certification = [], [], [False]
+
+    def taylor(c, x, upto):
+        passes.append(in_certification[0])
+        return horner(c, x, upto)
+
+    def poly(x, c, *args, **kwargs):
+        passes.append(in_certification[0])
+        return polyval(x, c, *args, **kwargs)
+
+    def certified(*args):
+        in_certification[0] = True
+        try:
+            return certify(*args)
+        finally:
+            in_certification[0] = False
+
+    def counted(problem, n, start=None):
+        out = solve(problem, n, start)
+        iterations.append(out[1])
+        return out
+
+    monkeypatch.setattr(series, "_taylor_horner", taylor)
+    monkeypatch.setattr(series.npoly, "polyval", poly)
+    monkeypatch.setattr(mapping_module, "_boundary_mismatch_polar", certified)
+    monkeypatch.setattr(mapping_module, "_solve_correspondence", counted)
+    exterior_map(curve)
+    return passes.count(False), sum(iterations), any(passes)
+
+
+def test_series_exterior_solve_takes_one_jet_per_iteration(monkeypatch):
+    # each correspondence iteration evaluates f by one jet and the fit
+    # reuses the last; only the certification inverts arg(f - anchor). The
+    # circle's start is the uniform grid, so its one iteration is a ring FFT
+    star = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    passes, iterations, certified = _horner_outside_certification(
+        monkeypatch, star)
+    assert 0 < passes <= iterations and certified
+    passes, iterations, certified = _horner_outside_certification(
+        monkeypatch, circle_curve())
+    assert passes == 0 and iterations == 1 and certified
 
 
 def test_recenter_interior_keeps_the_boundary():
