@@ -17,6 +17,7 @@ boundary samples.
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -201,8 +202,7 @@ def exterior_map(curve, order=128, tol=FIT_TOL):
         anchor = curve.anchor()
         return _solve_polar(_Welding(curve.series, anchor), curve.polar(),
                             anchor, order, tol,
-                            lambda samples, order: _fit_exterior(
-                                samples, order, anchor), "exterior")
+                            partial(_fit_exterior, anchor=anchor), "exterior")
     return _exterior_from_polar(curve.polar(), curve.anchor(), order, tol)
 
 
