@@ -340,11 +340,12 @@ def _horner_outside_certification(monkeypatch, curve):
         iterations.append(out[1])
         return out
 
-    monkeypatch.setattr(series, "_taylor_horner", taylor)
-    monkeypatch.setattr(series.npoly, "polyval", poly)
-    monkeypatch.setattr(mapping_module, "_boundary_mismatch_polar", certified)
-    monkeypatch.setattr(mapping_module, "_solve_correspondence", counted)
-    exterior_map(curve)
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_taylor_horner", taylor)
+        patch.setattr(series.npoly, "polyval", poly)
+        patch.setattr(mapping_module, "_boundary_mismatch_polar", certified)
+        patch.setattr(mapping_module, "_solve_correspondence", counted)
+        exterior_map(curve)
     return passes.count(False), sum(iterations), any(passes)
 
 
