@@ -92,7 +92,11 @@ def gradient_field(g):
     One sampling of S(g) on the circle gives its coefficients s_k (kept as
     ``coeffs``), the squared WP norm 4 int |S|^2 (|w|^2 - 1)^2 as a
     coefficient sum, and sup|nu| as the larger of ring FFT samples and a
-    far-field probe along a ray.
+    far-field probe along a ray. A ring's samples lie between their RMS
+    W (sum |s_k|^2 r^2k)^(1/2) (Parseval) and W sum |s_k| r^k, with W the
+    ring's weight (|w|^2 - 1)^2, so only the rings whose upper bound reaches
+    the largest lower bound or the probe are transformed: the sup is that
+    of every ring, bit for bit.
     """
     def nu(w):
         w = np.asarray(w, dtype=complex)
@@ -101,10 +105,16 @@ def gradient_field(g):
     samples = circle_samples(g, schwarzian_of)
     s = np.fft.fft(samples) / samples.size
     s[:4] = 0.0  # S(g) = O(w^-4): these are rounding noise
-    rings = np.fft.ifft(s * _ring_powers(s.size), axis=1) * s.size
-    ring = np.abs(rings) * ((RING_RADII ** -2 - 1.0) ** 2)[:, None]
-    far = np.abs(nu(np.logspace(0.1, 4, 64) * np.exp(1j)))
-    sup = float(max(ring.max(), far.max()))
+    powers, weight = _ring_powers(s.size), (RING_RADII ** -2 - 1.0) ** 2
+    far = np.abs(nu(np.logspace(0.1, 4, 64) * np.exp(1j))).max()
+    a = np.abs(s)
+    upper = weight * np.einsum("jk,k->j", powers, a)
+    lower = weight * np.sqrt(np.einsum("jk,jk,k->j", powers, powers, a * a))
+    # the 1e-9 slack is far above the rounding of the bounds and the FFT
+    keep = upper * (1 + 1e-9) >= max(far, lower.max()) * (1 - 1e-9)
+    rings = np.fft.ifft(s * powers[keep], axis=1) * s.size
+    ring = np.abs(rings) * weight[keep, None]
+    sup = float(max(ring.max(initial=0.0), far))
     wp = 4.0 * coefficient_sum(g, samples, 2)
     return BeltramiField(nu, sup, wp, exterior=g, coeffs=s)
 

@@ -9,10 +9,10 @@ curve and composing with w -> 1/w, which keeps infinity fixed and the
 leading coefficient positive. A series curve f is solved on its welding
 instead: g(e^{i psi}) = f(e^{i t(psi)}), by one jet of f and one Newton
 step per iteration, so its polar radius, whose every evaluation inverts
-arg(f - anchor), is read only to certify the map. Every solve runs one
-loop (_solve_polar): the correspondence iteration, order doubling and the
-polar certification; each solve supplies its iteration and the fit of its
-boundary samples.
+arg(f - anchor), is never built. Every solve runs one loop (_solve_polar):
+the correspondence iteration, order doubling and the certification of the
+map's distance to the curve, by the polar radius or, for a series exterior,
+on the welding; each solve supplies its iteration, fit and distance.
 """
 
 import logging
@@ -137,9 +137,22 @@ class SolveDiagnostics:
     boundary_mismatch: float    # max distance of map boundary to the curve
 
 
-def _boundary_mismatch_polar(samples, anchor, rho):
-    rel = samples - anchor
+def _boundary_mismatch_polar(rho, anchor, fmap, theta):
+    """Largest distance of fmap's boundary from the curve with polar radius
+    rho about anchor, measured radially at 4096 uniform angles."""
+    rel = ring_jet(fmap, 1.0, 4096, upto=0)[0] - anchor
     return float(np.max(np.abs(np.abs(rel) - rho(np.angle(rel)))))
+
+
+def _boundary_mismatch_welding(f, g, t):
+    """max |g(e^{i psi}) - f(e^{i t(psi)})| over P = 4096 ceil(n/4096)
+    uniform psi, with the welding t of n points resampled to them. f(e^{it})
+    is on the curve for every real t, so this bounds g's distance from the
+    curve however inaccurate t is."""
+    p = 4096 * -(-t.size // 4096)
+    t = t if p == t.size else _resample(t, p)
+    return float(np.max(np.abs(ring_jet(g, 1.0, p, upto=0)[0]
+                                - f.eval_unchecked(np.exp(1j * t)))))
 
 
 def interior_map(curve, order=128, tol=FIT_TOL, auto_refine=True):
@@ -174,8 +187,9 @@ def _interior_from_polar(rho, anchor, order, tol, auto_refine=True):
         coeffs = coeffs + np.concatenate([[anchor], np.zeros(order, complex)])
         return PowerSeriesMap(coeffs, hint), spurious, tail, scale
 
-    return _solve_polar(_Polar(rho), rho, anchor, order, tol, fit,
-                        "interior", auto_refine)
+    mismatch = partial(_boundary_mismatch_polar, rho, anchor)
+    return _solve_polar(_Polar(rho), mismatch, order, tol, fit, "interior",
+                        auto_refine)
 
 
 def _decay_radius(coeffs):
@@ -199,9 +213,9 @@ def exterior_map(curve, order=128, tol=FIT_TOL):
     (LaurentMap, SolveDiagnostics).
     """
     if curve.kind == "series":
-        anchor = curve.anchor()
-        return _solve_polar(_Welding(curve.series, anchor), curve.polar(),
-                            anchor, order, tol,
+        f, anchor = curve.series, curve.anchor()
+        return _solve_polar(_Welding(f, anchor),
+                            partial(_boundary_mismatch_welding, f), order, tol,
                             partial(_fit_exterior, anchor=anchor), "exterior")
     return _exterior_from_polar(curve.polar(), curve.anchor(), order, tol)
 
@@ -216,8 +230,9 @@ def _exterior_from_polar(rho, anchor, order, tol):
         return _fit_exterior(np.roll(1.0 / boundary_inv[::-1], 1), order,
                              anchor)
 
-    return _solve_polar(_Polar(rho_inv), rho, anchor, order, tol, fit,
-                        "exterior")
+    return _solve_polar(_Polar(rho_inv),
+                        partial(_boundary_mismatch_polar, rho, anchor),
+                        order, tol, fit, "exterior")
 
 
 def _fit_exterior(samples, order, anchor):
@@ -246,17 +261,17 @@ def _resample(theta, n):
             + 2 * np.pi * np.arange(n) / n)
 
 
-def _solve_polar(problem, rho, anchor, order, tol, fit, side,
+def _solve_polar(problem, mismatch, order, tol, fit, side,
                  auto_refine=True):
-    """(map, SolveDiagnostics) of one side of the curve with polar radius
-    ``rho`` about ``anchor``. _solve_correspondence solves ``problem`` (a
-    _Polar or a _Welding), and ``fit(problem.boundary(theta), order)``
-    turns its boundary samples into (map, largest Fourier coefficient the
-    map cannot carry, tail, scale); the order doubles while tail >
-    TAIL_TARGET * max(1, scale). The map's distance to the curve by
-    ``rho``, raised to that spurious mass, must stay within max(tol, 50 *
-    correspondence residual). A doubled order on a finer grid starts its
-    iteration from the previous solution; on the same grid it keeps it."""
+    """(map, SolveDiagnostics) of one side of a curve.
+    _solve_correspondence solves ``problem`` (a _Polar or a _Welding), and
+    ``fit(problem.boundary(theta), order)`` turns its boundary samples into
+    (map, largest Fourier coefficient the map cannot carry, tail, scale);
+    the order doubles while tail > TAIL_TARGET * max(1, scale). The map's
+    distance to the curve, ``mismatch(map, theta)``, raised to that
+    spurious mass, must stay within max(tol, 50 * correspondence residual).
+    A doubled order on a finer grid starts its iteration from the previous
+    solution; on the same grid it keeps it."""
     order, theta = int(order), None
     while True:
         n = max(1024, 8 * order)
@@ -270,12 +285,11 @@ def _solve_polar(problem, rho, anchor, order, tol, fit, side,
         order = min(MAX_ORDER, order * 2)
         logger.debug("%s solve: doubling order to %d (tail %.2e)",
                      side, order, tail)
-    probe = ring_jet(fmap, 1.0, 4096, upto=0)[0]
-    mismatch = max(_boundary_mismatch_polar(probe, anchor, rho), spurious)
-    if mismatch > max(tol, 50 * corr):
-        raise NonConvergence(iters, mismatch,
+    distance = max(mismatch(fmap, theta), spurious)
+    if distance > max(tol, 50 * corr):
+        raise NonConvergence(iters, distance,
                              f"{side} fit residual too large")
-    return fmap, SolveDiagnostics(iters, corr, spurious, mismatch)
+    return fmap, SolveDiagnostics(iters, corr, spurious, distance)
 
 
 def conformal_map_pair(curve, order=128, tol=FIT_TOL):

@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from liouvol import flow
 from liouvol.curves import CurveSpec
 from liouvol.epstein import _frame_fields, curvature_columns
 from liouvol.errors import DomainError, SingularDerivative
 from liouvol.mapping import FIT_TOL, _exterior_from_polar
 from liouvol.quadrature import QuadratureGrid
-from liouvol.series import LaurentMap, PowerSeriesMap, ring_jet, schwarzian_of
+from liouvol.series import (LaurentMap, PowerSeriesMap, circle_samples,
+                            ring_jet, schwarzian, schwarzian_of)
 
 
 # -- Monte-Carlo disk/exterior integration -----------------------------------
@@ -431,6 +433,25 @@ def polar_exterior_map(curve, order=128, tol=FIT_TOL):
     every iteration inverts arg(f - anchor) by Newton on a series curve.
     The oracle for the welding solve of series curves."""
     return _exterior_from_polar(curve.polar(), curve.anchor(), order, tol)
+
+
+# -- sup|nu| of the flow's descent field on every ring ------------------------
+
+def gradient_ring_maxima(g):
+    """(max of |nu| on each of flow.RING_RADII's rings, max on the far-field
+    ray) for the descent field of flow.gradient_field, with one ring FFT on
+    every ring: the oracle for the rings gradient_field leaves out. The
+    arithmetic is gradient_field's, so its sup is bit for bit the larger of
+    the two."""
+    samples = circle_samples(g, schwarzian_of)
+    s = np.fft.fft(samples) / samples.size
+    s[:4] = 0.0
+    radii = flow.RING_RADII
+    rings = np.fft.ifft(s * radii[:, None] ** np.arange(s.size), axis=1)
+    ring = np.abs(rings * s.size) * ((radii ** -2 - 1.0) ** 2)[:, None]
+    w = np.logspace(0.1, 4, 64) * np.exp(1j)
+    far = np.abs(-np.conj(schwarzian(g, w)) * (np.abs(w) ** 2 - 1.0) ** 2)
+    return ring.max(axis=1), far.max()
 
 
 # -- reference curves and their equipotentials -------------------------------

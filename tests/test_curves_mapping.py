@@ -11,7 +11,7 @@ import liouvol.curves as curves_module
 import liouvol.mapping as mapping_module
 from liouvol.cli import load_curve
 from liouvol.curves import CurveSpec, polyline_is_simple
-from liouvol.errors import CorrespondenceError, DomainError
+from liouvol.errors import CorrespondenceError, DomainError, NonConvergence
 from liouvol.mapping import (conformal_map_pair, exterior_map, interior_map,
                              recenter_interior, welding)
 from liouvol.series import LaurentMap, PowerSeriesMap
@@ -310,13 +310,14 @@ def test_series_exterior_map_matches_the_polar_fixed_point(monkeypatch):
         assert np.max(np.abs(g.bneg - ref.bneg)) <= 1e-13
 
 
-def _horner_outside_certification(monkeypatch, curve):
+def _exterior_solve_passes(monkeypatch, curve):
     """(Horner passes of the exterior solve of ``curve`` outside its
-    certification, correspondence iterations, whether the certification
-    took any)."""
+    certification, correspondence iterations, Horner passes inside it).
+    The solve fails the test if it builds the polar radius or inverts
+    arg(f - anchor)."""
     import liouvol.series as series
     horner, polyval = series._taylor_horner, series.npoly.polyval
-    certify = mapping_module._boundary_mismatch_polar
+    certify = mapping_module._boundary_mismatch_welding
     solve = mapping_module._solve_correspondence
     passes, iterations, in_certification = [], [], [False]
 
@@ -340,26 +341,54 @@ def _horner_outside_certification(monkeypatch, curve):
         iterations.append(out[1])
         return out
 
+    def forbidden(*args):
+        raise AssertionError("a series exterior solve inverted arg(f - a)")
+
     with monkeypatch.context() as patch:
         patch.setattr(series, "_taylor_horner", taylor)
         patch.setattr(series.npoly, "polyval", poly)
-        patch.setattr(mapping_module, "_boundary_mismatch_polar", certified)
+        patch.setattr(mapping_module, "_boundary_mismatch_welding", certified)
         patch.setattr(mapping_module, "_solve_correspondence", counted)
+        patch.setattr(CurveSpec, "polar", forbidden)
+        patch.setattr(curves_module, "_argument_inverse", forbidden)
+        patch.setattr(mapping_module, "_argument_inverse", forbidden)
         exterior_map(curve)
-    return passes.count(False), sum(iterations), any(passes)
+    return passes.count(False), sum(iterations), passes.count(True)
 
 
 def test_series_exterior_solve_takes_one_jet_per_iteration(monkeypatch):
     # each correspondence iteration evaluates f by one jet and the fit
-    # reuses the last; only the certification inverts arg(f - anchor). The
-    # circle's start is the uniform grid, so its one iteration is a ring FFT
+    # reuses the last; the certification on the welding takes one value
+    # pass of f, and the polar radius is never built. The circle's start is
+    # the uniform grid, so its one iteration is a ring FFT
     star = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
-    passes, iterations, certified = _horner_outside_certification(
+    passes, iterations, certification = _exterior_solve_passes(
         monkeypatch, star)
-    assert 0 < passes <= iterations and certified
-    passes, iterations, certified = _horner_outside_certification(
+    assert 0 < passes <= iterations and certification == 1
+    passes, iterations, certification = _exterior_solve_passes(
         monkeypatch, circle_curve())
-    assert passes == 0 and iterations == 1 and certified
+    assert passes == 0 and iterations == 1 and certification == 1
+
+
+def test_welding_certification_catches_an_off_curve_map(monkeypatch):
+    # f(e^{it}) is on the curve for every real t, so a map 1e-9 off the
+    # curve fails the certification however the welding came out
+    star = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    curves = [load_curve("cubic"), load_curve("wobble"), star]
+    for curve in curves:
+        assert exterior_map(curve)[1].boundary_mismatch <= 1e-13
+    fit = mapping_module._fit_exterior
+
+    def off_curve(*args, **kwargs):
+        g, *rest = fit(*args, **kwargs)
+        bneg = g.bneg.copy()
+        bneg[2] += 1e-9
+        return (LaurentMap(g.b1, g.b0, bneg), *rest)
+
+    monkeypatch.setattr(mapping_module, "_fit_exterior", off_curve)
+    for curve in curves:
+        with pytest.raises(NonConvergence):
+            exterior_map(curve, tol=1e-10)
 
 
 def test_recenter_interior_keeps_the_boundary():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (circle_curve, ellipse_curve, first_variation_action,
-                     grid_displacement, grid_transform, polynomial_curve)
+                     gradient_ring_maxima, grid_displacement, grid_transform,
+                     polynomial_curve)
 
 from liouvol.action import liouville_action
 from liouvol.errors import DomainError
@@ -83,6 +84,26 @@ def test_gradient_field_norms_are_spectral(ellipse_maps, cubic_maps,
         sup = max(np.abs(field(nodes)).max(), np.abs(field(far)).max())
         assert abs(field.sup_norm - sup) <= 1e-3 * sup
         assert field.sup_norm <= 6.0
+
+
+def test_gradient_sup_is_that_of_every_ring(ellipse_maps, cubic_maps,
+                                            wobble_maps):
+    # gradient_field transforms only the rings whose bounds reach the sup;
+    # its sup must be that of all of them, bit for bit
+    star = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    rng = np.random.default_rng(4417)
+    k = np.arange(2, 7)
+    generic = polynomial_curve(*(np.exp(2j * np.pi * rng.random(k.size))
+                                 * 0.2 / (k * k.size)))
+    flow_maps = [s.g for s in run_flow(generic, max_steps=4)]
+    maps = [LaurentMap(1.0), conformal_map_pair(star)[1]] + flow_maps
+    maps += [g for _, g in (ellipse_maps, cubic_maps, wobble_maps)]
+    for g in maps:
+        rings, far = gradient_ring_maxima(g)
+        assert gradient_field(g).sup_norm == max(rings.max(), far)
+    # the generic flow's sup is on an interior ring, above the far probe
+    rings, far = gradient_ring_maxima(flow_maps[-1])
+    assert 0 < np.argmax(rings) < rings.size - 1 and rings.max() > far
 
 
 def test_beltrami_step_zero_field_or_time(grid, ellipse, ellipse_maps):
