@@ -342,7 +342,7 @@ def _exterior_solve_passes(monkeypatch, curve):
         return out
 
     def forbidden(*args):
-        raise AssertionError("a series exterior solve inverted arg(f - a)")
+        raise AssertionError("a series exterior solve used the polar radius")
 
     with monkeypatch.context() as patch:
         patch.setattr(series, "_taylor_horner", taylor)
