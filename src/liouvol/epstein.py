@@ -8,8 +8,8 @@ For a metric e^phi |dz|^2 the envelope point over z is
 with Euclidean unit normal eta = (2 psi, 1 - |psi|^2)/(1 + |psi|^2).
 For the hyperbolic metric of a domain these quantities reduce to closed
 forms in the uniformizing map and its first two derivatives (three for the
-Jacobian of the sheet's projection), and the curvature data reduces to the
-norm of the Schwarzian derivative.
+Jacobian of the sheet's projection, _height_jacobian), and the curvature
+data reduces to the norm of the Schwarzian derivative.
 """
 
 import numpy as np
@@ -17,57 +17,68 @@ import numpy as np
 from .series import LaurentMap, area_norm, schwarzian, schwarzian_of
 
 
-def _frame_fields(fmap, z, jet=None, tau=None):
-    """Vectorized (Z, xi, eta_h, eta_v, J) over an array of parameter points
-    of one sheet: |z| < 1 for a series map, |z| > 1 for a Laurent map.
-    ``jet`` is the map's jet at z, by default fmap.jet(z, upto=2); from a
-    2-jet the frame comes without the Jacobian, and J is None. ``tau`` is
-    s (1 - |z|^2), by default from z, where its rounding is about 1e-16
-    absolute and so 1e-16 / tau relative; a caller that knows it exactly
-    passes it.
+def _frame_fields(fmap, z):
+    """Vectorized (Z, xi, eta_h, eta_v) over an array of parameter points
+    of one sheet, |z| < 1 for a series map and |z| > 1 for a Laurent map,
+    from the map's 2-jet (f, a, b) at z.
 
-    With the map's 3-jet (f, a, b, c), s = +1 inside and -1 outside,
-    tau = s (1 - |z|^2) > 0, beta = conj(b/a), chi = s z - beta tau / 2 and
-    D = 1 + |chi|^2: Z = f + a tau chi / D, xi = |a| tau / D and the unit
-    normal is (2 u chi, 1 - |chi|^2) / D with u = a/|a| (chi is psi/u of
-    the formula above). J = |Z_z|^2 - |Z_zbar|^2 is the Jacobian of z -> Z;
-    beta is antiholomorphic, with beta_zbar = conj(c/a) - beta^2.
-
-    Both terms of J tend to |a|^2 / D^2 at the rim |z| = 1, where J
-    vanishes like tau, and their difference would lose about 1e-16 / tau
-    relative. With |z|^2 = 1 - s tau, Z_z D^2 / a = D |chi|^2 + tau alpha,
-    Z_zbar D^2 / a = tau beta2 - D z^2 and |chi|^2 - |z|^2 = tau gap with
-    gap = |beta|^2 tau / 4 - s Re(conj(z) beta), so for tau < 1 J is summed
-    from terms that each carry the factor tau. Far outside (tau >= 1) the
-    difference is the better form.
+    With s = +1 inside and -1 outside, tau = s (1 - |z|^2) > 0,
+    beta = conj(b/a), chi = s z - beta tau / 2 and D = 1 + |chi|^2:
+    Z = f + a tau chi / D, xi = |a| tau / D and the unit normal is
+    (2 u chi, 1 - |chi|^2) / D with u = a/|a| (chi is psi/u of the formula
+    above).
     """
     z = np.asarray(z, dtype=complex)
     s = -1.0 if isinstance(fmap, LaurentMap) else 1.0
-    f, a, b, *c = fmap.jet(z, upto=2) if jet is None else jet
+    f, a, b = fmap.jet(z, upto=2)
+    tau = s * (1.0 - np.abs(z) ** 2)
+    chi = s * z - np.conj(b / a) * tau / 2.0
+    chi2 = np.abs(chi) ** 2
+    D = 1.0 + chi2
+    return (f + a * tau * chi / D, np.abs(a) * tau / D,
+            2.0 * (a / np.abs(a)) * chi / D, (1.0 - chi2) / D)
+
+
+def _height_jacobian(fmap, z, jet, tau):
+    """(xi, J) over rows of parameter points of one sheet, each row on one
+    circle |z| = const: the height xi of _frame_fields and the Jacobian
+    J = |Z_z|^2 - |Z_zbar|^2 of the sheet's projection z -> Z, whose sign
+    carries the orientation. ``jet`` is the map's 3-jet (f, a, b, c) at z
+    and ``tau`` = s (1 - |z|^2), one value per row (shape
+    z.shape[:-1] + (1,)), to full precision: from the rounded z it would
+    carry about 1e-16 / tau relative error.
+
+    With chi, D as in _frame_fields, beta is antiholomorphic with
+    beta_zbar = conj(c/a) - beta^2. Both terms of J tend to |a|^2 / D^2 at
+    the rim |z| = 1, where J vanishes like tau, and their difference would
+    lose about 1e-16 / tau relative. With |z|^2 = 1 - s tau,
+    Z_z D^2 / a = D |chi|^2 + tau alpha, Z_zbar D^2 / a = tau beta2 - D z^2
+    and |chi|^2 - |z|^2 = tau gap with
+    gap = |beta|^2 tau / 4 - s Re(conj(z) beta), so for tau < 1 J is summed
+    from terms that each carry the factor tau. Far outside (tau >= 1) the
+    difference is the better form, formed on those rows only.
+    """
+    s = -1.0 if isinstance(fmap, LaurentMap) else 1.0
+    _, a, b, c = jet
     r2 = np.abs(z) ** 2
-    tau = s * (1.0 - r2) if tau is None else tau
     beta = np.conj(b / a)
     chi = s * z - beta * tau / 2.0
     chi2 = np.abs(chi) ** 2
     D = 1.0 + chi2
-    P = a * tau * chi
-    frame = (f + P / D, np.abs(a) * tau / D, 2.0 * (a / np.abs(a)) * chi / D,
-             (1.0 - chi2) / D)
-    if not c:
-        return frame + (None,)
     chi_z = s * (1.0 + beta * np.conj(z) / 2.0)
-    chi_zb = (s * beta * z - (np.conj(c[0] / a) - beta ** 2) * tau) / 2.0
+    chi_zb = (s * beta * z - (np.conj(c / a) - beta ** 2) * tau) / 2.0
     D_z = chi_z * np.conj(chi) + chi * np.conj(chi_zb)
     alpha = D * (np.conj(beta) * chi + 2.0 * chi_z) - chi * D_z
     beta2 = D * (s * beta * z / 2.0 + chi_zb) - chi * np.conj(D_z)
     gap = np.abs(beta) ** 2 * tau / 4.0 - s * (np.conj(z) * beta).real
-    near = tau * (D * D * (chi2 + r2) * gap
-                  + 2.0 * D * (chi2 * alpha.real
-                               + (np.conj(z) ** 2 * beta2).real)
-                  + tau * (np.abs(alpha) ** 2 - np.abs(beta2) ** 2))
-    far = (np.abs(D * chi2 + tau * alpha) ** 2
-           - np.abs(tau * beta2 - D * z * z) ** 2)
-    return frame + (np.abs(a) ** 2 * np.where(tau < 1.0, near, far) / D ** 4,)
+    J = tau * (D * D * (chi2 + r2) * gap
+               + 2.0 * D * (chi2 * alpha.real + (np.conj(z) ** 2 * beta2).real)
+               + tau * (np.abs(alpha) ** 2 - np.abs(beta2) ** 2))
+    far = tau[..., 0] >= 1.0
+    Df, zf, tf = D[far], z[far], tau[far]
+    J[far] = (np.abs(Df * chi2[far] + tf * alpha[far]) ** 2
+              - np.abs(tf * beta2[far] - Df * zf * zf) ** 2)
+    return np.abs(a) * tau / D, np.abs(a) ** 2 * J / D ** 4
 
 
 def schwarzian_norm(fmap, z):

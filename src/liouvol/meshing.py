@@ -86,7 +86,7 @@ def _pack(fmap, params, n_rings, n_ang, ring_params):
     rim points ``ring_params``."""
     exterior = isinstance(fmap, LaurentMap)
     source = np.concatenate([[np.inf + 0j if exterior else 0j], params])
-    Z, xi, eh, ev, _ = _frame_fields(fmap, params if exterior else source)
+    Z, xi, eh, ev = _frame_fields(fmap, params if exterior else source)
     verts = np.column_stack([Z.real, Z.imag, xi])
     eta = np.column_stack([eh.real, eh.imag, ev])
     if exterior:

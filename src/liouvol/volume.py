@@ -8,7 +8,7 @@ pulled back to the two parameter domains (|z| < 1 for f, |w| > 1 for g):
     V(eps) = sum_sheets int J / (2 max(xi, eps)^2) dA,
 
 with xi the sheet's height and J the Jacobian of its projection z -> Z
-(epstein._frame_fields), whose sign carries the orientation. Each sheet's
+(epstein._height_jacobian), whose sign carries the orientation. Each sheet's
 int J dA is +-area(Omega), so the two must cancel: a check that the rays
 resolve the maps.
 
@@ -29,8 +29,9 @@ a height, and the interpolants of xi and q. One pass covers every height:
 a panel that straddles one is cut at the crossings of its interpolant of
 xi, found by Newton steps kept inside the bracketing samples, and its
 pieces take mapped Gauss nodes. V(eps) is a small difference of large sums
-over the two sheets, so each level sums its panels exactly (math.fsum).
-Neville extrapolation on the heights gives eps -> 0.
+over the two sheets, so each level sums its panels in doubled precision
+and rounds once (_row_sums). Neville extrapolation on the heights gives
+eps -> 0.
 
 The triangle-mesh flux of the same 2-form (_Sheet, truncated_volume) stays
 as an independent check: per triangle the integral of 1/(2 xi^2) is exact
@@ -47,7 +48,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .action import liouville_action
-from .epstein import _frame_fields, mean_curvature_total
+from .epstein import _height_jacobian, mean_curvature_total
 from .errors import (CapTopologyError, DivergenceSuspected, DomainError,
                      NoConvergence)
 from .quadrature import angular_count
@@ -370,8 +371,8 @@ class _RaySheet:
         else:
             radius, element, tau = 1.0 - t, 1.0 - t, t * (2.0 - t)
         z = radius[..., None] * np.exp(2j * np.pi * np.arange(n) / n)
-        _, xi, _, _, J = _frame_fields(fmap, z, ring_jet(fmap, radius, n),
-                                       tau[..., None])
+        xi, J = _height_jacobian(fmap, z, ring_jet(fmap, radius, n),
+                                 tau[..., None])
         # rows ray by ray: (n, panels per ray, GAUSS_NODES) -> (panels, ...)
         xi = np.moveaxis(xi, -1, 0).reshape(-1, GAUSS_NODES)
         q = np.moveaxis(J * element[..., None], -1, 0).reshape(-1, GAUSS_NODES)
@@ -437,6 +438,24 @@ def _ray_sheets(f, g, eps_min):
     return sheets
 
 
+def _row_sums(x):
+    """Each row of x summed as if in doubled precision and rounded once:
+    Sum2 of Ogita, Rump and Oishi ("Accurate sum and dot product", SIAM J.
+    Sci. Comput. 26, 2005) in pairwise order. TwoSum adds the columns in
+    pairs until one is left, and the exact rounding errors of every
+    addition are summed alongside and added last. The result lies within
+    u |s| + gamma_{n-1}^2 sum |x| of a row's exact sum s."""
+    err = np.zeros(x.shape[0])
+    while x.shape[1] > 1:
+        half = x.shape[1] // 2
+        a, b = x[:, :half], x[:, half:2 * half]
+        s = a + b
+        b_virtual = s - a
+        err += ((a - (s - b_virtual)) + (b - b_virtual)).sum(axis=1)
+        x = np.concatenate([s, x[:, 2 * half:]], axis=1)
+    return x[:, 0] + err
+
+
 def richardson_extrapolate(samples):
     """Neville extrapolation of V(eps) samples to eps = 0 on their heights,
     through the last min(NEVILLE_STAGES, len - 1) + 1 samples; on a halving
@@ -477,10 +496,9 @@ def volume(f, g, eps_schedule=None):
                           "positive heights")
     levels = np.concatenate([sheet.volume(eps_schedule) for sheet in
                              _ray_sheets(f, g, eps_schedule[-1])], axis=1)
-    # each level is a small difference of large sums over both sheets: the
-    # exact sum of its panels leaves only their own rounding
-    samples = tuple((eps, math.fsum(row))
-                    for eps, row in zip(eps_schedule, levels.tolist()))
+    # each level is a small difference of large sums over both sheets: a
+    # sum of its panels rounded once leaves only their own rounding
+    samples = tuple(zip(eps_schedule, _row_sums(levels).tolist()))
     v, err = richardson_extrapolate(samples)
     return v, samples, err
 

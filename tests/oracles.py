@@ -7,8 +7,8 @@ embedding instead of the closed-form curvature formulas.
 
 It also holds the code that only the tests call: the reference curves,
 the quaternion model of upper half-space, the Epstein construction of a
-general conformal metric (the oracle for epstein._frame_fields), the grid
-pairing of the action's first variation, the polar route to a series
+general conformal metric (the oracle for the frames (Z, xi, eta) of
+epstein._frame_fields), the grid pairing of the action's first variation, the polar route to a series
 curve's exterior map, the flow's sup|nu| on every ring, a curve JSON writer
 and an OBJ reader.
 """
@@ -104,7 +104,7 @@ def _christoffel_correction(X, N, xi):
 def fd_shape_operator(frame_fields, param_points, h=1e-5):
     """Principal curvatures and mean curvature by central differences.
 
-    ``frame_fields(zeta)`` must return (Z, xi, eta_h, eta_v, ...) arrays; the
+    ``frame_fields(zeta)`` must return (Z, xi, eta_h, eta_v) arrays; the
     derivative of the embedding and of the normal field are differenced,
     the ambient covariant derivative is corrected by the Christoffel terms
     of the hyperbolic metric, and the shape operator is I^{-1} II.
@@ -114,7 +114,7 @@ def fd_shape_operator(frame_fields, param_points, h=1e-5):
     zeta = np.asarray(param_points, dtype=complex)
 
     def embed(z):
-        Z, xi, eh, ev = frame_fields(z)[:4]
+        Z, xi, eh, ev = frame_fields(z)
         pos = np.stack([Z.real, Z.imag, xi], axis=-1)
         normal = np.stack([eh.real * xi, eh.imag * xi, ev * xi], axis=-1)
         return pos, normal
@@ -728,7 +728,7 @@ def epstein_poincare(fmap, zeta):
         d1 = fmap.jet(zeta, upto=1)[1]
         if abs(d1) < 1e-14:
             raise SingularDerivative("f' vanishes at the requested point")
-    Z, xi, eh, ev, _ = _frame_fields(fmap, zeta)
+    Z, xi, eh, ev = _frame_fields(fmap, zeta)
     return EpsteinFrame(H3Point(complex(Z), float(xi)),
                         complex(eh), float(ev), complex(zeta))
 

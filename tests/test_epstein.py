@@ -8,7 +8,8 @@ from oracles import (H3Point, MetricJet, MobiusTransform, curvatures,
                      geodesic_shift, mc_disk_integral, mobius_on_h3,
                      osculating_mobius, poincare_jet)
 
-from liouvol.epstein import _frame_fields, mean_curvature_total, schwarzian_norm
+from liouvol.epstein import (_frame_fields, _height_jacobian,
+                             mean_curvature_total, schwarzian_norm)
 from liouvol.series import LaurentMap, PowerSeriesMap, schwarzian
 
 
@@ -94,7 +95,7 @@ def test_naturality_under_mobius():
         moved = mobius_on_h3(A, fr.base)
         # frame of A o f at zeta, from its chain-rule 2-jet
         w0, w1, w2 = f.jet(zeta, upto=2)
-        Z, xi, eh, ev, _ = _frame_fields(
+        Z, xi, eh, ev = _frame_fields(
             _JetProxy(A(w0), A.deriv(w0) * w1, A.deriv2(w0) * w1 ** 2
                       + A.deriv(w0) * w2), np.array([zeta], complex))
         assert abs(moved.z - Z[0]) < 1e-9
@@ -102,11 +103,10 @@ def test_naturality_under_mobius():
 
 
 class _JetProxy:
-    """Minimal jet interface around fixed derivative values at one point;
-    the third derivative, which only the Jacobian reads, is zero."""
+    """Minimal jet interface around fixed derivative values at one point."""
 
     def __init__(self, w0, w1, w2):
-        self._jet = (w0, w1, w2, 0.0)
+        self._jet = (w0, w1, w2)
 
     def jet(self, zeta, upto=2):
         shape = np.shape(zeta)
@@ -132,21 +132,41 @@ class _OutsideAutomorphism(_DiskAutomorphism, LaurentMap):
     """The same map on the exterior sheet."""
 
 
+def _automorphism_sheet(fmap, s, tau, n=16):
+    """Points z with s (1 - |z|^2) = tau (a column), and the exact height
+    and Jacobian there: the sheet of a disk automorphism is the unit
+    hemisphere, Z = 2 f / (1 + |f|^2), so xi = tau_f / (2 - s tau_f) and
+    J = 4 s tau_f / (2 - s tau_f)^3 |f'|^2 with tau_f = s (1 - |f|^2) =
+    tau |f'|."""
+    z = np.sqrt(1.0 - s * tau) * np.exp(2j * np.pi * np.arange(n) / n)
+    d1 = (1.0 - abs(fmap.p) ** 2) / np.abs(1.0 - np.conj(fmap.p) * z) ** 2
+    tau_f = tau * d1
+    return (z, tau_f / (2.0 - s * tau_f),
+            4.0 * s * tau_f / (2.0 - s * tau_f) ** 3 * d1 ** 2)
+
+
 @pytest.mark.parametrize("fmap, s", [(_DiskAutomorphism(0.3 - 0.4j), 1.0),
                                      (_OutsideAutomorphism(0.3 - 0.4j), -1.0)])
 def test_frame_jacobian_at_the_rim(fmap, s):
-    # the sheet of a disk automorphism is the unit hemisphere, Z = 2 f /
-    # (1 + |f|^2), so J = 4 s tau_f / (2 - s tau_f)^3 |f'|^2 with
-    # tau_f = s (1 - |f|^2) = tau |f'|; from the exact tau J keeps its
-    # digits as tau -> 0, where |Z_z|^2 - |Z_zbar|^2 loses 1e-16 / tau
+    # from the exact tau J keeps its digits as tau -> 0, where
+    # |Z_z|^2 - |Z_zbar|^2 loses 1e-16 / tau
     tau = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.5, 0.99] + (
         [1.0, 3.0] if s < 0 else []))[:, None]
-    z = np.sqrt(1.0 - s * tau) * np.exp(2j * np.pi * np.arange(16) / 16)
-    d1 = (1.0 - abs(fmap.p) ** 2) / np.abs(1.0 - np.conj(fmap.p) * z) ** 2
-    tau_f = tau * d1
-    expect = 4.0 * s * tau_f / (2.0 - s * tau_f) ** 3 * d1 ** 2
-    J = _frame_fields(fmap, z, fmap.jet(z, upto=3), tau)[4]
-    assert np.max(np.abs(J / expect - 1.0)) <= 1e-13
+    z, xi_exact, J_exact = _automorphism_sheet(fmap, s, tau)
+    xi, J = _height_jacobian(fmap, z, fmap.jet(z, upto=3), tau)
+    assert np.max(np.abs(xi / xi_exact - 1.0)) <= 1e-13
+    assert np.max(np.abs(J / J_exact - 1.0)) <= 1e-13
+
+
+def test_frame_jacobian_on_interleaved_near_and_far_rows():
+    # rows with tau >= 1 take the far form in place, next to rows of the
+    # near form, in the (panels, nodes, rays) layout of the ray sheets
+    fmap = _OutsideAutomorphism(0.3 - 0.4j)
+    tau = np.array([3.0, 1e-9, 1.0, 0.5, 0.999, 40.0])[:, None]
+    z, _, J_exact = _automorphism_sheet(fmap, -1.0, tau)
+    z, J_exact = z.reshape(3, 2, -1), J_exact.reshape(3, 2, -1)
+    J = _height_jacobian(fmap, z, fmap.jet(z, upto=3), tau.reshape(3, 2, 1))[1]
+    assert np.max(np.abs(J / J_exact - 1.0)) <= 1e-13
 
 
 def test_geodesic_shift_flat():

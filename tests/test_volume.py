@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import legendre
 
 from oracles import (H3Point, MobiusTransform, ball_volume_euclidean_sphere,
@@ -21,6 +23,7 @@ from liouvol.series import LaurentMap, PowerSeriesMap
 from liouvol.volume import (EPS_BASE, EPS_COUNT, GAUSS_NODES, _SAMPLE_X,
                             _X, _RaySheet, _check_clip_loops,
                             _crossings, _inv_sq_simplex, _ray_sheets,
+                            _row_sums,
                             _truncated_volumes, cap_annulus, mesh_flux,
                             renormalized_volume, richardson_extrapolate,
                             truncated_volume, volume)
@@ -161,10 +164,10 @@ def slab_mesh():
     theta = 2 * np.pi * np.arange(n_ang) / n_ang
     rr = np.linspace(r1, r2, n_rad)
     zeta = rr[:, None] * np.exp(1j * theta)[None, :]
-    Z, xi, eh, ev, _ = _frame_fields(f, zeta.ravel())
+    Z, xi, eh, ev = _frame_fields(f, zeta.ravel())
 
     def flow_points(ring_zeta, times):
-        Z0, x0, e0, v0, _ = _frame_fields(f, ring_zeta)
+        Z0, x0, e0, v0 = _frame_fields(f, ring_zeta)
         pts = []
         for u in times:
             for j in range(ring_zeta.size):
@@ -595,6 +598,45 @@ def test_circle_levels_in_closed_form():
     assert np.max(np.abs(np.divide(outside, -exact) - 1.0)) <= 5e-14
     _, samples, _ = volume(f, g)
     assert max(abs(v) for _, v in samples) <= 1e-13
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_row_sums_match_fsum(data):
+    # rows of large terms of both signs that cancel exactly, plus small
+    # terms, shuffled, with condition numbers sum|x| / |sum x| up to 1e12:
+    # the doubled-precision sum is within one ulp of the correctly rounded
+    # one
+    n = data.draw(st.integers(1, 40))
+    scale = 10.0 ** data.draw(st.floats(0.0, 10.0))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        big = [scale * x for x in data.draw(
+            st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n))]
+        small = data.draw(
+            st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        row = data.draw(st.permutations(big + [-x for x in big] + small))
+        exact = math.fsum(row)
+        assume(exact != 0.0
+               and math.fsum(map(abs, row)) <= 1e12 * abs(exact))
+        rows.append(row)
+    for row, total in zip(rows, _row_sums(np.array(rows)).tolist()):
+        assert abs(total - math.fsum(row)) <= math.ulp(math.fsum(row))
+
+
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "circle",
+                                  "star", "balanced"])
+def test_volume_samples_are_the_rounded_level_sums(name):
+    # each V(eps) is the exact sum of its panels over both sheets, rounded
+    # once: bit for bit math.fsum of the concatenated rows
+    curves = _identity_curves()
+    curve = curves[name] if name in curves else load_curve(name)
+    f, g = conformal_map_pair(curve, order=128)
+    schedule = _default_schedule(g)
+    rows = np.concatenate([s.volume(schedule) for s in
+                           _ray_sheets(f, g, schedule[-1])], axis=1)
+    _, samples, _ = volume(f, g)
+    assert [v for _, v in samples] == [math.fsum(r) for r in rows.tolist()]
 
 
 @pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "star",
