@@ -8,9 +8,9 @@ embedding instead of the closed-form curvature formulas.
 It also holds the code that only the tests call: the reference curves,
 the quaternion model of upper half-space, the Epstein construction of a
 general conformal metric (the oracle for the frames (Z, xi, eta) of
-epstein._frame_fields), the grid pairing of the action's first variation, the polar route to a series
-curve's exterior map, the flow's sup|nu| on every ring, a curve JSON writer
-and an OBJ reader.
+epstein._frame_fields), the grid pairing of the action's first variation,
+the polar route to a series curve's exterior map, the flow's sup|nu| on
+every ring, a curve JSON writer and an OBJ reader.
 """
 
 import math
