@@ -1,8 +1,9 @@
 """Curve inputs: analytic interior-series curves and sampled polylines.
 
-Both variants expose a polar radius function about an interior anchor
-point, which is what the boundary-correspondence solvers consume. The
-anchor is f(0) for series curves and the vertex centroid for polylines.
+Both variants have an interior anchor point: f(0) for series curves and
+the vertex centroid for polylines. A polyline exposes its polar radius
+function about the anchor, which is what the boundary-correspondence
+solver consumes; a series curve is solved in its own parameter instead.
 """
 
 import json
@@ -174,19 +175,14 @@ class CurveSpec:
         return np.interp(s, t, closed.real) + 1j * np.interp(s, t, closed.imag)
 
     def polar(self):
-        """Radius function chi -> rho(chi) about the anchor.
+        """Radius function chi -> rho(chi) of a polyline about its anchor.
 
-        Requires the curve to be star shaped about the anchor; raises
-        DomainError otherwise.
+        Requires the polyline to be star shaped about the anchor; raises
+        DomainError otherwise, and for a series curve.
         """
-        a = self.anchor()
         if self.kind == "series":
-            f = self.series
-            invert = _argument_inverse(f, a)
-            def rho(chi):
-                return np.abs(f.eval_unchecked(np.exp(1j * invert(chi))) - a)
-            return rho
-        rel = self.points - a
+            raise DomainError("the polar radius is built for polylines only")
+        rel = self.points - self.anchor()
         chi = np.unwrap(np.angle(rel))
         if chi[-1] < chi[0]:  # enforce counterclockwise
             rel = rel[::-1]

@@ -100,7 +100,7 @@ def curvature_columns(fmap, source):
     laurent = isinstance(fmap, LaurentMap)
     z = source[1:] if laurent else source
     t = schwarzian_norm(fmap, z)
-    d1 = fmap.deriv_at(z, 1) if laurent else fmap.jet(z, upto=1)[1]
+    d1 = fmap.jet(z, upto=1)[1]
     rho = 4.0 / ((1.0 - np.abs(z) ** 2) ** 2 * np.abs(d1) ** 2)
     if laurent:
         apex = 1.5 * abs(fmap.bneg[0] / fmap.b1) if fmap.order else 0.0

@@ -1,18 +1,19 @@
 """Numerical conformal maps onto curve interiors/exteriors.
 
-The interior solver runs the classical boundary-correspondence iteration
-for star-shaped curves: with the map written as z*exp(h(z)), the boundary
-angle function theta(phi) satisfies theta - phi = conj[log rho(theta)],
-where conj is FFT-based harmonic conjugation (Theodorsen). A polyline's
-exterior map is obtained by solving the interior problem of the inverted
-curve and composing with w -> 1/w, which keeps infinity fixed and the
-leading coefficient positive. A series curve f is solved on its welding
-instead: g(e^{i psi}) = f(e^{i t(psi)}), by one jet of f and one Newton
-step per iteration, so its polar radius, whose every evaluation inverts
-arg(f - anchor), is never built. Every solve runs one loop (_solve_polar):
-the correspondence iteration, order doubling and the certification of the
-map's distance to the curve, by the polar radius or, for a series exterior,
-on the welding; each solve supplies its iteration, fit and distance.
+The solver runs the classical boundary-correspondence iteration for
+star-shaped curves (Theodorsen): with the map written as z exp(h(z))
+inside, or w exp(H(w)) outside, the boundary angle function theta(phi)
+satisfies theta = phi + conj[log rho(theta)] inside and
+theta = phi - conj[log rho(theta)] outside, where rho is the polar radius
+about the anchor and conj is FFT-based harmonic conjugation. A polyline is
+solved on its polar radius on both sides. A series curve's exterior map is
+solved on its welding instead: g(e^{i psi}) = f(e^{i t(psi)}), by one jet
+of f and one Newton step per iteration, so its polar radius, whose every
+evaluation inverts arg(f - anchor), is never built. Every solve runs one
+loop (_solve_polar): the correspondence iteration, order doubling and the
+certification of the map's distance to the curve, by the polar radius or,
+for a series exterior, on the welding; each solve supplies its iteration,
+fit and distance.
 """
 
 import logging
@@ -70,18 +71,20 @@ def _solve_correspondence(problem, n, start=None):
 
 
 class _Polar:
-    """Theodorsen's fixed point theta = phi + conj[log rho(theta)] of a
-    curve with polar radius rho, from theta = phi. Its boundary samples at
-    phi are rho(theta) e^{i theta}."""
+    """Theodorsen's fixed point theta = phi + sign conj[log rho(theta)] of a
+    curve with polar radius rho, from theta = phi: sign +1 for the interior
+    map, -1 for the exterior map. Its boundary samples at phi are
+    rho(theta) e^{i theta}."""
 
-    def __init__(self, rho):
-        self.rho = rho
+    def __init__(self, rho, sign):
+        self.rho, self.sign = rho, sign
 
     def start(self, phi):
         return phi.copy()
 
     def step(self, theta, phi):
-        change = phi + conjugate_periodic(np.log(self.rho(theta))) - theta
+        conj = conjugate_periodic(np.log(self.rho(theta)))
+        change = phi + self.sign * conj - theta
         return change, change
 
     def boundary(self, theta):
@@ -91,14 +94,14 @@ class _Polar:
 class _Welding:
     """The welding t(psi) of a series curve f about its anchor a, with
     g(e^{i psi}) = f(e^{i t(psi)}) on the exterior map g: it solves
-    X(t) = psi - conj[R(t)], where f(e^{it}) - a = e^{R + iX}. This is
-    Theodorsen's equation read in f's parameter, so the curve's polar
-    radius is never inverted. Each step takes one jet of f at e^{it} and
-    one Newton step of X(t) = target at every point; the error is
-    target - X(t). The start is the lookup guess of arg(f - a) = psi; when
-    that guess is psi itself to rounding (a circle about a), the start is
-    the uniform grid, and its jet a ring FFT. Its boundary samples at psi
-    are g(e^{i psi}) - a."""
+    X(t) = psi - conj[R(t)], where f(e^{it}) - a = e^{R + iX}. This is the
+    exterior equation theta = psi - conj[log rho(theta)] of _Polar read in
+    f's parameter, so the curve's polar radius is never inverted. Each step
+    takes one jet of f at e^{it} and one Newton step of X(t) = target at
+    every point; the error is target - X(t). The start is the lookup guess
+    of arg(f - a) = psi; when that guess is psi itself to rounding (a
+    circle about a), the start is the uniform grid, and its jet a ring FFT.
+    Its boundary samples at psi are g(e^{i psi}) - a."""
 
     def __init__(self, f, anchor):
         self.f, self.anchor = f, anchor
@@ -188,8 +191,8 @@ def _interior_from_polar(rho, anchor, order, tol, auto_refine=True):
         return PowerSeriesMap(coeffs, hint), spurious, tail, scale
 
     mismatch = partial(_boundary_mismatch_polar, rho, anchor)
-    return _solve_polar(_Polar(rho), mismatch, order, tol, fit, "interior",
-                        auto_refine)
+    return _solve_polar(_Polar(rho, 1.0), mismatch, order, tol, fit,
+                        "interior", auto_refine)
 
 
 def _decay_radius(coeffs):
@@ -208,31 +211,20 @@ def exterior_map(curve, order=128, tol=FIT_TOL):
     """Conformal map of |w| > 1 onto the outside of ``curve``.
 
     Normalization: g(inf) = inf with g'(inf) real positive. A series curve
-    is solved on its welding (_Welding), a polyline through the interior
-    problem of the inverted curve (_exterior_from_polar). Returns
-    (LaurentMap, SolveDiagnostics).
+    is solved on its welding (_Welding), a polyline on its polar radius
+    (_Polar with sign -1). Returns (LaurentMap, SolveDiagnostics).
     """
+    anchor = curve.anchor()
     if curve.kind == "series":
-        f, anchor = curve.series, curve.anchor()
-        return _solve_polar(_Welding(f, anchor),
-                            partial(_boundary_mismatch_welding, f), order, tol,
-                            partial(_fit_exterior, anchor=anchor), "exterior")
-    return _exterior_from_polar(curve.polar(), curve.anchor(), order, tol)
-
-
-def _exterior_from_polar(rho, anchor, order, tol):
-    def rho_inv(chi):
-        return 1.0 / rho(-np.asarray(chi, float))
-
-    def fit(boundary_inv, order):
-        # g(e^{i phi}) = 1 / G(e^{-i phi}): reverse the sample order and
-        # keep sample 0 at phi = 0
-        return _fit_exterior(np.roll(1.0 / boundary_inv[::-1], 1), order,
-                             anchor)
-
-    return _solve_polar(_Polar(rho_inv),
-                        partial(_boundary_mismatch_polar, rho, anchor),
-                        order, tol, fit, "exterior")
+        f = curve.series
+        problem = _Welding(f, anchor)
+        mismatch = partial(_boundary_mismatch_welding, f)
+    else:
+        rho = curve.polar()
+        problem = _Polar(rho, -1.0)
+        mismatch = partial(_boundary_mismatch_polar, rho, anchor)
+    return _solve_polar(problem, mismatch, order, tol,
+                        partial(_fit_exterior, anchor=anchor), "exterior")
 
 
 def _fit_exterior(samples, order, anchor):

@@ -3,8 +3,9 @@
 PowerSeriesMap holds f(z) = sum_k a_k z^k on a disk of radius > 1,
 LaurentMap holds g(w) = b1 w + b0 + sum_k b_{-k} w^{-k} on |w| > 1.
 Differentiation is exact on coefficients. Evaluation is Horner at
-scattered points, where a jet (the value with its first derivatives) takes
-one Horner pass, and FFT on rings: at the points r e^{2 pi i j/n}, uniform
+scattered points, where a value, a jet (the value with its first
+derivatives) or one derivative takes one pass of one kernel
+(_taylor_horner), and FFT on rings: at the points r e^{2 pi i j/n}, uniform
 in angle, a jet is one length-n FFT per radius and derivative (ring_jet),
 and a value one FFT (ring_values). Every evaluation of a map at n uniform
 angles takes the ring path. Integrals of |analytic|^2 against a radial
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, SingularDerivative
 
@@ -83,10 +83,10 @@ class PowerSeriesMap:
         if np.any(np.abs(z) > self.hint_radius * (1 + 1e-12)):
             raise DomainError(
                 f"|z| exceeds declared radius {self.hint_radius}")
-        return npoly.polyval(z, self.coeffs)
+        return _taylor_horner(self.coeffs, z, 0)[0]
 
     def eval_unchecked(self, z):
-        return npoly.polyval(np.asarray(z, dtype=complex), self.coeffs)
+        return _taylor_horner(self.coeffs, z, 0)[0]
 
     def jet(self, z, upto=3):
         """Values (f, f', f'', f''') at z, truncated to ``upto`` derivatives."""
@@ -119,32 +119,13 @@ class LaurentMap:
         return self.bneg.size
 
     def __call__(self, w):
-        w = np.asarray(w, dtype=complex)
-        if np.any(np.abs(w) < 1 - 1e-12):
-            raise DomainError("LaurentMap is defined on |w| >= 1")
-        if self.bneg.size == 0:
-            return self.b1 * w + self.b0
-        u = 1.0 / w
-        return self.b1 * w + self.b0 + u * npoly.polyval(u, self.bneg)
+        return self.jet(w, upto=0)[0]
 
     def deriv_at(self, w, m=1):
-        """m-th derivative (m = 1, 2 or 3), evaluated directly."""
-        w = np.asarray(w, dtype=complex)
-        if self.bneg.size == 0:
-            base = self.b1 if m == 1 else 0.0
-            return np.full_like(w, base, dtype=complex) if w.ndim else complex(base)
-        u = 1.0 / w
-        k = np.arange(1, self.bneg.size + 1)
-        if m == 1:
-            c = -k * self.bneg
-            return self.b1 + u * u * npoly.polyval(u, c)
-        if m == 2:
-            c = k * (k + 1) * self.bneg
-            return u ** 3 * npoly.polyval(u, c)
-        if m == 3:
-            c = -k * (k + 1) * (k + 2) * self.bneg
-            return u ** 4 * npoly.polyval(u, c)
-        raise ValueError("m must be 1, 2 or 3")
+        """m-th derivative (m = 1, 2 or 3), the last entry of the jet."""
+        if m not in (1, 2, 3):
+            raise ValueError("m must be 1, 2 or 3")
+        return self.jet(w, upto=m)[m]
 
     def jet(self, w, upto=3):
         """Values (g, g', g'', g''') at w, truncated to ``upto`` derivatives:
@@ -156,8 +137,7 @@ class LaurentMap:
             raise DomainError("LaurentMap is defined on |w| >= 1")
         u = 1.0 / w
         # h = u p with p(u) = sum_k b_{-k} u^(k-1): d[m] = h^(m)/m! is
-        # e[m-1] + u e[m] for e[m] = p^(m)/m!, and g is formed bit for bit
-        # as __call__ forms it
+        # e[m-1] + u e[m] for e[m] = p^(m)/m!
         e = _taylor_horner(self.bneg, u, upto)
         d = [u * e[0]] + [e[m - 1] + u * e[m] for m in range(1, upto + 1)]
         return self._chain(w, u, d)

@@ -223,45 +223,28 @@ def _check_clip_loops(segments):
     return keys.size
 
 
-def _check_levels(mesh, eps_levels):
-    heights = mesh.heights()
-    top = float(heights.max())
-    ring_h = float(heights[mesh.ring].max())
-    for eps in eps_levels:
-        if eps >= top:
+def truncated_volume(mesh_in, mesh_out, eps):
+    """Signed volume between the sheets above Euclidean height eps.
+
+    Both meshes must reach below eps (their outer rings sit under the
+    truncation height) while their tops rise above it.
+    """
+    for mesh in (mesh_in, mesh_out):
+        heights = mesh.heights()
+        if eps >= float(heights.max()):
             raise DomainError("truncation height above the whole surface")
+        ring_h = float(heights[mesh.ring].max())
         if eps <= ring_h:
             raise DomainError(
                 f"truncation height {eps} must exceed the mesh rim height "
                 f"{ring_h:.3e}; extend r_max or raise eps")
-
-
-def _truncated_volumes(mesh_in, mesh_out, eps_levels):
-    """Signed volumes between the sheets above each Euclidean height in
-    ``eps_levels``, from one tabulation of each sheet.
-
-    Both meshes must reach below every level (their outer rings sit under
-    the truncation heights) while their tops rise above it.
-    """
+    total = 0.0
     for mesh in (mesh_in, mesh_out):
-        _check_levels(mesh, eps_levels)
-    sheets = (_Sheet.of(mesh_in.vertices, mesh_in.faces),
-              _Sheet.of(mesh_out.vertices, mesh_out.faces))
-    out = []
-    for eps in eps_levels:
-        total = 0.0
-        for sheet in sheets:
-            flux, segments = sheet.flux(eps)
-            _check_clip_loops(segments)
-            total += flux
-        sliver = (mesh_in.ring_area - mesh_out.ring_area) / (2.0 * eps * eps)
-        out.append(ORIENT_SIGN * (total + sliver))
-    return out
-
-
-def truncated_volume(mesh_in, mesh_out, eps):
-    """Signed volume between the sheets above Euclidean height eps."""
-    return _truncated_volumes(mesh_in, mesh_out, (eps,))[0]
+        flux, segments = mesh_flux(mesh.vertices, mesh.faces, eps)
+        _check_clip_loops(segments)
+        total += flux
+    sliver = (mesh_in.ring_area - mesh_out.ring_area) / (2.0 * eps * eps)
+    return ORIENT_SIGN * (total + sliver)
 
 
 def clip_mesh_above(mesh, eps):

@@ -9,20 +9,22 @@ It also holds the code that only the tests call: the reference curves,
 the quaternion model of upper half-space, the Epstein construction of a
 general conformal metric (the oracle for the frames (Z, xi, eta) of
 epstein._frame_fields), the grid pairing of the action's first variation,
-the polar route to a series curve's exterior map, the flow's sup|nu| on
+the inverted-curve route to the exterior map, the flow's sup|nu| on
 every ring, a curve JSON writer and an OBJ reader.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from liouvol import flow
-from liouvol.curves import CurveSpec
+from liouvol.curves import CurveSpec, _argument_inverse
 from liouvol.epstein import _frame_fields, curvature_columns
 from liouvol.errors import DomainError, SingularDerivative
-from liouvol.mapping import FIT_TOL, _exterior_from_polar
+from liouvol.mapping import (FIT_TOL, _boundary_mismatch_polar, _fit_exterior,
+                             _Polar, _solve_polar)
 from liouvol.quadrature import QuadratureGrid
 from liouvol.series import (LaurentMap, PowerSeriesMap, circle_samples,
                             ring_jet, schwarzian, schwarzian_of)
@@ -429,11 +431,33 @@ def ray_level_eleven_pieces(sheet, eps):
 # -- the exterior map by Theodorsen's fixed point on the polar radius ---------
 
 def polar_exterior_map(curve, order=128, tol=FIT_TOL):
-    """exterior_map by the route polylines take, for any curve: the
-    interior fixed point of the inverted curve on the polar radius, whose
-    every iteration inverts arg(f - anchor) by Newton on a series curve.
-    The oracle for the welding solve of series curves."""
-    return _exterior_from_polar(curve.polar(), curve.anchor(), order, tol)
+    """exterior_map of any curve through the interior problem of the
+    inverted curve: the fixed point theta = phi + conj[log rho_inv(theta)]
+    of the radius rho_inv(chi) = 1 / rho(-chi) about the anchor, composed
+    with w -> 1/w. A series curve's radius rho inverts arg(f - anchor) by
+    Newton at every evaluation. The oracle for the exterior equation of
+    polylines and for the welding solve of series curves."""
+    anchor = curve.anchor()
+    if curve.kind == "series":
+        f, invert = curve.series, _argument_inverse(curve.series, anchor)
+
+        def rho(chi):
+            return np.abs(f.eval_unchecked(np.exp(1j * invert(chi))) - anchor)
+    else:
+        rho = curve.polar()
+
+    def rho_inv(chi):
+        return 1.0 / rho(-np.asarray(chi, float))
+
+    def fit(boundary_inv, order):
+        # g(e^{i phi}) = 1 / G(e^{-i phi}): reverse the sample order and
+        # keep sample 0 at phi = 0
+        return _fit_exterior(np.roll(1.0 / boundary_inv[::-1], 1), order,
+                             anchor)
+
+    return _solve_polar(_Polar(rho_inv, 1.0),
+                        partial(_boundary_mismatch_polar, rho, anchor),
+                        order, tol, fit, "exterior")
 
 
 # -- sup|nu| of the flow's descent field on every ring ------------------------

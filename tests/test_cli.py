@@ -345,22 +345,17 @@ def _uniform_angles(x):
 
 def test_horner_sees_no_uniform_angles(tmp_path, monkeypatch):
     # the commands evaluate maps at n uniform angles only by ring FFTs:
-    # Horner (the jets' _taylor_horner, and polyval behind __call__,
-    # eval_unchecked and deriv_at) is left the scattered points
+    # Horner (_taylor_horner, behind every jet, __call__, eval_unchecked
+    # and deriv_at) is left the scattered points
     import liouvol.series as series
-    horner, polyval = series._taylor_horner, series.npoly.polyval
+    horner = series._taylor_horner
     uniform = []
 
     def taylor(c, x, upto):
         uniform.append(_uniform_angles(x))
         return horner(c, x, upto)
 
-    def poly(x, c, *args, **kwargs):
-        uniform.append(_uniform_angles(x))
-        return polyval(x, c, *args, **kwargs)
-
     monkeypatch.setattr(series, "_taylor_horner", taylor)
-    monkeypatch.setattr(series.npoly, "polyval", poly)
     star = tmp_path / "star.json"
     star.write_text(json.dumps({"series": [[0, 0], [1, 0], [0, 0], [0, 0],
                                            [0, 0], [0.08, 0]]}))

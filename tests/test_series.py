@@ -53,6 +53,41 @@ def test_laurent_derivatives_match_fd():
     assert abs(g.deriv_at(w, 2) - fd2) < 1e-5
 
 
+def _laurent_closed_form(g, w, m):
+    """(g^(m)(w), the sum of the moduli of its terms), term by term in
+    extended precision: b1 w + b0 + sum_k b_-k w^-k,
+    b1 - sum_k k b_-k w^(-k-1), sum_k k(k+1) b_-k w^(-k-2) and
+    -sum_k k(k+1)(k+2) b_-k w^(-k-3) for m = 0 to 3."""
+    k = np.arange(1, g.order + 1)
+    fall = np.prod([k + i for i in range(m)], axis=0)
+    u = 1 / np.asarray(w, dtype=np.clongdouble)
+    terms = ((-1) ** m * fall * g.bneg.astype(np.clongdouble)
+             * u[..., None] ** (k + m))
+    head = (g.b1 * np.asarray(w) + g.b0, g.b1, 0.0, 0.0)[m]
+    return head + terms.sum(axis=-1), abs(head) + np.abs(terms).sum(axis=-1)
+
+
+def test_deriv_at_matches_the_closed_forms(rng):
+    # deriv_at is the last entry of the Horner jet: against the term-by-term
+    # derivatives it replaces, at arrays and scalars, with and without
+    # negative powers
+    k = np.arange(1, 25)
+    bneg = (rng.normal(size=k.size) + 1j * rng.normal(size=k.size)) / k ** 2
+    w = (1.0 + 2.0 * rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
+    w[0] = np.exp(0.3j)
+    for g in (LaurentMap(1.3 - 0.2j, 0.1j, bneg), LaurentMap(0.8, 0.2j)):
+        for m in (1, 2, 3):
+            value = g.deriv_at(w, m)
+            ref, scale = _laurent_closed_form(g, w, m)
+            assert np.max(np.abs(value - ref) / np.maximum(scale, 1e-300)) \
+                <= 1e-15
+            first = g.deriv_at(complex(w[0]), m)
+            assert np.ndim(first) == 0
+            assert abs(first - ref[0]) <= 1e-15 * max(scale[0], 1e-300)
+    with pytest.raises(ValueError):
+        g.deriv_at(w, 4)
+
+
 def test_nonlinearity_identity_is_zero():
     f = PowerSeriesMap([0, 1], hint_radius=4)
     for z in (0.0, 0.3 + 0.2j, -0.8):
@@ -175,7 +210,8 @@ def test_area_norm_of_monomials(k, p):
 @pytest.mark.parametrize("upto", [1, 2, 3])
 @pytest.mark.parametrize("order", [0, 1, 7, 64])
 def test_jet_matches_separate_evaluation(rng, order, upto):
-    # the one-pass jets against __call__/deriv_at and polyval of polyder
+    # the one-pass jets against the term-by-term derivatives and polyval of
+    # polyder
     def close(values, refs):
         for v, r in zip(values, refs):
             assert np.max(np.abs(v - r)) <= 1e-13 * np.max(np.abs(r))
@@ -189,7 +225,8 @@ def test_jet_matches_separate_evaluation(rng, order, upto):
     phase = np.exp(2j * np.pi * rng.random(50))
     w = (1.0 + 2.0 * rng.random(50)) * phase
     z = 1.2 * rng.random(50) * phase
-    cases = ((g, w, [g(w)] + [g.deriv_at(w, j) for j in range(1, upto + 1)]),
+    cases = ((g, w, [_laurent_closed_form(g, w, j)[0]
+                     for j in range(upto + 1)]),
              (f, z, [npoly.polyval(z, npoly.polyder(a, j)) if j <= order
                      else np.zeros_like(z) for j in range(upto + 1)]))
     for m, pts, refs in cases:

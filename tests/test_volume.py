@@ -23,8 +23,7 @@ from liouvol.series import LaurentMap, PowerSeriesMap
 from liouvol.volume import (EPS_BASE, EPS_COUNT, GAUSS_NODES, _SAMPLE_X,
                             _X, _RaySheet, _check_clip_loops,
                             _crossings, _inv_sq_simplex, _ray_sheets,
-                            _row_sums,
-                            _truncated_volumes, cap_annulus, mesh_flux,
+                            _row_sums, cap_annulus, mesh_flux,
                             renormalized_volume, richardson_extrapolate,
                             truncated_volume, volume)
 
@@ -291,17 +290,6 @@ def test_mesh_flux_matches_scalar_clip_on_ellipse_sheets(ellipse_maps):
     for mesh in aligned_surface_meshes(f, g, n_ang=256):
         _assert_matches_scalar_clip(mesh.vertices, mesh.faces,
                                     (0.11, 0.0275, 0.0034375))
-
-
-def test_volume_samples_equal_per_level_truncated_volume(ellipse_maps):
-    f, g = ellipse_maps
-    mi, mo = aligned_surface_meshes(f, g, n_ang=256, per_octave=8,
-                                    interior_rings=24)
-    schedule = _mesh_schedule(g)
-    samples = list(zip(schedule, _truncated_volumes(mi, mo, schedule)))
-    assert len(samples) == 7
-    for eps, v in samples:
-        assert abs(v - truncated_volume(mi, mo, eps)) <= 1e-12 * abs(v)
 
 
 def _cone(ring_heights, apex=(0.0, 0.0, 2.0)):
