@@ -133,10 +133,10 @@ class CurveSpec:
     @classmethod
     def from_polyline(cls, points, check=True):
         pts = np.asarray(points, dtype=complex).ravel()
+        if pts.size and abs(pts[0] - pts[-1]) < 1e-15:
+            pts = pts[:-1]
         if pts.size < 8:
             raise DomainError("polyline needs at least 8 points")
-        if abs(pts[0] - pts[-1]) < 1e-15:
-            pts = pts[:-1]
         curve = cls("polyline", points=pts)
         if check:
             curve.validate()

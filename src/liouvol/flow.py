@@ -42,7 +42,6 @@ from .series import (LaurentMap, PowerSeriesMap, circle_samples,
 
 logger = logging.getLogger(__name__)
 
-NEHARI_BOUND = 6.0
 REFIT_TOL = 1e-6   # boundary residual a refit series must certify
 # |1/w| of the rings on which sup|nu| is sampled, graded toward |w| = 1
 RING_RADII = 1.0 - 0.5 ** np.arange(0.125, 12.0001, 0.125)
@@ -54,27 +53,23 @@ CONTOUR_CHUNK = 256    # rows per block of the contour sum
 
 @dataclass(frozen=True)
 class BeltramiField:
-    """Beltrami coefficient field on |w| > 1 with norm metadata."""
+    """The descent field nu = -conj(S(g)) (|w|^2 - 1)^2 on |w| > 1 of an
+    exterior map g, by the coefficients of S(g), with its norms."""
 
-    evaluate: callable
+    exterior: LaurentMap
+    coeffs: np.ndarray  # s_k of S(exterior) = sum_{k>=4} s_k w^-k
     sup_norm: float
     wp_norm_sq: float
-    exterior: object = None  # LaurentMap the field was derived from, if any
-    coeffs: np.ndarray = None  # s_k of S(exterior) = sum_{k>=4} s_k w^-k
-
-    def __call__(self, w):
-        return self.evaluate(w)
 
 
 @dataclass(frozen=True)
 class FlowState:
     step: int
-    curve: CurveSpec
     action: float
     grad_wp_norm_sq: float
     step_size: float
     roundness: float
-    f: PowerSeriesMap   # the maps the flow solved for ``curve``
+    f: PowerSeriesMap   # the maps the flow solved for the step's curve
     g: LaurentMap
 
 
@@ -98,15 +93,13 @@ def gradient_field(g):
     the largest lower bound or the probe are transformed: the sup is that
     of every ring, bit for bit.
     """
-    def nu(w):
-        w = np.asarray(w, dtype=complex)
-        return -np.conj(schwarzian(g, w)) * (np.abs(w) ** 2 - 1.0) ** 2
-
     samples = circle_samples(g, schwarzian_of)
     s = np.fft.fft(samples) / samples.size
     s[:4] = 0.0  # S(g) = O(w^-4): these are rounding noise
     powers, weight = _ring_powers(s.size), (RING_RADII ** -2 - 1.0) ** 2
-    far = np.abs(nu(np.logspace(0.1, 4, 64) * np.exp(1j))).max()
+    probe = np.logspace(0.1, 4, 64) * np.exp(1j)  # a ray toward infinity
+    # |S(g) W| rounds as |nu| does, bit for bit; |S(g)| W would not
+    far = np.abs(schwarzian(g, probe) * (np.abs(probe) ** 2 - 1.0) ** 2).max()
     a = np.abs(s)
     upper = weight * np.einsum("jk,k->j", powers, a)
     lower = weight * np.sqrt(np.einsum("jk,jk,k->j", powers, powers, a * a))
@@ -116,14 +109,15 @@ def gradient_field(g):
     ring = np.abs(rings) * weight[keep, None]
     sup = float(max(ring.max(initial=0.0), far))
     wp = 4.0 * coefficient_sum(g, samples, 2)
-    return BeltramiField(nu, sup, wp, exterior=g, coeffs=s)
+    return BeltramiField(g, s, sup, wp)
 
 
-def displacement_field(field, n_boundary=None):
+def displacement_field(field):
     """Boundary velocity of the deformation along a descent field from
     gradient_field: the Cauchy transform F of the transported field, on the
-    curve zeta = g(w) of the field's exterior map g at n uniform points w_j
-    (by default angular_count(2 * order of g)). Returns (zeta_j, F(zeta_j)).
+    curve zeta = g(w) of the field's exterior map g at the
+    n = angular_count(2 * order of g) uniform points w_j. Returns
+    (zeta_j, F(zeta_j)).
 
     X = 2 sum conj(s_k) w^(k-1) / ((k-1)(k-2)(k-3)), from the field's
     coefficients s_k, is the d-bar primitive of nu on |w| = 1, and Stokes
@@ -132,13 +126,8 @@ def displacement_field(field, n_boundary=None):
     q = g' X. The trapezoid rule takes dq/dzeta on the diagonal. X, X' and
     the 2-jet of g at the w_j are ring FFTs.
     """
-    s = getattr(field, "coeffs", None)
-    if s is None:
-        raise DomainError("displacement_field needs the coefficients of a "
-                          "field from gradient_field; pass the displacement "
-                          "of any other field as beltrami_step's precomputed")
-    g = field.exterior
-    n = n_boundary or angular_count(2 * g.order)
+    s, g = field.coeffs, field.exterior
+    n = angular_count(2 * g.order)
     k = np.arange(4, s.size)
     x = np.zeros(s.size - 1, dtype=complex)  # coefficients of X by power
     x[3:] = 2.0 * np.conj(s[4:]) / ((k - 1.0) * (k - 2.0) * (k - 3.0))
@@ -192,9 +181,10 @@ def beltrami_step(nu, t, order=128, precomputed=None):
     return CurveSpec.from_series(f_new, check=False)
 
 
-def roundness_deficit(curve, n=4096):
-    """Isoperimetric deficit L^2/(4 pi A) - 1; zero exactly on circles."""
-    z = curve.boundary(n)
+def roundness_deficit(curve):
+    """Isoperimetric deficit L^2/(4 pi A) - 1 of the 4096-gon inscribed in
+    the curve; zero exactly on circles."""
+    z = curve.boundary(4096)
     dz = np.roll(z, -1) - z
     length = float(np.sum(np.abs(dz)))
     area = 0.5 * float(np.sum(z.real * np.roll(z.imag, -1)
@@ -214,7 +204,7 @@ def run_flow(curve, max_steps=50, order=128):
     f, g = conformal_map_pair(curve, order=order)
     action = liouville_action(f, g).total
     field = gradient_field(g)
-    states = [FlowState(0, curve, action, field.wp_norm_sq, 0.0,
+    states = [FlowState(0, action, field.wp_norm_sq, 0.0,
                         roundness_deficit(curve), f, g)]
     t_prev = None
     # Smallest step rejected for no decrease in this run; it is never raised
@@ -255,7 +245,7 @@ def run_flow(curve, max_steps=50, order=128):
         curve, f, g, action = cand, fc, gc, cand_action
         field = gradient_field(g)
         t_prev = t
-        states.append(FlowState(step, curve, action, field.wp_norm_sq, t,
+        states.append(FlowState(step, action, field.wp_norm_sq, t,
                                 roundness_deficit(curve), f, g))
         logger.debug("step %d: action %.6e, |nu|_wp^2 %.3e, t %.3e",
                      step, action, field.wp_norm_sq, t)

@@ -330,14 +330,14 @@ def recenter_interior(f):
     return PowerSeriesMap(coeffs, _decay_radius(coeffs))
 
 
-def welding(f, g, theta, tol=1e-8):
+def welding(f, g, theta):
     """Boundary correspondence angle arg(g^{-1}(f(e^{i theta}))): the angle
     at which g's boundary has the argument of f(e^{i theta}) about f(0).
 
     Accepts a scalar or an array of angles; the returned angles are
     unwrapped to be increasing along with theta. Raises
     CorrespondenceError when g(e^{i phi}) misses f(e^{i theta}) by more
-    than ``tol``.
+    than 1e-8.
     """
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     targets = f.eval_unchecked(np.exp(1j * theta_arr))
@@ -345,9 +345,9 @@ def welding(f, g, theta, tol=1e-8):
     phi = _argument_inverse(g, anchor)(np.angle(targets - anchor))
 
     dist = np.abs(g(np.exp(1j * phi)) - targets)
-    if np.max(dist) > tol:
+    if np.max(dist) > 1e-8:
         raise CorrespondenceError(
-            f"welding mismatch {np.max(dist):.3e} exceeds {tol:.1e}")
+            f"welding mismatch {np.max(dist):.3e} exceeds 1.0e-08")
 
     phi = np.mod(phi, 2 * np.pi)
     if theta_arr.size > 1:

@@ -232,13 +232,13 @@ def _point_triangle_distance(points, tris):
     return np.linalg.norm(points - nearest, axis=1)
 
 
-def _one_sided_separation(mesh_a, mesh_b, k=12):
+def _one_sided_separation(mesh_a, mesh_b):
     from scipy.spatial import cKDTree
 
     tris = mesh_b.face_points()
     tree = cKDTree(tris.mean(axis=1))
     pts = mesh_a.vertices
-    _, idx = tree.query(pts, k=min(k, len(tris)))
+    _, idx = tree.query(pts, k=min(12, len(tris)))
     idx = np.atleast_2d(idx)
     best = np.full(len(pts), np.inf)
     for col in range(idx.shape[1]):

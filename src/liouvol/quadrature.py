@@ -25,8 +25,6 @@ class QuadratureGrid:
     nodes: np.ndarray      # complex disk nodes v
     weights: np.ndarray    # positive, sum = pi
     angular_n: int
-    radial_levels: int
-    nodes_per_level: int
     domain: str = "disk"   # "disk" | "exterior"
 
     @classmethod
@@ -45,10 +43,8 @@ class QuadratureGrid:
         theta = 2.0 * np.pi * np.arange(angular_n) / angular_n
         v = r[:, None] * np.exp(1j * theta)[None, :]
         wts = (wr * r)[:, None] * (2.0 * np.pi / angular_n)
-        return cls(
-            v.ravel(), np.broadcast_to(wts, v.shape).ravel().copy(),
-            angular_n, radial_levels, nodes_per_level, "disk",
-        )
+        return cls(v.ravel(), np.broadcast_to(wts, v.shape).ravel().copy(),
+                   angular_n, "disk")
 
     @classmethod
     def for_order(cls, order):
@@ -63,11 +59,8 @@ class QuadratureGrid:
             raise ValueError("exterior() expects a disk grid")
         w = 1.0 / np.conj(self.nodes)
         jac = np.abs(self.nodes) ** -4
-        return QuadratureGrid(
-            w, self.weights * jac,
-            self.angular_n, self.radial_levels, self.nodes_per_level,
-            "exterior",
-        )
+        return QuadratureGrid(w, self.weights * jac, self.angular_n,
+                              "exterior")
 
     def integrate(self, values):
         values = np.asarray(values)

@@ -33,7 +33,7 @@ over the two sheets, so each level sums its panels in doubled precision
 and rounds once (_row_sums). Neville extrapolation on the heights gives
 eps -> 0.
 
-The triangle-mesh flux of the same 2-form (_Sheet, truncated_volume) stays
+The triangle-mesh flux of the same 2-form (mesh_flux, truncated_volume) stays
 as an independent check: per triangle the integral of 1/(2 xi^2) is exact
 for linear height (the second divided difference of -log at the vertex
 heights), the parameter slivers beyond the mesh rims are counted by their
@@ -156,58 +156,34 @@ def _clip(points, ids, eps, n_vertices):
     return tris, cuts, lo.astype(np.int64) * n_vertices + hi
 
 
-@dataclass(frozen=True, eq=False)
-class _Sheet:
-    """Level-independent arrays of one oriented triangle mesh: a level then
-    sums them under masks and clips the faces that straddle it."""
-
-    points: np.ndarray  # (m, 3, 3) face points
-    ids: np.ndarray     # (m, 3) vertex ids
-    n_vertices: int
-    area: np.ndarray    # (m,) signed projected areas
-    hmin: np.ndarray
-    hmax: np.ndarray
-    full: np.ndarray    # (m,) flux through each whole face
-
-    @classmethod
-    def of(cls, vertices, faces):
-        p = vertices[faces]
-        h = p[..., 2]
-        if np.any(h <= 0):
-            raise DomainError("mesh has nonpositive heights")
-        area = _projected_area(p)
-        full = -area * _inv_sq_simplex(h[:, 0], h[:, 1], h[:, 2])
-        return cls(p, np.asarray(faces), vertices.shape[0], area,
-                   h.min(axis=1), h.max(axis=1), full)
-
-    def straddling(self, eps):
-        return np.flatnonzero((self.hmin < eps) & (self.hmax > eps))
-
-    def flux(self, eps):
-        """Flux of omega_eps and the (k, 2) crossing keys at level eps.
-        Faces above eps carry their whole flux; every other face carries
-        its area below eps at the flat rate -1 / (2 eps^2), and the part of
-        a straddling face above eps its exact flux."""
-        above = self.hmin >= eps
-        idx = self.straddling(eps)
-        tris, _, keys = _clip(self.points[idx], self.ids[idx], eps,
-                              self.n_vertices)
-        a = _projected_area(tris)
-        h = tris[..., 2]
-        flux = float(np.sum(self.full[above]))
-        flux += float(np.sum(-a * _inv_sq_simplex(h[:, 0], h[:, 1], h[:, 2])))
-        below = float(np.sum(self.area[~above]) - np.sum(a))
-        flux -= below / (2.0 * eps * eps)
-        return flux, keys
+def _face_flux(p):
+    """Flux of omega through each whole triangle of points p, (k, 3, 3)."""
+    h = p[..., 2]
+    return -_projected_area(p) * _inv_sq_simplex(h[:, 0], h[:, 1], h[:, 2])
 
 
 def mesh_flux(vertices, faces, eps):
-    """Flux of omega_eps through an oriented triangle soup.
-
-    Returns (flux, crossing segments at the eps level), where each segment
-    is the pair of keys of its two crossing points (see ``_clip``).
+    """Flux of omega_eps through an oriented triangle soup: faces above eps
+    carry their whole flux, every other face its area below eps at the flat
+    rate -1 / (2 eps^2), and the part of a straddling face above eps its
+    exact flux. Returns (flux, crossing segments at the eps level), each
+    segment the pair of keys of its two crossing points (see ``_clip``).
     """
-    return _Sheet.of(vertices, faces).flux(eps)
+    p = vertices[faces]
+    h = p[..., 2]
+    if np.any(h <= 0):
+        raise DomainError("mesh has nonpositive heights")
+    hmin, hmax = h.min(axis=1), h.max(axis=1)
+    above = hmin >= eps
+    idx = np.flatnonzero((hmin < eps) & (hmax > eps))
+    tris, _, keys = _clip(p[idx], np.asarray(faces)[idx], eps,
+                          vertices.shape[0])
+    flux = float(np.sum(_face_flux(p[above])))
+    flux += float(np.sum(_face_flux(tris)))
+    below = float(np.sum(_projected_area(p[~above]))
+                  - np.sum(_projected_area(tris)))
+    flux -= below / (2.0 * eps * eps)
+    return flux, keys
 
 
 def _check_clip_loops(segments):
@@ -251,12 +227,12 @@ def clip_mesh_above(mesh, eps):
     """Triangle soup of the mesh part above height eps (crossing triangles
     split exactly), plus the clip-loop crossing points. For OBJ inspection
     dumps."""
-    sheet = _Sheet.of(mesh.vertices, mesh.faces)
-    idx = sheet.straddling(eps)
-    tris, cuts, _ = _clip(sheet.points[idx], sheet.ids[idx], eps,
-                          sheet.n_vertices)
-    verts = np.concatenate([sheet.points[sheet.hmin >= eps], tris]
-                           ).reshape(-1, 3)
+    p = mesh.face_points()
+    h = p[..., 2]
+    hmin, hmax = h.min(axis=1), h.max(axis=1)
+    idx = np.flatnonzero((hmin < eps) & (hmax > eps))
+    tris, cuts, _ = _clip(p[idx], mesh.faces[idx], eps, mesh.n_vertices)
+    verts = np.concatenate([p[hmin >= eps], tris]).reshape(-1, 3)
     faces = np.arange(verts.shape[0]).reshape(-1, 3)
     return verts, faces, cuts.reshape(-1, 3)
 

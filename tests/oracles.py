@@ -263,6 +263,16 @@ def grunsky_gap_horner(f, g, grid):
 
 # -- the area Cauchy transform and the first variation on the exterior grid --
 
+def descent_field(g):
+    """The flow's descent field nu = -conj(S(g)) (|w|^2 - 1)^2 on the
+    exterior of g, pointwise: the field of flow.gradient_field for the grid
+    oracles."""
+    def nu(w):
+        w = np.asarray(w, dtype=complex)
+        return -np.conj(schwarzian(g, w)) * (np.abs(w) ** 2 - 1.0) ** 2
+    return nu
+
+
 def grid_transform(g, nu, z, grid, chunk=64):
     """The area Cauchy transform -(1/pi) int nu g'^2 / (g - z) over the
     exterior nodes of ``grid``, at the points z."""

@@ -213,6 +213,9 @@ def test_malformed_curve_json_is_input_error(tmp_path):
     '{"series": [[0, 0], [1, 0], [null, 0]]}',
     '{"series": [[0, 0], [1e400, 0]]}',           # parses as inf
     '{"points": [[1, 0], [0, 1], [-1, 0], [0, -1e400]]}',
+    # seven vertices and the closing copy of the first
+    '{"points": [[2, 0], [1, 1], [0, 1], [-1, 0], [0, -1], [1, -1], [2, -0.5],'
+    ' [2, 0]]}',
     '"series"',
     '5',
 ])
@@ -396,4 +399,28 @@ def test_every_exported_function_runs_under_the_cli_or_is_hooked(tmp_path):
     unused = [name for name, fn in vars(liouvol).items()
               if inspect.isfunction(fn) and fn.__code__ not in called
               and (fn.__module__.rpartition(".")[2], name) not in hooked]
+    # so is every method and property of an exported class
+    for cls in vars(liouvol).values():
+        if not inspect.isclass(cls) or issubclass(cls, BaseException):
+            continue
+        module = cls.__module__.rpartition(".")[2]
+        for attr, member in vars(cls).items():
+            name = f"{cls.__name__}.{attr}"
+            code = _own_code(member)
+            if (code is not None and code not in called
+                    and (module, name) not in hooked):
+                unused.append(name)
     assert unused == []
+
+
+def _own_code(member):
+    """The code of a function, property, cached property or class method
+    written in liouvol's source, else None: the methods the dataclass
+    machinery generates have no source file."""
+    for attr in ("fget", "func", "__func__"):
+        member = getattr(member, attr, member)
+    code = getattr(member, "__code__", None)
+    source = Path(liouvol.__file__).parent
+    if code is not None and Path(code.co_filename).parent == source:
+        return code
+    return None

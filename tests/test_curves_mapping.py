@@ -91,6 +91,18 @@ def test_touching_or_overlapping_polylines_are_not_simple():
         CurveSpec.from_polyline(cases["overlap"])
 
 
+def test_polyline_size_counts_vertices_after_the_closing_point():
+    # a closed polyline repeats its first vertex; the copy is not a vertex
+    for n in (7, 8):
+        ring = np.exp(2j * np.pi * np.arange(n) / n)
+        closed = np.append(ring, ring[0])
+        if n < 8:
+            with pytest.raises(DomainError, match="at least 8"):
+                CurveSpec.from_polyline(closed)
+        else:
+            assert CurveSpec.from_polyline(closed).points.size == 8
+
+
 def test_simplicity_in_blocks_when_every_x_range_overlaps(monkeypatch):
     # 2047 zigzag vertices between x = -1 and x = 1, closed on the right:
     # every pair of segments has overlapping x-ranges (about 2.1e6 pairs)
@@ -210,7 +222,7 @@ def test_welding_mismatch_raises(ellipse_maps):
     f, _ = ellipse_maps
     g_wrong = LaurentMap(3.0)  # circle of radius 3, nowhere near the ellipse
     with pytest.raises(CorrespondenceError):
-        welding(f, g_wrong, 0.3, tol=1e-8)
+        welding(f, g_wrong, 0.3)
 
 
 def test_conformal_pair_consistency(cubic, ellipse):

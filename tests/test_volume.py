@@ -22,8 +22,9 @@ from liouvol.meshing import aligned_surface_meshes, mesh_surface
 from liouvol.series import LaurentMap, PowerSeriesMap
 from liouvol.volume import (EPS_BASE, EPS_COUNT, GAUSS_NODES, _SAMPLE_X,
                             _X, _RaySheet, _check_clip_loops,
-                            _crossings, _inv_sq_simplex, _ray_sheets,
-                            _row_sums, cap_annulus, mesh_flux,
+                            _crossings, _inv_sq_simplex, _projected_area,
+                            _ray_sheets, _row_sums, cap_annulus,
+                            clip_mesh_above, mesh_flux,
                             renormalized_volume, richardson_extrapolate,
                             truncated_volume, volume)
 
@@ -290,6 +291,22 @@ def test_mesh_flux_matches_scalar_clip_on_ellipse_sheets(ellipse_maps):
     for mesh in aligned_surface_meshes(f, g, n_ang=256):
         _assert_matches_scalar_clip(mesh.vertices, mesh.faces,
                                     (0.11, 0.0275, 0.0034375))
+
+
+def test_clip_mesh_above_keeps_the_flux_above_the_level(ellipse_maps):
+    # the soup lies at or above eps, its loop at eps, and the mesh's flux is
+    # the soup's plus the projected area it cut away at the flat rate
+    f, g = ellipse_maps
+    for mesh in aligned_surface_meshes(f, g, n_ang=256):
+        for eps in (0.0275, 0.0034375):
+            verts, faces, loop = clip_mesh_above(mesh, eps)
+            assert np.all(verts[:, 2] >= eps)
+            assert loop.size and np.all(loop[:, 2] == eps)
+            cut = (_projected_area(mesh.face_points()).sum()
+                   - _projected_area(verts[faces]).sum())
+            flux = mesh_flux(mesh.vertices, mesh.faces, eps)[0]
+            soup = mesh_flux(verts, faces, eps)[0] - cut / (2.0 * eps * eps)
+            assert abs(flux - soup) <= 1e-10 * abs(flux)
 
 
 def _cone(ring_heights, apex=(0.0, 0.0, 2.0)):
