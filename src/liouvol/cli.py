@@ -35,6 +35,10 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures"
 # polylines), and a floor for the circle, where both sides are 0
 GRUNSKY_SLACK = 1e-8
 GRUNSKY_FLOOR = 1e-13
+# volume --dump-obj clips both sheets at a height 0.1 |g'(inf)| 2^-k with
+# k < CLIP_HALVINGS: the smallest above both mesh rims
+CLIP_BASE = 0.1
+CLIP_HALVINGS = 11
 
 
 @dataclass
@@ -43,7 +47,6 @@ class RunConfig:
     curve: str
     out: str = "."
     series_order: int = 128
-    eps_schedule: list | None = None  # None: auto-scaled to the curve
     steps: int = 50
     tol: float = 0.01
     trace: bool = False
@@ -69,9 +72,6 @@ class RunConfig:
             raise InputError("step count must be within [0, 10000]")
         if not (0 < self.tol <= 1):
             raise InputError("tolerance must be in (0, 1]")
-        if self.eps_schedule is not None and not all(
-                np.isfinite(e) and e > 0 for e in self.eps_schedule):
-            raise InputError("eps schedule must be finite and positive")
         rn, an = self.parse_mesh()
         if rn < 8 or an < 8:
             raise InputError("mesh resolution must be at least 8x8")
@@ -213,15 +213,17 @@ def cmd_volume(config, writer):
 
     curve = load_curve(config.curve)
     f, g = conformal_map_pair(curve, order=config.series_order)
-    report = renormalized_volume(f, g, eps_schedule=config.eps_schedule)
+    report = renormalized_volume(f, g)
     writer.write_json("volume.json", asdict(report))
     if config.dump_obj:
         mi, mo = aligned_surface_meshes(f, g, n_ang=256, per_octave=8,
                                         interior_rings=24)
-        # clip at the smallest sample height above both mesh rims
+        # clip at the smallest height above both mesh rims, or at the
+        # largest if none is
         rim = max(float(m.heights()[m.ring].max()) for m in (mi, mo))
-        eps = min((e for e, _ in report.epsilon_samples if e > rim),
-                  default=report.epsilon_samples[0][0])
+        heights = [CLIP_BASE * abs(g.b1) * 0.5 ** k
+                   for k in range(CLIP_HALVINGS)]
+        eps = min((e for e in heights if e > rim), default=heights[0])
         loops = []
         for name, mesh in (("volume_in_clipped", mi),
                            ("volume_out_clipped", mo)):
@@ -240,7 +242,7 @@ def cmd_volume(config, writer):
 def cmd_verify_identity(config, writer):
     curve = load_curve(config.curve)
     f, g = conformal_map_pair(curve, order=config.series_order)
-    report = renormalized_volume(f, g, eps_schedule=config.eps_schedule)
+    report = renormalized_volume(f, g)
     tol = max(config.tol * abs(report.action_total), 5e-4)
     ok = abs(report.identity_residual) <= tol
     writer.write_json("verify_identity.json", {
@@ -290,9 +292,6 @@ def cmd_flow(config, writer):
 # every command also takes --curve and --out; RunConfig holds the defaults
 FLAGS = {
     "--series-order": dict(type=int, help="map truncation order"),
-    "--eps-schedule": dict(type=float, nargs="+",
-                           help="decreasing truncation heights "
-                                "(default: scaled to the curve)"),
     "--steps": dict(type=int, help="maximum number of accepted flow steps"),
     "--tol": dict(type=float, help="relative tolerance of S = 4 V_R"),
     "--trace": dict(action="store_true", help="also write action_trace.csv"),
@@ -308,9 +307,8 @@ COMMANDS = {
     "action": (cmd_action, ("--series-order", "--trace")),
     "grunsky": (cmd_grunsky, ("--series-order",)),
     "surface": (cmd_surface, ("--series-order", "--mesh", "--r-max")),
-    "volume": (cmd_volume, ("--series-order", "--eps-schedule", "--dump-obj")),
-    "verify-identity": (cmd_verify_identity,
-                        ("--series-order", "--eps-schedule", "--tol")),
+    "volume": (cmd_volume, ("--series-order", "--dump-obj")),
+    "verify-identity": (cmd_verify_identity, ("--series-order", "--tol")),
     "flow": (cmd_flow, ("--series-order", "--steps", "--obj-every")),
 }
 

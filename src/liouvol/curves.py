@@ -133,7 +133,9 @@ class CurveSpec:
     @classmethod
     def from_polyline(cls, points, check=True):
         pts = np.asarray(points, dtype=complex).ravel()
-        if pts.size and abs(pts[0] - pts[-1]) < 1e-15:
+        # a closing copy of the first point, to the rounding of coordinates
+        # of the curve's size
+        if pts.size and abs(pts[0] - pts[-1]) <= 1e-14 * np.max(np.abs(pts)):
             pts = pts[:-1]
         if pts.size < 8:
             raise DomainError("polyline needs at least 8 points")

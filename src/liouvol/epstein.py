@@ -40,11 +40,12 @@ def _frame_fields(fmap, z):
 
 
 def _height_jacobian(fmap, z, jet, tau):
-    """(xi, J) over rows of parameter points of one sheet, each row on one
-    circle |z| = const: the height xi of _frame_fields and the Jacobian
-    J = |Z_z|^2 - |Z_zbar|^2 of the sheet's projection z -> Z, whose sign
-    carries the orientation. ``jet`` is the map's 3-jet (f, a, b, c) at z
-    and ``tau`` = s (1 - |z|^2), one value per row (shape
+    """(xi / tau, J / tau) over rows of parameter points of one sheet, each
+    row on one circle |z| = const: the height xi of _frame_fields and the
+    Jacobian J = |Z_z|^2 - |Z_zbar|^2 of the sheet's projection z -> Z, whose
+    sign carries the orientation, each divided by tau = s (1 - |z|^2). Both
+    quotients are finite at the rim tau = 0. ``jet`` is the map's 3-jet
+    (f, a, b, c) at z and ``tau`` one value per row (shape
     z.shape[:-1] + (1,)), to full precision: from the rounded z it would
     carry about 1e-16 / tau relative error.
 
@@ -55,8 +56,9 @@ def _height_jacobian(fmap, z, jet, tau):
     Z_z D^2 / a = D |chi|^2 + tau alpha, Z_zbar D^2 / a = tau beta2 - D z^2
     and |chi|^2 - |z|^2 = tau gap with
     gap = |beta|^2 tau / 4 - s Re(conj(z) beta), so for tau < 1 J is summed
-    from terms that each carry the factor tau. Far outside (tau >= 1) the
-    difference is the better form, formed on those rows only.
+    from terms that each carry the factor tau, which J / tau leaves out. Far
+    outside (tau >= 1) the difference is the better form, formed on those
+    rows only and divided by tau.
     """
     s = -1.0 if isinstance(fmap, LaurentMap) else 1.0
     _, a, b, c = jet
@@ -71,14 +73,14 @@ def _height_jacobian(fmap, z, jet, tau):
     alpha = D * (np.conj(beta) * chi + 2.0 * chi_z) - chi * D_z
     beta2 = D * (s * beta * z / 2.0 + chi_zb) - chi * np.conj(D_z)
     gap = np.abs(beta) ** 2 * tau / 4.0 - s * (np.conj(z) * beta).real
-    J = tau * (D * D * (chi2 + r2) * gap
-               + 2.0 * D * (chi2 * alpha.real + (np.conj(z) ** 2 * beta2).real)
-               + tau * (np.abs(alpha) ** 2 - np.abs(beta2) ** 2))
+    J = (D * D * (chi2 + r2) * gap
+         + 2.0 * D * (chi2 * alpha.real + (np.conj(z) ** 2 * beta2).real)
+         + tau * (np.abs(alpha) ** 2 - np.abs(beta2) ** 2))
     far = tau[..., 0] >= 1.0
     Df, zf, tf = D[far], z[far], tau[far]
     J[far] = (np.abs(Df * chi2[far] + tf * alpha[far]) ** 2
-              - np.abs(tf * beta2[far] - Df * zf * zf) ** 2)
-    return np.abs(a) * tau / D, np.abs(a) ** 2 * J / D ** 4
+              - np.abs(tf * beta2[far] - Df * zf * zf) ** 2) / tf
+    return np.abs(a) / D, np.abs(a) ** 2 * J / D ** 4
 
 
 def schwarzian_norm(fmap, z):

@@ -10,7 +10,9 @@ the quaternion model of upper half-space, the Epstein construction of a
 general conformal metric (the oracle for the frames (Z, xi, eta) of
 epstein._frame_fields), the grid pairing of the action's first variation,
 the inverted-curve route to the exterior map, the flow's sup|nu| on
-every ring, a curve JSON writer and an OBJ reader.
+every ring, a curve JSON writer and an OBJ reader. The truncated ray
+volume V(eps) on a schedule of heights, extrapolated to eps -> 0, is the
+oracle for the finite-part ray volume of liouvol.volume.
 """
 
 import math
@@ -18,14 +20,17 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from liouvol import flow
 from liouvol.curves import CurveSpec, _argument_inverse
-from liouvol.epstein import _frame_fields, curvature_columns
-from liouvol.errors import DomainError, SingularDerivative
+from liouvol.epstein import _frame_fields, _height_jacobian, curvature_columns
+from liouvol.errors import DivergenceSuspected, DomainError, SingularDerivative
 from liouvol.mapping import (FIT_TOL, _boundary_mismatch_polar, _fit_exterior,
                              _Polar, _solve_polar)
-from liouvol.quadrature import QuadratureGrid
+from liouvol.quadrature import QuadratureGrid, angular_count
+from liouvol.volume import (AREA_TOL, GAUSS_NODES, _W, _X,
+                            richardson_extrapolate)
 from liouvol.series import (LaurentMap, PowerSeriesMap, circle_samples,
                             ring_jet, schwarzian, schwarzian_of)
 
@@ -399,6 +404,190 @@ def polyline_is_simple_sweep(points):
     return True
 
 
+# -- the truncated ray volume V(eps), extrapolated to eps -> 0 ---------------
+
+EPS_BASE = 0.1      # leading truncation height relative to the curve scale
+EPS_COUNT = 11      # heights of the default halving schedule
+NEWTON_TOL = 1e-15  # step or bracket width that ends a crossing's search; a
+                    # cut off by d changes the piece sums by O(d^2)
+NEWTON_CAP = 60     # most iterations per crossing, a safety cap: the bracket
+                    # at least halves on every step Newton does not take
+
+# node values -> Legendre coefficients of their interpolant
+_TO_LEGENDRE = np.linalg.inv(legendre.legvander(_X, GAUSS_NODES - 1))
+_SAMPLE_X = np.concatenate([[-1.0], _X, [1.0]])  # panel ends and nodes
+# node values -> values of their interpolant at the panel ends
+_ENDS = legendre.legvander([-1.0, 1.0], GAUSS_NODES - 1) @ _TO_LEGENDRE
+
+
+def default_heights(g):
+    """The halving schedule 0.1 |g'(inf)| 2^-k, k < EPS_COUNT, so curves of
+    any size are truncated at comparable relative heights."""
+    return [EPS_BASE * abs(g.b1) * 0.5 ** k for k in range(EPS_COUNT)]
+
+
+def _crossings(coeffs, eps, lo, hi, lo_above):
+    """The crossing of eps (one height, or one per bracket) inside each
+    bracket (lo, hi) by the interpolant with Legendre coefficients coeffs
+    (brackets, GAUSS_NODES); lo_above tells whether it lies above eps at lo.
+    Newton from the bracket midpoint, each iterate narrowing its bracket,
+    and the new midpoint wherever a step would leave it. A crossing is final
+    once its step or its bracket is at most NEWTON_TOL, or at an iterate
+    where the interpolant equals eps."""
+    slope = legendre.legder(coeffs, axis=1)
+    x, lo, hi = (lo + hi) / 2.0, lo.copy(), hi.copy()
+    eps = np.broadcast_to(eps, x.shape)
+    live = np.arange(x.size)  # the crossings still iterated
+    for _ in range(NEWTON_CAP):
+        xl, low, high = x[live], lo[live], hi[live]
+        basis = legendre.legvander(xl, GAUSS_NODES - 1)
+        r = np.einsum("kj,kj->k", basis, coeffs[live]) - eps[live]
+        dr = np.einsum("kj,kj->k", basis[:, :-1], slope[live])
+        on_lo_side = (r > 0) == lo_above[live]
+        low, high = np.where(on_lo_side, xl, low), np.where(on_lo_side, high, xl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = xl - r / dr
+        nxt = np.where((nxt > low) & (nxt < high), nxt, (low + high) / 2.0)
+        hit = r == 0.0
+        x[live] = np.where(hit, xl, nxt)
+        lo[live], hi[live] = low, high
+        live = live[~(hit | (np.abs(nxt - xl) <= NEWTON_TOL)
+                      | (high - low <= NEWTON_TOL))]
+        if not live.size:
+            break
+    return x
+
+
+@dataclass(frozen=True, eq=False)
+class _RaySheet:
+    """One sheet along every panel of every ray, as per-panel rows: the
+    samples of xi at the panel ends and Gauss nodes in order along the ray,
+    the Legendre coefficients of the interpolants of xi and of q = J times
+    the area element, and the panel's Gauss sums of q / (2 xi^2) and of q."""
+
+    samples: np.ndarray  # (panels, GAUSS_NODES + 2)
+    xi_c: np.ndarray     # (panels, GAUSS_NODES)
+    q_c: np.ndarray      # (panels, GAUSS_NODES)
+    scale: np.ndarray    # (panels,) half width times 2 pi / n
+    above: np.ndarray    # (panels,) scale sum W q / (2 xi^2)
+    flat: np.ndarray     # (panels,) scale sum W q
+    area: float          # int J dA, +-area(Omega)
+
+    @property
+    def xi(self):
+        """xi at the Gauss nodes, (panels, GAUSS_NODES)."""
+        return self.samples[:, 1:-1]
+
+    @classmethod
+    def of(cls, fmap, n, edges):
+        half = np.diff(edges) / 2.0
+        t = (edges[:-1] + half)[:, None] + half[:, None] * _X
+        # tau = s (1 - |z|^2) from t to full precision; from the rounded z
+        # it would carry 1e-16 / tau relative error at the rim
+        if isinstance(fmap, LaurentMap):
+            radius, element = 1.0 / (1.0 - t), (1.0 - t) ** -3
+            tau = t * (2.0 - t) / (1.0 - t) ** 2
+        else:
+            radius, element, tau = 1.0 - t, 1.0 - t, t * (2.0 - t)
+        z = radius[..., None] * np.exp(2j * np.pi * np.arange(n) / n)
+        xi, J = (tau[..., None] * v for v in _height_jacobian(
+            fmap, z, ring_jet(fmap, radius, n), tau[..., None]))
+        # rows ray by ray: (n, panels per ray, GAUSS_NODES) -> (panels, ...)
+        xi = np.moveaxis(xi, -1, 0).reshape(-1, GAUSS_NODES)
+        q = np.moveaxis(J * element[..., None], -1, 0).reshape(-1, GAUSS_NODES)
+        scale = np.tile(half * (2.0 * np.pi / n), n)
+        ends = np.einsum("ek,pk->pe", _ENDS, xi)
+        flat = scale * np.einsum("pk,k->p", q, _W)
+        return cls(np.concatenate([ends[:, :1], xi, ends[:, 1:]], axis=1),
+                   np.einsum("jk,pk->pj", _TO_LEGENDRE, xi),
+                   np.einsum("jk,pk->pj", _TO_LEGENDRE, q), scale,
+                   scale * np.einsum("pk,k->p", q / (2.0 * xi * xi), _W),
+                   flat, math.fsum(flat.tolist()))
+
+    def volume(self, heights):
+        """int q / (2 max(xi, eps)^2) over each panel at each height eps, as
+        a (heights, panels) array. A panel whose samples all lie above eps
+        takes its sum `above`, and one whose samples all lie at or below eps
+        `flat / (2 eps^2)`. Every other (height, panel) pair is cut at the
+        crossing inside each bracketing pair of samples, found by
+        safeguarded Newton on the interpolant of xi (_crossings), and each
+        of its pieces takes mapped Gauss nodes on the interpolants of xi and
+        q."""
+        eps = np.asarray(heights, dtype=float)[:, None]
+        low, high = self.samples.min(axis=1), self.samples.max(axis=1)
+        out = np.where(low > eps, self.above, self.flat / (2.0 * eps * eps))
+        h, p = np.nonzero((low <= eps) & (high > eps))
+        eps = eps[h, 0]
+        above = self.samples[p] > eps[:, None]
+        pair, j = np.nonzero(above[:, 1:] != above[:, :-1])
+        cuts = _crossings(self.xi_c[p[pair]], eps[pair], _SAMPLE_X[j],
+                          _SAMPLE_X[j + 1], above[pair, j])
+        # pieces of a pair run from -1 through its crossings, in order, to 1;
+        # crossing k ends piece k + pair[k] and starts the next
+        at = np.arange(cuts.size) + pair
+        lo, hi = np.full(at.size + p.size, -1.0), np.ones(at.size + p.size)
+        hi[at], lo[at + 1] = cuts, cuts
+        owner = np.repeat(np.arange(p.size),
+                          np.bincount(pair, minlength=p.size) + 1)
+        half = (hi - lo) / 2.0
+        basis = legendre.legvander((lo + half)[:, None] + half[:, None] * _X,
+                                   GAUSS_NODES - 1)
+        xi_x, q_x = (np.einsum("ikj,ij->ik", basis, c[p[owner]])
+                     for c in (self.xi_c, self.q_c))
+        piece = half * np.einsum(
+            "ik,k->i", q_x / (2.0 * np.maximum(xi_x, eps[owner, None]) ** 2),
+            _W)
+        out[h, p] = self.scale[p] * np.bincount(owner, piece, minlength=p.size)
+        return out
+
+
+def _ray_sheets(f, g, eps_min):
+    """Each sheet on angular_count(2 * order) rays of its own map, with
+    panel edges down to 2^-K <= eps_min / |g'(inf)|. Their areas must cancel
+    to AREA_TOL, or the rays are too few for the maps."""
+    depth = max(1, math.ceil(math.log2(abs(g.b1) / eps_min)))
+    edges = np.concatenate([[0.0], 0.5 ** np.arange(depth, -1, -1)])
+    rays = [angular_count(2 * m.order) for m in (f, g)]
+    sheets = tuple(_RaySheet.of(m, n, edges) for m, n in zip((f, g), rays))
+    a_in, a_out = (sheet.area for sheet in sheets)
+    if abs(a_in + a_out) > AREA_TOL * abs(a_in):
+        raise DivergenceSuspected(
+            f"sheet areas {a_in:.12e} and {a_out:.12e} do not cancel on "
+            f"{rays[0]} and {rays[1]} rays")
+    return sheets
+
+
+def _row_sums(x):
+    """Each row of x summed as if in doubled precision and rounded once:
+    Sum2 of Ogita, Rump and Oishi ("Accurate sum and dot product", SIAM J.
+    Sci. Comput. 26, 2005) in pairwise order. TwoSum adds the columns in
+    pairs until one is left, and the exact rounding errors of every
+    addition are summed alongside and added last. The result lies within
+    u |s| + gamma_{n-1}^2 sum |x| of a row's exact sum s."""
+    err = np.zeros(x.shape[0])
+    while x.shape[1] > 1:
+        half = x.shape[1] // 2
+        a, b = x[:, :half], x[:, half:2 * half]
+        s = a + b
+        b_virtual = s - a
+        err += ((a - (s - b_virtual)) + (b - b_virtual)).sum(axis=1)
+        x = np.concatenate([s, x[:, 2 * half:]], axis=1)
+    return x[:, 0] + err
+
+
+def truncated_ray_volume(f, g, heights=None):
+    """V(eps) on the ray sheets at each of a decreasing schedule of heights
+    (by default default_heights(g)), each level's panels over both sheets
+    summed in doubled precision and rounded once, and Neville extrapolation
+    to eps = 0. Returns (V, samples, error_estimate)."""
+    heights = tuple(default_heights(g) if heights is None else heights)
+    levels = np.concatenate([sheet.volume(heights) for sheet in
+                             _ray_sheets(f, g, heights[-1])], axis=1)
+    samples = tuple(zip(heights, _row_sums(levels).tolist()))
+    v, err = richardson_extrapolate(samples)
+    return v, samples, err
+
+
 # -- the ray volume's level, every straddling panel cut at all its samples ----
 
 def ray_level_eleven_pieces(sheet, eps):
@@ -408,10 +597,6 @@ def ray_level_eleven_pieces(sheet, eps):
     of samples moved to the crossing inside it. Other panels take their
     Gauss sums, each piece mapped Gauss nodes on the interpolants of xi and
     q (by Clenshaw), and every node's term is summed exactly."""
-    from numpy.polynomial import legendre
-
-    from liouvol.volume import GAUSS_NODES, _SAMPLE_X, _W, _X, _crossings
-
     q = legendre.legval(_X, sheet.q_c.T)  # (panels, GAUSS_NODES)
     above = sheet.samples > eps
     cross = above[:, 1:] != above[:, :-1]

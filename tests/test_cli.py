@@ -6,12 +6,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import liouvol
+from liouvol import cli
 from liouvol.cli import build_parser, main
 
 
@@ -21,9 +23,7 @@ def run_cli(*args):
 
 def test_verify_identity_circle(tmp_path):
     code = run_cli("verify-identity", "--curve", "circle",
-                   "--out", str(tmp_path),
-                   "--eps-schedule", "0.1", "0.05", "0.025", "0.0125",
-                   "--series-order", "64")
+                   "--out", str(tmp_path), "--series-order", "64")
     assert code == 0
     payload = json.loads((tmp_path / "verify_identity.json").read_text())
     assert payload["passed"] is True
@@ -145,12 +145,14 @@ def test_flow_obj_every_writes_sheets_of_every_nth_step(tmp_path):
     assert expected <= set(outputs)
 
 
-def test_verify_identity_contract_failure_exits_2(tmp_path):
-    # three heights too coarse to extrapolate leave the ellipse a residual
-    # (~1.5e-3) above the 5e-4 floor that a tiny relative tolerance leaves
+def test_verify_identity_contract_failure_exits_2(tmp_path, monkeypatch):
+    # a residual of 1.0 lies above the 5e-4 floor that a tiny relative
+    # tolerance leaves
+    renormalized_volume = cli.renormalized_volume
+    monkeypatch.setattr(cli, "renormalized_volume", lambda f, g: replace(
+        renormalized_volume(f, g), identity_residual=1.0))
     code = run_cli("verify-identity", "--curve", "ellipse",
                    "--out", str(tmp_path), "--tol", "1e-6",
-                   "--eps-schedule", "0.4", "0.2", "0.1",
                    "--series-order", "64")
     assert code == 2
     diag = json.loads((tmp_path / "diagnostic.json").read_text())
@@ -170,27 +172,6 @@ def test_volume_dump_obj_writes_clipped_sheets_and_cap(tmp_path):
             (tmp_path / "manifest.json").read_text())["outputs"]
     cap = (tmp_path / "volume_cap.obj").read_text().splitlines()
     assert any(line.startswith("f ") for line in cap)
-
-
-def test_verify_identity_on_uneven_heights(tmp_path):
-    # Neville extrapolation on the actual heights, not a halving table
-    code = run_cli("verify-identity", "--curve", "ellipse",
-                   "--out", str(tmp_path),
-                   "--eps-schedule", "0.04", "0.03", "0.02", "0.01")
-    assert code == 0
-    payload = json.loads((tmp_path / "verify_identity.json").read_text())
-    assert (abs(payload["identity_residual"])
-            <= 1e-5 * payload["action_total"])
-
-
-def test_volume_with_heights_above_both_sheets(tmp_path):
-    # no panel straddles any height: V(eps) is the sheets' area mismatch
-    # at the flat rate alone
-    code = run_cli("volume", "--curve", "ellipse", "--out", str(tmp_path),
-                   "--eps-schedule", "100", "50", "10")
-    assert code == 0
-    payload = json.loads((tmp_path / "volume.json").read_text())
-    assert abs(payload["V"] - 5.13e-14) <= 1e-12
 
 
 def test_missing_curve_file_is_input_error(tmp_path):
@@ -239,6 +220,8 @@ def test_bad_grid_spec_is_input_error(tmp_path):
 @pytest.mark.parametrize("height", ["nan", "inf", "-0.02"])
 def test_nonfinite_or_nonpositive_height_is_input_error(tmp_path, capsys,
                                                         command, height):
+    # the volume takes no truncation heights: --eps-schedule, whatever its
+    # values, is a usage error before any output is written
     code = run_cli(command, "--curve", "ellipse", "--out", str(tmp_path),
                    "--eps-schedule", height, "0.01", "0.005")
     assert code == 1
@@ -250,6 +233,8 @@ def test_nonfinite_or_nonpositive_height_is_input_error(tmp_path, capsys,
     ("action", "--curve", "circle", "--bogus"),
     ("action", "--curve", "circle", "--steps", "3"),   # a flow flag
     ("flow", "--curve", "circle", "--steps", "x"),
+    ("volume", "--curve", "circle", "--eps-schedule", "0.1", "0.05",
+     "0.025"),                                          # a removed flag
     (),                                                 # no subcommand
 ])
 def test_usage_errors_are_input_errors(capsys, args):
@@ -271,8 +256,8 @@ def test_subcommands_take_only_their_flags():
         "action": {"--series-order", "--trace"},
         "grunsky": {"--series-order"},
         "surface": {"--series-order", "--mesh", "--r-max"},
-        "volume": {"--series-order", "--eps-schedule", "--dump-obj"},
-        "verify-identity": {"--series-order", "--eps-schedule", "--tol"},
+        "volume": {"--series-order", "--dump-obj"},
+        "verify-identity": {"--series-order", "--tol"},
         "flow": {"--series-order", "--steps", "--obj-every"},
     }
     parser = build_parser()
@@ -310,7 +295,6 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_manifest_lists_all_outputs(tmp_path):
     code = run_cli("volume", "--curve", "circle", "--out", str(tmp_path),
-                   "--eps-schedule", "0.1", "0.05", "0.025",
                    "--series-order", "64")
     assert code == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())

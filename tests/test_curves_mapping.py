@@ -103,6 +103,13 @@ def test_polyline_size_counts_vertices_after_the_closing_point():
             assert CurveSpec.from_polyline(closed).points.size == 8
 
 
+@pytest.mark.parametrize("radius", [1.0, 10.0, 1000.0])
+def test_closing_point_of_a_large_polyline_is_dropped(radius):
+    # the 257th sample r e^{2 pi i} is the first to the rounding of r
+    closed = radius * np.exp(2j * np.pi * np.arange(257) / 256)
+    assert CurveSpec.from_polyline(closed).points.size == 256
+
+
 def test_simplicity_in_blocks_when_every_x_range_overlaps(monkeypatch):
     # 2047 zigzag vertices between x = -1 and x = 1, closed on the right:
     # every pair of segments has overlapping x-ranges (about 2.1e6 pairs)

@@ -153,9 +153,23 @@ def test_frame_jacobian_at_the_rim(fmap, s):
     tau = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.5, 0.99] + (
         [1.0, 3.0] if s < 0 else []))[:, None]
     z, xi_exact, J_exact = _automorphism_sheet(fmap, s, tau)
-    xi, J = _height_jacobian(fmap, z, fmap.jet(z, upto=3), tau)
+    xi, J = (tau * v for v in _height_jacobian(fmap, z, fmap.jet(z, upto=3),
+                                               tau))
     assert np.max(np.abs(xi / xi_exact - 1.0)) <= 1e-13
     assert np.max(np.abs(J / J_exact - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("fmap, s", [(_DiskAutomorphism(0.3 - 0.4j), 1.0),
+                                     (_OutsideAutomorphism(0.3 - 0.4j), -1.0)])
+def test_frame_quotients_on_the_rim(fmap, s):
+    # at tau = 0 the quotients are the limits of the automorphism sheet's
+    # xi / tau = |f'| / (2 - s tau_f) and J / tau = 4 s |f'|^3 / (2 - s tau_f)^3
+    z = np.exp(2j * np.pi * np.arange(16) / 16)[None, :]
+    d1 = (1.0 - abs(fmap.p) ** 2) / np.abs(1.0 - np.conj(fmap.p) * z) ** 2
+    xi_tau, J_tau = _height_jacobian(fmap, z, fmap.jet(z, upto=3),
+                                     np.zeros((1, 1)))
+    assert np.max(np.abs(xi_tau / (d1 / 2.0) - 1.0)) <= 1e-13
+    assert np.max(np.abs(J_tau / (s * d1 ** 3 / 2.0) - 1.0)) <= 1e-13
 
 
 def test_frame_jacobian_on_interleaved_near_and_far_rows():
@@ -165,7 +179,8 @@ def test_frame_jacobian_on_interleaved_near_and_far_rows():
     tau = np.array([3.0, 1e-9, 1.0, 0.5, 0.999, 40.0])[:, None]
     z, _, J_exact = _automorphism_sheet(fmap, -1.0, tau)
     z, J_exact = z.reshape(3, 2, -1), J_exact.reshape(3, 2, -1)
-    J = _height_jacobian(fmap, z, fmap.jet(z, upto=3), tau.reshape(3, 2, 1))[1]
+    tau = tau.reshape(3, 2, 1)
+    J = tau * _height_jacobian(fmap, z, fmap.jet(z, upto=3), tau)[1]
     assert np.max(np.abs(J / J_exact - 1.0)) <= 1e-13
 
 

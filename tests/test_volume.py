@@ -7,26 +7,29 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre
 
-from oracles import (H3Point, MobiusTransform, ball_volume_euclidean_sphere,
+import oracles
+from oracles import (EPS_COUNT, H3Point, MobiusTransform, _SAMPLE_X,
+                     _RaySheet, _crossings, _ray_sheets, _row_sums,
+                     ball_volume_euclidean_sphere, default_heights,
                      equipotential, geodesic_flow, hyperbolic_annulus_area,
                      mesh_flux_scalar, polynomial_curve,
-                     ray_level_eleven_pieces, slab_volume, variation_check)
+                     ray_level_eleven_pieces, slab_volume,
+                     truncated_ray_volume, variation_check)
 
 from liouvol.action import liouville_action
 from liouvol.cli import load_curve
 from liouvol.curves import CurveSpec
-from liouvol.epstein import _frame_fields, mean_curvature_total
+from liouvol.epstein import (_frame_fields, _height_jacobian,
+                             mean_curvature_total)
 from liouvol.errors import CapTopologyError, DivergenceSuspected, DomainError
 from liouvol.mapping import conformal_map_pair, recenter_interior
 from liouvol.meshing import aligned_surface_meshes, mesh_surface
-from liouvol.series import LaurentMap, PowerSeriesMap
-from liouvol.volume import (EPS_BASE, EPS_COUNT, GAUSS_NODES, _SAMPLE_X,
-                            _X, _RaySheet, _check_clip_loops,
-                            _crossings, _inv_sq_simplex, _projected_area,
-                            _ray_sheets, _row_sums, cap_annulus,
-                            clip_mesh_above, mesh_flux,
-                            renormalized_volume, richardson_extrapolate,
-                            truncated_volume, volume)
+from liouvol.quadrature import angular_count
+from liouvol.series import LaurentMap, PowerSeriesMap, ring_jet
+from liouvol.volume import (GAUSS_NODES, _X, _check_clip_loops,
+                            _inv_sq_simplex, _projected_area, cap_annulus,
+                            clip_mesh_above, mesh_flux, renormalized_volume,
+                            richardson_extrapolate, truncated_volume, volume)
 
 # the module itself: the package exports a function of the same name
 volume_module = importlib.import_module("liouvol.volume")
@@ -69,10 +72,6 @@ def _identity_curves():
             "wobble": load_curve("wobble"),
             "star": polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8),
             "balanced": _balanced(1)}
-
-
-def _default_schedule(g):
-    return [EPS_BASE * abs(g.b1) * 0.5 ** k for k in range(EPS_COUNT)]
 
 
 def _levels(sheet, schedule):
@@ -391,11 +390,17 @@ def test_richardson_on_synthetic_sequence():
 def test_volume_circle_baseline():
     f = PowerSeriesMap([0, 1], hint_radius=8)
     g = LaurentMap(1.0)
-    v, samples, err = volume(f, g)
+    v, samples, err = truncated_ray_volume(f, g)
     assert abs(v) < 1e-6
     # and at every level of the default schedule
-    assert len(samples) == volume_module.EPS_COUNT
+    assert len(samples) == EPS_COUNT
     assert max(abs(s) for _, s in samples) <= 1e-11
+
+
+def test_circle_volume_is_zero():
+    # the unit circle's two sheets are the unit hemisphere from either side
+    f, g = PowerSeriesMap([0, 1], hint_radius=8), LaurentMap(1.0)
+    assert abs(volume(f, g)[0]) <= 1e-14
 
 
 def test_volume_ellipse_refinement_stable(ellipse_maps):
@@ -410,13 +415,13 @@ def test_volume_mobius_invariance(ellipse, ellipse_maps):
     from liouvol.mapping import conformal_map_pair
 
     f, g = ellipse_maps
-    v_base, _, _ = volume(f, g)
+    v_base, _ = volume(f, g)
     A = MobiusTransform(0, 1, 1, -2)   # z -> 1/(z - 2), image stays bounded
     th = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
     pts = A.eval_array(f.eval_unchecked(np.exp(1j * th)))
     moved = CurveSpec.from_polyline(pts, check=False)
     f2, g2 = conformal_map_pair(moved, order=128)
-    v_moved, _, _ = volume(f2, g2)
+    v_moved, _ = volume(f2, g2)
     assert abs(v_moved - v_base) / abs(v_base) < 0.02
 
 
@@ -534,14 +539,18 @@ def test_ray_sheet_heights_at_the_rim(fmap, s):
 def test_ring_jets_give_the_horner_sheets(name, monkeypatch):
     # the sheets from one FFT per radius and from Horner at the same points
     # agree at every default height to rounding: neither J nor xi amplifies
-    # the jets' last-digit differences
+    # the jets' last-digit differences; nor does the finite part
     f, g = conformal_map_pair(_identity_curves()[name], order=128)
-    schedule = _default_schedule(g)
+    schedule = default_heights(g)
     ring = [_levels(s, schedule) for s in _ray_sheets(f, g, schedule[-1])]
-    monkeypatch.setattr(volume_module, "ring_jet", lambda m, radii, n: m.jet(
-        radii[..., None] * np.exp(2j * np.pi * np.arange(n) / n), upto=3))
+    v = volume(f, g)[0]
+    horner_jet = lambda m, radii, n: m.jet(
+        radii[..., None] * np.exp(2j * np.pi * np.arange(n) / n), upto=3)
+    monkeypatch.setattr(oracles, "ring_jet", horner_jet)
+    monkeypatch.setattr(volume_module, "ring_jet", horner_jet)
     horner = [_levels(s, schedule) for s in _ray_sheets(f, g, schedule[-1])]
     assert np.max(np.abs(np.subtract(ring, horner) / horner)) <= 1e-15
+    assert abs(volume(f, g)[0] / v - 1.0) <= 5e-14
 
 
 @pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "star"])
@@ -550,7 +559,7 @@ def test_newton_cuts_match_bisection(name):
     # with one height per bracket: the Newton crossing against 60 halvings
     # of the bracket, on Clenshaw values
     f, g = conformal_map_pair(_identity_curves()[name], order=128)
-    schedule = _default_schedule(g)
+    schedule = default_heights(g)
     for sheet in _ray_sheets(f, g, schedule[-1]):
         above = sheet.samples > np.array(schedule)[:, None, None]
         h, p, j = np.nonzero(above[..., 1:] != above[..., :-1])
@@ -582,7 +591,7 @@ def test_levels_match_the_eleven_piece_rule(name):
     # cutting a straddling panel only at its crossings changes each sheet's
     # level and V(eps) only at rounding
     f, g = conformal_map_pair(_identity_curves()[name], order=128)
-    schedule = _default_schedule(g)
+    schedule = default_heights(g)
     sheets = _ray_sheets(f, g, schedule[-1])
     levels = np.array([_levels(s, schedule) for s in sheets])
     oracle = np.array([[ray_level_eleven_pieces(s, eps) for eps in schedule]
@@ -595,13 +604,13 @@ def test_levels_match_the_eleven_piece_rule(name):
 def test_circle_levels_in_closed_form():
     # the unit circle's sheets have levels +-pi (1/2 - ln eps), which cancel
     f, g = PowerSeriesMap([0, 1], hint_radius=8), LaurentMap(1.0)
-    schedule = _default_schedule(g)
+    schedule = default_heights(g)
     inside, outside = (_levels(s, schedule)
                        for s in _ray_sheets(f, g, schedule[-1]))
     exact = np.pi * (0.5 - np.log(schedule))
     assert np.max(np.abs(np.divide(inside, exact) - 1.0)) <= 5e-14
     assert np.max(np.abs(np.divide(outside, -exact) - 1.0)) <= 5e-14
-    _, samples, _ = volume(f, g)
+    _, samples, _ = truncated_ray_volume(f, g)
     assert max(abs(v) for _, v in samples) <= 1e-13
 
 
@@ -637,10 +646,10 @@ def test_volume_samples_are_the_rounded_level_sums(name):
     curves = _identity_curves()
     curve = curves[name] if name in curves else load_curve(name)
     f, g = conformal_map_pair(curve, order=128)
-    schedule = _default_schedule(g)
+    schedule = default_heights(g)
     rows = np.concatenate([s.volume(schedule) for s in
                            _ray_sheets(f, g, schedule[-1])], axis=1)
-    _, samples, _ = volume(f, g)
+    _, samples, _ = truncated_ray_volume(f, g)
     assert [v for _, v in samples] == [math.fsum(r) for r in rows.tolist()]
 
 
@@ -658,7 +667,7 @@ def test_identity_to_rounding(name):
 def test_mesh_samples_approach_ray_samples(ellipse_maps):
     # the mesh flux converges to the ray samples as its rays double
     f, g = ellipse_maps
-    _, samples, _ = volume(f, g)
+    _, samples, _ = truncated_ray_volume(f, g)
     gaps = []
     for n_ang in (256, 512):
         mi, mo = aligned_surface_meshes(f, g, n_ang=n_ang)
@@ -692,13 +701,44 @@ def test_doubling_a_sheets_rays_moves_v_at_rounding(name, doubled,
     # each sheet takes angular_count(2 * order) rays of its own map: 256
     # on the fixtures, and 256 inside and 1024 outside on the star
     f, g = conformal_map_pair(_identity_curves()[name], order=128)
-    inside, outside = _ray_sheets(f, g, 1e-4 * abs(g.b1))
     ratio = 4 if name == "star" else 1
-    assert outside.samples.shape == (ratio * inside.samples.shape[0],
-                                     GAUSS_NODES + 2)
     v = volume(f, g)[0]
     target = f if doubled == "inside" else g
-    of = _RaySheet.of
-    monkeypatch.setattr(_RaySheet, "of", lambda m, n, edges: of(
-        m, 2 * n if m is target else n, edges))
+    sheet, rays = volume_module._sheet, []
+
+    def doubled_sheet(m, n):
+        rays.append(n)
+        return sheet(m, 2 * n if m is target else n)
+
+    monkeypatch.setattr(volume_module, "_sheet", doubled_sheet)
     assert abs(volume(f, g)[0] - v) <= 1e-13 * abs(v)
+    assert rays == [256, ratio * 256]
+
+
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "star",
+                                  "balanced1", "balanced2", "balanced3"])
+def test_volume_is_the_oracles_neville_limit(name):
+    # the finite part is the limit that the truncated ray volume's heights
+    # extrapolate to
+    curves = _identity_curves()
+    curve = (curves[name] if name in curves
+             else _balanced(int(name.removeprefix("balanced"))))
+    f, g = conformal_map_pair(curve, order=128)
+    assert abs(volume(f, g)[0] / truncated_ray_volume(f, g)[0] - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse", "cubic", "wobble",
+                                  "star"])
+def test_each_sheets_log_eps_coefficient_is_pi(name):
+    # (2 pi / n) sum kappa over a sheet's rays, the coefficient of -log eps
+    # in its truncated integral, is +pi inside and -pi outside: so log eps
+    # cancels between the sheets
+    curves = _identity_curves()
+    curve = curves[name] if name in curves else load_curve(name)
+    for m, sign in zip(conformal_map_pair(curve, order=128), (1.0, -1.0)):
+        n = angular_count(2 * m.order)
+        rim = np.exp(2j * np.pi * np.arange(n) / n)[None, :]
+        xi_tau, J_tau = _height_jacobian(m, rim, ring_jet(m, np.ones(1), n),
+                                         np.zeros((1, 1)))
+        kappa = J_tau[0] / (4.0 * xi_tau[0] ** 2)
+        assert abs(2.0 * np.pi / n * kappa.sum() - sign * np.pi) <= 1e-13
