@@ -326,19 +326,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    return _parser(COMMANDS)
+
+
+def _parser(names):
+    """The parser with the subcommands ``names`` only."""
     parser = _Parser(
         prog="liouvol",
         description="Liouville action, envelope surfaces and renormalized "
                     "volume of Jordan curves")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in COMMANDS.items():
+    for name in names:
         # flags left unset stay off the namespace, so RunConfig fills them
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--curve", required=True,
                        help="bundled fixture name or curve JSON path")
         p.add_argument("--out", help="output directory")
-        for flag in flags:
+        for flag in COMMANDS[name][1]:
             p.add_argument(flag, **FLAGS[flag])
     return parser
 
@@ -359,8 +364,11 @@ def run(config):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs only its subparser; any other argv gets them all
+    names = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser(names).parse_args(argv)
         return run(RunConfig(**vars(args)).validate())
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

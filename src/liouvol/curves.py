@@ -6,6 +6,7 @@ function about the anchor, which is what the boundary-correspondence
 solver consumes; a series curve is solved in its own parameter instead.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -177,13 +178,18 @@ class CurveSpec:
         return np.interp(s, t, closed.real) + 1j * np.interp(s, t, closed.imag)
 
     def polar(self):
-        """Radius function chi -> rho(chi) of a polyline about its anchor.
+        """Radius function chi -> rho(chi) of a polyline about its anchor,
+        its spline built once per curve for both of its map solves.
 
         Requires the polyline to be star shaped about the anchor; raises
         DomainError otherwise, and for a series curve.
         """
         if self.kind == "series":
             raise DomainError("the polar radius is built for polylines only")
+        return self._polar_radius
+
+    @functools.cached_property
+    def _polar_radius(self):
         rel = self.points - self.anchor()
         chi = np.unwrap(np.angle(rel))
         if chi[-1] < chi[0]:  # enforce counterclockwise

@@ -13,6 +13,7 @@ weight over the parameter domain are coefficient sums from one FFT of
 boundary samples (area_norm).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -243,13 +244,23 @@ def schwarzian(m, z):
     return schwarzian_of(m.jet(z, upto=3))
 
 
+@functools.lru_cache(maxsize=4)
+def _circle_jet(m):
+    """The read-only 3-jet of circle_samples, kept for the last few maps
+    (which hash by identity and are never edited): one ring_jet per map."""
+    n = max(1024, 8 * 2 ** math.ceil(math.log2(m.order + 1)))
+    jet = ring_jet(m, 1.0, n)
+    for a in jet:
+        a.flags.writeable = False
+    return jet
+
+
 def circle_samples(m, h):
     """h of the 3-jet of m at the n-th roots of unity z_j, or at 1/z_j for
     a LaurentMap, with n = max(1024, 8 * 2^ceil(log2(order + 1))). The jet
-    takes one ring FFT per derivative (ring_jet), and h maps it pointwise to
-    the samples, as nonlinearity_of and schwarzian_of do."""
-    n = max(1024, 8 * 2 ** math.ceil(math.log2(m.order + 1)))
-    samples = h(ring_jet(m, 1.0, n))
+    takes one ring FFT per derivative (ring_jet) once per map, and h maps it
+    pointwise to the samples, as nonlinearity_of and schwarzian_of do."""
+    samples = h(_circle_jet(m))
     if isinstance(m, LaurentMap):
         samples = np.roll(samples[::-1], 1)  # 1/z_j = z_{-j mod n}
     return samples

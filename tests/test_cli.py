@@ -250,6 +250,59 @@ def test_help_and_version_exit_0(args):
     assert exc.value.code == 0
 
 
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("--help")
+    out = capsys.readouterr().out
+    assert all(name in out for name in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("args, built", [
+    (("action", "--curve", "circle", "--steps", "3"), ["action"]),
+    (("verify-identity", "--curve", "circle", "--tol", "x"),
+     ["verify-identity"]),
+    (("--help",), list(cli.COMMANDS)),
+    ((), list(cli.COMMANDS)),
+    (("bogus", "--curve", "circle"), list(cli.COMMANDS)),
+])
+def test_a_named_command_builds_only_its_parser(monkeypatch, args, built):
+    # usage errors stay exit code 1 whichever parsers were built
+    seen = []
+
+    def parser(names):
+        seen.append(list(names))
+        return make(names)
+
+    make = cli._parser
+    monkeypatch.setattr(cli, "_parser", parser)
+    try:
+        assert run_cli(*args) == 1
+    except SystemExit as exc:
+        assert args == ("--help",) and exc.code == 0
+    assert seen == [built]
+
+
+def test_verify_identity_takes_each_maps_circle_jet_once(tmp_path,
+                                                         monkeypatch):
+    # the action and the mean curvature sample the same 3-jet on the unit
+    # circle: one ring FFT per derivative per map, not two
+    import liouvol.series as series
+    ring_jet, calls = series.ring_jet, []
+
+    def counted(m, radii, n, upto=3):
+        ring = max(1024, 8 * 2 ** math.ceil(math.log2(m.order + 1)))
+        if np.all(np.asarray(radii) == 1.0) and n == ring:
+            calls.append(m)
+        return ring_jet(m, radii, n, upto)
+
+    monkeypatch.setattr(series, "ring_jet", counted)
+    for curve in ("cubic", "ellipse"):
+        calls.clear()
+        assert run_cli("verify-identity", "--curve", curve,
+                       "--out", str(tmp_path)) == 0
+        assert len(calls) == 2 and calls[0] is not calls[1]
+
+
 def test_subcommands_take_only_their_flags():
     common = {"--curve", "--out"}
     table = {

@@ -415,6 +415,31 @@ def test_welding_certification_catches_an_off_curve_map(monkeypatch):
             exterior_map(curve, tol=1e-10)
 
 
+def test_a_polylines_map_pair_builds_one_spline(monkeypatch):
+    # the interior and the exterior solve share the curve's polar radius:
+    # one periodic spline per curve, and the maps are those of solves that
+    # each build their own
+    import scipy.interpolate
+
+    built = []
+
+    class Counted(scipy.interpolate.CubicSpline):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", Counted)
+    f, g = conformal_map_pair(load_curve("ellipse"))
+    assert len(built) == 1
+    f_alone, _ = interior_map(load_curve("ellipse"))
+    g_alone, _ = exterior_map(load_curve("ellipse"))
+    assert len(built) == 3
+    assert f.coeffs.tobytes() == f_alone.coeffs.tobytes()
+    assert (np.array([g.b1, g.b0]).tobytes()
+            == np.array([g_alone.b1, g_alone.b0]).tobytes())
+    assert g.bneg.tobytes() == g_alone.bneg.tobytes()
+
+
 def test_recenter_interior_keeps_the_boundary():
     # an asymmetric curve is parametrized off its hyperbolic center; the
     # recentered map (f composed with a disk automorphism) is an infinite

@@ -715,6 +715,23 @@ def test_doubling_a_sheets_rays_moves_v_at_rounding(name, doubled,
     assert rays == [256, ratio * 256]
 
 
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "star", "z+0.12z^5"])
+def test_sheet_blocks_match_one_whole_table(name, monkeypatch):
+    # each sheet's table is formed in blocks of about _BLOCK_POINTS points:
+    # 32 rings a block on 256 rays, 8 on the star's 1024 and 2 on the 4096
+    # rays of z + 0.12 z^5. The blocks change only the order in which the
+    # rays' finite parts and the area are summed, so V moves at rounding
+    # against one block of every ring
+    curve = (polynomial_curve(0.0, 0.0, 0.0, 0.12, hint_radius=1.8)
+             if name == "z+0.12z^5" else _identity_curves()[name])
+    f, g = conformal_map_pair(curve, order=128)
+    blocked = volume(f, g)
+    monkeypatch.setattr(volume_module, "_BLOCK_POINTS", 10 ** 9)
+    whole = volume(f, g)
+    assert abs(blocked[0] / whole[0] - 1.0) <= 1e-14
+    assert abs(blocked[1] - whole[1]) <= 1e-15
+
+
 @pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "star",
                                   "balanced1", "balanced2", "balanced3"])
 def test_volume_is_the_oracles_neville_limit(name):
