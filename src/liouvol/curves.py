@@ -1,9 +1,11 @@
 """Curve inputs: analytic interior-series curves and sampled polylines.
 
 Both variants have an interior anchor point: f(0) for series curves and
-the vertex centroid for polylines. A polyline exposes its polar radius
-function about the anchor, which is what the boundary-correspondence
-solver consumes; a series curve is solved in its own parameter instead.
+the vertex centroid for polylines. Both must be star shaped about it, as
+both map solvers need, and that one test also makes the curve simple. A
+polyline exposes its polar radius function about the anchor, which is what
+the boundary-correspondence solver consumes; a series curve is solved in
+its own parameter instead.
 """
 
 import functools
@@ -16,87 +18,19 @@ from .errors import DomainError
 from .series import PowerSeriesMap, ring_jet
 
 
-# pairs of segments tested at a time by polyline_is_simple
-_PAIR_BLOCK = 1 << 16
-# two segments meet when they come within this fraction of their lengths
-MEET_TOL = 1e-12
-
-
-def _cross(a, b):
-    return a.real * b.imag - a.imag * b.real
-
-
-def _dot(a, b):
-    return a.real * b.real + a.imag * b.imag
-
-
-def _segments_intersect(p1, p2, q1, q2):
-    """Whether the closed segments p1p2 and q1q2 meet, elementwise over
-    arrays of end points, to MEET_TOL of their lengths: a crossing, a touch
-    at an end, or, for segments parallel to MEET_TOL, a collinear
-    overlap."""
-    eps = MEET_TOL
-    d1, d2, r = p2 - p1, q2 - q1, q1 - p1
-    den, len1 = _cross(d1, d2), _dot(d1, d1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t, u = _cross(r, d2) / den, _cross(r, d1) / den
-        # q's ends along p1p2, for parallel segments
-        s0 = _dot(r, d1) / len1
-        s1 = s0 + _dot(d2, d1) / len1
-    meet = (-eps <= t) & (t <= 1 + eps) & (-eps <= u) & (u <= 1 + eps)
-    overlap = ((np.abs(_cross(r, d1)) <= eps * len1)
-               & (np.minimum(s0, s1) <= 1 + eps)
-               & (np.maximum(s0, s1) >= -eps))
-    return np.where(den * den <= eps * eps * len1 * _dot(d2, d2), overlap,
-                    meet)
-
-
-def polyline_is_simple(points):
-    """Segment sweep over the closed polyline: with the segments sorted by
-    min-x, each is paired with every later one whose min-x is within its
-    max-x; pairs of adjacent segments or of disjoint y-ranges are dropped,
-    and the rest go to the crossing test in blocks of _PAIR_BLOCK pairs.
-    The ranges are widened by twice MEET_TOL of each segment's length, so
-    no pair that meets is dropped."""
-    seg_a = np.asarray(points, dtype=complex)
-    seg_b = np.roll(seg_a, -1)
-    n = seg_a.size
-    pad = 2.0 * MEET_TOL * np.abs(seg_b - seg_a)
-    order = np.argsort(np.minimum(seg_a.real, seg_b.real) - pad, kind="stable")
-    seg_a, seg_b, pad = seg_a[order], seg_b[order], pad[order]
-    lo = np.minimum(seg_a.real, seg_b.real) - pad
-    hi = np.maximum(seg_a.real, seg_b.real) + pad
-    ylo = np.minimum(seg_a.imag, seg_b.imag) - pad
-    yhi = np.maximum(seg_a.imag, seg_b.imag) + pad
-    # segment j pairs with the later ones i < stop[j] in sorted order
-    stop = np.searchsorted(lo, hi, side="right")
-    counts = stop - np.arange(n) - 1
-    ends = np.cumsum(counts)
-    j0 = 0
-    while j0 < n:
-        # the segments whose pairs fit in one block (at least one segment)
-        j1 = max(int(np.searchsorted(ends, ends[j0] - counts[j0]
-                                     + _PAIR_BLOCK, side="right")), j0 + 1)
-        c = counts[j0:j1]
-        j = np.repeat(np.arange(j0, j1), c)
-        i = j + 1 + np.arange(j.size) - np.repeat(np.cumsum(c) - c, c)
-        apart = (order[j] - order[i]) % n
-        keep = ((apart > 1) & (apart < n - 1)
-                & ~((yhi[i] < ylo[j]) | (yhi[j] < ylo[i])))
-        i, j = i[keep], j[keep]
-        if np.any(_segments_intersect(seg_a[i], seg_b[i], seg_a[j], seg_b[j])):
-            return False
-        j0 = j1
-    return True
-
-
-def _winding_turns(samples):
-    """Turning number of the tangent along a closed sampled curve."""
-    d = np.roll(samples, -1) - samples
-    ang = np.angle(d)
-    dd = np.diff(ang, append=ang[0])
-    dd = (dd + np.pi) % (2 * np.pi) - np.pi
-    return float(np.sum(dd) / (2 * np.pi))
+def _star_steps(rel):
+    """The argument steps angle(rel[j+1] / rel[j]) of the closed polygon rel
+    about 0. Raises DomainError unless every step has the sign of their sum
+    and lies within (-pi, pi), and the sum is +-2 pi: the polygon then winds
+    once about 0 through disjoint angular sectors, so it is star shaped
+    about 0, and simple, in either orientation."""
+    steps = np.angle(np.roll(rel, -1) / rel)
+    total = np.sum(steps)
+    turn = steps * np.sign(total)
+    if not (abs(abs(total) - 2 * np.pi) <= 1e-9
+            and np.all((turn > 0) & (turn < np.pi))):
+        raise DomainError("curve is not star shaped about its anchor")
+    return steps
 
 
 def _json_pairs(payload, key):
@@ -191,12 +125,9 @@ class CurveSpec:
     @functools.cached_property
     def _polar_radius(self):
         rel = self.points - self.anchor()
-        chi = np.unwrap(np.angle(rel))
-        if chi[-1] < chi[0]:  # enforce counterclockwise
+        if np.sum(_star_steps(rel)) < 0:  # enforce counterclockwise
             rel = rel[::-1]
-            chi = np.unwrap(np.angle(rel))
-        if np.any(np.diff(chi) <= 0):
-            raise DomainError("polyline is not star shaped about its centroid")
+        chi = np.unwrap(np.angle(rel))
         from scipy.interpolate import CubicSpline
 
         r = np.abs(rel)
@@ -209,12 +140,12 @@ class CurveSpec:
         return rho
 
     def validate(self):
-        samples = self.boundary(2048)
-        if not polyline_is_simple(samples if self.kind == "series" else self.points):
-            raise DomainError("curve is not simple")
-        turns = _winding_turns(samples)
-        if abs(abs(turns) - 1.0) > 1e-6:
-            raise DomainError(f"boundary turning number {turns}, expected +-1")
+        """The one admissibility test: the polyline's vertices, or 2048
+        boundary samples of a series curve, are star shaped about the
+        anchor, as both map solvers need."""
+        samples = (self.points if self.kind == "polyline"
+                   else self.boundary(2048))
+        _star_steps(samples - self.anchor())
         return self
 
 

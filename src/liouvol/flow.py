@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import liouville_action
-from .curves import CurveSpec, polyline_is_simple
+from .curves import CurveSpec
 from .errors import (DeformationError, DomainError, NonConvergence,
                      RefitError, Stalled)
 from .mapping import conformal_map_pair, interior_map
@@ -156,8 +156,8 @@ def beltrami_step(nu, t, order=128, precomputed=None):
     that carries the boundary velocity: displacement_field(nu), or
     ``precomputed`` (boundary points, velocity) for a field without
     coefficients. The moved boundary is refit to an interior series; raises
-    DeformationError if the moved curve self-intersects and RefitError if
-    the series fit cannot certify its residual.
+    DeformationError if the moved curve is not star shaped about its
+    centroid and RefitError if the series fit cannot certify its residual.
     """
     sup = getattr(nu, "sup_norm", None)
     if sup is not None and abs(t) * sup >= 0.1:
@@ -170,9 +170,10 @@ def beltrami_step(nu, t, order=128, precomputed=None):
     else:
         z, fdot = precomputed
     moved = z + t * fdot
-    if not polyline_is_simple(moved):
-        raise DeformationError("deformed curve self-intersects")
-    poly = CurveSpec.from_polyline(moved, check=False)
+    try:
+        poly = CurveSpec.from_polyline(moved)
+    except DomainError as exc:
+        raise DeformationError(f"deformed curve refused: {exc}") from exc
     try:
         f_new, _ = interior_map(poly, order=min(order, moved.size // 3),
                                 tol=REFIT_TOL, auto_refine=False)

@@ -261,7 +261,8 @@ def _solve_polar(problem, mismatch, order, tol, fit, side,
     (map, largest Fourier coefficient the map cannot carry, tail, scale);
     the order doubles while tail > TAIL_TARGET * max(1, scale). The map's
     distance to the curve, ``mismatch(map, theta)``, raised to that
-    spurious mass, must stay within max(tol, 50 * correspondence residual).
+    spurious mass, must stay within max(tol, 50 * correspondence residual)
+    times max(1, scale): tol is a distance on a curve of unit size.
     A doubled order on a finer grid starts its iteration from the previous
     solution; on the same grid it keeps it."""
     order, theta = int(order), None
@@ -278,7 +279,7 @@ def _solve_polar(problem, mismatch, order, tol, fit, side,
         logger.debug("%s solve: doubling order to %d (tail %.2e)",
                      side, order, tail)
     distance = max(mismatch(fmap, theta), spurious)
-    if distance > max(tol, 50 * corr):
+    if distance > max(tol, 50 * corr) * max(1.0, scale):
         raise NonConvergence(iters, distance,
                              f"{side} fit residual too large")
     return fmap, SolveDiagnostics(iters, corr, spurious, distance)

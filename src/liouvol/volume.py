@@ -333,7 +333,10 @@ def volume(f, g):
     by f and g: the finite parts of both sheets' rays, each sheet on
     angular_count(2 * order) rays of its own map. Returns
     (V, error_estimate), the estimate being the change in V when each sheet
-    keeps every other ray."""
+    keeps every other ray. Half the rays under-resolve the integrand, so
+    the estimate measures that half rule's aliasing, not the error of V: on
+    the ellipse's order-128 maps it reads 7.4e-9 where V matches the
+    truncated ray volume to 1.5e-14."""
     rays = [angular_count(2 * m.order) for m in (f, g)]
     (parts_in, a_in), (parts_out, a_out) = (
         _sheet(m, n) for m, n in zip((f, g), rays))

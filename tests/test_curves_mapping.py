@@ -9,21 +9,36 @@ from oracles import (circle_curve, curve_to_json, ellipse_curve,
 
 import liouvol.curves as curves_module
 import liouvol.mapping as mapping_module
+from liouvol.action import liouville_action
 from liouvol.cli import load_curve
-from liouvol.curves import CurveSpec, polyline_is_simple
+from liouvol.curves import CurveSpec
 from liouvol.errors import CorrespondenceError, DomainError, NonConvergence
 from liouvol.mapping import (conformal_map_pair, exterior_map, interior_map,
                              recenter_interior, welding)
 from liouvol.series import LaurentMap, PowerSeriesMap
 
 
+def _admitted(points):
+    """Whether the closed polygon passes the curves' one admissibility
+    test, star shaped about its vertex centroid."""
+    try:
+        curves_module._star_steps(points - np.mean(points))
+    except DomainError:
+        return False
+    return True
+
+
+def _action(curve):
+    return liouville_action(*conformal_map_pair(curve)).total
+
+
 def test_polyline_simplicity_detects_crossing():
     n = 64
     t = 2 * np.pi * np.arange(n) / n
     good = np.cos(t) + 1j * np.sin(t)
-    assert polyline_is_simple(good)
+    assert _admitted(good)
     bow = np.array([0, 1 + 1j, 1, 0 + 1j, 0]) + 0j  # figure-eight-ish
-    assert not polyline_is_simple(bow[:-1])
+    assert not _admitted(bow[:-1])
 
 
 def _simplicity_cases():
@@ -66,29 +81,60 @@ _SIMPLICITY_CASES = _simplicity_cases()
 @pytest.mark.parametrize("points", _SIMPLICITY_CASES.values(),
                          ids=_SIMPLICITY_CASES.keys())
 def test_simplicity_sweep_matches_the_oracle(points):
-    assert polyline_is_simple(points) == polyline_is_simple_sweep(points)
+    # sound: every polygon the star-shape test admits is simple
+    assert not _admitted(points) or polyline_is_simple_sweep(points)
+
+
+def test_star_shape_verdicts_on_the_simplicity_cases():
+    cases = _SIMPLICITY_CASES
+    admitted = {name: _admitted(points) for name, points in cases.items()}
+    for name, ok in admitted.items():
+        if name.startswith("star-"):
+            assert ok, name
+        elif name.startswith(("swap-", "figure-eight", "notch-", "overlap")):
+            assert not ok, name
+    # the sweep calls 15 of the jittered stars simple
+    assert sum(admitted[f"jitter-{i}"] for i in range(40)) == 12
 
 
 def test_touching_or_overlapping_polylines_are_not_simple():
-    # non-adjacent segments that cross, touch at an end (to 1e-12 of their
-    # lengths) or overlap along a line make a polyline not simple
+    # non-adjacent segments that cross, touch at an end or overlap along a
+    # line make a polyline not simple, so not star shaped
     cases = _SIMPLICITY_CASES
     for name in ("figure-eight", "figure-eight-vertex", "notch-0",
                  "notch--1e-13", "notch--1e-10", "notch--0.001", "overlap"):
-        assert not polyline_is_simple(cases[name]), name
-    for name in ("notch-0.001", "notch-1e-10", "ellipse-4096", "cubic"):
-        assert polyline_is_simple(cases[name]), name
+        assert not _admitted(cases[name]), name
+    for name in ("ellipse-4096", "cubic"):
+        assert _admitted(cases[name]), name
     # a tip 1e-13 above the opposite edge meets it however it is turned
     notch = np.array([0, 4, 4 + 4j, 2.2 + 4j, 2 + 1e-13j, 1.8 + 4j, 4j])
     for turn in (1.0, np.exp(0.3j)):
-        assert not polyline_is_simple(turn * notch)
+        assert not _admitted(turn * notch)
         assert not polyline_is_simple_sweep(turn * notch)
-    assert all(polyline_is_simple(cases[f"star-{i}"]) for i in range(40))
-    # as under the rule that counted crossings strictly inside both segments
-    assert sum(polyline_is_simple(cases[f"jitter-{i}"])
-               for i in range(40)) == 15
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="star shaped"):
         CurveSpec.from_polyline(cases["overlap"])
+
+
+def test_a_clockwise_polyline_has_the_same_action():
+    ccw = load_curve("ellipse")
+    s0 = _action(ccw)
+    cw = CurveSpec.from_polyline(ccw.points[::-1])
+    assert abs(_action(cw) - s0) <= 1e-12 * s0
+
+
+def test_a_polygon_that_winds_twice_is_refused():
+    # every step turns the same way by less than pi, but the total is 4 pi
+    twice = np.exp(4j * np.pi * np.arange(63) / 63)
+    with pytest.raises(DomainError, match="star shaped"):
+        CurveSpec.from_polyline(twice)
+
+
+def test_a_simple_series_curve_that_is_not_starlike_is_refused():
+    f = PowerSeriesMap([0, 1, -0.71 + 0.1j, 0.19 + 0.12j, -0.04 - 0.09j])
+    samples = CurveSpec.from_series(f, check=False).boundary(2048)
+    assert polyline_is_simple_sweep(samples)
+    with pytest.raises(DomainError, match="star shaped"):
+        CurveSpec.from_series(f)
 
 
 def test_polyline_size_counts_vertices_after_the_closing_point():
@@ -110,19 +156,21 @@ def test_closing_point_of_a_large_polyline_is_dropped(radius):
     assert CurveSpec.from_polyline(closed).points.size == 256
 
 
-def test_simplicity_in_blocks_when_every_x_range_overlaps(monkeypatch):
-    # 2047 zigzag vertices between x = -1 and x = 1, closed on the right:
-    # every pair of segments has overlapping x-ranges (about 2.1e6 pairs)
-    m = 2047
-    x = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    zigzag = np.append(x + 1j * np.arange(m) / (m - 1), 1.5 + 0.5j)
-    crossed = zigzag.copy()
-    crossed[[1000, 1002]] = crossed[[1002, 1000]]
-    verdicts = [polyline_is_simple_sweep(p) for p in (zigzag, crossed)]
-    assert verdicts == [True, False]
-    for block in (curves_module._PAIR_BLOCK, 1000, 1):
-        monkeypatch.setattr(curves_module, "_PAIR_BLOCK", block)
-        assert [polyline_is_simple(p) for p in (zigzag, crossed)] == verdicts
+@pytest.mark.parametrize("scale", [10.0, 100.0, 1e3, 1e6])
+def test_a_scaled_polyline_keeps_its_action(scale):
+    # the fit certification is relative to the curve's size
+    ellipse = load_curve("ellipse")
+    s0 = _action(ellipse)
+    scaled = CurveSpec.from_polyline(scale * ellipse.points)
+    assert abs(_action(scaled) - s0) <= 1e-12 * s0
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e5, 1e6])
+def test_a_scaled_and_turned_series_curve_keeps_its_action(scale):
+    c = np.array([0, 1, 0.1 + 0.05j, -0.03j])
+    s0 = _action(CurveSpec.from_series(c))
+    turned = CurveSpec.from_series(scale * np.exp(0.7j) * c)
+    assert abs(_action(turned) - s0) <= 1e-12 * s0
 
 
 def test_curvespec_json_roundtrip():

@@ -154,6 +154,20 @@ def test_beltrami_step_detects_self_intersection(ellipse, ellipse_maps):
         beltrami_step(zero, 0.15, precomputed=(z, fdot))
 
 
+def test_beltrami_step_refuses_a_trial_that_leaves_star_shape(ellipse,
+                                                              ellipse_maps):
+    # a move onto a simple horseshoe, not star shaped about its centroid, is
+    # a rejected trial (run_flow halves t), not a DomainError ending the flow
+    from liouvol.errors import DeformationError
+    _, g = ellipse_maps
+    zero = BeltramiField(g, np.zeros(256, complex), 0.0, 0.0)
+    t_out = np.linspace(-0.75 * np.pi, 0.75 * np.pi, 80)
+    h = np.concatenate([np.exp(1j * t_out), 0.55 * np.exp(1j * t_out[::-1])])
+    z = ellipse.boundary(h.size)
+    with pytest.raises(DeformationError, match="star shaped"):
+        beltrami_step(zero, 0.15, precomputed=(z, (h - z) / 0.15))
+
+
 def test_flow_circle_start_is_stationary():
     states = run_flow(circle_curve(), max_steps=5, order=64)
     assert len(states) == 1
