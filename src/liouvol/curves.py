@@ -9,7 +9,6 @@ its own parameter instead.
 """
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +80,6 @@ class CurveSpec:
 
     @classmethod
     def from_json(cls, payload):
-        if isinstance(payload, (str, bytes)):
-            try:
-                payload = json.loads(payload)
-            except ValueError as exc:
-                raise DomainError(f"cannot parse curve JSON: {exc}") from exc
         if not (isinstance(payload, dict)
                 and payload.keys() & {"series", "points"}):
             raise DomainError("curve JSON needs a 'series' or 'points' entry")

@@ -229,7 +229,7 @@ def run_flow(curve, max_steps=50, order=128):
         while t >= T_MIN:
             try:
                 cand = beltrami_step(field, t, order=order, precomputed=pre)
-                fc, gc = conformal_map_pair(cand, order=order, tol=1e-8)
+                fc, gc = conformal_map_pair(cand, order=order)
                 cand_action = liouville_action(fc, gc).total
             except (DeformationError, RefitError, NonConvergence):
                 logger.debug("step %d: rejecting t=%.3e", step, t)

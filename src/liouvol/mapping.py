@@ -7,9 +7,10 @@ satisfies theta = phi + conj[log rho(theta)] inside and
 theta = phi - conj[log rho(theta)] outside, where rho is the polar radius
 about the anchor and conj is FFT-based harmonic conjugation. A polyline is
 solved on its polar radius on both sides. A series curve's exterior map is
-solved on its welding instead: g(e^{i psi}) = f(e^{i t(psi)}), by one jet
-of f and one Newton step per iteration, so its polar radius, whose every
-evaluation inverts arg(f - anchor), is never built. Every solve runs one
+solved on the welding of f - f(0) instead, its constant term dropped
+exactly: g(e^{i psi}) = f(e^{i t(psi)}), by one jet and one Newton step
+per iteration, so its polar radius, whose every evaluation inverts
+arg(f - f(0)), is never built. Every solve runs one
 loop (_solve_polar): the correspondence iteration, order doubling and the
 certification of the map's distance to the curve, by the polar radius or,
 for a series exterior, on the welding; each solve supplies its iteration,
@@ -92,25 +93,25 @@ class _Polar:
 
 
 class _Welding:
-    """The welding t(psi) of a series curve f about its anchor a, with
+    """The welding t(psi) of a series curve f with f(0) = 0, with
     g(e^{i psi}) = f(e^{i t(psi)}) on the exterior map g: it solves
-    X(t) = psi - conj[R(t)], where f(e^{it}) - a = e^{R + iX}. This is the
+    X(t) = psi - conj[R(t)], where f(e^{it}) = e^{R + iX}. This is the
     exterior equation theta = psi - conj[log rho(theta)] of _Polar read in
     f's parameter, so the curve's polar radius is never inverted. Each step
     takes one jet of f at e^{it} and one Newton step of X(t) = target at
     every point; the error is target - X(t). The start is the lookup guess
-    of arg(f - a) = psi; when that guess is psi itself to rounding (a
-    circle about a), the start is the uniform grid, and its jet a ring FFT.
-    Its boundary samples at psi are g(e^{i psi}) - a."""
+    of arg f = psi; when that guess is psi itself to rounding (a circle
+    about 0), the start is the uniform grid, and its jet a ring FFT. Its
+    boundary samples at psi are g(e^{i psi})."""
 
-    def __init__(self, f, anchor):
-        self.f, self.anchor = f, anchor
+    def __init__(self, f):
+        self.f = f
         self.last = None
 
     def start(self, psi):
         # unwrapped, with t(0) near 0, so that t - psi is periodic: a
         # doubled grid's warm start resamples it
-        t = np.unwrap(_argument_guess(self.f, self.anchor)(psi)[0])
+        t = np.unwrap(_argument_guess(self.f, 0.0)(psi)[0])
         t -= 2 * np.pi * np.round(t[0] / (2 * np.pi))
         return psi.copy() if np.max(np.abs(t - psi)) <= 1e-12 else t
 
@@ -118,7 +119,6 @@ class _Welding:
         e = np.exp(1j * t)
         w, d1 = (ring_jet(self.f, 1.0, t.size, upto=1)
                  if np.array_equal(t, psi) else self.f.jet(e, upto=1))
-        w = w - self.anchor
         ratio = _argument_ratio(e, w, d1)
         target = psi - conjugate_periodic(np.log(np.abs(w)))
         error = -np.angle(w * np.exp(-1j * target))
@@ -207,23 +207,24 @@ def _decay_radius(coeffs):
     return float(max(1.0 + 1e-6, min(8.0, 1.0 / q)))
 
 
-def exterior_map(curve, order=128, tol=FIT_TOL):
+def exterior_map(curve, order=128):
     """Conformal map of |w| > 1 onto the outside of ``curve``.
 
     Normalization: g(inf) = inf with g'(inf) real positive. A series curve
-    is solved on its welding (_Welding), a polyline on its polar radius
-    (_Polar with sign -1). Returns (LaurentMap, SolveDiagnostics).
+    is solved on the welding of f - f(0), a polyline on its polar radius;
+    both are certified at FIT_TOL. Returns (LaurentMap, SolveDiagnostics).
     """
     anchor = curve.anchor()
     if curve.kind == "series":
         f = curve.series
-        problem = _Welding(f, anchor)
+        problem = _Welding(PowerSeriesMap(np.r_[0, f.coeffs[1:]],
+                                          f.hint_radius))
         mismatch = partial(_boundary_mismatch_welding, f)
     else:
         rho = curve.polar()
         problem = _Polar(rho, -1.0)
         mismatch = partial(_boundary_mismatch_polar, rho, anchor)
-    return _solve_polar(problem, mismatch, order, tol,
+    return _solve_polar(problem, mismatch, order, FIT_TOL,
                         partial(_fit_exterior, anchor=anchor), "exterior")
 
 
@@ -285,10 +286,10 @@ def _solve_polar(problem, mismatch, order, tol, fit, side,
     return fmap, SolveDiagnostics(iters, corr, spurious, distance)
 
 
-def conformal_map_pair(curve, order=128, tol=FIT_TOL):
+def conformal_map_pair(curve, order=128):
     """Interior and exterior maps of the same curve."""
-    f, _ = interior_map(curve, order=order, tol=tol)
-    g, _ = exterior_map(curve, order=order, tol=tol)
+    f, _ = interior_map(curve, order=order)
+    g, _ = exterior_map(curve, order=order)
     return f, g
 
 

@@ -39,14 +39,6 @@ def _taylor_horner(c, x, upto):
     pass that updates the upto + 1 accumulators in place, over blocks of
     points small enough to stay in cache. A scalar x gives scalars."""
     x = np.asarray(x, dtype=complex)
-    if x.ndim == 0:
-        # one point: scalar arithmetic, a ufunc call costs more than its work
-        xs, d = complex(x), [0j] * (upto + 1)
-        for ck in c[::-1].tolist():
-            for m in range(upto, 0, -1):
-                d[m] = d[m] * xs + d[m - 1]
-            d[0] = d[0] * xs + ck
-        return tuple(np.complex128(v) for v in d)
     flat = x.ravel()
     acc = np.zeros((upto + 1, flat.size), dtype=complex)
     for lo in range(0, flat.size, _HORNER_BLOCK):
@@ -58,7 +50,7 @@ def _taylor_horner(c, x, upto):
                 d[m] += d[m - 1]
             d[0] *= xb
             d[0] += ck
-    return tuple(a.reshape(x.shape) for a in acc)
+    return tuple(a.reshape(x.shape)[()] for a in acc)
 
 
 @dataclass(frozen=True, eq=False)

@@ -209,7 +209,7 @@ def test_criterion_7_first_variations(ellipse_pair):
 
     def action_at(t):
         moved = beltrami_step(nu, t, order=96, precomputed=velocity)
-        fm, gm = conformal_map_pair(moved, order=96, tol=1e-8)
+        fm, gm = conformal_map_pair(moved, order=96)
         return liouville_action(fm, gm).total
 
     dt = 1e-3

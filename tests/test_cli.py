@@ -54,6 +54,16 @@ def test_grunsky_subcommand(tmp_path):
     assert payload["lhs"] <= payload["rhs"] + 1e-9
 
 
+def test_grunsky_runs_on_a_curve_off_the_origin(tmp_path):
+    ellipse = cli.load_curve("ellipse")
+    curve = tmp_path / "moved.json"
+    moved = ellipse.points + (0.5 + 0.25j)
+    curve.write_text(json.dumps({"points": [[z.real, z.imag]
+                                            for z in moved.tolist()]}))
+    assert run_cli("grunsky", "--curve", str(curve),
+                   "--out", str(tmp_path / "run")) == 0
+
+
 def test_grunsky_default_grid_is_sized_to_the_maps(tmp_path):
     # the exterior map runs to order 1024, beyond the 256 angular nodes of
     # a fixed 20x8x256 grid, which reads a gap of -6.6e-8 here

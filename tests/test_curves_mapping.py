@@ -16,6 +16,7 @@ from liouvol.errors import CorrespondenceError, DomainError, NonConvergence
 from liouvol.mapping import (conformal_map_pair, exterior_map, interior_map,
                              recenter_interior, welding)
 from liouvol.series import LaurentMap, PowerSeriesMap
+from liouvol.volume import renormalized_volume
 
 
 def _admitted(points):
@@ -173,14 +174,35 @@ def test_a_scaled_and_turned_series_curve_keeps_its_action(scale):
     assert abs(_action(turned) - s0) <= 1e-12 * s0
 
 
+@pytest.mark.parametrize("offset", [10, 1e3, 1e4])
+def test_a_translated_series_curve_keeps_its_action_and_volume(offset):
+    # the welding solves f - f(0), so the offset costs no digits
+    c = np.array([0, 1, 0.1 + 0.05j, -0.03j])
+    f, g = conformal_map_pair(CurveSpec.from_series(c))
+    moved = CurveSpec.from_series(c + np.r_[offset, 0, 0, 0])
+    fd, gd = conformal_map_pair(moved)
+    for ref, shifted in ((liouville_action(f, g).total,
+                          liouville_action(fd, gd).total),
+                         (renormalized_volume(f, g).V_R,
+                          renormalized_volume(fd, gd).V_R)):
+        assert abs(shifted - ref) <= 1e-12 * abs(ref)
+
+
+def test_a_translated_polyline_keeps_its_action():
+    ellipse = load_curve("ellipse")
+    s0 = _action(ellipse)
+    moved = CurveSpec.from_polyline(ellipse.points + 1e3)
+    assert abs(_action(moved) - s0) <= 1e-12 * s0
+
+
 def test_curvespec_json_roundtrip():
     c = polynomial_curve(0.0, 0.05)
-    payload = json.dumps(curve_to_json(c))
+    payload = json.loads(json.dumps(curve_to_json(c)))
     c2 = CurveSpec.from_json(payload)
     assert np.allclose(c2.series.coeffs, c.series.coeffs)
 
     e = ellipse_curve(1.2, 1.0, n=64)
-    e2 = CurveSpec.from_json(json.dumps(curve_to_json(e)))
+    e2 = CurveSpec.from_json(json.loads(json.dumps(curve_to_json(e))))
     assert np.allclose(e2.points, e.points)
 
 
@@ -460,7 +482,7 @@ def test_welding_certification_catches_an_off_curve_map(monkeypatch):
     monkeypatch.setattr(mapping_module, "_fit_exterior", off_curve)
     for curve in curves:
         with pytest.raises(NonConvergence):
-            exterior_map(curve, tol=1e-10)
+            exterior_map(curve)
 
 
 def test_a_polylines_map_pair_builds_one_spline(monkeypatch):
