@@ -23,8 +23,8 @@ from .curves import CurveSpec
 from .errors import ContractError, InputError
 from .flow import run_flow, wp_path_length
 from .mapping import conformal_map_pair
-from .meshing import (aligned_surface_meshes, mesh_surface,
-                      surface_separation, write_obj, write_vertex_csv)
+from .meshing import (mesh_surface, surface_separation, write_obj,
+                      write_vertex_csv)
 from .series import circle_samples, coefficient_sum, nonlinearity_of
 from .volume import renormalized_volume
 
@@ -35,10 +35,9 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures"
 # polylines), and a floor for the circle, where both sides are 0
 GRUNSKY_SLACK = 1e-8
 GRUNSKY_FLOOR = 1e-13
-# volume --dump-obj clips both sheets at a height 0.1 |g'(inf)| 2^-k with
-# k < CLIP_HALVINGS: the smallest above both mesh rims
-CLIP_BASE = 0.1
-CLIP_HALVINGS = 11
+# verify-identity passes when |S - 4 V_R| <= tol |S| + IDENTITY_FLOOR: the
+# floor is for the circle, where both sides are 0
+IDENTITY_FLOOR = 1e-12
 
 
 @dataclass
@@ -48,7 +47,7 @@ class RunConfig:
     out: str = "."
     series_order: int = 128
     steps: int = 50
-    tol: float = 0.01
+    tol: float = 1e-9
     trace: bool = False
     mesh: str = "64x64"
     r_max: float = 1.0 - 2.0 ** -10
@@ -174,18 +173,28 @@ def cmd_grunsky(config, writer):
     return 0
 
 
+def write_sheets(writer, name, f, g, *mesh_args):
+    """Mesh both envelope sheets with mesh_surface(map, *mesh_args) and write
+    them as name_in.obj and name_out.obj. Returns the two meshes."""
+    meshes = []
+    for side, fmap in (("in", f), ("out", g)):
+        mesh = mesh_surface(fmap, *mesh_args)
+        obj = writer.out_dir / f"{name}_{side}.obj"
+        write_obj(obj, mesh.vertices, mesh.faces, mesh.eta,
+                  comment=f"{name}_{side} {writer.config.config_hash()}")
+        writer.register_external(obj)
+        meshes.append(mesh)
+    return meshes
+
+
 def cmd_surface(config, writer):
     curve = load_curve(config.curve)
     f, g = conformal_map_pair(curve, order=config.series_order)
     rn, an = config.parse_mesh()
-    mesh_in = mesh_surface(f, rn, an, config.r_max)
-    mesh_out = mesh_surface(g, rn, an, config.r_max)
-    for name, mesh in (("surface_in", mesh_in), ("surface_out", mesh_out)):
-        obj = writer.out_dir / f"{name}.obj"
-        write_obj(obj, mesh.vertices, mesh.faces, mesh.eta,
-                  comment=f"{name} {config.config_hash()}")
-        writer.register_external(obj)
-        csv = writer.out_dir / f"{name}.csv"
+    mesh_in, mesh_out = write_sheets(writer, "surface", f, g,
+                                     rn, an, config.r_max)
+    for side, mesh in (("in", mesh_in), ("out", mesh_out)):
+        csv = writer.out_dir / f"surface_{side}.csv"
         write_vertex_csv(csv, mesh)
         writer.register_external(csv)
     # innermost parameter radius from which the outer annulus stays an
@@ -209,33 +218,12 @@ def cmd_surface(config, writer):
 
 
 def cmd_volume(config, writer):
-    from .volume import cap_annulus, clip_mesh_above
-
     curve = load_curve(config.curve)
     f, g = conformal_map_pair(curve, order=config.series_order)
     report = renormalized_volume(f, g)
     writer.write_json("volume.json", asdict(report))
     if config.dump_obj:
-        mi, mo = aligned_surface_meshes(f, g, n_ang=256, per_octave=8,
-                                        interior_rings=24)
-        # clip at the smallest height above both mesh rims, or at the
-        # largest if none is
-        rim = max(float(m.heights()[m.ring].max()) for m in (mi, mo))
-        heights = [CLIP_BASE * abs(g.b1) * 0.5 ** k
-                   for k in range(CLIP_HALVINGS)]
-        eps = min((e for e in heights if e > rim), default=heights[0])
-        loops = []
-        for name, mesh in (("volume_in_clipped", mi),
-                           ("volume_out_clipped", mo)):
-            verts, faces, loop = clip_mesh_above(mesh, eps)
-            loops.append(loop)
-            obj = writer.out_dir / f"{name}.obj"
-            write_obj(obj, verts, faces, comment=name)
-            writer.register_external(obj)
-        cap_v, cap_f = cap_annulus(*loops)
-        obj = writer.out_dir / "volume_cap.obj"
-        write_obj(obj, cap_v, cap_f, comment="cap")
-        writer.register_external(obj)
+        write_sheets(writer, "volume", f, g)
     return 0
 
 
@@ -243,7 +231,7 @@ def cmd_verify_identity(config, writer):
     curve = load_curve(config.curve)
     f, g = conformal_map_pair(curve, order=config.series_order)
     report = renormalized_volume(f, g)
-    tol = max(config.tol * abs(report.action_total), 5e-4)
+    tol = config.tol * abs(report.action_total) + IDENTITY_FLOOR
     ok = abs(report.identity_residual) <= tol
     writer.write_json("verify_identity.json", {
         **asdict(report),
@@ -269,14 +257,7 @@ def cmd_flow(config, writer):
     if config.obj_every > 0:
         for s in states:
             if s.step % config.obj_every == 0:
-                mi, mo = aligned_surface_meshes(s.f, s.g, n_ang=256,
-                                                interior_rings=24)
-                for name, mesh in ((f"flow_{s.step:04d}_in", mi),
-                                   (f"flow_{s.step:04d}_out", mo)):
-                    obj = writer.out_dir / f"{name}.obj"
-                    write_obj(obj, mesh.vertices, mesh.faces, mesh.eta,
-                              comment=name)
-                    writer.register_external(obj)
+                write_sheets(writer, f"flow_{s.step:04d}", s.f, s.g)
     writer.write_json("flow.json", {
         "steps_accepted": len(states) - 1,
         "initial_action": states[0].action,
@@ -297,10 +278,11 @@ FLAGS = {
     "--trace": dict(action="store_true", help="also write action_trace.csv"),
     "--mesh": dict(help="mesh resolution RxA: rings x angular nodes"),
     "--r-max": dict(type=float, help="outermost parameter radius"),
-    "--obj-every": dict(type=int, help="write both sheets as OBJ at every "
-                                       "N-th accepted step (0: never)"),
-    "--dump-obj": dict(action="store_true",
-                       help="write the clipped sheets and the cap as OBJ"),
+    "--obj-every": dict(type=int, help="write both sheets as OBJ (surface's "
+                                       "default mesh) at every N-th accepted "
+                                       "step (0: never)"),
+    "--dump-obj": dict(action="store_true", help="write both sheets as OBJ "
+                                                 "(surface's default mesh)"),
 }
 
 COMMANDS = {

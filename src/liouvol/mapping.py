@@ -211,32 +211,31 @@ def exterior_map(curve, order=128):
     """Conformal map of |w| > 1 onto the outside of ``curve``.
 
     Normalization: g(inf) = inf with g'(inf) real positive. A series curve
-    is solved on the welding of f - f(0), a polyline on its polar radius;
-    both are certified at FIT_TOL. Returns (LaurentMap, SolveDiagnostics).
+    is solved on the welding of f - f(0), a polyline on its polar radius
+    about its anchor; g minus the anchor is certified at FIT_TOL, and the
+    anchor is added to b0 last. Returns (LaurentMap, SolveDiagnostics).
     """
-    anchor = curve.anchor()
     if curve.kind == "series":
         f = curve.series
-        problem = _Welding(PowerSeriesMap(np.r_[0, f.coeffs[1:]],
-                                          f.hint_radius))
-        mismatch = partial(_boundary_mismatch_welding, f)
+        f = PowerSeriesMap(np.r_[0, f.coeffs[1:]], f.hint_radius)
+        problem, mismatch = _Welding(f), partial(_boundary_mismatch_welding, f)
     else:
         rho = curve.polar()
         problem = _Polar(rho, -1.0)
-        mismatch = partial(_boundary_mismatch_polar, rho, anchor)
-    return _solve_polar(problem, mismatch, order, FIT_TOL,
-                        partial(_fit_exterior, anchor=anchor), "exterior")
+        mismatch = partial(_boundary_mismatch_polar, rho, 0.0)
+    g, diag = _solve_polar(problem, mismatch, order, FIT_TOL, _fit_exterior,
+                           "exterior")
+    return LaurentMap(g.b1, g.b0 + curve.anchor(), g.bneg), diag
 
 
-def _fit_exterior(samples, order, anchor):
-    """The LaurentMap of order ``order`` from samples of g - anchor at the n
-    uniform angles, rotated so g'(inf) > 0, with its spurious mass (the
-    largest positive frequency above 1), tail and scale."""
+def _fit_exterior(samples, order):
+    """The LaurentMap of order ``order`` from samples of g at the n uniform
+    angles, rotated so g'(inf) > 0, with its spurious mass (the largest
+    positive frequency above 1), tail and scale."""
     n = samples.size
     spec = np.fft.fft(samples) / n
     spurious = float(np.max(np.abs(spec[2: n // 4])))
-    g = LaurentMap(spec[1], spec[0] + anchor,
-                   spec[-1: -(order + 1): -1].copy())
+    g = LaurentMap(spec[1], spec[0], spec[-1: -(order + 1): -1].copy())
     g = g.rotated(np.angle(g.b1))
     g = LaurentMap(abs(g.b1), g.b0, g.bneg)
     tail = float(np.max(np.abs(g.bneg[3 * g.bneg.size // 4:])))

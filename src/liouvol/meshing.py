@@ -35,9 +35,6 @@ class SurfaceMesh:
     def n_vertices(self):
         return self.vertices.shape[0]
 
-    def heights(self):
-        return self.vertices[:, 2]
-
     def face_points(self):
         return self.vertices[self.faces]
 
@@ -256,23 +253,21 @@ def surface_separation(mesh_in, mesh_out):
 
 # -- export -------------------------------------------------------------------
 
-def write_obj(path, vertices, faces, normals=None, comment=None):
+def write_obj(path, vertices, faces, normals, comment=None):
     """OBJ export, y-up: file coordinates are (x, xi, y). Faces index the
-    normals too when they are given."""
+    vertex normals too."""
     lines = []
     if comment:
         lines.append(f"# {comment}")
     for v in vertices:
         lines.append("v " + " ".join(
             FLOAT_FMT % c for c in (v[0], v[2], v[1])))
-    if normals is not None:
-        for n in normals:
-            lines.append("vn " + " ".join(
-                FLOAT_FMT % c for c in (n[0], n[2], n[1])))
+    for n in normals:
+        lines.append("vn " + " ".join(
+            FLOAT_FMT % c for c in (n[0], n[2], n[1])))
     for tri in faces:
         a, b, c = (int(x) + 1 for x in tri)
-        lines.append(f"f {a}//{a} {b}//{b} {c}//{c}" if normals is not None
-                     else f"f {a} {b} {c}")
+        lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -63,8 +63,6 @@ NEVILLE_STAGES = 5  # most powers of eps eliminated from V(eps)
 GAUSS_NODES = 9     # Gauss-Legendre nodes per panel along a ray
 PANEL_DEPTH = 8     # ray panels have edges 0, 2^-PANEL_DEPTH, ..., 1/2, 1
 AREA_TOL = 1e-10    # relative mismatch of the two sheet areas
-CAP_TIE = 1e-9      # angular gaps (rad) this close to the widest are tied
-CAP_CUT = 1.0       # angle (rad) from which ties go counterclockwise
 # table points (rings x rays) per block of a sheet: the dozens of temporaries
 # of _height_jacobian on one block stay in a core's L2 cache
 _BLOCK_POINTS = 8192
@@ -127,10 +125,10 @@ def _clip(points, ids, eps, n_vertices):
     vertex (the one alone on its side of the level) comes first; both edges
     leaving that vertex are then cut in one array operation. A lone vertex
     above keeps one sub-triangle, a lone vertex below leaves a quad that is
-    split into two. Returns (sub-triangles above, (k, 3, 3); crossing
-    points, (k, 2, 3); crossing keys, (k, 2)). A crossing is keyed by its
-    mesh edge, lo * n_vertices + hi over the sorted vertex ids, or by the
-    vertex (id * n_vertices + id) when that vertex lies exactly at eps.
+    split into two. Returns (sub-triangles above, (k, 3, 3); crossing keys,
+    (k, 2)). A crossing is keyed by its mesh edge, lo * n_vertices + hi over
+    the sorted vertex ids, or by the vertex (id * n_vertices + id) when that
+    vertex lies exactly at eps.
     """
     up = points[..., 2] >= eps
     lone_up = up.sum(axis=1) == 1
@@ -155,7 +153,7 @@ def _clip(points, ids, eps, n_vertices):
     on_vertex = ends[..., 2] == eps
     lo = np.where(on_vertex, v[:, 1:], np.minimum(v[:, :1], v[:, 1:]))
     hi = np.where(on_vertex, v[:, 1:], np.maximum(v[:, :1], v[:, 1:]))
-    return tris, cuts, lo.astype(np.int64) * n_vertices + hi
+    return tris, lo.astype(np.int64) * n_vertices + hi
 
 
 def _face_flux(p):
@@ -178,8 +176,8 @@ def mesh_flux(vertices, faces, eps):
     hmin, hmax = h.min(axis=1), h.max(axis=1)
     above = hmin >= eps
     idx = np.flatnonzero((hmin < eps) & (hmax > eps))
-    tris, _, keys = _clip(p[idx], np.asarray(faces)[idx], eps,
-                          vertices.shape[0])
+    tris, keys = _clip(p[idx], np.asarray(faces)[idx], eps,
+                       vertices.shape[0])
     flux = float(np.sum(_face_flux(p[above])))
     flux += float(np.sum(_face_flux(tris)))
     below = float(np.sum(_projected_area(p[~above]))
@@ -208,7 +206,7 @@ def truncated_volume(mesh_in, mesh_out, eps):
     truncation height) while their tops rise above it.
     """
     for mesh in (mesh_in, mesh_out):
-        heights = mesh.heights()
+        heights = mesh.vertices[:, 2]
         if eps >= float(heights.max()):
             raise DomainError("truncation height above the whole surface")
         ring_h = float(heights[mesh.ring].max())
@@ -223,49 +221,6 @@ def truncated_volume(mesh_in, mesh_out, eps):
         total += flux
     sliver = (mesh_in.ring_area - mesh_out.ring_area) / (2.0 * eps * eps)
     return ORIENT_SIGN * (total + sliver)
-
-
-def clip_mesh_above(mesh, eps):
-    """Triangle soup of the mesh part above height eps (crossing triangles
-    split exactly), plus the clip-loop crossing points. For OBJ inspection
-    dumps."""
-    p = mesh.face_points()
-    h = p[..., 2]
-    hmin, hmax = h.min(axis=1), h.max(axis=1)
-    idx = np.flatnonzero((hmin < eps) & (hmax > eps))
-    tris, cuts, _ = _clip(p[idx], mesh.faces[idx], eps, mesh.n_vertices)
-    verts = np.concatenate([p[hmin >= eps], tris]).reshape(-1, 3)
-    faces = np.arange(verts.shape[0]).reshape(-1, 3)
-    return verts, faces, cuts.reshape(-1, 3)
-
-
-def cap_annulus(loop_in, loop_out):
-    """Triangle strip spanning the flat region between two clip loops at a
-    common height, each ordered by angle about the shared centroid from a
-    cut in the widest gap between both loops' vertices, so that rounding
-    moves no vertex across it; of gaps tied with the widest (a symmetric
-    curve has twins), the first counterclockwise from CAP_CUT."""
-    if len(loop_in) == 0 or len(loop_out) == 0:
-        return np.zeros((0, 3)), np.zeros((0, 3), dtype=int)
-    center = np.mean(np.vstack([loop_in, loop_out])[:, :2], axis=0)
-    angle = lambda loop: np.arctan2(loop[:, 1] - center[1],
-                                    loop[:, 0] - center[0])
-    both = np.sort(np.concatenate([angle(loop_in), angle(loop_out)]))
-    gaps = np.diff(both, append=both[0] + 2.0 * np.pi)
-    mids = (both + gaps / 2.0)[gaps >= gaps.max() - CAP_TIE]
-    cut = mids[np.argmin((mids - CAP_CUT) % (2.0 * np.pi))]
-    order = lambda loop: loop[np.argsort((angle(loop) - cut) % (2.0 * np.pi))]
-    a, b = order(loop_in), order(loop_out)
-    n = min(len(a), len(b))
-    idx_a = np.linspace(0, len(a) - 1, n).astype(int)
-    idx_b = np.linspace(0, len(b) - 1, n).astype(int)
-    verts = np.vstack([a[idx_a], b[idx_b]])
-    faces = []
-    for j in range(n):
-        jn = (j + 1) % n
-        faces.append((j, n + j, n + jn))
-        faces.append((j, n + jn, jn))
-    return verts, np.array(faces, dtype=int)
 
 
 def _sheet(fmap, n):

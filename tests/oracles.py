@@ -647,8 +647,8 @@ def polar_exterior_map(curve, order=128, tol=FIT_TOL):
     def fit(boundary_inv, order):
         # g(e^{i phi}) = 1 / G(e^{-i phi}): reverse the sample order and
         # keep sample 0 at phi = 0
-        return _fit_exterior(np.roll(1.0 / boundary_inv[::-1], 1), order,
-                             anchor)
+        g, *rest = _fit_exterior(np.roll(1.0 / boundary_inv[::-1], 1), order)
+        return (LaurentMap(g.b1, g.b0 + anchor, g.bneg), *rest)
 
     return _solve_polar(_Polar(rho_inv, 1.0),
                         partial(_boundary_mismatch_polar, rho, anchor),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (MobiusTransform, dirichlet_exterior_series,
-                     dirichlet_interior_series, equipotential,
+                     dirichlet_interior_series, ellipse_curve, equipotential,
                      first_variation_action, grid_displacement,
                      grunsky_gap_horner, mc_disk_integral)
 
@@ -81,6 +81,26 @@ def test_action_ellipse_positive_and_consistent(ellipse_maps):
               + 4 * math.pi * math.log(abs(f.coeffs[1]) / abs(g.b1)))
     assert rep.total == pytest.approx(oracle, rel=1e-3)
     assert rep.total >= -rep.error_estimate
+
+
+def _ellipse_action(a, b):
+    """S of the ellipse with semi-axes a > b in closed form: its exterior map
+    is w + q/w rescaled, q = (a - b)/(a + b), whose Grunsky operator is
+    diag(q^n), so S = -12 pi sum_n log(1 - q^(2n))."""
+    q = (a - b) / (a + b)
+    return -12.0 * math.pi * math.fsum(np.log1p(-q ** (2 * np.arange(1, 100))))
+
+
+@pytest.mark.parametrize("a, n, bound", [(1.2, 1024, 1e-10),
+                                         (1.5, 2048, 1e-11),
+                                         (2.0, 2048, 1e-11),
+                                         (2.0, 4096, 1e-12)])
+def test_action_of_an_ellipse_is_its_closed_form(a, n, bound):
+    # (1.2, 1024) is the bundled ellipse fixture, point for point; the
+    # bounds are the floor of the polyline's periodic spline
+    f, g = conformal_map_pair(ellipse_curve(a, 1.0, n))
+    exact = _ellipse_action(a, 1.0)
+    assert abs(liouville_action(f, g).total - exact) <= bound * exact
 
 
 def test_action_mobius_invariance(rng, ellipse_maps):

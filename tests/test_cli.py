@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import liouvol
-from liouvol import cli
+from liouvol import cli, meshing
 from liouvol.cli import build_parser, main
 
 
@@ -156,8 +156,7 @@ def test_flow_obj_every_writes_sheets_of_every_nth_step(tmp_path):
 
 
 def test_verify_identity_contract_failure_exits_2(tmp_path, monkeypatch):
-    # a residual of 1.0 lies above the 5e-4 floor that a tiny relative
-    # tolerance leaves
+    # a residual of 1.0 lies far above 1e-6 |S| + IDENTITY_FLOOR
     renormalized_volume = cli.renormalized_volume
     monkeypatch.setattr(cli, "renormalized_volume", lambda f, g: replace(
         renormalized_volume(f, g), identity_residual=1.0))
@@ -171,17 +170,59 @@ def test_verify_identity_contract_failure_exits_2(tmp_path, monkeypatch):
     assert payload["passed"] is False
 
 
-def test_volume_dump_obj_writes_clipped_sheets_and_cap(tmp_path):
-    code = run_cli("volume", "--curve", "cubic", "--out", str(tmp_path),
-                   "--series-order", "64", "--dump-obj")
-    assert code == 0
-    for name in ("volume_in_clipped.obj", "volume_out_clipped.obj",
-                 "volume_cap.obj"):
-        assert (tmp_path / name).exists()
-        assert name in json.loads(
-            (tmp_path / "manifest.json").read_text())["outputs"]
-    cap = (tmp_path / "volume_cap.obj").read_text().splitlines()
-    assert any(line.startswith("f ") for line in cap)
+def test_verify_identity_tol_is_relative_to_the_action(tmp_path, monkeypatch):
+    # a residual of 1e-5 exceeds --tol 1e-6 times the ellipse's S = 0.315;
+    # no absolute floor above IDENTITY_FLOOR lets it pass
+    renormalized_volume = cli.renormalized_volume
+    monkeypatch.setattr(cli, "renormalized_volume", lambda f, g: replace(
+        renormalized_volume(f, g), identity_residual=1e-5))
+    code = run_cli("verify-identity", "--curve", "ellipse",
+                   "--out", str(tmp_path), "--tol", "1e-6",
+                   "--series-order", "64")
+    assert code == 2
+    payload = json.loads((tmp_path / "verify_identity.json").read_text())
+    assert payload["tolerance"] == (1e-6 * abs(payload["action_total"])
+                                    + cli.IDENTITY_FLOOR)
+
+
+def _mesh_lines(path):
+    """The v, vn and f lines of an OBJ file."""
+    return [line for line in path.read_text().splitlines()
+            if line.split(" ", 1)[0] in ("v", "vn", "f")]
+
+
+def test_volume_dump_obj_writes_the_sheets_surface_writes(tmp_path):
+    # the dump is surface's default mesh of both sheets: the same v, vn and f
+    # lines, with no clip and no cap
+    dump, surface = tmp_path / "volume", tmp_path / "surface"
+    assert run_cli("volume", "--curve", "cubic", "--out", str(dump),
+                   "--series-order", "64", "--dump-obj") == 0
+    assert run_cli("surface", "--curve", "cubic", "--out", str(surface),
+                   "--series-order", "64") == 0
+    assert {p.name for p in dump.glob("*.obj")} == {"volume_in.obj",
+                                                    "volume_out.obj"}
+    outputs = json.loads((dump / "manifest.json").read_text())["outputs"]
+    for side in ("in", "out"):
+        assert f"volume_{side}.obj" in outputs
+        lines = _mesh_lines(dump / f"volume_{side}.obj")
+        assert any(line.startswith("f ") for line in lines)
+        assert lines == _mesh_lines(surface / f"surface_{side}.obj")
+
+
+def test_obj_outputs_need_no_welding(tmp_path, monkeypatch):
+    # every OBJ comes from mesh_surface, so the welding cannot end a dump
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an OBJ output used the welding")
+
+    monkeypatch.setattr(meshing, "welding", forbidden)
+    monkeypatch.setattr(meshing, "aligned_surface_meshes", forbidden)
+    assert run_cli("volume", "--curve", "cubic", "--out",
+                   str(tmp_path / "volume"), "--series-order", "64",
+                   "--dump-obj") == 0
+    assert run_cli("flow", "--curve", "cubic", "--out",
+                   str(tmp_path / "flow"), "--series-order", "64",
+                   "--steps", "2", "--obj-every", "1") == 0
+    assert len(list((tmp_path / "flow").glob("flow_*.obj"))) == 6
 
 
 def test_missing_curve_file_is_input_error(tmp_path):

@@ -84,12 +84,6 @@ def test_obj_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(verts, mesh.vertices)
     assert np.array_equal(norms, mesh.eta)
     assert np.array_equal(faces, mesh.faces)
-    # without normals the faces index vertices only
-    write_obj(path, mesh.vertices, mesh.faces)
-    verts, norms, faces = load_obj(path)
-    assert np.array_equal(verts, mesh.vertices) and norms.size == 0
-    assert np.array_equal(faces, mesh.faces)
-    assert path.read_text().splitlines()[-1].count("/") == 0
 
 
 def test_vertex_csv_export(tmp_path):

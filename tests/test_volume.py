@@ -27,8 +27,7 @@ from liouvol.meshing import aligned_surface_meshes, mesh_surface
 from liouvol.quadrature import angular_count
 from liouvol.series import LaurentMap, PowerSeriesMap, ring_jet
 from liouvol.volume import (GAUSS_NODES, _X, _check_clip_loops,
-                            _inv_sq_simplex, _projected_area, cap_annulus,
-                            clip_mesh_above, mesh_flux, renormalized_volume,
+                            _inv_sq_simplex, mesh_flux, renormalized_volume,
                             richardson_extrapolate, truncated_volume, volume)
 
 # the module itself: the package exports a function of the same name
@@ -292,22 +291,6 @@ def test_mesh_flux_matches_scalar_clip_on_ellipse_sheets(ellipse_maps):
                                     (0.11, 0.0275, 0.0034375))
 
 
-def test_clip_mesh_above_keeps_the_flux_above_the_level(ellipse_maps):
-    # the soup lies at or above eps, its loop at eps, and the mesh's flux is
-    # the soup's plus the projected area it cut away at the flat rate
-    f, g = ellipse_maps
-    for mesh in aligned_surface_meshes(f, g, n_ang=256):
-        for eps in (0.0275, 0.0034375):
-            verts, faces, loop = clip_mesh_above(mesh, eps)
-            assert np.all(verts[:, 2] >= eps)
-            assert loop.size and np.all(loop[:, 2] == eps)
-            cut = (_projected_area(mesh.face_points()).sum()
-                   - _projected_area(verts[faces]).sum())
-            flux = mesh_flux(mesh.vertices, mesh.faces, eps)[0]
-            soup = mesh_flux(verts, faces, eps)[0] - cut / (2.0 * eps * eps)
-            assert abs(flux - soup) <= 1e-10 * abs(flux)
-
-
 def _cone(ring_heights, apex=(0.0, 0.0, 2.0)):
     """Open cone from an apex down to a unit ring of given heights, faces
     oriented upward; the apex is vertex 0."""
@@ -325,22 +308,6 @@ def test_clip_loop_closes_on_open_sheet():
     mesh = mesh_surface(f, 32, 32, r_max=0.9)
     _, segs = mesh_flux(mesh.vertices, mesh.faces, 0.6)
     assert _check_clip_loops(segs) == len(segs) > 0
-
-
-def test_cap_order_is_stable_under_rounding():
-    # both loops have a vertex on the negative real axis, where the
-    # centroid's y is rounding noise, and equal gaps between their vertices:
-    # moving the outer loop by +-1e-14 must not rotate the cap's lists
-    def loop(radius, n):
-        pts = radius * np.exp(2j * np.pi * np.arange(n) / n)
-        pts[n // 2] = -radius
-        return np.column_stack([pts.real, pts.imag, np.full(n, 0.1)])
-
-    inner, outer = loop(1.0, 12), loop(2.0, 20)
-    (v_up, f_up), (v_down, f_down) = (
-        cap_annulus(inner, outer + [0.0, dy, 0.0]) for dy in (1e-14, -1e-14))
-    assert np.array_equal(f_up, f_down)
-    assert np.max(np.abs(v_up - v_down)) <= 1e-12
 
 
 def test_clip_loops_keep_nearby_crossings_on_distinct_edges_apart():
