@@ -69,6 +69,8 @@ class RunConfig:
             raise InputError("series order must be within [8, 2048]")
         if self.steps < 0 or self.steps > 10000:
             raise InputError("step count must be within [0, 10000]")
+        if self.obj_every < 0:
+            raise InputError("--obj-every must be at least 0")
         if not (0 < self.tol <= 1):
             raise InputError("tolerance must be in (0, 1]")
         rn, an = self.parse_mesh()

@@ -6,10 +6,8 @@ density), whose sup norm is at most 6 for univalent g. One step moves the
 curve to first order along the field transported to the image domain,
 solving d-bar F = nu_* by a Cauchy transform, then refits the moved
 boundary to an interior series. Steps are accepted only when the action
-decreases, so discretization error cannot fake convergence, and a step
-size that failed that test is not tried again in the run: each step starts
-at min(cap, twice the last accepted one), halved until below every such
-failure.
+decreases, so discretization error cannot fake convergence. The step keeps
+no memory: each starts at min(cap, NEWTON_STEP) and halves on rejection.
 
 The field is carried by the coefficients s_k of S(g) = sum s_k w^-k from
 one FFT of circle samples: its norms are coefficient sums and ring FFTs,
@@ -46,6 +44,9 @@ REFIT_TOL = 1e-6   # boundary residual a refit series must certify
 # |1/w| of the rings on which sup|nu| is sampled, graded toward |w| = 1
 RING_RADII = 1.0 - 0.5 ** np.arange(0.125, 12.0001, 0.125)
 STEP_CAP = 0.02        # largest t * sup|nu| a flow step tries
+# S is a Kahler potential of the WP metric, so near the circle S is about
+# |nu|_WP^2 / 4 and S(t) about S (1 - 2t)^2 along a step: 1/2 is Newton's step
+NEWTON_STEP = 0.5
 T_MIN = 1e-8           # step size below which the flow has stalled
 ACTION_FLOOR = 1e-9    # action at which the flow has converged
 CONTOUR_CHUNK = 256    # rows per block of the contour sum
@@ -197,35 +198,21 @@ def run_flow(curve, max_steps=50, order=128):
     """Backtracking gradient descent from ``curve`` toward the circle.
 
     Returns the list of accepted FlowStates (the initial state included).
-    The action is nonincreasing along the list by construction. A trial
-    starts at min(cap, 2 t_prev) and halves on rejection; trials at or
-    above the smallest step already rejected for no decrease are skipped.
-    Rejections for deformation, refit or map failures do not count as such.
+    The action is nonincreasing along the list by construction. Each step's
+    first trial is min(cap, NEWTON_STEP), halved on every rejection.
     """
     f, g = conformal_map_pair(curve, order=order)
     action = liouville_action(f, g).total
     field = gradient_field(g)
     states = [FlowState(0, action, field.wp_norm_sq, 0.0,
                         roundness_deficit(curve), f, g)]
-    t_prev = None
-    # Smallest step rejected for no decrease in this run; it is never raised
-    # again. That is safe where the first such rejection comes once the flow
-    # has settled: early steps are limited by t_cap, not by the decrease
-    # test, and after that the largest decreasing step does not grow. A flow
-    # whose largest decreasing step grew after a rejection would take more,
-    # smaller steps here than with the cap reset each step.
-    t_over = math.inf
     for step in range(1, max_steps + 1):
         if action < ACTION_FLOOR or field.sup_norm < 1e-12:
             logger.info("flow converged at step %d (action %.3e)", step - 1,
                         action)
             break
-        t_cap = 0.999 * STEP_CAP / field.sup_norm
-        t = t_cap if t_prev is None else min(t_cap, 2.0 * t_prev)
-        while t >= t_over:
-            t *= 0.5
+        t = min(0.999 * STEP_CAP / field.sup_norm, NEWTON_STEP)
         pre = displacement_field(field)
-        accepted = False
         while t >= T_MIN:
             try:
                 cand = beltrami_step(field, t, order=order, precomputed=pre)
@@ -236,16 +223,13 @@ def run_flow(curve, max_steps=50, order=128):
                 t *= 0.5
                 continue
             if cand_action < action:
-                accepted = True
                 break
-            t_over = t
             t *= 0.5
-        if not accepted:
+        else:
             raise Stalled(f"no decreasing step at step {step} "
                           f"(t floor {T_MIN:.1e})")
         curve, f, g, action = cand, fc, gc, cand_action
         field = gradient_field(g)
-        t_prev = t
         states.append(FlowState(step, action, field.wp_norm_sq, t,
                                 roundness_deficit(curve), f, g))
         logger.debug("step %d: action %.6e, |nu|_wp^2 %.3e, t %.3e",

@@ -696,6 +696,17 @@ def polynomial_curve(*coeffs, hint_radius=2.0):
     return CurveSpec.from_series(PowerSeriesMap(c, hint_radius=hint_radius))
 
 
+def balanced_curve(seed, stream):
+    """The balanced starlike curve z + sum_k a_k z^k, k = 2..6, with
+    k |a_k| = 0.2 / 5 and phases seeded by [seed, stream], built as
+    bench/workloads.balanced builds it (stream 3 is the flow workload's)."""
+    k = np.arange(2, 7)
+    rng = np.random.default_rng([seed, stream])
+    phases = np.exp(2j * np.pi * rng.random(k.size))
+    coeffs = np.concatenate([[0.0, 1.0], phases * (0.2 / (k * k.size))])
+    return CurveSpec.from_json({"series": [[c.real, c.imag] for c in coeffs]})
+
+
 def curve_to_json(curve):
     """The curve JSON payload that CurveSpec.from_json reads back."""
     if curve.kind == "series":

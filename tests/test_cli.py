@@ -267,6 +267,15 @@ def test_bad_grid_spec_is_input_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["--steps", "--obj-every"])
+def test_negative_flow_counts_are_input_errors(tmp_path, capsys, flag):
+    code = run_cli("flow", "--curve", "circle", "--out", str(tmp_path),
+                   flag, "-1")
+    assert code == 1
+    assert "input error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["volume", "verify-identity"])
 @pytest.mark.parametrize("height", ["nan", "inf", "-0.02"])
 def test_nonfinite_or_nonpositive_height_is_input_error(tmp_path, capsys,

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (circle_curve, descent_field, ellipse_curve,
-                     first_variation_action, gradient_ring_maxima,
-                     grid_displacement, grid_transform, polynomial_curve)
+from oracles import (balanced_curve, circle_curve, descent_field,
+                     ellipse_curve, first_variation_action,
+                     gradient_ring_maxima, grid_displacement, grid_transform,
+                     polynomial_curve)
 
 from liouvol.action import liouville_action
 from liouvol.curves import CurveSpec
@@ -233,9 +234,10 @@ def test_flow_energy_accounting():
                                    polynomial_curve(0.0, 0.08)],
                          ids=["ellipse", "wobble"])
 def test_step_policy_never_retries_an_overshoot(monkeypatch, curve):
-    """No trial step is at or above a step already rejected for no
-    decrease, a run rejects at most one trial for no decrease, and the
-    action never increases."""
+    """Each step's first trial is min(cap, 1/2), no trial step is at or
+    above a step already rejected for no decrease, no trial is rejected for
+    no decrease, each step takes one trial, and the action never
+    increases."""
     import liouvol.flow as flow
     trials = []  # [t, "raised" | "moved" | "solved"] per trial
     step, solve = flow.beltrami_step, flow.conformal_map_pair
@@ -256,22 +258,40 @@ def test_step_policy_never_retries_an_overshoot(monkeypatch, curve):
     monkeypatch.setattr(flow, "conformal_map_pair", recording_solve)
     states = run_flow(curve)
     accepted = [s.step_size for s in states[1:]]
-    no_decrease = []
+    no_decrease, first, new_step = [], [], True
     t_over = math.inf
     for t, outcome in trials:
         assert t < t_over
+        if new_step:
+            first.append(t)
+            new_step = False
         if outcome != "solved":
             continue
         if accepted and t == accepted[0]:
             accepted.pop(0)
+            new_step = True
         else:
             no_decrease.append(t)
             t_over = t
     assert not accepted
-    assert len(no_decrease) <= 1
+    assert len(no_decrease) == 0
+    assert first == [min(0.999 * flow.STEP_CAP
+                         / gradient_field(s.g).sup_norm, 0.5)
+                     for s in states[:-1]]
+    assert len(trials) == len(states) - 1
     acts = [s.action for s in states]
     assert all(b <= a for a, b in zip(acts, acts[1:]))
     assert acts[-1] < 1e-9
+
+
+@pytest.mark.parametrize("seed", [1828, 1844, 1909])
+def test_generic_flows_reach_the_floor_within_ten_steps(seed):
+    # generic curves of the flow workload whose steps, once past the cap,
+    # must be near Newton's 1/2: S(t) ~ S (1 - 2t)^2, so steps near 1 cut S
+    # by a few percent each, and 50 of them end at 1.4e-7, 5.5e-8, 4.0e-9
+    states = run_flow(balanced_curve(seed, 3))
+    assert len(states) - 1 <= 10
+    assert states[-1].action < 1e-9
 
 
 def test_roundness_deficit_zero_on_circle():
