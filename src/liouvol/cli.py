@@ -74,8 +74,8 @@ class RunConfig:
         if not (0 < self.tol <= 1):
             raise InputError("tolerance must be in (0, 1]")
         rn, an = self.parse_mesh()
-        if rn < 8 or an < 8:
-            raise InputError("mesh resolution must be at least 8x8")
+        if not (8 <= rn <= 1024 and 8 <= an <= 1024):
+            raise InputError("mesh sides must be within [8, 1024]")
         return self
 
     def parse_mesh(self):
@@ -111,7 +111,8 @@ class ArtifactWriter:
         path = self.out_dir / name
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(repr(float(v)) for v in row))
+            lines.append(",".join(str(v) if isinstance(v, (int, np.integer))
+                                  else repr(float(v)) for v in row))
         path.write_text("\n".join(lines) + "\n")
         self._register(path)
         return path

@@ -142,57 +142,3 @@ class CurveSpec:
         _star_steps(samples - self.anchor())
         return self
 
-
-def _argument_guess(m, a):
-    """chi -> (theta, chi') with arg(m(e^{i theta}) - a) close to chi, for
-    a series or a Laurent map m whose boundary winds counterclockwise
-    about a: a linear lookup in a table of one ring FFT at 4096 angles. chi'
-    is chi shifted by a multiple of 2 pi into the table's range, so that
-    theta lies in [0, 2 pi]."""
-    n = 4096
-    grid = 2 * np.pi * np.arange(n) / n
-    vals = ring_jet(m, 1.0, n, upto=0)[0] - a
-    ang = np.unwrap(np.angle(vals))
-    if ang[-1] < ang[0]:
-        raise DomainError("map boundary runs clockwise")
-    # monotone lookup table
-    ang_ext = np.concatenate([ang, [ang[0] + 2 * np.pi]])
-    grid_ext = np.concatenate([grid, [2 * np.pi]])
-
-    def guess(chi):
-        chi = np.asarray(chi, float)
-        target = np.mod(chi - ang_ext[0], 2 * np.pi) + ang_ext[0]
-        return np.interp(target, ang_ext, grid_ext), target
-    return guess
-
-
-def _argument_ratio(e, w, d1):
-    """e m'(e) / w for w = m(e) - a at e = e^{i theta}. Its real part is
-    d arg(m - a)/d theta, which must be positive: a map whose boundary is
-    star shaped about a."""
-    ratio = e * d1 / w
-    if np.any(ratio.real <= 0):
-        raise DomainError("map boundary is not star shaped about its anchor")
-    return ratio
-
-
-def _argument_inverse(m, a):
-    """chi -> theta solving arg(m(e^{i theta}) - a) = chi by Newton,
-    vectorized over chi, from the lookup of _argument_guess, which is built
-    once and shared by every inversion; each Newton step takes m and m'
-    from one Horner pass."""
-    guess = _argument_guess(m, a)
-
-    def invert(chi):
-        theta, target = guess(chi)
-        for _ in range(40):
-            e = np.exp(1j * theta)
-            w, d1 = m.jet(e, upto=1)
-            w = w - a
-            step = (np.angle(w * np.exp(-1j * target))
-                    / _argument_ratio(e, w, d1).real)
-            theta = theta - step
-            if np.max(np.abs(step)) < 1e-14:
-                break
-        return theta
-    return invert

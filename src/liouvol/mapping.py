@@ -1,30 +1,30 @@
 """Numerical conformal maps onto curve interiors/exteriors.
 
-The solver runs the classical boundary-correspondence iteration for
-star-shaped curves (Theodorsen): with the map written as z exp(h(z))
-inside, or w exp(H(w)) outside, the boundary angle function theta(phi)
-satisfies theta = phi + conj[log rho(theta)] inside and
-theta = phi - conj[log rho(theta)] outside, where rho is the polar radius
-about the anchor and conj is FFT-based harmonic conjugation. A polyline is
-solved on its polar radius on both sides. A series curve's exterior map is
-solved on the welding of f - f(0) instead, its constant term dropped
-exactly: g(e^{i psi}) = f(e^{i t(psi)}), by one jet and one Newton step
-per iteration, so its polar radius, whose every evaluation inverts
-arg(f - f(0)), is never built. Every solve runs one
-loop (_solve_polar): the correspondence iteration, order doubling and the
-certification of the map's distance to the curve, by the polar radius or,
-for a series exterior, on the welding; each solve supplies its iteration,
-fit and distance.
+One rule: every map is solved and certified about the curve's anchor,
+which is added last. Every correspondence problem, fit, certificate and
+argument inversion works on the curve minus its anchor (f(0), or a
+polyline's centroid); interior_map and exterior_map add curve.anchor()
+once, after the solve, so a curve far from the origin loses no digits.
+
+The solver runs Theodorsen's boundary-correspondence iteration for
+star-shaped curves: with the map z exp(h(z)) inside, or w exp(H(w))
+outside, the boundary angle theta(phi) satisfies
+theta = phi +- conj[log rho(theta)] (+ inside), rho the polar radius and
+conj FFT-based harmonic conjugation. A polyline is solved on its polar
+radius on both sides (_Polar), a series curve's exterior on the welding
+of f - f(0) (_Welding): g(e^{i psi}) = f(e^{i t(psi)}), by one jet and one
+Newton step per iteration, so its polar radius is never built. One loop
+(_solve_polar) runs the iteration, order doubling and the certification;
+each problem supplies its iteration and its distance to the curve, each
+side its fit.
 """
 
 import logging
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .curves import _argument_guess, _argument_inverse, _argument_ratio
-from .errors import CorrespondenceError, NonConvergence
+from .errors import CorrespondenceError, DomainError, NonConvergence
 from .series import LaurentMap, PowerSeriesMap, ring_jet
 
 logger = logging.getLogger(__name__)
@@ -73,8 +73,8 @@ def _solve_correspondence(problem, n, start=None):
 
 class _Polar:
     """Theodorsen's fixed point theta = phi + sign conj[log rho(theta)] of a
-    curve with polar radius rho, from theta = phi: sign +1 for the interior
-    map, -1 for the exterior map. Its boundary samples at phi are
+    curve with polar radius rho about 0, from theta = phi: sign +1 for the
+    interior map, -1 for the exterior map. Its boundary samples at phi are
     rho(theta) e^{i theta}."""
 
     def __init__(self, rho, sign):
@@ -90,6 +90,12 @@ class _Polar:
 
     def boundary(self, theta):
         return self.rho(theta) * np.exp(1j * theta)
+
+    def distance(self, fmap, theta):
+        """Largest distance of fmap's boundary from the curve, measured
+        radially at 4096 uniform angles."""
+        rel = ring_jet(fmap, 1.0, 4096, upto=0)[0]
+        return float(np.max(np.abs(np.abs(rel) - self.rho(np.angle(rel)))))
 
 
 class _Welding:
@@ -111,7 +117,7 @@ class _Welding:
     def start(self, psi):
         # unwrapped, with t(0) near 0, so that t - psi is periodic: a
         # doubled grid's warm start resamples it
-        t = np.unwrap(_argument_guess(self.f, 0.0)(psi)[0])
+        t = np.unwrap(_argument_guess(self.f)(psi)[0])
         t -= 2 * np.pi * np.round(t[0] / (2 * np.pi))
         return psi.copy() if np.max(np.abs(t - psi)) <= 1e-12 else t
 
@@ -131,6 +137,16 @@ class _Welding:
         t_last, w, ratio = self.last
         return w * (1 + 1j * ratio * (t - t_last))
 
+    def distance(self, g, t):
+        """max |g(e^{i psi}) - f(e^{i t(psi)})| over P = 4096 ceil(n/4096)
+        uniform psi, with the welding t of n points resampled to them.
+        f(e^{it}) is on the curve for every real t, so this bounds g's
+        distance from the curve however inaccurate t is."""
+        p = 4096 * -(-t.size // 4096)
+        t = t if p == t.size else _resample(t, p)
+        return float(np.max(np.abs(ring_jet(g, 1.0, p, upto=0)[0]
+                                    - self.f.eval_unchecked(np.exp(1j * t)))))
+
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
@@ -140,37 +156,24 @@ class SolveDiagnostics:
     boundary_mismatch: float    # max distance of map boundary to the curve
 
 
-def _boundary_mismatch_polar(rho, anchor, fmap, theta):
-    """Largest distance of fmap's boundary from the curve with polar radius
-    rho about anchor, measured radially at 4096 uniform angles."""
-    rel = ring_jet(fmap, 1.0, 4096, upto=0)[0] - anchor
-    return float(np.max(np.abs(np.abs(rel) - rho(np.angle(rel)))))
-
-
-def _boundary_mismatch_welding(f, g, t):
-    """max |g(e^{i psi}) - f(e^{i t(psi)})| over P = 4096 ceil(n/4096)
-    uniform psi, with the welding t of n points resampled to them. f(e^{it})
-    is on the curve for every real t, so this bounds g's distance from the
-    curve however inaccurate t is."""
-    p = 4096 * -(-t.size // 4096)
-    t = t if p == t.size else _resample(t, p)
-    return float(np.max(np.abs(ring_jet(g, 1.0, p, upto=0)[0]
-                                - f.eval_unchecked(np.exp(1j * t)))))
-
-
 def interior_map(curve, order=128, tol=FIT_TOL, auto_refine=True):
     """Conformal map of the unit disk onto the inside of ``curve``.
 
-    Normalization: f(anchor preimage) -- i.e. f(0) -- is the curve anchor,
-    and f'(0) > 0. Returns (PowerSeriesMap, SolveDiagnostics).
+    Normalization: f(0) is the curve anchor, added after the solve, and
+    f'(0) > 0. Returns (PowerSeriesMap, SolveDiagnostics).
     """
     if curve.kind == "series":
         return curve.series, SolveDiagnostics(0, 0.0, 0.0, 0.0)
-    return _interior_from_polar(curve.polar(), curve.anchor(), order, tol,
-                                auto_refine)
+    f, diag = _interior_from_polar(curve.polar(), order, tol, auto_refine)
+    return _with_constant(f, curve.anchor()), diag
 
 
-def _interior_from_polar(rho, anchor, order, tol, auto_refine=True):
+def _with_constant(f, c):
+    """The series f with its constant term replaced by c."""
+    return PowerSeriesMap(np.r_[c, f.coeffs[1:]], f.hint_radius)
+
+
+def _interior_from_polar(rho, order, tol, auto_refine=True):
     def fit(boundary, order):
         # z exp(h(z)) fixes 0: the constant and negative frequencies of
         # its boundary samples are spurious
@@ -186,13 +189,11 @@ def _interior_from_polar(rho, anchor, order, tol, auto_refine=True):
         coeffs[1] = abs(coeffs[1])
         tail = float(np.max(np.abs(coeffs[3 * coeffs.size // 4:])))
         scale = float(np.max(np.abs(coeffs)))
-        hint = _decay_radius(coeffs)
-        coeffs = coeffs + np.concatenate([[anchor], np.zeros(order, complex)])
-        return PowerSeriesMap(coeffs, hint), spurious, tail, scale
+        return (PowerSeriesMap(coeffs, _decay_radius(coeffs)), spurious,
+                tail, scale)
 
-    mismatch = partial(_boundary_mismatch_polar, rho, anchor)
-    return _solve_polar(_Polar(rho, 1.0), mismatch, order, tol, fit,
-                        "interior", auto_refine)
+    return _solve_polar(_Polar(rho, 1.0), order, tol, fit, "interior",
+                        auto_refine)
 
 
 def _decay_radius(coeffs):
@@ -216,15 +217,10 @@ def exterior_map(curve, order=128):
     anchor is added to b0 last. Returns (LaurentMap, SolveDiagnostics).
     """
     if curve.kind == "series":
-        f = curve.series
-        f = PowerSeriesMap(np.r_[0, f.coeffs[1:]], f.hint_radius)
-        problem, mismatch = _Welding(f), partial(_boundary_mismatch_welding, f)
+        problem = _Welding(_with_constant(curve.series, 0.0))
     else:
-        rho = curve.polar()
-        problem = _Polar(rho, -1.0)
-        mismatch = partial(_boundary_mismatch_polar, rho, 0.0)
-    g, diag = _solve_polar(problem, mismatch, order, FIT_TOL, _fit_exterior,
-                           "exterior")
+        problem = _Polar(curve.polar(), -1.0)
+    g, diag = _solve_polar(problem, order, FIT_TOL, _fit_exterior, "exterior")
     return LaurentMap(g.b1, g.b0 + curve.anchor(), g.bneg), diag
 
 
@@ -253,14 +249,13 @@ def _resample(theta, n):
             + 2 * np.pi * np.arange(n) / n)
 
 
-def _solve_polar(problem, mismatch, order, tol, fit, side,
-                 auto_refine=True):
-    """(map, SolveDiagnostics) of one side of a curve.
+def _solve_polar(problem, order, tol, fit, side, auto_refine=True):
+    """(map, SolveDiagnostics) of one side of a curve about 0.
     _solve_correspondence solves ``problem`` (a _Polar or a _Welding), and
     ``fit(problem.boundary(theta), order)`` turns its boundary samples into
     (map, largest Fourier coefficient the map cannot carry, tail, scale);
     the order doubles while tail > TAIL_TARGET * max(1, scale). The map's
-    distance to the curve, ``mismatch(map, theta)``, raised to that
+    distance to the curve, ``problem.distance(map, theta)``, raised to that
     spurious mass, must stay within max(tol, 50 * correspondence residual)
     times max(1, scale): tol is a distance on a curve of unit size.
     A doubled order on a finer grid starts its iteration from the previous
@@ -278,7 +273,7 @@ def _solve_polar(problem, mismatch, order, tol, fit, side,
         order = min(MAX_ORDER, order * 2)
         logger.debug("%s solve: doubling order to %d (tail %.2e)",
                      side, order, tail)
-    distance = max(mismatch(fmap, theta), spurious)
+    distance = max(problem.distance(fmap, theta), spurious)
     if distance > max(tol, 50 * corr) * max(1.0, scale):
         raise NonConvergence(iters, distance,
                              f"{side} fit residual too large")
@@ -334,6 +329,7 @@ def recenter_interior(f):
 def welding(f, g, theta):
     """Boundary correspondence angle arg(g^{-1}(f(e^{i theta}))): the angle
     at which g's boundary has the argument of f(e^{i theta}) about f(0).
+    Both maps are taken minus f(0) before either is evaluated.
 
     Accepts a scalar or an array of angles; the returned angles are
     unwrapped to be increasing along with theta. Raises
@@ -341,9 +337,11 @@ def welding(f, g, theta):
     than 1e-8.
     """
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    targets = f.eval_unchecked(np.exp(1j * theta_arr))
     anchor = complex(f.coeffs[0])
-    phi = _argument_inverse(g, anchor)(np.angle(targets - anchor))
+    f = _with_constant(f, 0.0)
+    g = LaurentMap(g.b1, g.b0 - anchor, g.bneg)
+    targets = f.eval_unchecked(np.exp(1j * theta_arr))
+    phi = _argument_inverse(g)(np.angle(targets))
 
     dist = np.abs(g(np.exp(1j * phi)) - targets)
     if np.max(dist) > 1e-8:
@@ -356,3 +354,56 @@ def welding(f, g, theta):
         phi += np.round((theta_arr[0] - phi[0]) / (2 * np.pi)) * 2 * np.pi
     out = phi if np.ndim(theta) else float(phi[0])
     return out
+
+
+def _argument_guess(m):
+    """chi -> (theta, chi') with arg m(e^{i theta}) close to chi, for a
+    series or a Laurent map m whose boundary winds counterclockwise about 0:
+    a linear lookup in a table of one ring FFT at 4096 angles. chi' is chi
+    shifted by a multiple of 2 pi into the table's range, so that theta
+    lies in [0, 2 pi]."""
+    n = 4096
+    grid = 2 * np.pi * np.arange(n) / n
+    ang = np.unwrap(np.angle(ring_jet(m, 1.0, n, upto=0)[0]))
+    if ang[-1] < ang[0]:
+        raise DomainError("map boundary runs clockwise")
+    # monotone lookup table
+    ang_ext = np.concatenate([ang, [ang[0] + 2 * np.pi]])
+    grid_ext = np.concatenate([grid, [2 * np.pi]])
+
+    def guess(chi):
+        chi = np.asarray(chi, float)
+        target = np.mod(chi - ang_ext[0], 2 * np.pi) + ang_ext[0]
+        return np.interp(target, ang_ext, grid_ext), target
+    return guess
+
+
+def _argument_ratio(e, w, d1):
+    """e m'(e) / w for w = m(e) at e = e^{i theta}. Its real part is
+    d arg m/d theta, which must be positive: a map whose boundary is star
+    shaped about 0."""
+    ratio = e * d1 / w
+    if np.any(ratio.real <= 0):
+        raise DomainError("map boundary is not star shaped about its anchor")
+    return ratio
+
+
+def _argument_inverse(m):
+    """chi -> theta solving arg m(e^{i theta}) = chi by Newton, vectorized
+    over chi, from the lookup of _argument_guess, which is built once and
+    shared by every inversion; each Newton step takes m and m' from one
+    Horner pass."""
+    guess = _argument_guess(m)
+
+    def invert(chi):
+        theta, target = guess(chi)
+        for _ in range(40):
+            e = np.exp(1j * theta)
+            w, d1 = m.jet(e, upto=1)
+            step = (np.angle(w * np.exp(-1j * target))
+                    / _argument_ratio(e, w, d1).real)
+            theta = theta - step
+            if np.max(np.abs(step)) < 1e-14:
+                break
+        return theta
+    return invert

@@ -9,7 +9,8 @@ It also holds the code that only the tests call: the reference curves,
 the quaternion model of upper half-space, the Epstein construction of a
 general conformal metric (the oracle for the frames (Z, xi, eta) of
 epstein._frame_fields), the grid pairing of the action's first variation,
-the inverted-curve route to the exterior map, the flow's sup|nu| on
+the inverted-curve route to the exterior map, the inverted pair (the
+maps of 1/(gamma - f(0)) built from f and g), the flow's sup|nu| on
 every ring, a curve JSON writer and an OBJ reader. The truncated ray
 volume V(eps) on a schedule of heights, extrapolated to eps -> 0, is the
 oracle for the finite-part ray volume of liouvol.volume.
@@ -17,16 +18,15 @@ oracle for the finite-part ray volume of liouvol.volume.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.polynomial import legendre
 
 from liouvol import flow
-from liouvol.curves import CurveSpec, _argument_inverse
+from liouvol.curves import CurveSpec
 from liouvol.epstein import _frame_fields, _height_jacobian, curvature_columns
 from liouvol.errors import DivergenceSuspected, DomainError, SingularDerivative
-from liouvol.mapping import (FIT_TOL, _boundary_mismatch_polar, _fit_exterior,
+from liouvol.mapping import (FIT_TOL, _argument_inverse, _fit_exterior,
                              _Polar, _solve_polar)
 from liouvol.quadrature import QuadratureGrid, angular_count
 from liouvol.volume import (AREA_TOL, GAUSS_NODES, _W, _X,
@@ -628,31 +628,62 @@ def ray_level_eleven_pieces(sheet, eps):
 def polar_exterior_map(curve, order=128, tol=FIT_TOL):
     """exterior_map of any curve through the interior problem of the
     inverted curve: the fixed point theta = phi + conj[log rho_inv(theta)]
-    of the radius rho_inv(chi) = 1 / rho(-chi) about the anchor, composed
-    with w -> 1/w. A series curve's radius rho inverts arg(f - anchor) by
-    Newton at every evaluation. The oracle for the exterior equation of
-    polylines and for the welding solve of series curves."""
-    anchor = curve.anchor()
+    of the radius rho_inv(chi) = 1 / rho(-chi), rho the curve's polar
+    radius about its anchor, composed with w -> 1/w. The map is fitted
+    about 0, certified against rho itself, and the anchor is added last.
+    A series curve's radius inverts arg(f - f(0)) by Newton at every
+    evaluation. The oracle for the exterior equation of polylines and for
+    the welding solve of series curves."""
     if curve.kind == "series":
-        f, invert = curve.series, _argument_inverse(curve.series, anchor)
+        f = PowerSeriesMap(np.r_[0, curve.series.coeffs[1:]])
+        invert = _argument_inverse(f)
 
         def rho(chi):
-            return np.abs(f.eval_unchecked(np.exp(1j * invert(chi))) - anchor)
+            return np.abs(f.eval_unchecked(np.exp(1j * invert(chi))))
     else:
         rho = curve.polar()
 
-    def rho_inv(chi):
-        return 1.0 / rho(-np.asarray(chi, float))
+    problem = _Polar(lambda chi: 1.0 / rho(-np.asarray(chi, float)), 1.0)
+    problem.distance = _Polar(rho, -1.0).distance
 
     def fit(boundary_inv, order):
         # g(e^{i phi}) = 1 / G(e^{-i phi}): reverse the sample order and
         # keep sample 0 at phi = 0
-        g, *rest = _fit_exterior(np.roll(1.0 / boundary_inv[::-1], 1), order)
-        return (LaurentMap(g.b1, g.b0 + anchor, g.bneg), *rest)
+        return _fit_exterior(np.roll(1.0 / boundary_inv[::-1], 1), order)
 
-    return _solve_polar(_Polar(rho_inv, 1.0),
-                        partial(_boundary_mismatch_polar, rho, anchor),
-                        order, tol, fit, "exterior")
+    g, diag = _solve_polar(problem, order, tol, fit, "exterior")
+    return LaurentMap(g.b1, g.b0 + curve.anchor(), g.bneg), diag
+
+
+# -- the inverted pair: the inversion that swaps the two sheets -------------
+
+def _above_floor(c, floor=1e-16):
+    """c up to its last entry above floor times its largest."""
+    mags = np.abs(c)
+    return c[: int(np.flatnonzero(mags > floor * mags.max())[-1]) + 1]
+
+
+def inverted_interior(f, g):
+    """F(z) = 1/(g(1/z) - f(0)), the interior map of the inverted curve
+    1/(gamma - f(0)): one FFT of its samples on the unit circle, g taken
+    minus f(0) before it is evaluated, truncated at 1e-16 relative."""
+    n = max(4096, 16 * g.order)
+    g = LaurentMap(g.b1, g.b0 - f.coeffs[0], g.bneg)
+    samples = 1.0 / g(np.exp(-2j * np.pi * np.arange(n) / n))
+    return PowerSeriesMap(_above_floor(np.fft.fft(samples)[: n // 2] / n))
+
+
+def inverted_exterior(f):
+    """G(w) = 1/(f(1/w) - f(0)), the exterior map of the inverted curve
+    1/(gamma - f(0)): one FFT of its samples on the unit circle, f taken
+    minus f(0) before it is evaluated, truncated at 1e-16 relative."""
+    n = max(4096, 16 * f.order)
+    f = PowerSeriesMap(np.r_[0, f.coeffs[1:]])
+    spec = np.fft.fft(1.0 / f.eval_unchecked(
+        np.exp(-2j * np.pi * np.arange(n) / n))) / n
+    # spec[1] = b1, spec[0] = b0, spec[n - k] = b_{-k}
+    terms = _above_floor(np.r_[spec[1], spec[-1: -(n // 2): -1]])
+    return LaurentMap(terms[0], spec[0], terms[1:])
 
 
 # -- sup|nu| of the flow's descent field on every ring ------------------------

@@ -41,7 +41,8 @@ def test_action_subcommand_and_trace(tmp_path):
     lines = (tmp_path / "action_trace.csv").read_text().strip().split("\n")
     assert lines[0] == "samples,interior,exterior,total"
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    assert [r[0] for r in rows] == [256, 512, 1024]
+    # the sample counts are written as integers
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [256, 512, 1024]
     assert rows[-1][1:] == [payload["interior_term"],
                             payload["exterior_term"], payload["total"]]
 
@@ -118,6 +119,9 @@ def test_flow_subcommand(tmp_path):
     lines = (tmp_path / "flow.csv").read_text().strip().split("\n")
     assert lines[0].startswith("step,action")
     assert len(lines) >= 2
+    # the step column is written as integers
+    steps = [int(line.split(",")[0]) for line in lines[1:]]
+    assert steps == list(range(len(steps)))
 
 
 def test_flow_reports_wp_path_length(tmp_path):
@@ -271,6 +275,24 @@ def test_bad_grid_spec_is_input_error(tmp_path):
 def test_negative_flow_counts_are_input_errors(tmp_path, capsys, flag):
     code = run_cli("flow", "--curve", "circle", "--out", str(tmp_path),
                    flag, "-1")
+    assert code == 1
+    assert "input error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mesh", ["7x64", "64x7", "1025x64", "64x1025",
+                                  "100000x100000"])
+def test_mesh_sides_outside_8_to_1024_are_input_errors(tmp_path, capsys,
+                                                       monkeypatch, mesh):
+    # refused before any map is solved or mesh built: 100000x100000 would
+    # ask mesh_surface for 1e10 vertices
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an out-of-range mesh reached the solvers")
+
+    monkeypatch.setattr(cli, "conformal_map_pair", forbidden)
+    monkeypatch.setattr(cli, "mesh_surface", forbidden)
+    code = run_cli("surface", "--curve", "circle", "--out", str(tmp_path),
+                   "--mesh", mesh)
     assert code == 1
     assert "input error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -196,6 +196,32 @@ def test_a_translated_polyline_keeps_its_action():
     assert abs(_action(moved) - s0) <= 1e-12 * s0
 
 
+@pytest.mark.parametrize("offset", [1e3, 1e7])
+def test_a_translated_polyline_keeps_its_action_and_volume(offset):
+    # both maps are fitted and certified about the centroid, which is added
+    # last: at 1e7 the points' own rounding, about 1e-9, is the floor
+    ellipse = load_curve("ellipse")
+    f, g = conformal_map_pair(ellipse)
+    fd, gd = conformal_map_pair(CurveSpec.from_polyline(ellipse.points
+                                                        + offset))
+    for ref, shifted in ((liouville_action(f, g).total,
+                          liouville_action(fd, gd).total),
+                         (renormalized_volume(f, g).V_R,
+                          renormalized_volume(fd, gd).V_R)):
+        assert abs(shifted - ref) <= 2e-9 * abs(ref)
+
+
+def test_welding_of_a_translated_series_pair():
+    # welding takes both maps minus f(0) before evaluating them: at 1e6 the
+    # angles keep the digits that g.b0's rounding leaves
+    c = np.array([0, 1, 0.1 + 0.05j, -0.03j])
+    theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    ref = welding(*conformal_map_pair(CurveSpec.from_series(c)), theta)
+    moved = CurveSpec.from_series(c + np.r_[1e6, 0, 0, 0])
+    assert np.max(np.abs(welding(*conformal_map_pair(moved), theta)
+                         - ref)) <= 1e-10
+
+
 def test_curvespec_json_roundtrip():
     c = polynomial_curve(0.0, 0.05)
     payload = json.loads(json.dumps(curve_to_json(c)))
@@ -417,7 +443,7 @@ def _exterior_solve_passes(monkeypatch, curve):
     arg(f - anchor)."""
     import liouvol.series as series
     horner = series._taylor_horner
-    certify = mapping_module._boundary_mismatch_welding
+    certify = mapping_module._Welding.distance
     solve = mapping_module._solve_correspondence
     passes, iterations, in_certification = [], [], [False]
 
@@ -442,10 +468,9 @@ def _exterior_solve_passes(monkeypatch, curve):
 
     with monkeypatch.context() as patch:
         patch.setattr(series, "_taylor_horner", taylor)
-        patch.setattr(mapping_module, "_boundary_mismatch_welding", certified)
+        patch.setattr(mapping_module._Welding, "distance", certified)
         patch.setattr(mapping_module, "_solve_correspondence", counted)
         patch.setattr(CurveSpec, "polar", forbidden)
-        patch.setattr(curves_module, "_argument_inverse", forbidden)
         patch.setattr(mapping_module, "_argument_inverse", forbidden)
         exterior_map(curve)
     return passes.count(False), sum(iterations), passes.count(True)

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import (H3Point, MobiusTransform, h3_distance, mobius_on_h3,
-                     osculating_mobius)
+from oracles import (H3Point, MobiusTransform, balanced_curve, h3_distance,
+                     inverted_exterior, inverted_interior, mobius_on_h3,
+                     osculating_mobius, polynomial_curve)
 
+from liouvol.cli import load_curve
+from liouvol.curves import CurveSpec
 from liouvol.errors import DomainError
+from liouvol.mapping import conformal_map_pair
 from liouvol.series import PowerSeriesMap
+from liouvol.volume import renormalized_volume
 
 
 def test_determinant_normalized():
@@ -122,3 +127,34 @@ def test_osculating_jet_match_random_polynomials(rng):
         assert abs(m0 - w0) < 1e-9
         assert abs(m1 - w1) < 1e-9
         assert abs(m2 - w2) < 1e-4
+
+
+
+def _inversion_curve(name):
+    """A fixture, the fivefold star z + 0.08 z^5 or a balanced starlike
+    curve ("balanced<seed>")."""
+    if name == "star":
+        return polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    if name.startswith("balanced"):
+        return balanced_curve(int(name[-1]), 2)
+    return load_curve(name)
+
+
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble", "star",
+                                  "balanced1", "balanced2", "balanced3"])
+def test_the_inversion_that_swaps_the_sheets_keeps_action_and_volume(name):
+    # z -> 1/(z - f(0)) carries the curve to gamma' and its exterior to the
+    # inside of gamma': S, V and V_R are the same for the inverted pair
+    # (F, G) and for the maps of gamma' re-solved from F. The ellipse is a
+    # polyline, whose maps carry its spline's floor
+    s_tol, v_tol = (1e-10, 1e-10) if name == "ellipse" else (1e-13, 1e-12)
+    f, g = conformal_map_pair(_inversion_curve(name))
+    ref = renormalized_volume(f, g)
+    f_inv = inverted_interior(f, g)
+    for pair in ((f_inv, inverted_exterior(f)),
+                 conformal_map_pair(CurveSpec.from_series(f_inv))):
+        report = renormalized_volume(*pair)
+        assert (abs(report.action_total - ref.action_total)
+                <= s_tol * abs(ref.action_total))
+        assert abs(report.V - ref.V) <= v_tol * abs(ref.V)
+        assert abs(report.V_R - ref.V_R) <= v_tol * abs(ref.V_R)
