@@ -1,11 +1,11 @@
 """Curve inputs: analytic interior-series curves and sampled polylines.
 
-Both variants have an interior anchor point: f(0) for series curves and
-the vertex centroid for polylines. Both must be star shaped about it, as
-both map solvers need, and that one test also makes the curve simple. A
-polyline exposes its polar radius function about the anchor, which is what
-the boundary-correspondence solver consumes; a series curve is solved in
-its own parameter instead.
+A curve is an input that only the map solvers read. Both variants have an
+interior anchor point: f(0) for series curves and the vertex centroid for
+polylines. Every curve built (from_series, from_polyline) is star shaped
+about it, as both map solvers need, and that one test also makes the curve
+simple. A polyline exposes its polar radius about the anchor to the
+correspondence solver; a series curve is solved in its own parameter.
 """
 
 import functools
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .series import PowerSeriesMap, ring_jet
+from .series import PowerSeriesMap, ring_values
 
 
 def _star_steps(rel):
@@ -54,18 +54,15 @@ class CurveSpec:
     points: np.ndarray | None = None
 
     @classmethod
-    def from_series(cls, f, check=True):
+    def from_series(cls, f):
         if not isinstance(f, PowerSeriesMap):
             f = PowerSeriesMap(f)
         if not f.is_normalized_map():
             raise DomainError("interior series needs a nonzero linear term")
-        curve = cls("series", series=f)
-        if check:
-            curve.validate()
-        return curve
+        return cls("series", series=f).validate()
 
     @classmethod
-    def from_polyline(cls, points, check=True):
+    def from_polyline(cls, points):
         pts = np.asarray(points, dtype=complex).ravel()
         # a closing copy of the first point, to the rounding of coordinates
         # of the curve's size
@@ -73,10 +70,7 @@ class CurveSpec:
             pts = pts[:-1]
         if pts.size < 8:
             raise DomainError("polyline needs at least 8 points")
-        curve = cls("polyline", points=pts)
-        if check:
-            curve.validate()
-        return curve
+        return cls("polyline", points=pts).validate()
 
     @classmethod
     def from_json(cls, payload):
@@ -93,17 +87,6 @@ class CurveSpec:
         if self.kind == "series":
             return complex(self.series.coeffs[0])
         return complex(np.mean(self.points))
-
-    def boundary(self, n=2048):
-        if self.kind == "series":
-            return ring_jet(self.series, 1.0, n, upto=0)[0]
-        pts = self.points
-        # resample by arclength-free parameter (vertex index), fine for
-        # densely sampled inputs
-        t = np.arange(pts.size + 1)
-        closed = np.append(pts, pts[0])
-        s = np.linspace(0, pts.size, n, endpoint=False)
-        return np.interp(s, t, closed.real) + 1j * np.interp(s, t, closed.imag)
 
     def polar(self):
         """Radius function chi -> rho(chi) of a polyline about its anchor,
@@ -135,10 +118,10 @@ class CurveSpec:
 
     def validate(self):
         """The one admissibility test: the polyline's vertices, or 2048
-        boundary samples of a series curve, are star shaped about the
-        anchor, as both map solvers need."""
-        samples = (self.points if self.kind == "polyline"
-                   else self.boundary(2048))
-        _star_steps(samples - self.anchor())
+        samples of a series curve, taken minus the anchor, are star shaped
+        about 0, as both map solvers need."""
+        rel = (self.points - self.anchor() if self.kind == "polyline"
+               else ring_values(np.r_[0, self.series.coeffs[1:]], 1.0, 2048))
+        _star_steps(rel)
         return self
 

@@ -18,12 +18,12 @@ class DomainError(InputError):
     """Argument outside the validity region of a map or operation."""
 
 
-class SingularDerivative(LiouvolError):
-    """Derivative magnitude below the usable floor (default 1e-14)."""
-
-
 class ContractError(LiouvolError):
     pass
+
+
+class SingularDerivative(ContractError):
+    """|f'| at or below series.DERIVATIVE_FLOOR times its largest value."""
 
 
 class NonConvergence(ContractError):

@@ -8,6 +8,7 @@ solving d-bar F = nu_* by a Cauchy transform, then refits the moved
 boundary to an interior series. Steps are accepted only when the action
 decreases, so discretization error cannot fake convergence. The step keeps
 no memory: each starts at min(cap, NEWTON_STEP) and halves on rejection.
+The state is the map pair (f, g) alone: the roundness is read from g.
 
 The field is carried by the coefficients s_k of S(g) = sum s_k w^-k from
 one FFT of circle samples: its norms are coefficient sums and ring FFTs,
@@ -157,8 +158,8 @@ def beltrami_step(nu, t, order=128, precomputed=None):
     that carries the boundary velocity: displacement_field(nu), or
     ``precomputed`` (boundary points, velocity) for a field without
     coefficients. The moved boundary is refit to an interior series; raises
-    DeformationError if the moved curve is not star shaped about its
-    centroid and RefitError if the series fit cannot certify its residual.
+    DeformationError if the moved polyline or the refit is not star shaped
+    about its anchor, RefitError if the fit cannot certify its residual.
     """
     sup = getattr(nu, "sup_norm", None)
     if sup is not None and abs(t) * sup >= 0.1:
@@ -173,25 +174,24 @@ def beltrami_step(nu, t, order=128, precomputed=None):
     moved = z + t * fdot
     try:
         poly = CurveSpec.from_polyline(moved)
-    except DomainError as exc:
-        raise DeformationError(f"deformed curve refused: {exc}") from exc
-    try:
         f_new, _ = interior_map(poly, order=min(order, moved.size // 3),
                                 tol=REFIT_TOL, auto_refine=False)
+        return CurveSpec.from_series(f_new)
+    except DomainError as exc:
+        raise DeformationError(f"deformed curve refused: {exc}") from exc
     except NonConvergence as exc:
         raise RefitError(f"series refit failed: {exc}") from exc
-    return CurveSpec.from_series(f_new, check=False)
 
 
-def roundness_deficit(curve):
-    """Isoperimetric deficit L^2/(4 pi A) - 1 of the 4096-gon inscribed in
-    the curve; zero exactly on circles."""
-    z = curve.boundary(4096)
-    dz = np.roll(z, -1) - z
-    length = float(np.sum(np.abs(dz)))
-    area = 0.5 * float(np.sum(z.real * np.roll(z.imag, -1)
-                              - np.roll(z.real, -1) * z.imag))
-    return length ** 2 / (4.0 * math.pi * abs(area)) - 1.0
+def roundness_deficit(g):
+    """Isoperimetric deficit L^2/(4 pi A) - 1 of the curve of the exterior
+    map g; zero exactly on circles. With g scaled to b1 = 1, the area is
+    pi (1 - sum k |b_-k|^2) (the area theorem) and the length 2 pi mean|g'|
+    over the circle samples, whose jet gradient_field(g) has cached."""
+    speed = np.abs(circle_samples(g, lambda jet: jet[1] / g.b1))
+    k = np.arange(1, g.order + 1)
+    area = 1.0 - float(np.sum(k * np.abs(g.bneg / g.b1) ** 2))
+    return float(np.mean(speed)) ** 2 / area - 1.0
 
 
 def run_flow(curve, max_steps=50, order=128):
@@ -205,7 +205,7 @@ def run_flow(curve, max_steps=50, order=128):
     action = liouville_action(f, g).total
     field = gradient_field(g)
     states = [FlowState(0, action, field.wp_norm_sq, 0.0,
-                        roundness_deficit(curve), f, g)]
+                        roundness_deficit(g), f, g)]
     for step in range(1, max_steps + 1):
         if action < ACTION_FLOOR or field.sup_norm < 1e-12:
             logger.info("flow converged at step %d (action %.3e)", step - 1,
@@ -228,10 +228,10 @@ def run_flow(curve, max_steps=50, order=128):
         else:
             raise Stalled(f"no decreasing step at step {step} "
                           f"(t floor {T_MIN:.1e})")
-        curve, f, g, action = cand, fc, gc, cand_action
+        f, g, action = fc, gc, cand_action
         field = gradient_field(g)
         states.append(FlowState(step, action, field.wp_norm_sq, t,
-                                roundness_deficit(curve), f, g))
+                                roundness_deficit(g), f, g))
         logger.debug("step %d: action %.6e, |nu|_wp^2 %.3e, t %.3e",
                      step, action, field.wp_norm_sq, t)
     return states

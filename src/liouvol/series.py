@@ -212,11 +212,12 @@ def ring_jet(m, radii, n, upto=3):
 
 
 def nonlinearity_of(jet):
-    """f''/f' from a jet (f, f', f'', ...) of the map."""
-    d1, d2 = jet[1], jet[2]
-    if np.any(np.abs(d1) < DERIVATIVE_FLOOR):
-        raise SingularDerivative(f"|f'| below {DERIVATIVE_FLOOR}")
-    return d2 / d1
+    """f''/f' from a jet (f, f', f'', ...) of the map; refuses |f'| at or
+    below DERIVATIVE_FLOOR times its largest value over the jet's points."""
+    size = np.abs(jet[1])
+    if np.any(size <= DERIVATIVE_FLOOR * np.max(size)):
+        raise SingularDerivative(f"|f'| below {DERIVATIVE_FLOOR} of its max")
+    return jet[2] / jet[1]
 
 
 def schwarzian_of(jet):

@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (MetricJet, circle_curve, dirichlet_exterior_series,
-                     dirichlet_interior_series, ellipse_curve, epstein_point,
-                     equipotential, fd_shape_operator, polynomial_curve)
+from oracles import (MetricJet, boundary_samples, circle_curve,
+                     dirichlet_exterior_series, dirichlet_interior_series,
+                     ellipse_curve, epstein_point, equipotential,
+                     fd_shape_operator, polynomial_curve)
 
 from liouvol.action import grunsky_gap, liouville_action
 from liouvol.epstein import _frame_fields
@@ -182,7 +183,7 @@ def test_criterion_6_equipotential_monotonicity(ellipse_pair):
         fn = equipotential(f, n)
         from liouvol.curves import CurveSpec
         from liouvol.mapping import exterior_map
-        curve_n = CurveSpec.from_series(fn, check=False)
+        curve_n = CurveSpec.from_series(fn)
         gn, _ = exterior_map(curve_n, order=96)
         values.append(liouville_action(fn, gn).total)
     nondecreasing = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -288,7 +289,7 @@ def test_criterion_10_boundary_height_bounds(ellipse_pair, cubic_pair):
                 ("circle", (PowerSeriesMap([0, 1], hint_radius=8),
                             LaurentMap(1.0)), circle_curve())]
     for name, (f, g), curve in fixtures:
-        gamma = curve.boundary(8192)
+        gamma = boundary_samples(curve, 8192)
         diam = float(np.max(np.abs(gamma[:, None] - gamma[None, ::8])))
         mesh_in = mesh_surface(f, 48, 64)
         z_in = f.eval_unchecked(mesh_in.source)

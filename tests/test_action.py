@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (MobiusTransform, dirichlet_exterior_series,
-                     dirichlet_interior_series, ellipse_curve, equipotential,
-                     first_variation_action, grid_displacement,
-                     grunsky_gap_horner, mc_disk_integral)
+from oracles import (MobiusTransform, balanced_curve,
+                     dirichlet_exterior_series, dirichlet_interior_series,
+                     ellipse_curve, equipotential, first_variation_action,
+                     grid_displacement, grunsky_determinant_action,
+                     grunsky_gap_horner, mc_disk_integral, polynomial_curve)
 
 from liouvol.action import grunsky_gap, liouville_action
 from liouvol.cli import load_curve
@@ -103,6 +104,36 @@ def test_action_of_an_ellipse_is_its_closed_form(a, n, bound):
     assert abs(liouville_action(f, g).total - exact) <= bound * exact
 
 
+@pytest.mark.parametrize("a", [1.2, 1.5, 2.0])
+def test_grunsky_determinant_of_an_ellipse_is_its_closed_form(a):
+    q = (a - 1.0) / (a + 1.0)
+    exact = _ellipse_action(a, 1.0)
+    determinant = grunsky_determinant_action(LaurentMap(1.0, 0.0, [q]))
+    assert abs(determinant - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("name", ["cubic", "wobble", "star", "quintic",
+                                  "balanced1", "balanced2", "balanced3"])
+def test_action_is_the_grunsky_determinant_of_either_map(name):
+    # S = -12 pi log det(I - B B*), with B the Grunsky operator of g, or of
+    # f read as the exterior operator of the inverted curve. The quintic
+    # z + 0.12 z^5 has an exterior map of order 2048, beyond the torus
+    # grids the oracle builds, so only its interior form is checked
+    if name == "star":
+        curve = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    elif name == "quintic":
+        curve = polynomial_curve(0.0, 0.0, 0.0, 0.12, hint_radius=1.5)
+    elif name.startswith("balanced"):
+        curve = balanced_curve(int(name[-1]), 2)
+    else:
+        curve = load_curve(name)
+    f, g = conformal_map_pair(curve)
+    action = liouville_action(f, g).total
+    for m in (f,) if name == "quintic" else (f, g):
+        determinant = grunsky_determinant_action(m)
+        assert abs(determinant - action) <= 1e-12 * action
+
+
 def test_action_mobius_invariance(rng, ellipse_maps):
     f, g = ellipse_maps
     base = liouville_action(f, g).total
@@ -113,7 +144,7 @@ def test_action_mobius_invariance(rng, ellipse_maps):
     poles = [2.0, -2.2 + 1.1j, 3.0 * np.exp(1j * a)]
     for pole in poles:
         A = MobiusTransform(0, 1, 1, -pole)
-        moved = CurveSpec.from_polyline(A.eval_array(boundary), check=False)
+        moved = CurveSpec.from_polyline(A.eval_array(boundary))
         f2, g2 = conformal_map_pair(moved, order=128)
         assert abs(liouville_action(f2, g2).total - base) < 1e-4
 
@@ -161,8 +192,7 @@ def test_equipotential_action_monotone_with_rate(ellipse_maps):
     deficits = []
     for n in (8, 16, 32, 64, 256):
         fn = equipotential(f, n)
-        gn, _ = exterior_map(CurveSpec.from_series(fn, check=False),
-                             order=96)
+        gn, _ = exterior_map(CurveSpec.from_series(fn), order=96)
         deficits.append((n, base - liouville_action(fn, gn).total))
     assert all(d > 0 for _, d in deficits)
     assert all(d2 < d1 for (_, d1), (_, d2) in zip(deficits, deficits[1:]))

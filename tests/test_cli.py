@@ -145,6 +145,63 @@ def test_flow_reports_wp_path_length(tmp_path):
     assert payload["wp_path_length"] == 0
 
 
+@pytest.mark.parametrize("name", ["circle", "ellipse", "cubic", "wobble"])
+def test_flow_roundness_is_exact(tmp_path, name):
+    # the deficit L^2/(4 pi A) - 1 is read from the exterior map: row 0 of
+    # the ellipse fixture is the 1.2 x 1 ellipse's own, and every flow ends
+    # round to rounding (an inscribed 4096-gon would read 1.96e-7 there)
+    assert run_cli("flow", "--curve", name, "--out", str(tmp_path)) == 0
+    payload = json.loads((tmp_path / "flow.json").read_text())
+    assert abs(payload["final_roundness"]) <= 1e-14
+    if name == "ellipse":
+        lines = (tmp_path / "flow.csv").read_text().strip().split("\n")
+        first = float(lines[1].split(",")[4])
+        # the trapezoid sum of the speed is exact to rounding on a period
+        t = 2 * np.pi * np.arange(4096) / 4096
+        length = 2 * np.pi * np.mean(np.hypot(1.2 * np.sin(t), np.cos(t)))
+        exact = length ** 2 / (4 * np.pi * np.pi * 1.2) - 1
+        assert abs(first - exact) <= 1e-12
+
+
+SCALED = np.array([0, 1, 0.1 + 0.05j, -0.03j])
+
+
+def _scaled_curve(tmp_path, scale):
+    path = tmp_path / f"curve_{scale:g}.json"
+    path.write_text(json.dumps(
+        {"series": [[c.real, c.imag] for c in scale * SCALED]}))
+    return str(path)
+
+
+def _scaled_outputs(tmp_path, scale):
+    curve, out = _scaled_curve(tmp_path, scale), tmp_path / f"out_{scale:g}"
+    assert run_cli("action", "--curve", curve, "--out", str(out)) == 0
+    assert run_cli("verify-identity", "--curve", curve,
+                   "--out", str(out)) == 0
+    return (json.loads((out / "action.json").read_text())["total"],
+            json.loads((out / "verify_identity.json").read_text())["V_R"])
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-14, 1e20, 1e150])
+def test_action_and_volume_are_free_of_the_curve_size(tmp_path, scale):
+    # the derivative floor scales with the map, so a tiny curve is no
+    # singular map
+    s_ref, v_ref = _scaled_outputs(tmp_path, 1.0)
+    s, v_r = _scaled_outputs(tmp_path, scale)
+    assert abs(s - s_ref) <= 1e-12 * s_ref
+    assert abs(v_r - v_ref) <= 1e-11 * v_ref
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e200])
+def test_flow_is_free_of_the_curve_size(tmp_path, scale):
+    # the roundness is read from g scaled to b1 = 1, so no length squares
+    # past the float range
+    curve = _scaled_curve(tmp_path, scale)
+    assert run_cli("flow", "--curve", curve, "--out", str(tmp_path)) == 0
+    payload = json.loads((tmp_path / "flow.json").read_text())
+    assert payload["final_action"] < 1e-9
+
+
 def test_flow_obj_every_writes_sheets_of_every_nth_step(tmp_path):
     code = run_cli("flow", "--curve", "wobble", "--out", str(tmp_path),
                    "--steps", "5", "--obj-every", "5")

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from oracles import (circle_curve, curve_to_json, ellipse_curve,
-                     polar_exterior_map, polyline_is_simple_sweep,
-                     polynomial_curve)
+from oracles import (boundary_samples, circle_curve, curve_to_json,
+                     ellipse_curve, polar_exterior_map,
+                     polyline_is_simple_sweep, polynomial_curve)
 
 import liouvol.curves as curves_module
 import liouvol.mapping as mapping_module
@@ -48,7 +48,7 @@ def _simplicity_cases():
     for name in ("ellipse", "cubic", "wobble", "circle"):
         curve = load_curve(name)
         cases[name] = (curve.points if curve.kind == "polyline"
-                       else curve.boundary(2048))
+                       else boundary_samples(curve))
     for trial in range(40):
         n = 8 if trial < 4 else int(rng.integers(9, 700))
         t = 2 * np.pi * (np.arange(n) + 0.3 * rng.random(n)) / n
@@ -132,7 +132,7 @@ def test_a_polygon_that_winds_twice_is_refused():
 
 def test_a_simple_series_curve_that_is_not_starlike_is_refused():
     f = PowerSeriesMap([0, 1, -0.71 + 0.1j, 0.19 + 0.12j, -0.04 - 0.09j])
-    samples = CurveSpec.from_series(f, check=False).boundary(2048)
+    samples = boundary_samples(CurveSpec("series", series=f))
     assert polyline_is_simple_sweep(samples)
     with pytest.raises(DomainError, match="star shaped"):
         CurveSpec.from_series(f)
@@ -249,7 +249,7 @@ def test_non_star_shaped_polyline_rejected_by_solvers():
     t_out = np.linspace(-0.75 * np.pi, 0.75 * np.pi, 80)
     t_in = t_out[::-1]
     pts = np.concatenate([np.exp(1j * t_out), 0.55 * np.exp(1j * t_in)])
-    curve = CurveSpec.from_polyline(pts, check=False)
+    curve = CurveSpec("polyline", points=pts)
     with pytest.raises(DomainError):
         interior_map(curve, order=32)
 
@@ -416,7 +416,7 @@ def test_series_exterior_map_matches_the_polar_fixed_point(monkeypatch):
                ((1, 2, 0.45), (2, 4, 0.3), (3, 6, 0.4), (4, 8, 0.45),
                 (5, 5, 0.45))]
     curves += [load_curve("ellipse")] + [
-        CurveSpec.from_polyline(c.boundary(2048)) for c in
+        CurveSpec.from_polyline(boundary_samples(c)) for c in
         (polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8),
          polynomial_curve(0.1, 0.05j))]
     for curve in curves:

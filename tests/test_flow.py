@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (balanced_curve, circle_curve, descent_field,
-                     ellipse_curve, first_variation_action,
+from oracles import (balanced_curve, boundary_samples, circle_curve,
+                     descent_field, ellipse_curve, first_variation_action,
                      gradient_ring_maxima, grid_displacement, grid_transform,
                      polynomial_curve)
 
@@ -118,7 +118,7 @@ def test_beltrami_step_zero_field_or_time(grid, ellipse, ellipse_maps):
     moved = beltrami_step(zero, 0.37, order=64, precomputed=grid_displacement(
         ellipse, g, np.zeros_like, grid))
     # same curve as a point set (the refit may reparametrize the boundary)
-    pts = moved.boundary(512)
+    pts = boundary_samples(moved, 512)
     radial_gap = np.abs(pts) - 1.2 / np.sqrt(
         np.cos(np.angle(pts)) ** 2 + 1.44 * np.sin(np.angle(pts)) ** 2)
     assert np.max(np.abs(radial_gap)) < 1e-5
@@ -149,7 +149,7 @@ def test_beltrami_step_detects_self_intersection(ellipse, ellipse_maps):
     from liouvol.errors import DeformationError
     _, g = ellipse_maps
     zero = BeltramiField(g, np.zeros(256, complex), 0.5, 0.0)
-    z = ellipse.boundary(256)
+    z = boundary_samples(ellipse, 256)
     # engineered displacement pinching half the curve through the other
     fdot = -12.0 * z * (np.cos(np.angle(z)) > 0)
     with pytest.raises(DeformationError):
@@ -165,7 +165,7 @@ def test_beltrami_step_refuses_a_trial_that_leaves_star_shape(ellipse,
     zero = BeltramiField(g, np.zeros(256, complex), 0.0, 0.0)
     t_out = np.linspace(-0.75 * np.pi, 0.75 * np.pi, 80)
     h = np.concatenate([np.exp(1j * t_out), 0.55 * np.exp(1j * t_out[::-1])])
-    z = ellipse.boundary(h.size)
+    z = boundary_samples(ellipse, h.size)
     with pytest.raises(DeformationError, match="star shaped"):
         beltrami_step(zero, 0.15, precomputed=(z, (h - z) / 0.15))
 
@@ -295,7 +295,10 @@ def test_generic_flows_reach_the_floor_within_ten_steps(seed):
 
 
 def test_roundness_deficit_zero_on_circle():
-    # floor set by the 4096-gon discretization of the length
-    assert abs(roundness_deficit(circle_curve())) < 1e-6
-    assert roundness_deficit(ellipse_curve(1.2, 1.0)) > 1e-3
+    # the deficit is read from the exterior map's coefficients and |g'| on
+    # the circle, so the circle's is 0 to rounding
+    assert abs(roundness_deficit(LaurentMap(1.0))) < 1e-14
+    assert abs(roundness_deficit(LaurentMap(3e200 - 1e200j, 5e200))) < 1e-14
+    _, g = conformal_map_pair(ellipse_curve(1.2, 1.0))
+    assert roundness_deficit(g) > 1e-3
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import curvatures, load_obj
+from oracles import boundary_samples, curvatures, load_obj
 
 import liouvol.epstein
 from liouvol.epstein import _frame_fields, schwarzian_norm
@@ -66,7 +66,7 @@ def test_faces_oriented_along_normals():
 def test_ring_heights_bracketed_by_distance(cubic_maps, cubic):
     f, _ = cubic_maps
     mesh = mesh_surface(f, 32, 64)
-    gamma = cubic.boundary(8192)
+    gamma = boundary_samples(cubic, 8192)
     ring_src = mesh.source[mesh.ring]
     z = f.eval_unchecked(ring_src)
     d = np.min(np.abs(z[:, None] - gamma[None, :]), axis=1)

@@ -10,7 +10,6 @@ import liouvol.curves as curves_module
 import liouvol.flow as flow_module
 import liouvol.mapping as mapping_module
 import liouvol.series as series_module
-from liouvol.curves import CurveSpec
 from liouvol.errors import DomainError, SingularDerivative
 from liouvol.flow import (displacement_field, gradient_field,
                           roundness_deficit)
@@ -329,11 +328,11 @@ def _long_jet(m, n, inverse=False):
 def test_uniform_angle_evaluations_match_horner(rng, order):
     # every evaluation at n uniform angles is a ring FFT; against Horner at
     # the same points (256 of them per ring, in long double): circle_samples
-    # (each jet component, at z_j inside and 1/z_j outside),
-    # CurveSpec.boundary at 2048 points, and the value rings of 1024
-    # (the variation oracle), 4096 (the solve probe, the polar lookup table and
-    # the welding table) and 256 points. Order 3000 runs past every fixed
-    # count, so its terms fold onto k mod n.
+    # (each jet component, at z_j inside and 1/z_j outside), the 2048
+    # samples of f - f(0) that CurveSpec.validate takes, and the value rings
+    # of 1024 (the variation oracle), 4096 (the solve probe, the polar lookup
+    # table and the welding table) and 256 points. Order 3000 runs past every
+    # fixed count, so its terms fold onto k mod n.
     k = np.arange(order + 1)
     c = (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)) \
         / (k + 1.0) ** 4
@@ -345,8 +344,9 @@ def test_uniform_angle_evaluations_match_horner(rng, order):
         for d in range(4):
             samples = circle_samples(m, lambda jet, d=d: jet[d])
             _close(samples[_sampled(n)], ref[d])
-    _close(CurveSpec("series", series=f).boundary(2048)[_sampled(2048)],
-           _long_jet(f, 2048)[0])
+    core = np.r_[0, c[1:]]
+    _close(ring_values(core, 1.0, 2048)[_sampled(2048)],
+           _long_jet(PowerSeriesMap(core), 2048)[0])
     for n in (256, 1024, 4096):
         for m in (f, g):
             _close(ring_jet(m, 1.0, n, upto=0)[0][_sampled(n)],
@@ -380,7 +380,7 @@ def test_solver_and_flow_sites_match_horner(name, monkeypatch):
         return {"g": np.concatenate([[g.b1, g.b0], g.bneg]),
                 "mismatch": diag.boundary_mismatch, "z": z, "fdot": fdot,
                 "welding": welding(f, g, theta),
-                "roundness": roundness_deficit(curve)}
+                "roundness": roundness_deficit(g)}
 
     ring = outputs()
     for module in (series_module, curves_module, mapping_module,

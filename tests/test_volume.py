@@ -376,7 +376,7 @@ def test_volume_mobius_invariance(ellipse, ellipse_maps):
     A = MobiusTransform(0, 1, 1, -2)   # z -> 1/(z - 2), image stays bounded
     th = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
     pts = A.eval_array(f.eval_unchecked(np.exp(1j * th)))
-    moved = CurveSpec.from_polyline(pts, check=False)
+    moved = CurveSpec.from_polyline(pts)
     f2, g2 = conformal_map_pair(moved, order=128)
     v_moved = volume(f2, g2)
     # both curves are polylines, whose maps carry their splines' floor
@@ -406,8 +406,7 @@ def test_equipotential_family_tracks_identity(ellipse_maps):
     f, _ = ellipse_maps
     for n in (2, 4, 8, 16):
         fn = equipotential(f, n)
-        gn, _ = exterior_map(CurveSpec.from_series(fn, check=False),
-                             order=96)
+        gn, _ = exterior_map(CurveSpec.from_series(fn), order=96)
         rep = renormalized_volume(fn, gn)
         tol = max(0.01 * abs(rep.action_total), 1e-3)
         assert abs(rep.identity_residual) <= tol
