@@ -2,6 +2,7 @@
 
 Subcommands: action, grunsky, surface, volume, verify-identity, flow. Each
 takes --curve and --out plus only the flags its handler reads (COMMANDS).
+run alone solves the curve's map pair, for cmd_*(config, writer, f, g).
 Every run writes its artifacts plus a manifest.json carrying the config
 (the command, the curve and that command's flag values), its hash and a
 content hash per output file. Exit codes: 0 success, 1 input error
@@ -145,9 +146,7 @@ def load_curve(spec):
     return CurveSpec.from_json(payload)
 
 
-def cmd_action(config, writer):
-    curve = load_curve(config.curve)
-    f, g = conformal_map_pair(curve, order=config.series_order)
+def cmd_action(config, writer, f, g):
     report = liouville_action(f, g)
     writer.write_json("action.json", asdict(report))
     if config.trace:
@@ -161,19 +160,15 @@ def cmd_action(config, writer):
                          interior + exterior + report.log_term))
         writer.write_csv("action_trace.csv",
                          ["samples", "interior", "exterior", "total"], rows)
-    return 0
 
 
-def cmd_grunsky(config, writer):
-    curve = load_curve(config.curve)
-    f, g = conformal_map_pair(curve, order=config.series_order)
+def cmd_grunsky(config, writer, f, g):
     gap = grunsky_gap(f, g)
     gap["gap"] = gap["rhs"] - gap["lhs"]
     writer.write_json("grunsky.json", gap)
     if gap["lhs"] > gap["rhs"] * (1 + GRUNSKY_SLACK) + GRUNSKY_FLOOR:
         raise ContractError(
             f"area inequality violated: lhs {gap['lhs']} > rhs {gap['rhs']}")
-    return 0
 
 
 def write_sheets(writer, name, f, g, *mesh_args):
@@ -190,9 +185,7 @@ def write_sheets(writer, name, f, g, *mesh_args):
     return meshes
 
 
-def cmd_surface(config, writer):
-    curve = load_curve(config.curve)
-    f, g = conformal_map_pair(curve, order=config.series_order)
+def cmd_surface(config, writer, f, g):
     rn, an = config.parse_mesh()
     mesh_in, mesh_out = write_sheets(writer, "surface", f, g,
                                      rn, an, config.r_max)
@@ -217,22 +210,16 @@ def cmd_surface(config, writer):
         "immersed_annulus_from_radius": immersed_from,
         "vertices_per_sheet": int(mesh_in.n_vertices),
     })
-    return 0
 
 
-def cmd_volume(config, writer):
-    curve = load_curve(config.curve)
-    f, g = conformal_map_pair(curve, order=config.series_order)
+def cmd_volume(config, writer, f, g):
     report = renormalized_volume(f, g)
     writer.write_json("volume.json", asdict(report))
     if config.dump_obj:
         write_sheets(writer, "volume", f, g)
-    return 0
 
 
-def cmd_verify_identity(config, writer):
-    curve = load_curve(config.curve)
-    f, g = conformal_map_pair(curve, order=config.series_order)
+def cmd_verify_identity(config, writer, f, g):
     report = renormalized_volume(f, g)
     tol = config.tol * abs(report.action_total) + IDENTITY_FLOOR
     ok = abs(report.identity_residual) <= tol
@@ -245,22 +232,19 @@ def cmd_verify_identity(config, writer):
         raise ContractError(
             f"identity residual {report.identity_residual:.3e} exceeds "
             f"tolerance {tol:.3e}")
-    return 0
 
 
-def cmd_flow(config, writer):
-    curve = load_curve(config.curve)
-    states = run_flow(curve, max_steps=config.steps,
-                      order=config.series_order)
-    rows = [(s.step, s.action, s.grad_wp_norm_sq, s.step_size, s.roundness)
-            for s in states]
+def cmd_flow(config, writer, f, g):
+    states = run_flow(f, g, max_steps=config.steps, order=config.series_order)
+    rows = [(step, s.action, s.grad_wp_norm_sq, s.step_size, s.roundness)
+            for step, s in enumerate(states)]
     writer.write_csv("flow.csv",
                      ["step", "action", "grad_wp_norm_sq", "step_size",
                       "roundness"], rows)
     if config.obj_every > 0:
-        for s in states:
-            if s.step % config.obj_every == 0:
-                write_sheets(writer, f"flow_{s.step:04d}", s.f, s.g)
+        for step, s in enumerate(states):
+            if step % config.obj_every == 0:
+                write_sheets(writer, f"flow_{step:04d}", s.f, s.g)
     writer.write_json("flow.json", {
         "steps_accepted": len(states) - 1,
         "initial_action": states[0].action,
@@ -270,7 +254,6 @@ def cmd_flow(config, writer):
                              for a, b in zip(states, states[1:]))),
         "wp_path_length": wp_path_length(states),
     })
-    return 0
 
 
 # every command also takes --curve and --out; RunConfig holds the defaults
@@ -337,7 +320,9 @@ def run(config):
     """Execute one configured command; returns the process exit code."""
     writer = ArtifactWriter(config.out, config)
     try:
-        code = COMMANDS[config.command][0](config, writer)
+        f, g = conformal_map_pair(load_curve(config.curve),
+                                  order=config.series_order)
+        COMMANDS[config.command][0](config, writer, f, g)
     except ContractError as exc:
         writer.write_json("diagnostic.json",
                           {"error": type(exc).__name__, "detail": str(exc)})
@@ -345,7 +330,7 @@ def run(config):
         print(f"numerical contract failed: {exc}", file=sys.stderr)
         return 2
     writer.finish()
-    return code
+    return 0
 
 
 def main(argv=None):

@@ -27,23 +27,21 @@ class SingularDerivative(ContractError):
 
 
 class NonConvergence(ContractError):
-    """Boundary-correspondence iteration stalled."""
+    """The correspondence iteration stalled or a fit failed its certificate."""
 
-    def __init__(self, iterations, residual, message=""):
+    def __init__(self, iterations, residual, message):
         self.iterations = iterations
         self.residual = residual
-        super().__init__(
-            message or f"no convergence after {iterations} iterations "
-            f"(residual {residual:.3e})"
-        )
+        super().__init__(message)
 
 
 class CorrespondenceError(ContractError):
-    """Nearest-boundary-point match exceeded tolerance."""
+    """A welding mismatch: g misses f's boundary point beyond tolerance."""
 
 
 class DivergenceSuspected(ContractError):
-    """Quadrature refinements keep moving; integrand may not be integrable."""
+    """The two envelope sheets' areas do not cancel: the rays of volume()
+    do not resolve the maps."""
 
 
 class CapTopologyError(ContractError):
@@ -55,7 +53,7 @@ class NoConvergence(ContractError):
 
 
 class DeformationError(ContractError):
-    """Deformed curve is no longer simple."""
+    """The moved curve or refit of a flow trial is not star shaped."""
 
 
 class RefitError(ContractError):

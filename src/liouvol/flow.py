@@ -66,12 +66,11 @@ class BeltramiField:
 
 @dataclass(frozen=True)
 class FlowState:
-    step: int
     action: float
     grad_wp_norm_sq: float
     step_size: float
     roundness: float
-    f: PowerSeriesMap   # the maps the flow solved for the step's curve
+    f: PowerSeriesMap   # the step's map pair: the given one at step 0
     g: LaurentMap
 
 
@@ -194,18 +193,16 @@ def roundness_deficit(g):
     return float(np.mean(speed)) ** 2 / area - 1.0
 
 
-def run_flow(curve, max_steps=50, order=128):
-    """Backtracking gradient descent from ``curve`` toward the circle.
-
-    Returns the list of accepted FlowStates (the initial state included).
-    The action is nonincreasing along the list by construction. Each step's
-    first trial is min(cap, NEWTON_STEP), halved on every rejection.
-    """
-    f, g = conformal_map_pair(curve, order=order)
+def run_flow(f, g, max_steps=50, order=128):
+    """Backtracking gradient descent toward the circle from the solved pair
+    (f, g): the accepted FlowStates, each at its step's index, the first
+    holding f and g. Only the trial curves are solved, at ``order``. The
+    action is nonincreasing along the list; each step's first trial is
+    min(cap, NEWTON_STEP), halved on every rejection."""
     action = liouville_action(f, g).total
     field = gradient_field(g)
-    states = [FlowState(0, action, field.wp_norm_sq, 0.0,
-                        roundness_deficit(g), f, g)]
+    states = [FlowState(action, field.wp_norm_sq, 0.0, roundness_deficit(g),
+                        f, g)]
     for step in range(1, max_steps + 1):
         if action < ACTION_FLOOR or field.sup_norm < 1e-12:
             logger.info("flow converged at step %d (action %.3e)", step - 1,
@@ -230,7 +227,7 @@ def run_flow(curve, max_steps=50, order=128):
                           f"(t floor {T_MIN:.1e})")
         f, g, action = fc, gc, cand_action
         field = gradient_field(g)
-        states.append(FlowState(step, action, field.wp_norm_sq, t,
+        states.append(FlowState(action, field.wp_norm_sq, t,
                                 roundness_deficit(g), f, g))
         logger.debug("step %d: action %.6e, |nu|_wp^2 %.3e, t %.3e",
                      step, action, field.wp_norm_sq, t)

@@ -170,7 +170,7 @@ def interior_map(curve, order=128, tol=FIT_TOL, auto_refine=True):
 
 def _with_constant(f, c):
     """The series f with its constant term replaced by c."""
-    return PowerSeriesMap(np.r_[c, f.coeffs[1:]], f.hint_radius)
+    return PowerSeriesMap(np.r_[c, f.coeffs[1:]])
 
 
 def _interior_from_polar(rho, order, tol, auto_refine=True):
@@ -189,23 +189,10 @@ def _interior_from_polar(rho, order, tol, auto_refine=True):
         coeffs[1] = abs(coeffs[1])
         tail = float(np.max(np.abs(coeffs[3 * coeffs.size // 4:])))
         scale = float(np.max(np.abs(coeffs)))
-        return (PowerSeriesMap(coeffs, _decay_radius(coeffs)), spurious,
-                tail, scale)
+        return PowerSeriesMap(coeffs), spurious, tail, scale
 
     return _solve_polar(_Polar(rho, 1.0), order, tol, fit, "interior",
                         auto_refine)
-
-
-def _decay_radius(coeffs):
-    mags = np.abs(coeffs)
-    idx = np.nonzero(mags > 1e-14 * max(1.0, mags.max()))[0]
-    if idx.size < 4:
-        return 8.0
-    k0, k1 = idx[max(1, idx.size // 2)], idx[-1]
-    if k1 <= k0 or mags[k1] >= mags[k0]:
-        return 1.0 + 1e-6
-    q = (mags[k1] / mags[k0]) ** (1.0 / (k1 - k0))
-    return float(max(1.0 + 1e-6, min(8.0, 1.0 / q)))
 
 
 def exterior_map(curve, order=128):
@@ -323,7 +310,7 @@ def recenter_interior(f):
     k = np.arange(coeffs.size)
     coeffs = coeffs * np.exp(-1j * k * alpha)
     coeffs[1] = abs(coeffs[1])
-    return PowerSeriesMap(coeffs, _decay_radius(coeffs))
+    return PowerSeriesMap(coeffs)
 
 
 def welding(f, g, theta):

@@ -55,14 +55,12 @@ def _taylor_horner(c, x, upto):
 
 @dataclass(frozen=True, eq=False)
 class PowerSeriesMap:
-    """f(z) = a_0 + a_1 z + ... + a_N z^N, meant to be evaluated on |z| <= 1.
-
-    ``hint_radius`` (> 1 for analytic curves) declares where the truncated
-    series is trusted; evaluation outside raises DomainError.
+    """f(z) = a_0 + a_1 z + ... + a_N z^N on the closed unit disk: the map
+    is its coefficients. Calling it outside |z| <= 1 raises DomainError, as
+    a LaurentMap does inside |w| < 1; eval_unchecked and jet do not check.
     """
 
     coeffs: np.ndarray
-    hint_radius: float = 1.5
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
@@ -73,9 +71,8 @@ class PowerSeriesMap:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z) > self.hint_radius * (1 + 1e-12)):
-            raise DomainError(
-                f"|z| exceeds declared radius {self.hint_radius}")
+        if np.any(np.abs(z) > 1 + 1e-12):
+            raise DomainError("PowerSeriesMap is defined on |z| <= 1")
         return _taylor_horner(self.coeffs, z, 0)[0]
 
     def eval_unchecked(self, z):

@@ -56,7 +56,7 @@ from .epstein import _height_jacobian, mean_curvature_total
 from .errors import (CapTopologyError, DivergenceSuspected, DomainError,
                      NoConvergence)
 from .quadrature import angular_count
-from .series import LaurentMap, ring_jet
+from .series import LaurentMap, PowerSeriesMap, ring_jet
 
 ORIENT_SIGN = -1.0  # mesh sheet normals point into the enclosed region
 NEVILLE_STAGES = 5  # most powers of eps eliminated from V(eps)
@@ -286,7 +286,13 @@ def volume(f, g):
     """Signed volume between the two envelope surfaces of the curve bounded
     by f and g: the finite parts of both sheets' rays, each sheet on
     angular_count(2 * order) rays of its own map. Raises
-    DivergenceSuspected if the sheets' areas do not cancel."""
+    DivergenceSuspected if the sheets' areas do not cancel. The maps are
+    first scaled exactly by c, a power of two, to |c b1| in [2^-1/2, 2^1/2]:
+    V is dilation invariant, no height leaves the float range, and the kappa
+    sums, +-pi to rounding, leave no kappa log c behind."""
+    c = 2.0 ** -round(math.log2(abs(g.b1)))
+    f = PowerSeriesMap(c * f.coeffs)
+    g = LaurentMap(c * g.b1, c * g.b0, c * g.bneg)
     rays = [angular_count(2 * m.order) for m in (f, g)]
     (parts_in, a_in), (parts_out, a_out) = (
         _sheet(m, n) for m, n in zip((f, g), rays))

@@ -693,7 +693,9 @@ def _grunsky_operator(m, n):
     """The n x n Grunsky operator B = (sqrt(kl) c_kl), k, l = 1..n, of m,
     from its difference quotient on a 2n x 2n torus grid of the unit circle
     (the derivative on the diagonal) and one 2-D FFT. For a LaurentMap g,
-    log[(g(z) - g(zeta)) / (b1 (z - zeta))] = sum c_kl z^-k zeta^-l. For a
+    log[(g(z) - g(zeta)) / (b1 (z - zeta))] = sum c_kl z^-k zeta^-l, with
+    g evaluated without b0: the quotient does not depend on it, and a curve
+    far from 0 would lose its digits to it. For a
     PowerSeriesMap f, with F = f - f(0) (the constant dropped from the
     coefficients) and a1 = f'(0),
     log[(F(u) - F(v)) / (a1 (u - v))] - log[F(u)/(a1 u)] - log[F(v)/(a1 v)]
@@ -702,9 +704,10 @@ def _grunsky_operator(m, n):
     z = np.exp(2j * np.pi * np.arange(size) / size)
     exterior = isinstance(m, LaurentMap)
     if exterior:
-        lead, value, slope = m.b1, *m.jet(z, upto=1)
+        core = LaurentMap(m.b1, 0.0, m.bneg)
+        lead, value, slope = m.b1, *core.jet(z, upto=1)
     else:
-        core = PowerSeriesMap(np.r_[0, m.coeffs[1:]], m.hint_radius)
+        core = PowerSeriesMap(np.r_[0, m.coeffs[1:]])
         lead, value, slope = m.coeffs[1], *core.jet(z, upto=1)
     value, slope = value / lead, slope / lead
     diff = z[:, None] - z[None, :]
@@ -777,7 +780,7 @@ def boundary_samples(curve, n=2048):
 def circle_curve(radius=1.0, center=0.0):
     c = np.zeros(2, complex)
     c[0], c[1] = center, radius
-    return CurveSpec.from_series(PowerSeriesMap(c, hint_radius=8.0))
+    return CurveSpec.from_series(PowerSeriesMap(c))
 
 
 def ellipse_curve(a=1.2, b=1.0, n=4096):
@@ -786,12 +789,12 @@ def ellipse_curve(a=1.2, b=1.0, n=4096):
     return CurveSpec.from_polyline(pts)
 
 
-def polynomial_curve(*coeffs, hint_radius=2.0):
+def polynomial_curve(*coeffs):
     """Curve traced by z + c2 z^2 + ... on the unit circle; coeffs start at z^2."""
     c = np.zeros(len(coeffs) + 2, complex)
     c[1] = 1.0
     c[2:] = coeffs
-    return CurveSpec.from_series(PowerSeriesMap(c, hint_radius=hint_radius))
+    return CurveSpec.from_series(PowerSeriesMap(c))
 
 
 def balanced_curve(seed, stream):
@@ -819,7 +822,7 @@ def equipotential(f, n):
         raise DomainError("equipotential level must be >= 2")
     k = np.arange(f.coeffs.size)
     factor = (n / (n - 1.0)) * ((n - 1.0) / n) ** k
-    return PowerSeriesMap(f.coeffs * factor, f.hint_radius * n / (n - 1.0))
+    return PowerSeriesMap(f.coeffs * factor)
 
 
 # -- the quaternion model of upper half-space --------------------------------

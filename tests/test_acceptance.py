@@ -76,7 +76,7 @@ def test_criterion_1_closed_form_envelopes():
 
 def test_criterion_2_circle_baseline():
     """Circle: action 0 +- 1e-8, V and V_R 0 +- 1e-6, hemispheres to 1e-10."""
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     g = LaurentMap(1.0)
     action = liouville_action(f, g).total
     rep = renormalized_volume(f, g)
@@ -157,7 +157,7 @@ def test_criterion_5_grunsky(ellipse_pair):
     f, g = ellipse_pair
     gap = grunsky_gap(f, g, GRID)
     eq_ok = abs(gap["lhs"] - gap["rhs"]) < 1e-5
-    shrunk = grunsky_gap(PowerSeriesMap([0, 0.5], hint_radius=8), g, GRID)
+    shrunk = grunsky_gap(PowerSeriesMap([0, 0.5]), g, GRID)
     strict_ok = shrunk["lhs"] < shrunk["rhs"] - 1e-3
     report(5, "area inequality", eq_ok and strict_ok,
            f"equality_diff={gap['lhs'] - gap['rhs']:.2e} "
@@ -238,7 +238,8 @@ def test_criterion_8_gradient_flow():
     of its initial value, monotonically, with the sup bound holding at 6;
     circle start is stationary to 1e-9. Runtime <= 10 min."""
     t0 = time.time()
-    states = run_flow(ellipse_curve(1.2, 1.0), max_steps=50, order=96)
+    f, g = conformal_map_pair(ellipse_curve(1.2, 1.0), order=96)
+    states = run_flow(f, g, max_steps=50, order=96)
     elapsed = time.time() - t0
     acts = [s.action for s in states]
     monotone = all(b <= a for a, b in zip(acts, acts[1:]))
@@ -268,7 +269,7 @@ def test_criterion_9_disjointness(ellipse_pair):
     f, g = ellipse_pair
     sep_e = surface_separation(mesh_surface(f, 96, 384, r_max=0.8),
                                mesh_surface(g, 96, 384, r_max=0.8))
-    f0 = PowerSeriesMap([0, 1], hint_radius=8)
+    f0 = PowerSeriesMap([0, 1])
     g0 = LaurentMap(1.0)
     sep_c = surface_separation(mesh_surface(f0, 96, 384, r_max=0.8),
                                mesh_surface(g0, 96, 384, r_max=0.8))
@@ -286,7 +287,7 @@ def test_criterion_10_boundary_height_bounds(ellipse_pair, cubic_pair):
     detail = []
     fixtures = [("ellipse", ellipse_pair, ellipse_curve(1.2, 1.0)),
                 ("cubic", cubic_pair, polynomial_curve(0.0, 0.05)),
-                ("circle", (PowerSeriesMap([0, 1], hint_radius=8),
+                ("circle", (PowerSeriesMap([0, 1]),
                             LaurentMap(1.0)), circle_curve())]
     for name, (f, g), curve in fixtures:
         gamma = boundary_samples(curve, 8192)

@@ -32,12 +32,12 @@ def test_exterior_grid_inversion_jacobian(grid):
 
 
 def test_dirichlet_identity_zero():
-    f = PowerSeriesMap([0, 1], hint_radius=4)
+    f = PowerSeriesMap([0, 1])
     assert area_norm(f, nonlinearity_of)[0] == 0
 
 
 def test_dirichlet_scaled_circle_zero():
-    f = PowerSeriesMap([0, 2.7], hint_radius=4)
+    f = PowerSeriesMap([0, 2.7])
     assert area_norm(f, nonlinearity_of)[0] == 0
 
 
@@ -61,13 +61,13 @@ def test_dirichlet_divergence_detected():
     # boundary-singular derivative: the refinements keep moving
     k = np.arange(1, 400)
     coeffs = np.concatenate([[0], 1.0 / k ** 1.5])
-    f = PowerSeriesMap(coeffs, hint_radius=1.0 + 1e-9)
+    f = PowerSeriesMap(coeffs)
     assert area_norm(f, nonlinearity_of)[1] > 1e-11
 
 
 def test_action_circle_zero():
     for radius, center in ((1.0, 0.0), (0.7, 0.2 - 0.4j), (2.5, 1j)):
-        f = PowerSeriesMap([center, radius], hint_radius=8)
+        f = PowerSeriesMap([center, radius])
         g = LaurentMap(radius, center)
         rep = liouville_action(f, g)
         assert abs(rep.total) < 1e-8
@@ -120,9 +120,9 @@ def test_action_is_the_grunsky_determinant_of_either_map(name):
     # z + 0.12 z^5 has an exterior map of order 2048, beyond the torus
     # grids the oracle builds, so only its interior form is checked
     if name == "star":
-        curve = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+        curve = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     elif name == "quintic":
-        curve = polynomial_curve(0.0, 0.0, 0.0, 0.12, hint_radius=1.5)
+        curve = polynomial_curve(0.0, 0.0, 0.0, 0.12)
     elif name.startswith("balanced"):
         curve = balanced_curve(int(name[-1]), 2)
     else:
@@ -132,6 +132,18 @@ def test_action_is_the_grunsky_determinant_of_either_map(name):
     for m in (f,) if name == "quintic" else (f, g):
         determinant = grunsky_determinant_action(m)
         assert abs(determinant - action) <= 1e-12 * action
+
+
+@pytest.mark.parametrize("shift, turn", [(1e3, 0.0), (1e5, 0.0), (0.0, 0.7),
+                                         (1e3, 0.7)])
+def test_grunsky_determinant_of_a_moved_curve(shift, turn):
+    # both forms take the maps minus their constant terms, so a curve moved
+    # far from 0 or turned keeps the action of its pair
+    c = np.array([0, 1, 0.1 + 0.05j, -0.03j]) * np.exp(1j * turn)
+    f, g = conformal_map_pair(CurveSpec.from_series(c + np.r_[shift, 0, 0, 0]))
+    action = liouville_action(f, g).total
+    for m in (f, g):
+        assert abs(grunsky_determinant_action(m) - action) <= 1e-12 * action
 
 
 def test_action_mobius_invariance(rng, ellipse_maps):
@@ -150,7 +162,7 @@ def test_action_mobius_invariance(rng, ellipse_maps):
 
 
 def test_grunsky_identity_pair(grid):
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     g = LaurentMap(1.0)
     gap = grunsky_gap(f, g, grid)
     assert abs(gap["lhs"]) < 1e-12
@@ -165,7 +177,7 @@ def test_grunsky_equality_for_jordan_pair(grid, ellipse_maps):
 
 def test_grunsky_strict_inequality_for_shrunken_interior(grid, ellipse_maps):
     _, g = ellipse_maps
-    f_small = PowerSeriesMap([0, 0.5], hint_radius=8)
+    f_small = PowerSeriesMap([0, 0.5])
     gap = grunsky_gap(f_small, g, grid)
     assert gap["lhs"] < gap["rhs"] - 0.1
 
@@ -175,8 +187,7 @@ def test_grunsky_gap_is_translation_invariant(grid, ellipse_maps):
     f, g = ellipse_maps
     gap = grunsky_gap(f, g, grid)
     for c in (0.3, 0.5 + 0.25j):
-        f_moved = PowerSeriesMap(f.coeffs + np.r_[c, np.zeros(f.order)],
-                                 f.hint_radius)
+        f_moved = PowerSeriesMap(f.coeffs + np.r_[c, np.zeros(f.order)])
         g_moved = LaurentMap(g.b1, g.b0 + c, g.bneg)
         moved = grunsky_gap(f_moved, g_moved, grid)
         for side in ("lhs", "rhs"):

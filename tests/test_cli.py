@@ -182,14 +182,16 @@ def _scaled_outputs(tmp_path, scale):
             json.loads((out / "verify_identity.json").read_text())["V_R"])
 
 
-@pytest.mark.parametrize("scale", [1e-20, 1e-14, 1e20, 1e150])
+@pytest.mark.parametrize("scale", [1e-200, 1e-20, 1e-14, 1e20, 1e150, 1e200])
 def test_action_and_volume_are_free_of_the_curve_size(tmp_path, scale):
     # the derivative floor scales with the map, so a tiny curve is no
-    # singular map
+    # singular map; volume() scales the maps to |b1| near 1 before its
+    # rays, so no height leaves the float range and no kappa log(scale)
+    # is left over from the rounding of the rays' kappa sums
     s_ref, v_ref = _scaled_outputs(tmp_path, 1.0)
     s, v_r = _scaled_outputs(tmp_path, scale)
     assert abs(s - s_ref) <= 1e-12 * s_ref
-    assert abs(v_r - v_ref) <= 1e-11 * v_ref
+    assert abs(v_r - v_ref) <= 2e-13 * v_ref
 
 
 @pytest.mark.parametrize("scale", [1e-14, 1e200])
@@ -440,6 +442,29 @@ def test_verify_identity_takes_each_maps_circle_jet_once(tmp_path,
         assert run_cli("verify-identity", "--curve", curve,
                        "--out", str(tmp_path)) == 0
         assert len(calls) == 2 and calls[0] is not calls[1]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_each_command_solves_its_curve_once(tmp_path, monkeypatch, command):
+    # run turns the curve into its map pair once, and every handler (the
+    # flow too) starts from that pair: no other module solves the curve
+    import liouvol.flow as flow
+    calls = []
+
+    def counting(module):
+        solve = module.conformal_map_pair
+
+        def counted(*args, **kwargs):
+            calls.append(module.__name__)
+            return solve(*args, **kwargs)
+        return counted
+
+    for module in (cli, flow):
+        monkeypatch.setattr(module, "conformal_map_pair", counting(module))
+    steps = ("--steps", "0") if command == "flow" else ()
+    assert run_cli(command, "--curve", "cubic", "--out", str(tmp_path),
+                   *steps) == 0
+    assert calls == ["liouvol.cli"]
 
 
 def test_subcommands_take_only_their_flags():

@@ -301,7 +301,7 @@ def test_interior_diagnostics_report_spurious_mass(ellipse):
 
 
 def test_welding_identity_pair():
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     g = LaurentMap(1.0)
     th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     assert np.max(np.abs(welding(f, g, th) - th)) < 1e-12
@@ -330,7 +330,7 @@ def test_welding_mismatch_raises(ellipse_maps):
 
 
 def test_conformal_pair_consistency(cubic, ellipse):
-    star = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    star = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     th = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     for curve in (cubic, ellipse, star):
         f, g = conformal_map_pair(curve, order=96)
@@ -362,7 +362,7 @@ def test_doubled_orders_start_from_the_previous_solution(monkeypatch):
     # the star's exterior series doubles 128 -> 256 -> 512; each finer grid
     # starts from the coarser solution and takes at most 3 iterations, and
     # the map is a cold solve's at every order to rounding
-    curve = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    curve = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     solve, runs = mapping_module._solve_correspondence, []
 
     def counted(problem, n, start=None):
@@ -410,14 +410,14 @@ def test_series_exterior_map_matches_the_polar_fixed_point(monkeypatch):
 
     monkeypatch.setattr(mapping_module, "_solve_correspondence", counted)
     curves = [load_curve("cubic"), load_curve("wobble"),
-              polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8),
-              polynomial_curve(0.0, 0.0, 0.0, 0.12, hint_radius=1.5)]
+              polynomial_curve(0.0, 0.0, 0.0, 0.08),
+              polynomial_curve(0.0, 0.0, 0.0, 0.12)]
     curves += [_starlike_series(seed, degree, b) for seed, degree, b in
                ((1, 2, 0.45), (2, 4, 0.3), (3, 6, 0.4), (4, 8, 0.45),
                 (5, 5, 0.45))]
     curves += [load_curve("ellipse")] + [
         CurveSpec.from_polyline(boundary_samples(c)) for c in
-        (polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8),
+        (polynomial_curve(0.0, 0.0, 0.0, 0.08),
          polynomial_curve(0.1, 0.05j))]
     for curve in curves:
         runs.append([])
@@ -481,7 +481,7 @@ def test_series_exterior_solve_takes_one_jet_per_iteration(monkeypatch):
     # reuses the last; the certification on the welding takes one value
     # pass of f, and the polar radius is never built. The circle's start is
     # the uniform grid, so its one iteration is a ring FFT
-    star = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    star = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     passes, iterations, certification = _exterior_solve_passes(
         monkeypatch, star)
     assert 0 < passes <= iterations and certification == 1
@@ -493,7 +493,7 @@ def test_series_exterior_solve_takes_one_jet_per_iteration(monkeypatch):
 def test_welding_certification_catches_an_off_curve_map(monkeypatch):
     # f(e^{it}) is on the curve for every real t, so a map 1e-9 off the
     # curve fails the certification however the welding came out
-    star = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    star = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     curves = [load_curve("cubic"), load_curve("wobble"), star]
     for curve in curves:
         assert exterior_map(curve)[1].boundary_mismatch <= 1e-13
@@ -542,8 +542,7 @@ def test_recenter_interior_keeps_the_boundary():
     # series and must still trace the same curve
     k = np.arange(2, 7)
     phases = np.exp(2j * np.pi * np.array([0.1, 0.35, 0.6, 0.8, 0.95]))
-    f = PowerSeriesMap(np.concatenate([[0.0, 1.0], 0.04 * phases / k]),
-                       hint_radius=2.0)
+    f = PowerSeriesMap(np.concatenate([[0.0, 1.0], 0.04 * phases / k]))
     fr = recenter_interior(f)
     assert fr is not f and fr.order > f.order
     circle = np.exp(2j * np.pi * np.arange(512) / 512)

@@ -55,7 +55,7 @@ def test_disk_metric_geodesic_plane():
 
 
 def test_poincare_frame_matches_general_formula():
-    f = PowerSeriesMap([0, 1, 0.08, 0.02j], hint_radius=3)
+    f = PowerSeriesMap([0, 1, 0.08, 0.02j])
     for zeta in (0.0, 0.5 + 0.3j, -0.7j):
         fr1 = epstein_poincare(f, zeta)
         fr2 = epstein_point(poincare_jet(f, zeta), complex(f(zeta)))
@@ -65,12 +65,12 @@ def test_poincare_frame_matches_general_formula():
 
 
 def test_poincare_identity_at_zero_is_j():
-    fr = epstein_poincare(PowerSeriesMap([0, 1], hint_radius=8), 0.0)
+    fr = epstein_poincare(PowerSeriesMap([0, 1]), 0.0)
     assert fr.base.z == 0 and abs(fr.base.xi - 1.0) < 1e-15
 
 
 def test_poincare_height_at_zero_formula():
-    f = PowerSeriesMap([0, 0.8, 0.1, -0.03], hint_radius=2)
+    f = PowerSeriesMap([0, 0.8, 0.1, -0.03])
     fr = epstein_poincare(f, 0.0)
     d1, d2 = f.coeffs[1], 2 * f.coeffs[2]
     expected = abs(d1) / (1 + abs(d2 / (2 * d1)) ** 2)
@@ -78,7 +78,7 @@ def test_poincare_height_at_zero_formula():
 
 
 def test_poincare_osculating_consistency():
-    f = PowerSeriesMap([0.2, 1, 0.06, 0.01j], hint_radius=2)
+    f = PowerSeriesMap([0.2, 1, 0.06, 0.01j])
     fr = epstein_poincare(f, 0.0)
     M = osculating_mobius(f, 0.0)
     p = mobius_on_h3(M, H3Point(0.0, 1.0))
@@ -87,7 +87,7 @@ def test_poincare_osculating_consistency():
 
 
 def test_naturality_under_mobius():
-    f = PowerSeriesMap([0, 1, 0.05, 0.01], hint_radius=2)
+    f = PowerSeriesMap([0, 1, 0.05, 0.01])
     A = MobiusTransform(1, 0.3 - 0.2j, 0, 1).compose(
         MobiusTransform.scaling(1.5))
     for zeta in (0.1, 0.4 - 0.2j):
@@ -193,7 +193,7 @@ def test_geodesic_shift_flat():
 
 
 def test_geodesic_shift_zero_is_identity():
-    f = PowerSeriesMap([0, 1, 0.05], hint_radius=2)
+    f = PowerSeriesMap([0, 1, 0.05])
     fr = epstein_poincare(f, 0.3 + 0.2j)
     sh = geodesic_shift(fr, 0.0)
     assert abs(sh.base.z - fr.base.z) < 1e-15
@@ -212,7 +212,7 @@ def test_geodesic_shift_matches_scaled_metric():
 
 def test_geodesic_shift_gauss_limit():
     # the base point returns to the source as the metric is scaled up
-    f = PowerSeriesMap([0, 1, 0.08, 0.02], hint_radius=2)
+    f = PowerSeriesMap([0, 1, 0.08, 0.02])
     for zeta in (0.3, 0.5 - 0.4j):
         fr = epstein_poincare(f, zeta)
         far = geodesic_shift(fr, 10.0)
@@ -220,7 +220,7 @@ def test_geodesic_shift_gauss_limit():
 
 
 def test_curvatures_identity_plane():
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     c = curvatures(f, 0.3 + 0.1j)
     assert c.k_plus == 0 and c.k_minus == 0
     assert c.khat_plus == 1 and c.khat_minus == 1
@@ -257,7 +257,7 @@ def test_curvatures_match_fd_shape_operator(rng, ellipse_maps):
 
 
 def test_mean_curvature_total_circle_zero():
-    assert mean_curvature_total(PowerSeriesMap([0, 1], hint_radius=8)) == 0
+    assert mean_curvature_total(PowerSeriesMap([0, 1])) == 0
 
 
 def test_mean_curvature_total_monte_carlo():
@@ -279,7 +279,7 @@ def test_mean_curvature_total_mobius_invariance():
     th = np.exp(2j * np.pi * np.arange(n) / n) * 0.99
     vals = A.eval_array(f.eval_unchecked(th))
     coeffs = (np.fft.fft(vals) / n)[:160] / 0.99 ** np.arange(160)
-    comp = PowerSeriesMap(coeffs, hint_radius=1.3)
+    comp = PowerSeriesMap(coeffs)
     assert abs(mean_curvature_total(comp) - base) < 1e-5
 
 

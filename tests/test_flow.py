@@ -61,7 +61,7 @@ def test_contour_displacement_matches_fine_grid(ellipse_maps, cubic_maps):
         assert np.max(np.abs(fdot[::8] - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     # the star z + 0.08 z^5 needs points in proportion to its map order
-    star = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    star = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     _, g = conformal_map_pair(star)
     field = gradient_field(g)
     n = angular_count(2 * g.order)
@@ -96,12 +96,13 @@ def test_gradient_sup_is_that_of_every_ring(ellipse_maps, cubic_maps,
                                             wobble_maps):
     # gradient_field transforms only the rings whose bounds reach the sup;
     # its sup must be that of all of them, bit for bit
-    star = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    star = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     rng = np.random.default_rng(4417)
     k = np.arange(2, 7)
     generic = polynomial_curve(*(np.exp(2j * np.pi * rng.random(k.size))
                                  * 0.2 / (k * k.size)))
-    flow_maps = [s.g for s in run_flow(generic, max_steps=4)]
+    flow_maps = [s.g for s in run_flow(*conformal_map_pair(generic),
+                                       max_steps=4)]
     maps = [LaurentMap(1.0), conformal_map_pair(star)[1]] + flow_maps
     maps += [g for _, g in (ellipse_maps, cubic_maps, wobble_maps)]
     for g in maps:
@@ -170,8 +171,16 @@ def test_beltrami_step_refuses_a_trial_that_leaves_star_shape(ellipse,
         beltrami_step(zero, 0.15, precomputed=(z, (h - z) / 0.15))
 
 
+def test_a_flow_of_no_steps_keeps_the_given_pair(wobble_maps):
+    # the flow starts from the solved pair itself: it solves no curve
+    f, g = wobble_maps
+    (state,) = run_flow(f, g, max_steps=0)
+    assert state.f is f and state.g is g
+
+
 def test_flow_circle_start_is_stationary():
-    states = run_flow(circle_curve(), max_steps=5, order=64)
+    states = run_flow(*conformal_map_pair(circle_curve(), order=64),
+                      max_steps=5, order=64)
     assert len(states) == 1
     assert states[0].action < 1e-9
     # one explicit step moves nothing
@@ -197,7 +206,8 @@ def test_first_order_slope_decay_along_gradient(ellipse_maps):
 
 
 def test_flow_wobble_roundness_decreases():
-    states = run_flow(polynomial_curve(0.0, 0.08), max_steps=30, order=96)
+    f, g = conformal_map_pair(polynomial_curve(0.0, 0.08), order=96)
+    states = run_flow(f, g, max_steps=30, order=96)
     acts = [s.action for s in states]
     assert all(b <= a for a, b in zip(acts, acts[1:]))
     rough = [s.roundness for s in states]
@@ -209,16 +219,19 @@ def test_flow_wobble_roundness_decreases():
 def test_a_translated_flow_keeps_its_actions(offset):
     # the refit curves sit at the offset too, and are solved about f(0)
     c = np.array([0, 1, 0.1 + 0.05j, -0.03j])
-    ref = [s.action for s in run_flow(CurveSpec.from_series(c), max_steps=3)]
+    ref = [s.action for s in run_flow(
+        *conformal_map_pair(CurveSpec.from_series(c)), max_steps=3)]
     moved = CurveSpec.from_series(c + np.r_[offset, 0, 0, 0])
-    acts = [s.action for s in run_flow(moved, max_steps=3)]
+    acts = [s.action
+            for s in run_flow(*conformal_map_pair(moved), max_steps=3)]
     assert len(acts) == len(ref) == 4
     for a, r in zip(acts, ref):
         assert abs(a - r) <= 1e-10 * r
 
 
 def test_flow_energy_accounting():
-    states = run_flow(ellipse_curve(1.2, 1.0), max_steps=60, order=96)
+    f, g = conformal_map_pair(ellipse_curve(1.2, 1.0), order=96)
+    states = run_flow(f, g, max_steps=60, order=96)
     acts = [s.action for s in states]
     assert all(b <= a for a, b in zip(acts, acts[1:]))
     drop = acts[0] - acts[-1]
@@ -256,7 +269,7 @@ def test_step_policy_never_retries_an_overshoot(monkeypatch, curve):
 
     monkeypatch.setattr(flow, "beltrami_step", recording_step)
     monkeypatch.setattr(flow, "conformal_map_pair", recording_solve)
-    states = run_flow(curve)
+    states = run_flow(*conformal_map_pair(curve))
     accepted = [s.step_size for s in states[1:]]
     no_decrease, first, new_step = [], [], True
     t_over = math.inf
@@ -289,7 +302,7 @@ def test_generic_flows_reach_the_floor_within_ten_steps(seed):
     # generic curves of the flow workload whose steps, once past the cap,
     # must be near Newton's 1/2: S(t) ~ S (1 - 2t)^2, so steps near 1 cut S
     # by a few percent each, and 50 of them end at 1.4e-7, 5.5e-8, 4.0e-9
-    states = run_flow(balanced_curve(seed, 3))
+    states = run_flow(*conformal_map_pair(balanced_curve(seed, 3)))
     assert len(states) - 1 <= 10
     assert states[-1].action < 1e-9
 

@@ -13,7 +13,7 @@ from liouvol.series import LaurentMap, PowerSeriesMap
 
 
 def test_identity_mesh_is_hemisphere():
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     mesh = mesh_surface(f, 64, 64)
     radii = np.linalg.norm(mesh.vertices, axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-10
@@ -27,7 +27,7 @@ def test_exterior_identity_mesh_is_hemisphere():
 
 
 def test_mesh_resolution_guard():
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     with pytest.raises(DomainError):
         mesh_surface(f, 4, 64)
     with pytest.raises(DomainError):
@@ -35,7 +35,7 @@ def test_mesh_resolution_guard():
 
 
 def test_mesh_counts_and_watertightness():
-    f = PowerSeriesMap([0, 1, 0.05], hint_radius=2)
+    f = PowerSeriesMap([0, 1, 0.05])
     rn, an = 16, 32
     mesh = mesh_surface(f, rn, an)
     assert mesh.n_vertices == 1 + rn * an
@@ -55,7 +55,7 @@ def test_mesh_counts_and_watertightness():
 
 
 def test_faces_oriented_along_normals():
-    f = PowerSeriesMap([0, 1, 0.08], hint_radius=2)
+    f = PowerSeriesMap([0, 1, 0.08])
     mesh = mesh_surface(f, 24, 32)
     p = mesh.face_points()
     cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
@@ -76,7 +76,7 @@ def test_ring_heights_bracketed_by_distance(cubic_maps, cubic):
 
 
 def test_obj_roundtrip_bit_exact(tmp_path):
-    f = PowerSeriesMap([0, 1, 0.05, 0.01j], hint_radius=2)
+    f = PowerSeriesMap([0, 1, 0.05, 0.01j])
     mesh = mesh_surface(f, 12, 16)
     path = tmp_path / "sheet.obj"
     write_obj(path, mesh.vertices, mesh.faces, mesh.eta, comment="roundtrip")
@@ -87,7 +87,7 @@ def test_obj_roundtrip_bit_exact(tmp_path):
 
 
 def test_vertex_csv_export(tmp_path):
-    f = PowerSeriesMap([0, 1, 0.05], hint_radius=2)
+    f = PowerSeriesMap([0, 1, 0.05])
     mesh = mesh_surface(f, 12, 16)
     path = tmp_path / "sheet.csv"
     write_vertex_csv(path, mesh)
@@ -147,7 +147,7 @@ def test_aligned_meshes_never_evaluate_the_schwarzian(ellipse_maps,
 
 
 def test_separation_circle_coincides():
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     g = LaurentMap(1.0)
     sep = surface_separation(mesh_surface(f, 48, 96, r_max=0.8),
                              mesh_surface(g, 48, 96, r_max=0.8))

@@ -96,8 +96,7 @@ def test_osculating_of_mobius_is_itself(rng):
     z = np.exp(2j * np.pi * np.arange(256) / 256) * 0.5
     vals = A.eval_array(z)
     coeffs = np.fft.fft(vals) / 256
-    ser = PowerSeriesMap(np.concatenate([coeffs[:64] / 0.5 ** np.arange(64)]),
-                         hint_radius=1.6)
+    ser = PowerSeriesMap(np.concatenate([coeffs[:64] / 0.5 ** np.arange(64)]))
     M = osculating_mobius(ser, 0.0)
     for zz in (0.3, -0.2 + 0.1j):
         assert abs(M(zz) - A(zz)) < 1e-8
@@ -116,7 +115,7 @@ def test_osculating_jet_match_random_polynomials(rng):
     for _ in range(10):
         coeffs = np.concatenate([[0, 1], 0.1 * (rng.normal(size=3)
                                                 + 1j * rng.normal(size=3))])
-        f = PowerSeriesMap(coeffs, hint_radius=2)
+        f = PowerSeriesMap(coeffs)
         z0 = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
         M = osculating_mobius(f, z0)
         w0, w1, w2 = f.jet(z0, upto=2)
@@ -134,7 +133,7 @@ def _inversion_curve(name):
     """A fixture, the fivefold star z + 0.08 z^5 or a balanced starlike
     curve ("balanced<seed>")."""
     if name == "star":
-        return polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+        return polynomial_curve(0.0, 0.0, 0.0, 0.08)
     if name.startswith("balanced"):
         return balanced_curve(int(name[-1]), 2)
     return load_curve(name)

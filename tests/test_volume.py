@@ -59,7 +59,7 @@ def _identity_curves():
     starlike curve."""
     return {"ellipse": load_curve("ellipse"), "cubic": load_curve("cubic"),
             "wobble": load_curve("wobble"),
-            "star": polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8),
+            "star": polynomial_curve(0.0, 0.0, 0.0, 0.08),
             "balanced": balanced_curve(1, 2)}
 
 
@@ -145,7 +145,7 @@ SLAB = (0.35, 0.75, 0.4)   # inner and outer disk radius, geodesic shift
 def slab_mesh():
     """Closed mesh of a band of the geodesic plane, its shifted copy and the
     two geodesic side walls, oriented outward."""
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     r1, r2, t = SLAB
     n_ang, n_rad, n_wall = 256, 80, 48
 
@@ -213,7 +213,7 @@ def test_slab_between_plane_and_equidistant(slab_mesh):
 
 
 def test_truncated_volume_circle_zero():
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     g = LaurentMap(1.0)
     mi, mo = aligned_surface_meshes(f, g, n_ang=256, per_octave=8,
                                     interior_rings=24)
@@ -244,7 +244,7 @@ def test_truncated_volume_monotone_neighborhood(ellipse_maps):
 
 def test_clip_topology_error_on_open_sheet():
     # a single open sheet crossing the level has a non-closed clip curve
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     from liouvol.meshing import mesh_surface
     mesh = mesh_surface(f, 32, 32, r_max=0.9)
     with pytest.raises(CapTopologyError):
@@ -294,7 +294,7 @@ def _cone(ring_heights, apex=(0.0, 0.0, 2.0)):
 
 
 def test_clip_loop_closes_on_open_sheet():
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     mesh = mesh_surface(f, 32, 32, r_max=0.9)
     _, segs = mesh_flux(mesh.vertices, mesh.faces, 0.6)
     assert _check_clip_loops(segs) == len(segs) > 0
@@ -345,7 +345,7 @@ def test_richardson_on_synthetic_sequence():
 
 
 def test_volume_circle_baseline():
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     g = LaurentMap(1.0)
     v, samples, err = truncated_ray_volume(f, g)
     assert abs(v) < 1e-6
@@ -356,7 +356,7 @@ def test_volume_circle_baseline():
 
 def test_circle_volume_is_zero():
     # the unit circle's two sheets are the unit hemisphere from either side
-    f, g = PowerSeriesMap([0, 1], hint_radius=8), LaurentMap(1.0)
+    f, g = PowerSeriesMap([0, 1]), LaurentMap(1.0)
     assert abs(volume(f, g)) <= 1e-14
 
 
@@ -413,7 +413,7 @@ def test_equipotential_family_tracks_identity(ellipse_maps):
 
 
 def test_renormalized_volume_circle():
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     g = LaurentMap(1.0)
     rep = renormalized_volume(f, g)
     assert abs(rep.V_R) < 1e-6
@@ -427,7 +427,7 @@ def test_identity_on_energetic_star_curve():
     from liouvol.mapping import conformal_map_pair
     from liouvol.volume import renormalized_volume
 
-    curve = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    curve = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     f, g = conformal_map_pair(curve, order=128)
     assert g.order >= 256  # refinement kicked in
     rep = renormalized_volume(f, g)
@@ -443,7 +443,7 @@ def test_variation_check_trivial_field(ellipse_maps):
 
 
 def test_variation_check_circle_rhs_zero():
-    f = PowerSeriesMap([0, 1], hint_radius=8)
+    f = PowerSeriesMap([0, 1])
     g = LaurentMap(1.0)
     nu = lambda w: 0.05 / (np.abs(w) ** 2 + 1.0) + 0j
     out = variation_check(f, g, nu, 1e-3, deform_opts=dict(order=64))
@@ -469,7 +469,7 @@ def test_ray_sheet_areas_cancel(name):
 def test_too_few_rays_for_the_star_raise(monkeypatch):
     # the star's exterior map has order 512; 256 rays alias it and leave
     # its sheet areas uncancelled at ~5e-10
-    curve = polynomial_curve(0.0, 0.0, 0.0, 0.08, hint_radius=1.8)
+    curve = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     f, g = conformal_map_pair(curve, order=128)
     assert volume(f, g) > 0
     monkeypatch.setattr(volume_module, "angular_count", lambda order: 256)
@@ -478,7 +478,7 @@ def test_too_few_rays_for_the_star_raise(monkeypatch):
 
 
 @pytest.mark.parametrize("fmap, s", [
-    (PowerSeriesMap([0, 1], hint_radius=8), 1.0), (LaurentMap(1.0), -1.0)])
+    (PowerSeriesMap([0, 1]), 1.0), (LaurentMap(1.0), -1.0)])
 def test_ray_sheet_heights_at_the_rim(fmap, s):
     # the unit circle's sheets have xi = tau / (2 - s tau) with
     # tau = s (1 - r^2) from the node t; formed from the rounded point
@@ -560,7 +560,7 @@ def test_levels_match_the_eleven_piece_rule(name):
 
 def test_circle_levels_in_closed_form():
     # the unit circle's sheets have levels +-pi (1/2 - ln eps), which cancel
-    f, g = PowerSeriesMap([0, 1], hint_radius=8), LaurentMap(1.0)
+    f, g = PowerSeriesMap([0, 1]), LaurentMap(1.0)
     schedule = default_heights(g)
     inside, outside = (_levels(s, schedule)
                        for s in _ray_sheets(f, g, schedule[-1]))
@@ -644,7 +644,7 @@ def test_identity_on_the_order_2048_star():
     # the exterior map of z + 0.12 z^5 runs to order 2048, and its sheet's
     # integrand to about twice that in angle: on 2048 rays it aliases, and
     # the residual reads 1.2e-8 of the action
-    curve = polynomial_curve(0.0, 0.0, 0.0, 0.12, hint_radius=1.8)
+    curve = polynomial_curve(0.0, 0.0, 0.0, 0.12)
     f, g = conformal_map_pair(curve, order=128)
     assert g.order == 2048
     rep = renormalized_volume(f, g)
@@ -679,7 +679,7 @@ def test_sheet_blocks_match_one_whole_table(name, monkeypatch):
     # rays of z + 0.12 z^5. The blocks change only the order in which the
     # rays' finite parts and the area are summed, so V moves at rounding
     # against one block of every ring
-    curve = (polynomial_curve(0.0, 0.0, 0.0, 0.12, hint_radius=1.8)
+    curve = (polynomial_curve(0.0, 0.0, 0.0, 0.12)
              if name == "z+0.12z^5" else _identity_curves()[name])
     f, g = conformal_map_pair(curve, order=128)
     blocked = volume(f, g)
