@@ -6,10 +6,11 @@ from .curves import CurveSpec
 from .epstein import mean_curvature_total
 from .errors import (CapTopologyError, ContractError, CorrespondenceError,
                      DeformationError, DivergenceSuspected, DomainError,
-                     InputError, LiouvolError, NoConvergence, NonConvergence,
-                     RefitError, SingularDerivative, Stalled)
-from .flow import (BeltramiField, FlowState, beltrami_step, gradient_field,
-                   run_flow, wp_path_length)
+                     InputError, LiouvolError, NonConvergence, RefitError,
+                     SingularDerivative, Stalled)
+from .flow import (BeltramiField, FlowState, beltrami_step,
+                   gradient_field, gradient_ratio_min, run_flow,
+                   wp_path_length)
 from .mapping import conformal_map_pair, exterior_map, interior_map, welding
 from .meshing import (SurfaceMesh, aligned_surface_meshes, mesh_surface,
                       surface_separation, write_obj, write_vertex_csv)

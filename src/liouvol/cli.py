@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Subcommands: action, grunsky, surface, volume, verify-identity, flow. Each
-takes --curve and --out plus only the flags its handler reads (COMMANDS).
-run alone solves the curve's map pair, for cmd_*(config, writer, f, g).
-Every run writes its artifacts plus a manifest.json carrying the config
-(the command, the curve and that command's flag values), its hash and a
-content hash per output file. Exit codes: 0 success, 1 input error
-(usage errors included), 2 numerical contract failure.
+takes --curve and --out plus only the flags its handler reads (COMMANDS); no
+flag sets a map's order. run alone solves the curve's map pair, for
+cmd_*(config, writer, f, g). Every run writes its artifacts plus a
+manifest.json carrying the config (the command, the curve and that command's
+flag values), its hash and a content hash per output file. Exit codes: 0
+success, 1 input error (usage errors included), 2 numerical contract failure.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ from . import __version__
 from .action import grunsky_gap, liouville_action
 from .curves import CurveSpec
 from .errors import ContractError, InputError
-from .flow import run_flow, wp_path_length
+from .flow import gradient_ratio_min, run_flow, wp_path_length
 from .mapping import conformal_map_pair
 from .meshing import (mesh_surface, surface_separation, write_obj,
                       write_vertex_csv)
@@ -46,14 +47,12 @@ class RunConfig:
     command: str
     curve: str
     out: str = "."
-    series_order: int = 128
     steps: int = 50
     tol: float = 1e-9
     trace: bool = False
     mesh: str = "64x64"
     r_max: float = 1.0 - 2.0 ** -10
     obj_every: int = 0
-    dump_obj: bool = False
 
     def canonical_json(self):
         # the experiment identity: the command, its curve and its own flags;
@@ -66,8 +65,6 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
     def validate(self):
-        if self.series_order < 8 or self.series_order > 2048:
-            raise InputError("series order must be within [8, 2048]")
         if self.steps < 0 or self.steps > 10000:
             raise InputError("step count must be within [0, 10000]")
         if self.obj_every < 0:
@@ -213,10 +210,7 @@ def cmd_surface(config, writer, f, g):
 
 
 def cmd_volume(config, writer, f, g):
-    report = renormalized_volume(f, g)
-    writer.write_json("volume.json", asdict(report))
-    if config.dump_obj:
-        write_sheets(writer, "volume", f, g)
+    writer.write_json("volume.json", asdict(renormalized_volume(f, g)))
 
 
 def cmd_verify_identity(config, writer, f, g):
@@ -235,7 +229,7 @@ def cmd_verify_identity(config, writer, f, g):
 
 
 def cmd_flow(config, writer, f, g):
-    states = run_flow(f, g, max_steps=config.steps, order=config.series_order)
+    states = run_flow(f, g, max_steps=config.steps)
     rows = [(step, s.action, s.grad_wp_norm_sq, s.step_size, s.roundness)
             for step, s in enumerate(states)]
     writer.write_csv("flow.csv",
@@ -245,6 +239,7 @@ def cmd_flow(config, writer, f, g):
         for step, s in enumerate(states):
             if step % config.obj_every == 0:
                 write_sheets(writer, f"flow_{step:04d}", s.f, s.g)
+    ratio = gradient_ratio_min(states)
     writer.write_json("flow.json", {
         "steps_accepted": len(states) - 1,
         "initial_action": states[0].action,
@@ -253,12 +248,14 @@ def cmd_flow(config, writer, f, g):
         "monotone": bool(all(b.action <= a.action
                              for a, b in zip(states, states[1:]))),
         "wp_path_length": wp_path_length(states),
+        "gradient_ratio_min": ratio,
+        "wp_length_bound": (0.0 if ratio is None
+                            else math.sqrt(states[0].action / ratio)),
     })
 
 
 # every command also takes --curve and --out; RunConfig holds the defaults
 FLAGS = {
-    "--series-order": dict(type=int, help="map truncation order"),
     "--steps": dict(type=int, help="maximum number of accepted flow steps"),
     "--tol": dict(type=float, help="relative tolerance of S = 4 V_R"),
     "--trace": dict(action="store_true", help="also write action_trace.csv"),
@@ -267,17 +264,15 @@ FLAGS = {
     "--obj-every": dict(type=int, help="write both sheets as OBJ (surface's "
                                        "default mesh) at every N-th accepted "
                                        "step (0: never)"),
-    "--dump-obj": dict(action="store_true", help="write both sheets as OBJ "
-                                                 "(surface's default mesh)"),
 }
 
 COMMANDS = {
-    "action": (cmd_action, ("--series-order", "--trace")),
-    "grunsky": (cmd_grunsky, ("--series-order",)),
-    "surface": (cmd_surface, ("--series-order", "--mesh", "--r-max")),
-    "volume": (cmd_volume, ("--series-order", "--dump-obj")),
-    "verify-identity": (cmd_verify_identity, ("--series-order", "--tol")),
-    "flow": (cmd_flow, ("--series-order", "--steps", "--obj-every")),
+    "action": (cmd_action, ("--trace",)),
+    "grunsky": (cmd_grunsky, ()),
+    "surface": (cmd_surface, ("--mesh", "--r-max")),
+    "volume": (cmd_volume, ()),
+    "verify-identity": (cmd_verify_identity, ("--tol",)),
+    "flow": (cmd_flow, ("--steps", "--obj-every")),
 }
 
 
@@ -320,8 +315,7 @@ def run(config):
     """Execute one configured command; returns the process exit code."""
     writer = ArtifactWriter(config.out, config)
     try:
-        f, g = conformal_map_pair(load_curve(config.curve),
-                                  order=config.series_order)
+        f, g = conformal_map_pair(load_curve(config.curve))
         COMMANDS[config.command][0](config, writer, f, g)
     except ContractError as exc:
         writer.write_json("diagnostic.json",

@@ -27,12 +27,8 @@ class SingularDerivative(ContractError):
 
 
 class NonConvergence(ContractError):
-    """The correspondence iteration stalled or a fit failed its certificate."""
-
-    def __init__(self, iterations, residual, message):
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(message)
+    """An iteration stalled, a fit failed its certificate, or successive
+    extrapolants diverged."""
 
 
 class CorrespondenceError(ContractError):
@@ -46,10 +42,6 @@ class DivergenceSuspected(ContractError):
 
 class CapTopologyError(ContractError):
     """Height-level clip curves do not assemble into closed loops."""
-
-
-class NoConvergence(ContractError):
-    """Successive extrapolants diverge."""
 
 
 class DeformationError(ContractError):

@@ -42,6 +42,7 @@ from .series import (LaurentMap, PowerSeriesMap, circle_samples,
 logger = logging.getLogger(__name__)
 
 REFIT_TOL = 1e-6   # boundary residual a refit series must certify
+REFIT_ORDER = 128  # a refit of n boundary points has order min(this, n // 3)
 # |1/w| of the rings on which sup|nu| is sampled, graded toward |w| = 1
 RING_RADII = 1.0 - 0.5 ** np.arange(0.125, 12.0001, 0.125)
 STEP_CAP = 0.02        # largest t * sup|nu| a flow step tries
@@ -152,7 +153,7 @@ def displacement_field(field):
     return zeta, q + total / (1j * n)
 
 
-def beltrami_step(nu, t, order=128, precomputed=None):
+def beltrami_step(nu, t, precomputed=None):
     """First-order quasiconformal move along t * nu, t != 0, of the curve
     that carries the boundary velocity: displacement_field(nu), or
     ``precomputed`` (boundary points, velocity) for a field without
@@ -173,7 +174,7 @@ def beltrami_step(nu, t, order=128, precomputed=None):
     moved = z + t * fdot
     try:
         poly = CurveSpec.from_polyline(moved)
-        f_new, _ = interior_map(poly, order=min(order, moved.size // 3),
+        f_new, _ = interior_map(poly, order=min(REFIT_ORDER, moved.size // 3),
                                 tol=REFIT_TOL, auto_refine=False)
         return CurveSpec.from_series(f_new)
     except DomainError as exc:
@@ -193,11 +194,11 @@ def roundness_deficit(g):
     return float(np.mean(speed)) ** 2 / area - 1.0
 
 
-def run_flow(f, g, max_steps=50, order=128):
+def run_flow(f, g, max_steps=50):
     """Backtracking gradient descent toward the circle from the solved pair
     (f, g): the accepted FlowStates, each at its step's index, the first
-    holding f and g. Only the trial curves are solved, at ``order``. The
-    action is nonincreasing along the list; each step's first trial is
+    holding f and g. Only the trial curves are solved. The action is
+    nonincreasing along the list; each step's first trial is
     min(cap, NEWTON_STEP), halved on every rejection."""
     action = liouville_action(f, g).total
     field = gradient_field(g)
@@ -212,8 +213,8 @@ def run_flow(f, g, max_steps=50, order=128):
         pre = displacement_field(field)
         while t >= T_MIN:
             try:
-                cand = beltrami_step(field, t, order=order, precomputed=pre)
-                fc, gc = conformal_map_pair(cand, order=order)
+                cand = beltrami_step(field, t, precomputed=pre)
+                fc, gc = conformal_map_pair(cand)
                 cand_action = liouville_action(fc, gc).total
             except (DeformationError, RefitError, NonConvergence):
                 logger.debug("step %d: rejecting t=%.3e", step, t)
@@ -235,8 +236,25 @@ def run_flow(f, g, max_steps=50, order=128):
 
 
 def wp_path_length(states):
-    """Weil-Petersson length of the flow path, sum_k t_k |nu_{k-1}|_WP:
-    to first order an upper bound on the WP distance the flow covered."""
-    return math.fsum(s.step_size * math.sqrt(prev.grad_wp_norm_sq)
-                     for prev, s in zip(states, states[1:]))
+    """Weil-Petersson length of the flow path, from the decrease of the
+    action: sum_k (S_{k-1} - S_k) / ((|nu_{k-1}|_WP + |nu_k|_WP) / 2), since
+    dS = -|nu|_WP dL along the gradient, plus sqrt(S_end), the length left
+    to the circle where |nu|_WP^2 = 4 S. It does not depend on the step
+    sizes; along the exact gradient it lies within
+    [sqrt(S_0), sqrt(S_0 / r_min)], r_min from gradient_ratio_min."""
+    norms = [math.sqrt(s.grad_wp_norm_sq) for s in states]
+    return math.fsum([(prev.action - s.action) / ((a + b) / 2.0)
+                      for prev, s, a, b in zip(states, states[1:],
+                                               norms, norms[1:])]
+                     + [math.sqrt(max(states[-1].action, 0.0))])
+
+
+def gradient_ratio_min(states):
+    """r_min = min_k |nu_k|_WP^2 / (4 S_k) over the states with
+    S_k > ACTION_FLOOR, or None if there are none. S is a Kahler potential
+    of the WP metric, so the ratio tends to 1 at the circle; a gradient path
+    on which it stays within [r_min, 1] has WP length within
+    [sqrt(S_0), sqrt(S_0 / r_min)]."""
+    return min((s.grad_wp_norm_sq / (4.0 * s.action) for s in states
+                if s.action > ACTION_FLOOR), default=None)
 

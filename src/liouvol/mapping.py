@@ -31,6 +31,7 @@ logger = logging.getLogger(__name__)
 
 MAX_ITER = 500
 CORRESPONDENCE_TOL = 1e-13  # sup change of theta that ends the iteration
+START_ORDER = 128  # first order of every solve; _solve_polar doubles it
 MAX_ORDER = 2048
 FIT_TOL = 1e-10
 TAIL_TARGET = 1e-12
@@ -67,8 +68,7 @@ def _solve_correspondence(problem, n, start=None):
         if delta > prev_delta and relax > 0.25:
             relax *= 0.5  # damp oscillation for fatter curves
         prev_delta = delta
-    raise NonConvergence(MAX_ITER, prev_delta,
-                         "boundary correspondence did not converge")
+    raise NonConvergence("boundary correspondence did not converge")
 
 
 class _Polar:
@@ -156,7 +156,7 @@ class SolveDiagnostics:
     boundary_mismatch: float    # max distance of map boundary to the curve
 
 
-def interior_map(curve, order=128, tol=FIT_TOL, auto_refine=True):
+def interior_map(curve, order=START_ORDER, tol=FIT_TOL, auto_refine=True):
     """Conformal map of the unit disk onto the inside of ``curve``.
 
     Normalization: f(0) is the curve anchor, added after the solve, and
@@ -195,7 +195,7 @@ def _interior_from_polar(rho, order, tol, auto_refine=True):
                         auto_refine)
 
 
-def exterior_map(curve, order=128):
+def exterior_map(curve):
     """Conformal map of |w| > 1 onto the outside of ``curve``.
 
     Normalization: g(inf) = inf with g'(inf) real positive. A series curve
@@ -207,7 +207,8 @@ def exterior_map(curve, order=128):
         problem = _Welding(_with_constant(curve.series, 0.0))
     else:
         problem = _Polar(curve.polar(), -1.0)
-    g, diag = _solve_polar(problem, order, FIT_TOL, _fit_exterior, "exterior")
+    g, diag = _solve_polar(problem, START_ORDER, FIT_TOL, _fit_exterior,
+                           "exterior")
     return LaurentMap(g.b1, g.b0 + curve.anchor(), g.bneg), diag
 
 
@@ -262,15 +263,14 @@ def _solve_polar(problem, order, tol, fit, side, auto_refine=True):
                      side, order, tail)
     distance = max(problem.distance(fmap, theta), spurious)
     if distance > max(tol, 50 * corr) * max(1.0, scale):
-        raise NonConvergence(iters, distance,
-                             f"{side} fit residual too large")
+        raise NonConvergence(f"{side} fit residual too large")
     return fmap, SolveDiagnostics(iters, corr, spurious, distance)
 
 
-def conformal_map_pair(curve, order=128):
-    """Interior and exterior maps of the same curve."""
-    f, _ = interior_map(curve, order=order)
-    g, _ = exterior_map(curve, order=order)
+def conformal_map_pair(curve):
+    """Interior and exterior maps of the same curve, from START_ORDER."""
+    f, _ = interior_map(curve)
+    g, _ = exterior_map(curve)
     return f, g
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .epstein import _frame_fields, curvature_columns
 from .errors import DomainError
 from .mapping import welding
-from .series import LaurentMap
+from .series import LaurentMap, unit_scale
 
 FLOAT_FMT = "%.17g"
 
@@ -80,20 +80,25 @@ def _pack(fmap, params, n_rings, n_ang, ring_params):
     """Sheet over the flat ring-by-ring parameter grid ``params`` plus a
     center vertex: zeta = 0 for a series map, the apex at infinity
     for a Laurent map. The ring area is taken from the frame Z at the fine
-    rim points ``ring_params``."""
+    rim points ``ring_params``. The sheet is built on the map scaled exactly
+    by c = unit_scale(fmap), so that the face orientation and the ring area,
+    products of lengths, stay in the float range, and is scaled back."""
     exterior = isinstance(fmap, LaurentMap)
+    c = unit_scale(fmap)
+    unit = fmap.scaled(c)
     source = np.concatenate([[np.inf + 0j if exterior else 0j], params])
-    Z, xi, eh, ev = _frame_fields(fmap, params if exterior else source)
+    Z, xi, eh, ev = _frame_fields(unit, params if exterior else source)
     verts = np.column_stack([Z.real, Z.imag, xi])
     eta = np.column_stack([eh.real, eh.imag, ev])
     if exterior:
-        apex = _exterior_apex(fmap)
+        apex = _exterior_apex(unit)
         verts = np.vstack([apex[None, :3], verts])
         eta = np.vstack([apex[None, 3:], eta])
     faces = _orient_faces(verts, _grid_faces(n_rings, n_ang), eta)
     ring = np.arange(1 + (n_rings - 1) * n_ang, 1 + n_rings * n_ang)
-    ring_area = _spectral_ring_area(_frame_fields(fmap, ring_params)[0])
-    return SurfaceMesh(verts, faces, eta, source, ring, ring_area, fmap)
+    ring_area = _spectral_ring_area(_frame_fields(unit, ring_params)[0])
+    return SurfaceMesh(verts / c, faces, eta, source, ring, ring_area / c / c,
+                       fmap)
 
 
 def _exterior_apex(g):
@@ -229,12 +234,14 @@ def _point_triangle_distance(points, tris):
     return np.linalg.norm(points - nearest, axis=1)
 
 
-def _one_sided_separation(mesh_a, mesh_b):
+def _one_sided_separation(mesh_a, mesh_b, c):
+    """Distances of mesh_a's vertices from mesh_b's triangles, both scaled
+    by c."""
     from scipy.spatial import cKDTree
 
-    tris = mesh_b.face_points()
+    tris = c * mesh_b.face_points()
     tree = cKDTree(tris.mean(axis=1))
-    pts = mesh_a.vertices
+    pts = c * mesh_a.vertices
     _, idx = tree.query(pts, k=min(12, len(tris)))
     idx = np.atleast_2d(idx)
     best = np.full(len(pts), np.inf)
@@ -245,10 +252,13 @@ def _one_sided_separation(mesh_a, mesh_b):
 
 
 def surface_separation(mesh_in, mesh_out):
-    """Minimum Euclidean vertex-to-triangle distance between the meshes."""
-    d1 = _one_sided_separation(mesh_in, mesh_out)
-    d2 = _one_sided_separation(mesh_out, mesh_in)
-    return float(min(d1.min(), d2.min()))
+    """Minimum Euclidean vertex-to-triangle distance between the meshes,
+    measured on both scaled exactly by c = unit_scale(mesh_in.fmap), as the
+    meshes were built: the distance forms fourth powers of lengths."""
+    c = unit_scale(mesh_in.fmap)
+    d1 = _one_sided_separation(mesh_in, mesh_out, c)
+    d2 = _one_sided_separation(mesh_out, mesh_in, c)
+    return float(min(d1.min(), d2.min())) / c
 
 
 # -- export -------------------------------------------------------------------

@@ -87,6 +87,10 @@ class PowerSeriesMap:
     def is_normalized_map(self):
         return self.coeffs.size >= 2 and self.coeffs[1] != 0
 
+    def scaled(self, c):
+        """The map c f."""
+        return PowerSeriesMap(c * self.coeffs)
+
 
 @dataclass(frozen=True, eq=False)
 class LaurentMap:
@@ -144,6 +148,10 @@ class LaurentMap:
             out.append(-6.0 * u2 * u2 * (d[1] + u * (2.0 * d[2] + u * d[3])))
         return tuple(out)
 
+    def scaled(self, c):
+        """The map c g."""
+        return LaurentMap(c * self.b1, c * self.b0, c * self.bneg)
+
     def rotated(self, alpha):
         """Precompose with w -> w e^{-i alpha} (coefficient of w^k gets e^{-ik alpha})."""
         k = np.arange(1, self.bneg.size + 1)
@@ -152,6 +160,15 @@ class LaurentMap:
             self.b0,
             self.bneg * np.exp(1j * k * alpha),
         )
+
+
+def unit_scale(m):
+    """The power of two c that brings |c m'| at 0, or at infinity for a
+    LaurentMap, within [2^-1/2, 2^1/2]. m.scaled(c) is exact, so lengths
+    taken from it are m's times c to the bit, and their squares and fourth
+    powers stay in the float range for any size of curve."""
+    lead = m.b1 if isinstance(m, LaurentMap) else m.coeffs[1]
+    return 2.0 ** -round(math.log2(abs(lead)))
 
 
 def _fold_fft(terms, n, sign):

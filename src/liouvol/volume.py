@@ -54,9 +54,9 @@ from numpy.polynomial import legendre
 from .action import liouville_action
 from .epstein import _height_jacobian, mean_curvature_total
 from .errors import (CapTopologyError, DivergenceSuspected, DomainError,
-                     NoConvergence)
+                     NonConvergence)
 from .quadrature import angular_count
-from .series import LaurentMap, PowerSeriesMap, ring_jet
+from .series import LaurentMap, ring_jet, unit_scale
 
 ORIENT_SIGN = -1.0  # mesh sheet normals point into the enclosed region
 NEVILLE_STAGES = 5  # most powers of eps eliminated from V(eps)
@@ -272,13 +272,13 @@ def richardson_extrapolate(samples):
         prev = table[-1]
         nxt = (eps[:-j] * prev[1:] - eps[j:] * prev[:-1]) / (eps[:-j] - eps[j:])
         if not np.all(np.isfinite(nxt)):
-            raise NoConvergence("non-finite extrapolant")
+            raise NonConvergence("non-finite extrapolant")
         table.append(nxt)
     limit = float(table[-1][-1])
     err = abs(limit - float(table[-2][-1]))
     spread = max(vals) - min(vals)
     if err > max(10.0 * spread, 1.0) and spread > 0:
-        raise NoConvergence(f"extrapolants diverge: step {err:.3e}")
+        raise NonConvergence(f"extrapolants diverge: step {err:.3e}")
     return limit, err
 
 
@@ -287,12 +287,11 @@ def volume(f, g):
     by f and g: the finite parts of both sheets' rays, each sheet on
     angular_count(2 * order) rays of its own map. Raises
     DivergenceSuspected if the sheets' areas do not cancel. The maps are
-    first scaled exactly by c, a power of two, to |c b1| in [2^-1/2, 2^1/2]:
-    V is dilation invariant, no height leaves the float range, and the kappa
-    sums, +-pi to rounding, leave no kappa log c behind."""
-    c = 2.0 ** -round(math.log2(abs(g.b1)))
-    f = PowerSeriesMap(c * f.coeffs)
-    g = LaurentMap(c * g.b1, c * g.b0, c * g.bneg)
+    first scaled exactly by c = unit_scale(g): V is dilation invariant, no
+    height leaves the float range, and the kappa sums, +-pi to rounding,
+    leave no kappa log c behind."""
+    c = unit_scale(g)
+    f, g = f.scaled(c), g.scaled(c)
     rays = [angular_count(2 * m.order) for m in (f, g)]
     (parts_in, a_in), (parts_out, a_out) = (
         _sheet(m, n) for m, n in zip((f, g), rays))

@@ -19,7 +19,7 @@ def ellipse():
 
 @pytest.fixture(scope="session")
 def ellipse_maps(ellipse):
-    return conformal_map_pair(ellipse, order=96)
+    return conformal_map_pair(ellipse)
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +29,7 @@ def cubic():
 
 @pytest.fixture(scope="session")
 def cubic_maps(cubic):
-    return conformal_map_pair(cubic, order=96)
+    return conformal_map_pair(cubic)
 
 
 @pytest.fixture(scope="session")

@@ -317,7 +317,7 @@ def grid_displacement(curve, g, nu, grid):
     return z, grid_transform(g, nu, z, grid)
 
 
-def variation_check(f, g, nu, dt, grid=None, deform_opts=None):
+def variation_check(f, g, nu, dt, grid=None):
     """Centered difference of V_R along the Beltrami deformation nu against
     the boundary-integral formula Re int nu S(g), integrated over ``grid``
     (by default sized to g's order). The curve moves by grid_displacement
@@ -332,7 +332,6 @@ def variation_check(f, g, nu, dt, grid=None, deform_opts=None):
 
     sized = QuadratureGrid.for_order(g.order)
     grid = grid or sized
-    deform_opts = deform_opts or {}
 
     ext = grid.exterior()
     rhs = float(np.real(ext.integrate(nu(ext.nodes)
@@ -342,7 +341,7 @@ def variation_check(f, g, nu, dt, grid=None, deform_opts=None):
     velocity = grid_displacement(base, g, nu, sized)
 
     def v_r_at(t):
-        moved = beltrami_step(nu, t, precomputed=velocity, **deform_opts)
+        moved = beltrami_step(nu, t, precomputed=velocity)
         return renormalized_volume(*conformal_map_pair(moved)).V_R
 
     lhs = (v_r_at(dt) - v_r_at(-dt)) / (2.0 * dt)

@@ -35,12 +35,12 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def ellipse_pair():
-    return conformal_map_pair(ellipse_curve(1.2, 1.0), order=96)
+    return conformal_map_pair(ellipse_curve(1.2, 1.0))
 
 
 @pytest.fixture(scope="module")
 def cubic_pair():
-    return conformal_map_pair(polynomial_curve(0.0, 0.05), order=96)
+    return conformal_map_pair(polynomial_curve(0.0, 0.05))
 
 
 def test_criterion_1_closed_form_envelopes():
@@ -184,7 +184,7 @@ def test_criterion_6_equipotential_monotonicity(ellipse_pair):
         from liouvol.curves import CurveSpec
         from liouvol.mapping import exterior_map
         curve_n = CurveSpec.from_series(fn)
-        gn, _ = exterior_map(curve_n, order=96)
+        gn, _ = exterior_map(curve_n)
         values.append(liouville_action(fn, gn).total)
     nondecreasing = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     close = abs(values[-1] - base) <= 0.02 * base
@@ -209,8 +209,8 @@ def test_criterion_7_first_variations(ellipse_pair):
     velocity = grid_displacement(curve, g, nu, GRID)
 
     def action_at(t):
-        moved = beltrami_step(nu, t, order=96, precomputed=velocity)
-        fm, gm = conformal_map_pair(moved, order=96)
+        moved = beltrami_step(nu, t, precomputed=velocity)
+        fm, gm = conformal_map_pair(moved)
         return liouville_action(fm, gm).total
 
     dt = 1e-3
@@ -222,8 +222,7 @@ def test_criterion_7_first_variations(ellipse_pair):
     decay_ok = all(b <= 0.65 * a + 1e-6
                    for a, b in zip(fwd_errors, fwd_errors[1:]))
 
-    out = variation_check(f, g, nu, dt, grid=GRID,
-                          deform_opts=dict(order=96))
+    out = variation_check(f, g, nu, dt, grid=GRID)
     volume_ok = abs(out["lhs"] - out["rhs"]) <= 0.05 * abs(out["rhs"]) + 1e-3
 
     report(7, "first-variation consistency",
@@ -238,8 +237,8 @@ def test_criterion_8_gradient_flow():
     of its initial value, monotonically, with the sup bound holding at 6;
     circle start is stationary to 1e-9. Runtime <= 10 min."""
     t0 = time.time()
-    f, g = conformal_map_pair(ellipse_curve(1.2, 1.0), order=96)
-    states = run_flow(f, g, max_steps=50, order=96)
+    f, g = conformal_map_pair(ellipse_curve(1.2, 1.0))
+    states = run_flow(f, g, max_steps=50)
     elapsed = time.time() - t0
     acts = [s.action for s in states]
     monotone = all(b <= a for a, b in zip(acts, acts[1:]))
@@ -251,7 +250,7 @@ def test_criterion_8_gradient_flow():
 
     from liouvol.flow import beltrami_step
     g0 = LaurentMap(1.0)
-    moved = beltrami_step(gradient_field(g0), 1e-2, order=64)
+    moved = beltrami_step(gradient_field(g0), 1e-2)
     delta = np.max(np.abs(moved.series.coeffs
                           - np.pad(np.array([0, 1 + 0j]),
                                    (0, moved.series.coeffs.size - 2))))

@@ -23,7 +23,7 @@ def run_cli(*args):
 
 def test_verify_identity_circle(tmp_path):
     code = run_cli("verify-identity", "--curve", "circle",
-                   "--out", str(tmp_path), "--series-order", "64")
+                   "--out", str(tmp_path))
     assert code == 0
     payload = json.loads((tmp_path / "verify_identity.json").read_text())
     assert payload["passed"] is True
@@ -34,7 +34,7 @@ def test_verify_identity_circle(tmp_path):
 
 def test_action_subcommand_and_trace(tmp_path):
     code = run_cli("action", "--curve", "cubic", "--out", str(tmp_path),
-                   "--series-order", "64", "--trace")
+                   "--trace")
     assert code == 0
     payload = json.loads((tmp_path / "action.json").read_text())
     assert payload["total"] > 0
@@ -48,8 +48,7 @@ def test_action_subcommand_and_trace(tmp_path):
 
 
 def test_grunsky_subcommand(tmp_path):
-    code = run_cli("grunsky", "--curve", "cubic", "--out", str(tmp_path),
-                   "--series-order", "64")
+    code = run_cli("grunsky", "--curve", "cubic", "--out", str(tmp_path))
     assert code == 0
     payload = json.loads((tmp_path / "grunsky.json").read_text())
     assert payload["lhs"] <= payload["rhs"] + 1e-9
@@ -101,7 +100,7 @@ def test_grunsky_contract_is_relative_to_rhs(tmp_path, monkeypatch):
 
 def test_surface_subcommand(tmp_path):
     code = run_cli("surface", "--curve", "cubic", "--out", str(tmp_path),
-                   "--mesh", "16x32", "--series-order", "64")
+                   "--mesh", "16x32")
     assert code == 0
     for name in ("surface_in.obj", "surface_out.obj", "surface_in.csv",
                  "surface_out.csv", "surface.json"):
@@ -112,7 +111,7 @@ def test_surface_subcommand(tmp_path):
 
 def test_flow_subcommand(tmp_path):
     code = run_cli("flow", "--curve", "wobble", "--out", str(tmp_path),
-                   "--steps", "5", "--series-order", "64")
+                   "--steps", "5")
     assert code == 0
     payload = json.loads((tmp_path / "flow.json").read_text())
     assert payload["monotone"] is True
@@ -126,23 +125,33 @@ def test_flow_subcommand(tmp_path):
 
 def test_flow_reports_wp_path_length(tmp_path):
     code = run_cli("flow", "--curve", "wobble", "--out", str(tmp_path),
-                   "--steps", "5", "--series-order", "64")
+                   "--steps", "5")
     assert code == 0
     length = json.loads((tmp_path / "flow.json").read_text())["wp_path_length"]
     lines = (tmp_path / "flow.csv").read_text().strip().split("\n")
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    # columns: step, action, grad_wp_norm_sq, step_size, roundness
-    recomputed = math.fsum(b[3] * math.sqrt(a[2])
-                           for a, b in zip(rows, rows[1:]))
+    # columns: step, action, grad_wp_norm_sq, step_size, roundness; each
+    # step adds its decrease over the mean gradient norm at its ends, and
+    # sqrt(S) of the last state is the length left to the circle
+    recomputed = math.fsum(
+        [(a[1] - b[1]) / ((math.sqrt(a[2]) + math.sqrt(b[2])) / 2.0)
+         for a, b in zip(rows, rows[1:])] + [math.sqrt(rows[-1][1])])
     assert length > 0
     assert abs(length - recomputed) <= 1e-12 * recomputed
+    payload = json.loads((tmp_path / "flow.json").read_text())
+    assert payload["wp_length_bound"] == math.sqrt(
+        payload["initial_action"] / payload["gradient_ratio_min"])
 
+    # the circle takes no step: its length is sqrt(S) of its rounding-level
+    # action, and no state's action lies above the floor of the ratio
     circle = tmp_path / "circle"
-    assert run_cli("flow", "--curve", "circle", "--out", str(circle),
-                   "--series-order", "64") == 0
+    assert run_cli("flow", "--curve", "circle", "--out", str(circle)) == 0
     payload = json.loads((circle / "flow.json").read_text())
     assert payload["steps_accepted"] == 0
-    assert payload["wp_path_length"] == 0
+    assert payload["wp_path_length"] == math.sqrt(payload["final_action"])
+    assert payload["wp_path_length"] < 1e-12
+    assert payload["gradient_ratio_min"] is None
+    assert payload["wp_length_bound"] == 0.0
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "cubic", "wobble"])
@@ -204,6 +213,27 @@ def test_flow_is_free_of_the_curve_size(tmp_path, scale):
     assert payload["final_action"] < 1e-9
 
 
+def _surface_outputs(tmp_path, scale):
+    curve, out = _scaled_curve(tmp_path, scale), tmp_path / f"out_{scale:g}"
+    assert run_cli("surface", "--curve", curve, "--out", str(out),
+                   "--mesh", "16x16") == 0
+    return json.loads((out / "surface.json").read_text())
+
+
+@pytest.mark.parametrize("exponent", [-332, 332, 498, 664])
+def test_surface_is_free_of_the_curve_size(tmp_path, exponent):
+    # the sheets are built and their distance measured on the maps scaled
+    # exactly to unit size: the face orientation and the point-triangle
+    # distance form squares and fourth powers of lengths
+    scale = 2.0 ** exponent
+    ref = _surface_outputs(tmp_path, 1.0)
+    out = _surface_outputs(tmp_path, scale)
+    assert abs(out["separation"] / scale - ref["separation"]) \
+        <= 1e-10 * ref["separation"]
+    for key in ("max_schwarzian_norm_in", "max_schwarzian_norm_out"):
+        assert abs(out[key] - ref[key]) <= 1e-12
+
+
 def test_flow_obj_every_writes_sheets_of_every_nth_step(tmp_path):
     code = run_cli("flow", "--curve", "wobble", "--out", str(tmp_path),
                    "--steps", "5", "--obj-every", "5")
@@ -224,8 +254,7 @@ def test_verify_identity_contract_failure_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "renormalized_volume", lambda f, g: replace(
         renormalized_volume(f, g), identity_residual=1.0))
     code = run_cli("verify-identity", "--curve", "ellipse",
-                   "--out", str(tmp_path), "--tol", "1e-6",
-                   "--series-order", "64")
+                   "--out", str(tmp_path), "--tol", "1e-6")
     assert code == 2
     diag = json.loads((tmp_path / "diagnostic.json").read_text())
     assert diag["error"] == "ContractError"
@@ -240,36 +269,11 @@ def test_verify_identity_tol_is_relative_to_the_action(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "renormalized_volume", lambda f, g: replace(
         renormalized_volume(f, g), identity_residual=1e-5))
     code = run_cli("verify-identity", "--curve", "ellipse",
-                   "--out", str(tmp_path), "--tol", "1e-6",
-                   "--series-order", "64")
+                   "--out", str(tmp_path), "--tol", "1e-6")
     assert code == 2
     payload = json.loads((tmp_path / "verify_identity.json").read_text())
     assert payload["tolerance"] == (1e-6 * abs(payload["action_total"])
                                     + cli.IDENTITY_FLOOR)
-
-
-def _mesh_lines(path):
-    """The v, vn and f lines of an OBJ file."""
-    return [line for line in path.read_text().splitlines()
-            if line.split(" ", 1)[0] in ("v", "vn", "f")]
-
-
-def test_volume_dump_obj_writes_the_sheets_surface_writes(tmp_path):
-    # the dump is surface's default mesh of both sheets: the same v, vn and f
-    # lines, with no clip and no cap
-    dump, surface = tmp_path / "volume", tmp_path / "surface"
-    assert run_cli("volume", "--curve", "cubic", "--out", str(dump),
-                   "--series-order", "64", "--dump-obj") == 0
-    assert run_cli("surface", "--curve", "cubic", "--out", str(surface),
-                   "--series-order", "64") == 0
-    assert {p.name for p in dump.glob("*.obj")} == {"volume_in.obj",
-                                                    "volume_out.obj"}
-    outputs = json.loads((dump / "manifest.json").read_text())["outputs"]
-    for side in ("in", "out"):
-        assert f"volume_{side}.obj" in outputs
-        lines = _mesh_lines(dump / f"volume_{side}.obj")
-        assert any(line.startswith("f ") for line in lines)
-        assert lines == _mesh_lines(surface / f"surface_{side}.obj")
 
 
 def test_obj_outputs_need_no_welding(tmp_path, monkeypatch):
@@ -279,12 +283,11 @@ def test_obj_outputs_need_no_welding(tmp_path, monkeypatch):
 
     monkeypatch.setattr(meshing, "welding", forbidden)
     monkeypatch.setattr(meshing, "aligned_surface_meshes", forbidden)
-    assert run_cli("volume", "--curve", "cubic", "--out",
-                   str(tmp_path / "volume"), "--series-order", "64",
-                   "--dump-obj") == 0
-    assert run_cli("flow", "--curve", "cubic", "--out",
-                   str(tmp_path / "flow"), "--series-order", "64",
+    assert run_cli("surface", "--curve", "cubic", "--out",
+                   str(tmp_path / "surface"), "--mesh", "8x8") == 0
+    assert run_cli("flow", "--curve", "cubic", "--out", str(tmp_path / "flow"),
                    "--steps", "2", "--obj-every", "1") == 0
+    assert len(list((tmp_path / "surface").glob("surface_*.obj"))) == 2
     assert len(list((tmp_path / "flow").glob("flow_*.obj"))) == 6
 
 
@@ -470,12 +473,12 @@ def test_each_command_solves_its_curve_once(tmp_path, monkeypatch, command):
 def test_subcommands_take_only_their_flags():
     common = {"--curve", "--out"}
     table = {
-        "action": {"--series-order", "--trace"},
-        "grunsky": {"--series-order"},
-        "surface": {"--series-order", "--mesh", "--r-max"},
-        "volume": {"--series-order", "--dump-obj"},
-        "verify-identity": {"--series-order", "--tol"},
-        "flow": {"--series-order", "--steps", "--obj-every"},
+        "action": {"--trace"},
+        "grunsky": set(),
+        "surface": {"--mesh", "--r-max"},
+        "volume": set(),
+        "verify-identity": {"--tol"},
+        "flow": {"--steps", "--obj-every"},
     }
     parser = build_parser()
     sub, = (a for a in parser._actions
@@ -487,18 +490,30 @@ def test_subcommands_take_only_their_flags():
         assert options == common | flags, name
 
 
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_order_and_dump_flags_are_input_errors(tmp_path, command):
+    # the solvers choose every map's order, and surface writes the sheets
+    # that volume's OBJ dump repeated
+    flags = [("--series-order", "64")]
+    if command == "volume":
+        flags.append(("--dump-obj",))
+    for flag in flags:
+        out = tmp_path / flag[0][2:]
+        assert run_cli(command, "--curve", "circle", "--out", str(out),
+                       *flag) == 1
+        assert not out.exists()
+
+
 def test_manifest_config_names_only_the_command_flags(tmp_path):
     assert run_cli("action", "--curve", "circle", "--out", str(tmp_path)) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert set(manifest["config"]) == {"command", "curve", "series_order",
-                                       "trace"}
+    assert set(manifest["config"]) == {"command", "curve", "trace"}
 
 
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        code = run_cli("action", "--curve", "cubic", "--out", str(out),
-                       "--series-order", "64")
+        code = run_cli("action", "--curve", "cubic", "--out", str(out))
         assert code == 0
     for name in ("action.json", "manifest.json"):
         b1 = (out1 / name).read_bytes()
@@ -511,8 +526,7 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_manifest_lists_all_outputs(tmp_path):
-    code = run_cli("volume", "--curve", "circle", "--out", str(tmp_path),
-                   "--series-order", "64")
+    code = run_cli("volume", "--curve", "circle", "--out", str(tmp_path))
     assert code == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     written = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
@@ -588,7 +602,7 @@ def test_every_exported_function_runs_under_the_cli_or_is_hooked(tmp_path):
             called.add(frame.f_code)
 
     runs = [("action", "--trace"), ("grunsky",), ("surface", "--mesh", "8x8"),
-            ("volume", "--dump-obj"), ("verify-identity",),
+            ("volume",), ("verify-identity",),
             ("flow", "--steps", "1", "--obj-every", "1")]
     sys.setprofile(profile)
     try:

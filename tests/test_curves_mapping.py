@@ -255,7 +255,7 @@ def test_non_star_shaped_polyline_rejected_by_solvers():
 
 
 def test_exterior_map_unit_circle_is_identity():
-    g, diag = exterior_map(circle_curve(), order=64)
+    g, diag = exterior_map(circle_curve())
     assert abs(g.b1 - 1.0) < 1e-10
     assert abs(g.b0) < 1e-10
     assert np.all(np.abs(g.bneg) < 1e-10)
@@ -263,7 +263,7 @@ def test_exterior_map_unit_circle_is_identity():
 
 
 def test_exterior_map_ellipse_matches_joukowski(ellipse):
-    g, diag = exterior_map(ellipse, order=64)
+    g, diag = exterior_map(ellipse)
     assert abs(g.b1 - 1.1) < 1e-9
     assert abs(g.b0) < 1e-9
     assert abs(g.bneg[0] - 0.1) < 1e-9
@@ -272,14 +272,14 @@ def test_exterior_map_ellipse_matches_joukowski(ellipse):
 
 
 def test_exterior_map_cubic_residual_certified(cubic):
-    g, diag = exterior_map(cubic, order=64)
+    g, diag = exterior_map(cubic)
     assert diag.boundary_mismatch < 1e-8
 
 
 def test_exterior_residual_analytic_curves_at_64():
     for curve in (polynomial_curve(0.1), polynomial_curve(0.0, 0.05),
                   ellipse_curve(1.2, 1.0)):
-        _, diag = exterior_map(curve, order=64)
+        _, diag = exterior_map(curve)
         assert diag.boundary_mismatch < 1e-6
 
 
@@ -333,7 +333,7 @@ def test_conformal_pair_consistency(cubic, ellipse):
     star = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     th = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     for curve in (cubic, ellipse, star):
-        f, g = conformal_map_pair(curve, order=96)
+        f, g = conformal_map_pair(curve)
         # boundary images coincide as point sets: sample f-side, match g-side
         phi = welding(f, g, th)
         d = np.abs(g(np.exp(1j * phi)) - f.eval_unchecked(np.exp(1j * th)))
@@ -371,13 +371,13 @@ def test_doubled_orders_start_from_the_previous_solution(monkeypatch):
         return out
 
     monkeypatch.setattr(mapping_module, "_solve_correspondence", counted)
-    warm, _ = exterior_map(curve, order=128)
+    warm, _ = exterior_map(curve)
     assert warm.order == 512
     assert [n for n, _ in runs] == [1024, 2048, 4096]
     assert all(iters <= 3 for _, iters in runs[1:])
     monkeypatch.setattr(mapping_module, "_solve_correspondence",
                         lambda problem, n, start=None: solve(problem, n))
-    cold, _ = exterior_map(curve, order=128)
+    cold, _ = exterior_map(curve)
     assert cold.order == 512
     assert abs(warm.b1 - cold.b1) <= 1e-14
     assert abs(warm.b0 - cold.b0) <= 1e-14

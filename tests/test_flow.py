@@ -8,11 +8,15 @@ from oracles import (balanced_curve, boundary_samples, circle_curve,
                      gradient_ring_maxima, grid_displacement, grid_transform,
                      polynomial_curve)
 
+from liouvol import flow
 from liouvol.action import liouville_action
+from liouvol.cli import load_curve
 from liouvol.curves import CurveSpec
 from liouvol.errors import DomainError
-from liouvol.flow import (BeltramiField, beltrami_step, displacement_field,
-                          gradient_field, roundness_deficit, run_flow)
+from liouvol.flow import (ACTION_FLOOR, BeltramiField, beltrami_step,
+                          displacement_field, gradient_field,
+                          gradient_ratio_min, roundness_deficit, run_flow,
+                          wp_path_length)
 from liouvol.mapping import conformal_map_pair
 from liouvol.quadrature import QuadratureGrid, angular_count
 from liouvol.series import LaurentMap, schwarzian
@@ -22,7 +26,7 @@ FINE = QuadratureGrid.disk(30, 16, 1024)
 
 @pytest.fixture(scope="module")
 def wobble_maps():
-    return conformal_map_pair(polynomial_curve(0.0, 0.08), order=96)
+    return conformal_map_pair(polynomial_curve(0.0, 0.08))
 
 
 def test_gradient_field_circle_is_zero():
@@ -116,7 +120,7 @@ def test_gradient_sup_is_that_of_every_ring(ellipse_maps, cubic_maps,
 def test_beltrami_step_zero_field_or_time(grid, ellipse, ellipse_maps):
     _, g = ellipse_maps
     zero = BeltramiField(g, np.zeros(256, complex), 0.0, 0.0)
-    moved = beltrami_step(zero, 0.37, order=64, precomputed=grid_displacement(
+    moved = beltrami_step(zero, 0.37, precomputed=grid_displacement(
         ellipse, g, np.zeros_like, grid))
     # same curve as a point set (the refit may reparametrize the boundary)
     pts = boundary_samples(moved, 512)
@@ -139,8 +143,8 @@ def test_beltrami_step_first_order_decrease(ellipse_maps):
     field = gradient_field(g)
     s0 = liouville_action(f, g).total
     t = 1e-3
-    moved = beltrami_step(field, t, order=96)
-    fm, gm = conformal_map_pair(moved, order=96)
+    moved = beltrami_step(field, t)
+    fm, gm = conformal_map_pair(moved)
     drop = liouville_action(fm, gm).total - s0
     predicted = -t * field.wp_norm_sq
     assert abs(drop - predicted) < 0.1 * abs(predicted)
@@ -179,14 +183,13 @@ def test_a_flow_of_no_steps_keeps_the_given_pair(wobble_maps):
 
 
 def test_flow_circle_start_is_stationary():
-    states = run_flow(*conformal_map_pair(circle_curve(), order=64),
-                      max_steps=5, order=64)
+    states = run_flow(*conformal_map_pair(circle_curve()), max_steps=5)
     assert len(states) == 1
     assert states[0].action < 1e-9
     # one explicit step moves nothing
     g = LaurentMap(1.0)
     field = gradient_field(g)
-    moved = beltrami_step(field, 1e-2, order=64)
+    moved = beltrami_step(field, 1e-2)
     assert np.max(np.abs(moved.series.coeffs[:2]
                          - np.array([0, 1]))) < 1e-9
     assert np.max(np.abs(moved.series.coeffs[2:])) < 1e-9
@@ -198,16 +201,16 @@ def test_first_order_slope_decay_along_gradient(ellipse_maps):
     s0 = liouville_action(f, g).total
     errors = []
     for t in (1e-3, 5e-4, 2.5e-4):
-        moved = beltrami_step(field, t, order=96)
-        fm, gm = conformal_map_pair(moved, order=96)
+        moved = beltrami_step(field, t)
+        fm, gm = conformal_map_pair(moved)
         slope = (liouville_action(fm, gm).total - s0) / t
         errors.append(abs(slope + field.wp_norm_sq))
     assert all(b <= 0.65 * a for a, b in zip(errors, errors[1:]))
 
 
 def test_flow_wobble_roundness_decreases():
-    f, g = conformal_map_pair(polynomial_curve(0.0, 0.08), order=96)
-    states = run_flow(f, g, max_steps=30, order=96)
+    f, g = conformal_map_pair(polynomial_curve(0.0, 0.08))
+    states = run_flow(f, g, max_steps=30)
     acts = [s.action for s in states]
     assert all(b <= a for a, b in zip(acts, acts[1:]))
     rough = [s.roundness for s in states]
@@ -230,8 +233,8 @@ def test_a_translated_flow_keeps_its_actions(offset):
 
 
 def test_flow_energy_accounting():
-    f, g = conformal_map_pair(ellipse_curve(1.2, 1.0), order=96)
-    states = run_flow(f, g, max_steps=60, order=96)
+    f, g = conformal_map_pair(ellipse_curve(1.2, 1.0))
+    states = run_flow(f, g, max_steps=60)
     acts = [s.action for s in states]
     assert all(b <= a for a, b in zip(acts, acts[1:]))
     drop = acts[0] - acts[-1]
@@ -305,6 +308,57 @@ def test_generic_flows_reach_the_floor_within_ten_steps(seed):
     states = run_flow(*conformal_map_pair(balanced_curve(seed, 3)))
     assert len(states) - 1 <= 10
     assert states[-1].action < 1e-9
+
+
+def _assert_length_bracket(states):
+    """0 < r_k <= 1 to 1e-5, r_k = |nu_k|_WP^2 / (4 S_k) over the states
+    above the action floor, and 1 <= L^2 / S_0 <= 1 / min r_k to 1e-3: the
+    bounds a path along the exact gradient meets."""
+    ratios = [s.grad_wp_norm_sq / (4.0 * s.action) for s in states
+              if s.action > ACTION_FLOOR]
+    assert ratios and all(0 < r <= 1 + 1e-5 for r in ratios)
+    assert gradient_ratio_min(states) == min(ratios)
+    squared = wp_path_length(states) ** 2 / states[0].action
+    assert 1 - 1e-3 <= squared <= 1 / min(ratios) + 1e-3
+
+
+@pytest.mark.parametrize("name", ["ellipse", "cubic", "wobble"])
+def test_wp_length_lies_within_its_bracket(name):
+    _assert_length_bracket(run_flow(*conformal_map_pair(load_curve(name))))
+
+
+@pytest.mark.parametrize("name", ["ellipse", "wobble"])
+def test_wp_length_does_not_depend_on_the_step_cap(monkeypatch, name):
+    # the length is summed from the decrease of the action, not from the
+    # step sizes, so a cap four times smaller, which takes about four times
+    # the steps, moves it by about 1e-5
+    maps = conformal_map_pair(load_curve(name))
+    lengths = []
+    for cap in (0.02, 0.005):
+        monkeypatch.setattr(flow, "STEP_CAP", cap)
+        lengths.append(wp_path_length(run_flow(*maps, max_steps=100)))
+    assert abs(lengths[1] - lengths[0]) <= 1e-3 * lengths[0]
+
+
+FAR_CURVES = {
+    "quadratic": polynomial_curve(0.3),
+    "ellipse-1.5": ellipse_curve(1.5, 1.0, n=2048),
+    "cubic-0.19": polynomial_curve(0.0, 0.19),
+    "star-0.08": polynomial_curve(0.0, 0.0, 0.0, 0.08),
+}
+
+
+@pytest.mark.parametrize("name", list(FAR_CURVES))
+def test_the_flow_reaches_the_floor_from_far_curves(name):
+    # S_0 = 0.474, 1.602, 2.455 and 2.965, against at most 0.32 for the
+    # fixtures: the flow reaches the floor within 50 steps, never raises
+    # the action, and every state's field keeps the Nehari bound
+    states = run_flow(*conformal_map_pair(FAR_CURVES[name]), max_steps=50)
+    assert states[-1].action < ACTION_FLOOR
+    acts = [s.action for s in states]
+    assert all(b <= a for a, b in zip(acts, acts[1:]))
+    assert all(gradient_field(s.g).sup_norm <= 6.0 for s in states)
+    _assert_length_bracket(states)
 
 
 def test_roundness_deficit_zero_on_circle():

@@ -377,7 +377,7 @@ def test_volume_mobius_invariance(ellipse, ellipse_maps):
     th = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
     pts = A.eval_array(f.eval_unchecked(np.exp(1j * th)))
     moved = CurveSpec.from_polyline(pts)
-    f2, g2 = conformal_map_pair(moved, order=128)
+    f2, g2 = conformal_map_pair(moved)
     v_moved = volume(f2, g2)
     # both curves are polylines, whose maps carry their splines' floor
     assert abs(v_moved - v_base) / abs(v_base) < 1e-10
@@ -406,7 +406,7 @@ def test_equipotential_family_tracks_identity(ellipse_maps):
     f, _ = ellipse_maps
     for n in (2, 4, 8, 16):
         fn = equipotential(f, n)
-        gn, _ = exterior_map(CurveSpec.from_series(fn), order=96)
+        gn, _ = exterior_map(CurveSpec.from_series(fn))
         rep = renormalized_volume(fn, gn)
         tol = max(0.01 * abs(rep.action_total), 1e-3)
         assert abs(rep.identity_residual) <= tol
@@ -428,7 +428,7 @@ def test_identity_on_energetic_star_curve():
     from liouvol.volume import renormalized_volume
 
     curve = polynomial_curve(0.0, 0.0, 0.0, 0.08)
-    f, g = conformal_map_pair(curve, order=128)
+    f, g = conformal_map_pair(curve)
     assert g.order >= 256  # refinement kicked in
     rep = renormalized_volume(f, g)
     assert abs(rep.identity_residual) <= 0.01 * rep.action_total
@@ -436,8 +436,7 @@ def test_identity_on_energetic_star_curve():
 
 def test_variation_check_trivial_field(ellipse_maps):
     f, g = ellipse_maps
-    out = variation_check(f, g, lambda w: np.zeros_like(w), 1e-3,
-                          deform_opts=dict(order=64))
+    out = variation_check(f, g, lambda w: np.zeros_like(w), 1e-3)
     assert out["rhs"] == 0
     assert abs(out["lhs"]) < 1e-6
 
@@ -446,7 +445,7 @@ def test_variation_check_circle_rhs_zero():
     f = PowerSeriesMap([0, 1])
     g = LaurentMap(1.0)
     nu = lambda w: 0.05 / (np.abs(w) ** 2 + 1.0) + 0j
-    out = variation_check(f, g, nu, 1e-3, deform_opts=dict(order=64))
+    out = variation_check(f, g, nu, 1e-3)
     assert out["rhs"] == 0
     assert abs(out["lhs"]) < 5e-3
 
@@ -460,7 +459,7 @@ def test_richardson_recovers_a_cubic_on_uneven_heights():
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "cubic", "wobble"])
 def test_ray_sheet_areas_cancel(name):
-    f, g = conformal_map_pair(load_curve(name), order=128)
+    f, g = conformal_map_pair(load_curve(name))
     inside, outside = _ray_sheets(f, g, 1e-4 * abs(g.b1))
     assert inside.area > 0
     assert abs(inside.area + outside.area) <= 1e-10 * abs(inside.area)
@@ -470,7 +469,7 @@ def test_too_few_rays_for_the_star_raise(monkeypatch):
     # the star's exterior map has order 512; 256 rays alias it and leave
     # its sheet areas uncancelled at ~5e-10
     curve = polynomial_curve(0.0, 0.0, 0.0, 0.08)
-    f, g = conformal_map_pair(curve, order=128)
+    f, g = conformal_map_pair(curve)
     assert volume(f, g) > 0
     monkeypatch.setattr(volume_module, "angular_count", lambda order: 256)
     with pytest.raises(DivergenceSuspected):
@@ -497,7 +496,7 @@ def test_ring_jets_give_the_horner_sheets(name, monkeypatch):
     # the sheets from one FFT per radius and from Horner at the same points
     # agree at every default height to rounding: neither J nor xi amplifies
     # the jets' last-digit differences; nor does the finite part
-    f, g = conformal_map_pair(_identity_curves()[name], order=128)
+    f, g = conformal_map_pair(_identity_curves()[name])
     schedule = default_heights(g)
     ring = [_levels(s, schedule) for s in _ray_sheets(f, g, schedule[-1])]
     v = volume(f, g)
@@ -515,7 +514,7 @@ def test_newton_cuts_match_bisection(name):
     # every bracket of both sheets at every default height, in one call
     # with one height per bracket: the Newton crossing against 60 halvings
     # of the bracket, on Clenshaw values
-    f, g = conformal_map_pair(_identity_curves()[name], order=128)
+    f, g = conformal_map_pair(_identity_curves()[name])
     schedule = default_heights(g)
     for sheet in _ray_sheets(f, g, schedule[-1]):
         above = sheet.samples > np.array(schedule)[:, None, None]
@@ -547,7 +546,7 @@ def test_newton_keeps_an_iterate_on_the_crossing():
 def test_levels_match_the_eleven_piece_rule(name):
     # cutting a straddling panel only at its crossings changes each sheet's
     # level and V(eps) only at rounding
-    f, g = conformal_map_pair(_identity_curves()[name], order=128)
+    f, g = conformal_map_pair(_identity_curves()[name])
     schedule = default_heights(g)
     sheets = _ray_sheets(f, g, schedule[-1])
     levels = np.array([_levels(s, schedule) for s in sheets])
@@ -602,7 +601,7 @@ def test_volume_samples_are_the_rounded_level_sums(name):
     # once: bit for bit math.fsum of the concatenated rows
     curves = _identity_curves()
     curve = curves[name] if name in curves else load_curve(name)
-    f, g = conformal_map_pair(curve, order=128)
+    f, g = conformal_map_pair(curve)
     schedule = default_heights(g)
     rows = np.concatenate([s.volume(schedule) for s in
                            _ray_sheets(f, g, schedule[-1])], axis=1)
@@ -616,7 +615,7 @@ def test_identity_to_rounding(name):
     curves = _identity_curves()
     curve = (curves[name] if name in curves
              else balanced_curve(int(name.removeprefix("balanced")), 2))
-    f, g = conformal_map_pair(curve, order=128)
+    f, g = conformal_map_pair(curve)
     rep = renormalized_volume(f, g)
     assert abs(rep.identity_residual) <= 5e-13 * rep.action_total
 
@@ -635,7 +634,7 @@ def test_mesh_samples_approach_ray_samples(ellipse_maps):
 
 @pytest.mark.parametrize("name", list(_identity_curves()))
 def test_identity_to_eight_digits(name):
-    f, g = conformal_map_pair(_identity_curves()[name], order=128)
+    f, g = conformal_map_pair(_identity_curves()[name])
     rep = renormalized_volume(f, g)
     assert abs(rep.identity_residual) <= 1e-8 * rep.action_total
 
@@ -645,7 +644,7 @@ def test_identity_on_the_order_2048_star():
     # integrand to about twice that in angle: on 2048 rays it aliases, and
     # the residual reads 1.2e-8 of the action
     curve = polynomial_curve(0.0, 0.0, 0.0, 0.12)
-    f, g = conformal_map_pair(curve, order=128)
+    f, g = conformal_map_pair(curve)
     assert g.order == 2048
     rep = renormalized_volume(f, g)
     assert abs(rep.identity_residual) <= 1e-11 * rep.action_total
@@ -657,7 +656,7 @@ def test_doubling_a_sheets_rays_moves_v_at_rounding(name, doubled,
                                                     monkeypatch):
     # each sheet takes angular_count(2 * order) rays of its own map: 256
     # on the fixtures, and 256 inside and 1024 outside on the star
-    f, g = conformal_map_pair(_identity_curves()[name], order=128)
+    f, g = conformal_map_pair(_identity_curves()[name])
     ratio = 4 if name == "star" else 1
     v = volume(f, g)
     target = f if doubled == "inside" else g
@@ -681,7 +680,7 @@ def test_sheet_blocks_match_one_whole_table(name, monkeypatch):
     # against one block of every ring
     curve = (polynomial_curve(0.0, 0.0, 0.0, 0.12)
              if name == "z+0.12z^5" else _identity_curves()[name])
-    f, g = conformal_map_pair(curve, order=128)
+    f, g = conformal_map_pair(curve)
     blocked = volume(f, g)
     monkeypatch.setattr(volume_module, "_BLOCK_POINTS", 10 ** 9)
     whole = volume(f, g)
@@ -696,7 +695,7 @@ def test_volume_is_the_oracles_neville_limit(name):
     curves = _identity_curves()
     curve = (curves[name] if name in curves
              else balanced_curve(int(name.removeprefix("balanced")), 2))
-    f, g = conformal_map_pair(curve, order=128)
+    f, g = conformal_map_pair(curve)
     assert abs(volume(f, g) / truncated_ray_volume(f, g)[0] - 1.0) <= 1e-13
 
 
@@ -708,7 +707,7 @@ def test_each_sheets_log_eps_coefficient_is_pi(name):
     # cancels between the sheets
     curves = _identity_curves()
     curve = curves[name] if name in curves else load_curve(name)
-    for m, sign in zip(conformal_map_pair(curve, order=128), (1.0, -1.0)):
+    for m, sign in zip(conformal_map_pair(curve), (1.0, -1.0)):
         n = angular_count(2 * m.order)
         rim = np.exp(2j * np.pi * np.arange(n) / n)[None, :]
         xi_tau, J_tau = _height_jacobian(m, rim, ring_jet(m, np.ones(1), n),
