@@ -14,7 +14,8 @@ data reduces to the norm of the Schwarzian derivative.
 
 import numpy as np
 
-from .series import LaurentMap, area_norm, schwarzian, schwarzian_of
+from .series import (LaurentMap, area_norm, schwarzian, schwarzian_of,
+                     unit_scale)
 
 
 def _frame_fields(fmap, z):
@@ -96,13 +97,16 @@ def curvature_columns(fmap, source):
     an envelope sheet at its parameter points ``source``.
 
     A Laurent sheet's apex (the point at infinity, source[0]) takes the
-    limit norm 1.5 |b_-1 / b1| and zero density.
+    limit norm 1.5 |b_-1 / b1| and zero density. The density is formed on
+    the map scaled exactly by c = unit_scale(fmap) and multiplied by c^2
+    once: correctly rounded wherever it is a float, 0 or inf beyond.
     """
     source = np.asarray(source, dtype=complex)
     laurent = isinstance(fmap, LaurentMap)
     z = source[1:] if laurent else source
+    c = unit_scale(fmap)
     t = schwarzian_norm(fmap, z)
-    d1 = fmap.jet(z, upto=1)[1]
+    d1 = fmap.scaled(c).jet(z, upto=1)[1]
     rho = 4.0 / ((1.0 - np.abs(z) ** 2) ** 2 * np.abs(d1) ** 2)
     if laurent:
         apex = 1.5 * abs(fmap.bneg[0] / fmap.b1) if fmap.order else 0.0
@@ -112,7 +116,9 @@ def curvature_columns(fmap, source):
         k_p = -t / (t + 1.0)
         k_m = np.where(t == 1.0, -np.inf, -t / (t - 1.0))
     H = np.where(t == 1.0, np.inf, t * t / (1.0 - t * t))
-    return np.column_stack([t, k_p, k_m, H, t * t * rho])
+    with np.errstate(over="ignore", under="ignore"):
+        density = t * t * rho * c * c  # times c is exact; once more rounds
+    return np.column_stack([t, k_p, k_m, H, density])
 
 
 def mean_curvature_total(fmap):

@@ -10,13 +10,14 @@ The solver runs Theodorsen's boundary-correspondence iteration for
 star-shaped curves: with the map z exp(h(z)) inside, or w exp(H(w))
 outside, the boundary angle theta(phi) satisfies
 theta = phi +- conj[log rho(theta)] (+ inside), rho the polar radius and
-conj FFT-based harmonic conjugation. A polyline is solved on its polar
+conj harmonic conjugation by a real FFT. A polyline is solved on its polar
 radius on both sides (_Polar), a series curve's exterior on the welding
 of f - f(0) (_Welding): g(e^{i psi}) = f(e^{i t(psi)}), by one jet and one
 Newton step per iteration, so its polar radius is never built. One loop
 (_solve_polar) runs the iteration, order doubling and the certification;
 each problem supplies its iteration and its distance to the curve, each
-side its fit.
+side its fit. Every map's first solve converges on 256 points, where jets
+are cheap, and finishes on the working grid from the resampled angles.
 """
 
 import logging
@@ -42,11 +43,9 @@ RECENTER_ITER = 60
 
 def conjugate_periodic(u):
     """Harmonic conjugate on the circle: e^{ik phi} -> -i sign(k) e^{ik phi}."""
-    n = u.size
-    spec = np.fft.fft(u)
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    spec *= -1j * np.sign(k)
-    return np.real(np.fft.ifft(spec))
+    # irfft drops the imaginary parts that -i leaves in the mean and in an
+    # even n's Nyquist term, neither of which has a sign
+    return np.fft.irfft(-1j * np.fft.rfft(u), u.size)
 
 
 def _solve_correspondence(problem, n, start=None):
@@ -246,9 +245,14 @@ def _solve_polar(problem, order, tol, fit, side, auto_refine=True):
     distance to the curve, ``problem.distance(map, theta)``, raised to that
     spurious mass, must stay within max(tol, 50 * correspondence residual)
     times max(1, scale): tol is a distance on a curve of unit size.
-    A doubled order on a finer grid starts its iteration from the previous
-    solution; on the same grid it keeps it."""
+    The working grid starts from the solution on 2 START_ORDER points, or
+    cold when that raises; a doubled order on a finer grid starts from the
+    previous solution, and on the same grid keeps it."""
     order, theta = int(order), None
+    try:
+        theta = _solve_correspondence(problem, 2 * START_ORDER)[0]
+    except (NonConvergence, DomainError):
+        pass  # the working grid starts cold
     while True:
         n = max(1024, 8 * order)
         if theta is None or theta.size != n:
@@ -282,7 +286,7 @@ def recenter_interior(f):
     never fewer than f's).
 
     Returns f itself when the anchor is already within RECENTER_TOL of
-    optimal.
+    optimal. f - f(0) is sampled and fitted, and f(0) is added last.
     """
     s = 0.0 + 0.0j
     for _ in range(RECENTER_ITER):
@@ -299,7 +303,8 @@ def recenter_interior(f):
         return f
     n = max(1024, 8 * (f.order + 1))
     theta = np.exp(2j * np.pi * np.arange(n) / n)
-    boundary = f.eval_unchecked((theta + s) / (1.0 + np.conj(s) * theta))
+    boundary = _with_constant(f, 0.0).eval_unchecked(
+        (theta + s) / (1.0 + np.conj(s) * theta))
     spec = np.fft.fft(boundary) / n
     # f composed with a disk automorphism is an infinite series: keep every
     # coefficient above the relative tail floor
@@ -310,6 +315,7 @@ def recenter_interior(f):
     k = np.arange(coeffs.size)
     coeffs = coeffs * np.exp(-1j * k * alpha)
     coeffs[1] = abs(coeffs[1])
+    coeffs[0] += f.coeffs[0]
     return PowerSeriesMap(coeffs)
 
 

@@ -5,7 +5,9 @@ LaurentMap holds g(w) = b1 w + b0 + sum_k b_{-k} w^{-k} on |w| > 1.
 Differentiation is exact on coefficients. Evaluation is Horner at
 scattered points, where a value, a jet (the value with its first
 derivatives) or one derivative takes one pass of one kernel
-(_taylor_horner), and FFT on rings: at the points r e^{2 pi i j/n}, uniform
+(_taylor_horner; on at most 512 points it runs over blocks of the
+coefficients, _taylor_blocked, in about (2 upto + 5) sqrt(K) numpy calls
+for K coefficients), and FFT on rings: at the points r e^{2 pi i j/n}, uniform
 in angle, a jet is one length-n FFT per radius and derivative (ring_jet),
 and a value one FFT (ring_values). Every evaluation of a map at n uniform
 angles takes the ring path. Integrals of |analytic|^2 against a radial
@@ -25,6 +27,7 @@ DERIVATIVE_FLOOR = 1e-14
 # points per Horner block in _taylor_horner: a few accumulator rows of this
 # many complex values stay in cache while every coefficient passes over them
 _HORNER_BLOCK = 8192
+_BLOCKED_POINTS = 512  # beyond this the point loop is faster
 
 
 def _as_coeffs(c):
@@ -37,9 +40,13 @@ def _as_coeffs(c):
 def _taylor_horner(c, x, upto):
     """p^(m)(x)/m! for m = 0..upto, p(x) = sum_k c[k] x^k, from one Horner
     pass that updates the upto + 1 accumulators in place, over blocks of
-    points small enough to stay in cache. A scalar x gives scalars."""
+    points small enough to stay in cache. At most _BLOCKED_POINTS points
+    take _taylor_blocked instead. A scalar x gives scalars."""
     x = np.asarray(x, dtype=complex)
     flat = x.ravel()
+    if flat.size <= _BLOCKED_POINTS:
+        acc = _taylor_blocked(c, flat, upto)
+        return tuple(a.reshape(x.shape)[()] for a in acc)
     acc = np.zeros((upto + 1, flat.size), dtype=complex)
     for lo in range(0, flat.size, _HORNER_BLOCK):
         xb = flat[lo:lo + _HORNER_BLOCK]
@@ -51,6 +58,38 @@ def _taylor_horner(c, x, upto):
             d[0] *= xb
             d[0] += ck
     return tuple(a.reshape(x.shape)[()] for a in acc)
+
+
+def _taylor_blocked(c, x, upto):
+    """_taylor_horner's rows at the points x, from blocks of b = ceil(sqrt(K))
+    of the K coefficients: p(x) = sum_j y^j q_j(x) with y = x^b. One Horner
+    pass over the b coefficients of the blocks steps the Taylor rows
+    q_j^(m)(x)/m! of every block and derivative at once, and those of a last
+    row x^(b-1), whose one more step is y's. A second Horner pass, over the
+    blocks, multiplies truncated Taylor series in y. About (2 upto + 5)
+    sqrt(K) numpy calls, where the point loop takes 2 (upto + 1) K."""
+    size = max(c.size, 1)
+    b = math.isqrt(size - 1) + 1
+    rows = np.zeros(b * (-(-size // b) + 1), dtype=complex)
+    rows[:c.size] = c
+    rows[-1] = 1.0
+    rows = rows.reshape(-1, b)
+    q = np.zeros((upto + 1, rows.shape[0], x.size), dtype=complex)
+    step = np.empty_like(q)
+    for ck in rows.T[::-1, :, None]:
+        np.multiply(q, x, out=step)  # q[m] <- x q[m] + q[m - 1], q[0] + ck
+        step[1:] += q[:-1]
+        step[0] += ck
+        q, step = step, q
+    y = q[:, -1] * x  # y[a] = C(b, a) x^(b - a)
+    y[1:] += q[:-1, -1]
+    acc = q[:, -2]
+    for qj in q.transpose(1, 0, 2)[-3::-1]:
+        new = acc * y[0] + qj  # acc y + qj, truncated after e^upto
+        for a in range(1, upto + 1):
+            new[a:] += y[a] * acc[:-a]
+        acc = new
+    return acc
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,8 +13,8 @@ from liouvol.action import liouville_action
 from liouvol.cli import load_curve
 from liouvol.curves import CurveSpec
 from liouvol.errors import CorrespondenceError, DomainError, NonConvergence
-from liouvol.mapping import (conformal_map_pair, exterior_map, interior_map,
-                             recenter_interior, welding)
+from liouvol.mapping import (FIT_TOL, conformal_map_pair, exterior_map,
+                             interior_map, recenter_interior, welding)
 from liouvol.series import LaurentMap, PowerSeriesMap
 from liouvol.volume import renormalized_volume
 
@@ -359,9 +359,11 @@ def _distance_to_boundary(f, points, n=4096, newton=8):
 
 
 def test_doubled_orders_start_from_the_previous_solution(monkeypatch):
-    # the star's exterior series doubles 128 -> 256 -> 512; each finer grid
-    # starts from the coarser solution and takes at most 3 iterations, and
-    # the map is a cold solve's at every order to rounding
+    # the star's exterior series doubles 128 -> 256 -> 512 after the coarse
+    # level on 256 points; each finer grid starts from the coarser solution.
+    # 256 points leave the star's welding 2e-6 off, so the working grid
+    # takes fewer iterations than a cold one, and each doubled grid at most
+    # 3; the map is a cold solve's at every order to rounding
     curve = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     solve, runs = mapping_module._solve_correspondence, []
 
@@ -373,11 +375,13 @@ def test_doubled_orders_start_from_the_previous_solution(monkeypatch):
     monkeypatch.setattr(mapping_module, "_solve_correspondence", counted)
     warm, _ = exterior_map(curve)
     assert warm.order == 512
-    assert [n for n, _ in runs] == [1024, 2048, 4096]
-    assert all(iters <= 3 for _, iters in runs[1:])
+    assert [n for n, _ in runs] == [256, 1024, 2048, 4096]
+    assert all(iters <= 3 for _, iters in runs[2:])
+    warm_runs, runs[:] = runs[:], []
     monkeypatch.setattr(mapping_module, "_solve_correspondence",
-                        lambda problem, n, start=None: solve(problem, n))
+                        lambda problem, n, start=None: counted(problem, n))
     cold, _ = exterior_map(curve)
+    assert warm_runs[1][1] < runs[1][1]
     assert cold.order == 512
     assert abs(warm.b1 - cold.b1) <= 1e-14
     assert abs(warm.b0 - cold.b0) <= 1e-14
@@ -480,14 +484,16 @@ def test_series_exterior_solve_takes_one_jet_per_iteration(monkeypatch):
     # each correspondence iteration evaluates f by one jet and the fit
     # reuses the last; the certification on the welding takes one value
     # pass of f, and the polar radius is never built. The circle's start is
-    # the uniform grid, so its one iteration is a ring FFT
+    # the uniform grid, so its one coarse iteration is a ring FFT; the
+    # working grid starts from the resampled coarse welding and takes one
+    # iteration, by one jet
     star = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     passes, iterations, certification = _exterior_solve_passes(
         monkeypatch, star)
     assert 0 < passes <= iterations and certification == 1
     passes, iterations, certification = _exterior_solve_passes(
         monkeypatch, circle_curve())
-    assert passes == 0 and iterations == 1 and certification == 1
+    assert passes == 1 and iterations == 2 and certification == 1
 
 
 def test_welding_certification_catches_an_off_curve_map(monkeypatch):
@@ -547,3 +553,83 @@ def test_recenter_interior_keeps_the_boundary():
     assert fr is not f and fr.order > f.order
     circle = np.exp(2j * np.pi * np.arange(512) / 512)
     assert np.max(_distance_to_boundary(f, fr.eval_unchecked(circle))) < 1e-12
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e5, 1e7])
+def test_recenter_interior_is_free_of_the_anchor(offset):
+    # f - f(0) is sampled through the automorphism and fitted, and f(0) is
+    # added last, so a far anchor costs the other coefficients no digits
+    k = np.arange(2, 7)
+    phases = np.exp(2j * np.pi * np.array([0.1, 0.35, 0.6, 0.8, 0.95]))
+    coeffs = np.concatenate([[0.0, 1.0], 0.15 * phases / k])
+    ref = recenter_interior(PowerSeriesMap(coeffs))
+    moved = recenter_interior(PowerSeriesMap(np.r_[offset, coeffs[1:]]))
+    assert moved.order == ref.order
+    scale = np.max(np.abs(ref.coeffs[1:]))
+    assert np.max(np.abs(moved.coeffs[1:] - ref.coeffs[1:])) <= 1e-14 * scale
+    assert abs(moved.coeffs[0] - offset - ref.coeffs[0]) <= 1e-15 * offset
+
+
+def _cold_working_grid(monkeypatch, error):
+    """Make the coarse level of every solve raise ``error`` from its first
+    step, so that the working grid starts cold, as without it."""
+    for problem in (mapping_module._Polar, mapping_module._Welding):
+        step = problem.step
+
+        def raising(self, theta, phi, step=step):
+            if theta.size == 2 * mapping_module.START_ORDER:
+                raise error("coarse level refused")
+            return step(self, theta, phi)
+        monkeypatch.setattr(problem, "step", raising)
+
+
+def test_coarse_level_reaches_the_cold_working_grids_maps(monkeypatch):
+    # the 256-point level only moves the working grid's start: the maps
+    # are those of a cold solve on the working grid, order by order
+    curves = [circle_curve(), load_curve("ellipse"), load_curve("cubic"),
+              load_curve("wobble"), polynomial_curve(0.0, 0.0, 0.0, 0.08),
+              polynomial_curve(0.0, 0.0, 0.0, 0.12)] + [
+        CurveSpec.from_polyline(boundary_samples(c)) for c in
+        (polynomial_curve(0.0, 0.0, 0.0, 0.08),
+         polynomial_curve(0.1, 0.05j))]
+    pairs = [conformal_map_pair(curve) for curve in curves]
+    _cold_working_grid(monkeypatch, NonConvergence)
+    for curve, (f, g) in zip(curves, pairs):
+        f_ref, g_ref = conformal_map_pair(curve)
+        assert f.order == f_ref.order and g.order == g_ref.order
+        assert np.max(np.abs(f.coeffs - f_ref.coeffs)) <= 1e-14
+        assert abs(g.b1 - g_ref.b1) <= 1e-14
+        assert abs(g.b0 - g_ref.b0) <= 1e-14
+        assert np.max(np.abs(g.bneg - g_ref.bneg)) <= 1e-14
+
+
+@pytest.mark.parametrize("error", [NonConvergence, DomainError])
+def test_a_refused_coarse_level_solves_on_the_cold_working_grid(
+        monkeypatch, error):
+    # a coarse level that raises leaves the working grid to start cold, as
+    # it did alone: the solve neither fails nor changes its map
+    runs = []
+    solve = mapping_module._solve_correspondence
+
+    def counted(problem, n, start=None):
+        runs.append((n, start is None))
+        return solve(problem, n, start)
+
+    monkeypatch.setattr(mapping_module, "_solve_correspondence", counted)
+    _cold_working_grid(monkeypatch, error)
+    for solve_map, name in ((interior_map, "ellipse"),
+                            (exterior_map, "ellipse"), (exterior_map, "cubic")):
+        assert solve_map(load_curve(name))[1].boundary_mismatch <= FIT_TOL
+        assert runs[:2] == [(256, True), (1024, True)]
+        runs.clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 255, 1024])
+def test_conjugate_periodic_matches_the_full_fft(n):
+    # the real FFT keeps the conjugate of the full transform's
+    # -i sign(k) multiplier, the Nyquist term of an even n dropped
+    u = np.random.default_rng(n).normal(size=n)
+    spec = np.fft.fft(u) * -1j * np.sign(np.fft.fftfreq(n, d=1.0 / n))
+    ref = np.real(np.fft.ifft(spec))
+    assert np.max(np.abs(mapping_module.conjugate_periodic(u) - ref)) \
+        <= 1e-15 * max(1.0, np.max(np.abs(ref)))

@@ -397,3 +397,39 @@ def test_solver_and_flow_sites_match_horner(name, monkeypatch):
         _close(ring[key], horner[key])
     assert abs(ring["mismatch"] - horner["mismatch"]) <= 1e-13
     assert abs(ring["roundness"] - horner["roundness"]) <= 1e-13
+
+
+def _horner_loop(c, x, upto):
+    # the point loop, one coefficient and derivative at a time: the
+    # reference for the blocked evaluation of small point sets
+    x = np.asarray(x, dtype=complex).ravel()
+    d = [np.zeros(x.size, dtype=complex) for _ in range(upto + 1)]
+    for ck in c[::-1]:
+        for m in range(upto, 0, -1):
+            d[m] = d[m] * x + d[m - 1]
+        d[0] = d[0] * x + ck
+    return d
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 15, 16, 17, 85, 128, 511,
+                                   2048])
+@pytest.mark.parametrize("points", [1, 63, 512, 513])
+def test_blocked_horner_matches_the_point_loop(order, points):
+    # relative to the sum of the absolute terms, sum_k |c_k| C(k, m)
+    # |x|^(k - m): the scale of either evaluation's rounding
+    rng = np.random.default_rng(order * 1000 + points)
+    c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+    x = np.sqrt(rng.uniform(size=points)) * np.exp(
+        2j * np.pi * rng.uniform(size=points))
+    x[0] = np.exp(0.7j)
+    for upto in range(4):
+        got = series_module._taylor_horner(c, x, upto)
+        ref = _horner_loop(c, x, upto)
+        scale = _horner_loop(np.abs(c), np.abs(x), upto)
+        for m in range(upto + 1):
+            assert np.all(np.abs(got[m] - ref[m]) <= 1e-14 * scale[m])
+    got = series_module._taylor_horner(c, x[0], 3)
+    assert all(np.ndim(v) == 0 for v in got)
+    assert all(abs(v - r[0]) <= 1e-14 * s[0] for v, r, s in
+               zip(got, _horner_loop(c, x[0], 3),
+                   _horner_loop(np.abs(c), abs(x[0]), 3)))
