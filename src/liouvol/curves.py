@@ -33,10 +33,13 @@ def _star_steps(rel):
 
 
 def _json_pairs(payload, key):
-    """payload[key], a list of [re, im] pairs of finite numbers, as complex."""
+    """payload[key], a list of [re, im] pairs of finite numbers, as complex.
+    JSON's true and false are not numbers, though complex() takes them."""
     try:
-        c = np.array([complex(re, im) for re, im in payload[key]], complex)
-        if np.all(np.isfinite(c)):
+        pairs = payload[key]
+        c = np.array([complex(re, im) for re, im in pairs], complex)
+        if np.all(np.isfinite(c)) and not any(
+                isinstance(v, bool) for pair in pairs for v in pair):
             return c
     except (TypeError, ValueError, OverflowError):
         pass
@@ -75,8 +78,9 @@ class CurveSpec:
     @classmethod
     def from_json(cls, payload):
         if not (isinstance(payload, dict)
-                and payload.keys() & {"series", "points"}):
-            raise DomainError("curve JSON needs a 'series' or 'points' entry")
+                and len(payload.keys() & {"series", "points"}) == 1):
+            raise DomainError(
+                "curve JSON needs one entry, either 'series' or 'points'")
         if "series" in payload:
             return cls.from_series(_json_pairs(payload, "series"))
         return cls.from_polyline(_json_pairs(payload, "points"))

@@ -105,9 +105,7 @@ class _Welding:
     f's parameter, so the curve's polar radius is never inverted. Each step
     takes one jet of f at e^{it} and one Newton step of X(t) = target at
     every point; the error is target - X(t). The start is the lookup guess
-    of arg f = psi; when that guess is psi itself to rounding (a circle
-    about 0), the start is the uniform grid, and its jet a ring FFT. Its
-    boundary samples at psi are g(e^{i psi})."""
+    of arg f = psi. Its boundary samples at psi are g(e^{i psi})."""
 
     def __init__(self, f):
         self.f = f
@@ -117,13 +115,11 @@ class _Welding:
         # unwrapped, with t(0) near 0, so that t - psi is periodic: a
         # doubled grid's warm start resamples it
         t = np.unwrap(_argument_guess(self.f)(psi)[0])
-        t -= 2 * np.pi * np.round(t[0] / (2 * np.pi))
-        return psi.copy() if np.max(np.abs(t - psi)) <= 1e-12 else t
+        return t - 2 * np.pi * np.round(t[0] / (2 * np.pi))
 
     def step(self, t, psi):
         e = np.exp(1j * t)
-        w, d1 = (ring_jet(self.f, 1.0, t.size, upto=1)
-                 if np.array_equal(t, psi) else self.f.jet(e, upto=1))
+        w, d1 = self.f.jet(e, upto=1)
         ratio = _argument_ratio(e, w, d1)
         target = psi - conjugate_periodic(np.log(np.abs(w)))
         error = -np.angle(w * np.exp(-1j * target))

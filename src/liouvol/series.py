@@ -2,17 +2,18 @@
 
 PowerSeriesMap holds f(z) = sum_k a_k z^k on a disk of radius > 1,
 LaurentMap holds g(w) = b1 w + b0 + sum_k b_{-k} w^{-k} on |w| > 1.
-Differentiation is exact on coefficients. Evaluation is Horner at
-scattered points, where a value, a jet (the value with its first
-derivatives) or one derivative takes one pass of one kernel
-(_taylor_horner; on at most 512 points it runs over blocks of the
-coefficients, _taylor_blocked, in about (2 upto + 5) sqrt(K) numpy calls
-for K coefficients), and FFT on rings: at the points r e^{2 pi i j/n}, uniform
-in angle, a jet is one length-n FFT per radius and derivative (ring_jet),
-and a value one FFT (ring_values). Every evaluation of a map at n uniform
-angles takes the ring path. Integrals of |analytic|^2 against a radial
-weight over the parameter domain are coefficient sums from one FFT of
-boundary samples (area_norm).
+Differentiation is exact on coefficients: a jet (the value with its first
+derivatives) is the values of the rows of one matrix (_derivatives), row m
+the coefficients of p^(m), so each evaluator computes values only. At
+scattered points (_taylor_horner) that is Horner: at most 512 points take
+_horner_blocked, one pass over blocks of ceil(sqrt(K)) of the K
+coefficients of every row and one over the blocks, about 4 sqrt(K) numpy
+calls; more points take one in-cache pass per row. At the points
+r e^{2 pi i j/n}, uniform in angle, it is one length-n FFT per radius and
+row (ring_jet; a value alone, ring_values). Every evaluation of a map at n
+uniform angles takes the ring path. Integrals of |analytic|^2 against a
+radial weight over the parameter domain are coefficient sums from one FFT
+of boundary samples (area_norm).
 """
 
 import functools
@@ -37,58 +38,59 @@ def _as_coeffs(c):
     return a
 
 
+def _derivatives(c, upto):
+    """The coefficients of p, p', ..., p^(upto), p(x) = sum_k c[k] x^k, as
+    the rows of one matrix: row m holds k(k-1)...(k-m+1) c[k] at k - m,
+    zero-padded to c.size."""
+    rows = np.zeros((upto + 1, c.size), dtype=complex)
+    rows[0] = c
+    for m in range(1, upto + 1):
+        rows[m, :-1] = np.arange(1, c.size) * rows[m - 1, 1:]
+    return rows
+
+
 def _taylor_horner(c, x, upto):
-    """p^(m)(x)/m! for m = 0..upto, p(x) = sum_k c[k] x^k, from one Horner
-    pass that updates the upto + 1 accumulators in place, over blocks of
-    points small enough to stay in cache. At most _BLOCKED_POINTS points
-    take _taylor_blocked instead. A scalar x gives scalars."""
+    """(p, p', ..., p^(upto)) at x, p(x) = sum_k c[k] x^k: the values of the
+    rows of _derivatives(c, upto). At most _BLOCKED_POINTS points take
+    _horner_blocked; more take one Horner pass per row, updating its values
+    in place over blocks of points small enough to stay in cache. A scalar
+    x gives scalars."""
     x = np.asarray(x, dtype=complex)
     flat = x.ravel()
+    rows = _derivatives(c, upto)
     if flat.size <= _BLOCKED_POINTS:
-        acc = _taylor_blocked(c, flat, upto)
-        return tuple(a.reshape(x.shape)[()] for a in acc)
-    acc = np.zeros((upto + 1, flat.size), dtype=complex)
-    for lo in range(0, flat.size, _HORNER_BLOCK):
-        xb = flat[lo:lo + _HORNER_BLOCK]
-        d = list(acc[:, lo:lo + _HORNER_BLOCK])  # row views, updated in place
-        for ck in c[::-1]:
-            for m in range(upto, 0, -1):
-                d[m] *= xb
-                d[m] += d[m - 1]
-            d[0] *= xb
-            d[0] += ck
+        acc = _horner_blocked(rows, flat)
+    else:
+        acc = np.zeros((upto + 1, flat.size), dtype=complex)
+        for lo in range(0, flat.size, _HORNER_BLOCK):
+            xb = flat[lo:lo + _HORNER_BLOCK]
+            for row, a in zip(rows, acc[:, lo:lo + _HORNER_BLOCK]):
+                for ck in row[::-1]:
+                    a *= xb
+                    a += ck
     return tuple(a.reshape(x.shape)[()] for a in acc)
 
 
-def _taylor_blocked(c, x, upto):
-    """_taylor_horner's rows at the points x, from blocks of b = ceil(sqrt(K))
-    of the K coefficients: p(x) = sum_j y^j q_j(x) with y = x^b. One Horner
-    pass over the b coefficients of the blocks steps the Taylor rows
-    q_j^(m)(x)/m! of every block and derivative at once, and those of a last
-    row x^(b-1), whose one more step is y's. A second Horner pass, over the
-    blocks, multiplies truncated Taylor series in y. About (2 upto + 5)
-    sqrt(K) numpy calls, where the point loop takes 2 (upto + 1) K."""
-    size = max(c.size, 1)
+def _horner_blocked(rows, x):
+    """The value of every row's polynomial at the points x, from blocks of
+    b = ceil(sqrt(K)) of the K coefficients: p(x) = sum_j y^j q_j(x) with
+    y = x^b. One Horner pass over the b coefficients of the blocks steps
+    every block of every row at once, and a second, over the blocks, runs
+    in y. About 4 sqrt(K) numpy calls, where the point loop takes 2 K per
+    row."""
+    size = rows.shape[1]
     b = math.isqrt(size - 1) + 1
-    rows = np.zeros(b * (-(-size // b) + 1), dtype=complex)
-    rows[:c.size] = c
-    rows[-1] = 1.0
-    rows = rows.reshape(-1, b)
-    q = np.zeros((upto + 1, rows.shape[0], x.size), dtype=complex)
-    step = np.empty_like(q)
-    for ck in rows.T[::-1, :, None]:
-        np.multiply(q, x, out=step)  # q[m] <- x q[m] + q[m - 1], q[0] + ck
-        step[1:] += q[:-1]
-        step[0] += ck
-        q, step = step, q
-    y = q[:, -1] * x  # y[a] = C(b, a) x^(b - a)
-    y[1:] += q[:-1, -1]
-    acc = q[:, -2]
-    for qj in q.transpose(1, 0, 2)[-3::-1]:
-        new = acc * y[0] + qj  # acc y + qj, truncated after e^upto
-        for a in range(1, upto + 1):
-            new[a:] += y[a] * acc[:-a]
-        acc = new
+    blocks = np.zeros((rows.shape[0], b * -(-size // b)), dtype=complex)
+    blocks[:, :size] = rows
+    blocks = blocks.reshape(rows.shape[0], -1, b)
+    q = np.zeros(blocks.shape[:2] + (x.size,), dtype=complex)
+    for ck in blocks.transpose(2, 0, 1)[::-1, :, :, None]:
+        q *= x
+        q += ck
+    y = x ** b
+    acc = q[:, -1]
+    for qj in q.transpose(1, 0, 2)[-2::-1]:
+        acc = acc * y + qj
     return acc
 
 
@@ -119,9 +121,7 @@ class PowerSeriesMap:
 
     def jet(self, z, upto=3):
         """Values (f, f', f'', f''') at z, truncated to ``upto`` derivatives."""
-        d = _taylor_horner(self.coeffs, z, upto)
-        return tuple(dm * math.factorial(m) if m > 1 else dm
-                     for m, dm in enumerate(d))
+        return _taylor_horner(self.coeffs, z, upto)
 
     def is_normalized_map(self):
         return self.coeffs.size >= 2 and self.coeffs[1] != 0
@@ -169,22 +169,18 @@ class LaurentMap:
         if np.any(np.abs(w) < 1 - 1e-12):
             raise DomainError("LaurentMap is defined on |w| >= 1")
         u = 1.0 / w
-        # h = u p with p(u) = sum_k b_{-k} u^(k-1): d[m] = h^(m)/m! is
-        # e[m-1] + u e[m] for e[m] = p^(m)/m!
-        e = _taylor_horner(self.bneg, u, upto)
-        d = [u * e[0]] + [e[m - 1] + u * e[m] for m in range(1, upto + 1)]
-        return self._chain(w, u, d)
+        return self._chain(w, u, _taylor_horner(np.r_[0, self.bneg], u, upto))
 
     def _chain(self, w, u, d):
-        """(g, g', ...) at w = 1/u from d[m] = h^(m)(u)/m!, m < len(d)."""
+        """(g, g', ...) at w = 1/u from d[m] = h^(m)(u), m < len(d)."""
         out = [self.b1 * w + self.b0 + d[0]]
         if len(d) > 1:
             u2 = u * u
             out.append(self.b1 - u2 * d[1])
         if len(d) > 2:
-            out.append(2.0 * u2 * u * (d[1] + u * d[2]))
+            out.append(u2 * u * (2.0 * d[1] + u * d[2]))
         if len(d) > 3:
-            out.append(-6.0 * u2 * u2 * (d[1] + u * (2.0 * d[2] + u * d[3])))
+            out.append(-u2 * u2 * (6.0 * (d[1] + u * d[2]) + u2 * d[3]))
         return tuple(out)
 
     def scaled(self, c):
@@ -224,18 +220,16 @@ def _fold_fft(terms, n, sign):
 
 
 def _ring_taylor(c, radii, n, sign, upto):
-    """p^(m)(x)/m! for m = 0..upto, p(x) = sum_k c[k] x^k, at the points
+    """(p, p', ..., p^(upto)), p(x) = sum_k c[k] x^k, at the points
     x = r e^{sign 2 pi i j/n}, j < n, of every radius r: arrays of shape
-    radii.shape + (n,). At one radius p^(m)(x)/m! is
-    sum_k C(k, m) c[k] r^(k-m) e^{sign 2 pi i j (k-m)/n}, one length-n DFT of
-    these terms folded onto (k - m) mod n."""
-    powers = np.asarray(radii, dtype=float)[..., None] ** np.arange(c.size)
-    out = []
-    for m in range(upto + 1):
-        k = np.arange(m, c.size)
-        comb = np.prod([k - i for i in range(m)], axis=0) / math.factorial(m)
-        out.append(_fold_fft(powers[..., :k.size] * (comb * c[m:]), n, sign))
-    return out
+    radii.shape + (n,). With d[m] the rows of _derivatives(c, upto),
+    p^(m)(x) is sum_k d[m, k] r^k e^{sign 2 pi i j k/n}: one length-n DFT
+    of every row's terms at every radius, folded onto k mod n."""
+    radii = np.asarray(radii, dtype=float)
+    rows = _derivatives(c, upto).reshape(
+        (upto + 1,) + (1,) * radii.ndim + (c.size,))
+    return tuple(_fold_fft(radii[..., None] ** np.arange(c.size) * rows,
+                           n, sign))
 
 
 def ring_values(c, radii, n):
@@ -256,12 +250,9 @@ def ring_jet(m, radii, n, upto=3):
             raise DomainError("LaurentMap is defined on |w| >= 1")
         w = radii[..., None] * np.exp(2j * np.pi * np.arange(n) / n)
         # h(u) = sum_k b_{-k} u^k at u = 1/w = r^-1 e^{-2 pi i j/n}
-        h = np.concatenate([[0.0], m.bneg])
-        return m._chain(w, 1.0 / w,
-                        _ring_taylor(h, 1.0 / radii, n, -1, upto))
-    d = _ring_taylor(m.coeffs, radii, n, 1, upto)
-    return tuple(dm * math.factorial(k) if k > 1 else dm
-                 for k, dm in enumerate(d))
+        return m._chain(w, 1.0 / w, _ring_taylor(np.r_[0, m.bneg],
+                                                  1.0 / radii, n, -1, upto))
+    return _ring_taylor(m.coeffs, radii, n, 1, upto)
 
 
 def nonlinearity_of(jet):

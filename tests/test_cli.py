@@ -310,6 +310,10 @@ def test_malformed_curve_json_is_input_error(tmp_path):
     '{"series": 5}',
     '{"series": [[0, 0], [1, 0], [null, 0]]}',
     '{"series": [[0, 0], [1e400, 0]]}',           # parses as inf
+    '{"series": [[false, false], [true, false], [0.05, 0]]}',
+    # both entries, each a curve on its own
+    '{"series": [[0, 0], [1, 0], [0.05, 0]], "points": [[1, 0], [1, 1],'
+    ' [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]]}',
     '{"points": [[1, 0], [0, 1], [-1, 0], [0, -1e400]]}',
     # seven vertices and the closing copy of the first
     '{"points": [[2, 0], [1, 1], [0, 1], [-1, 0], [0, -1], [1, -1], [2, -0.5],'

@@ -483,17 +483,17 @@ def _exterior_solve_passes(monkeypatch, curve):
 def test_series_exterior_solve_takes_one_jet_per_iteration(monkeypatch):
     # each correspondence iteration evaluates f by one jet and the fit
     # reuses the last; the certification on the welding takes one value
-    # pass of f, and the polar radius is never built. The circle's start is
-    # the uniform grid, so its one coarse iteration is a ring FFT; the
-    # working grid starts from the resampled coarse welding and takes one
-    # iteration, by one jet
+    # pass of f, and the polar radius is never built. The circle's lookup
+    # start is its welding to rounding, so its coarse level takes one
+    # iteration, and the working grid, started from the resampled coarse
+    # welding, one more: one jet each
     star = polynomial_curve(0.0, 0.0, 0.0, 0.08)
     passes, iterations, certification = _exterior_solve_passes(
         monkeypatch, star)
     assert 0 < passes <= iterations and certification == 1
     passes, iterations, certification = _exterior_solve_passes(
         monkeypatch, circle_curve())
-    assert passes == 1 and iterations == 2 and certification == 1
+    assert passes == 2 and iterations == 2 and certification == 1
 
 
 def test_welding_certification_catches_an_off_curve_map(monkeypatch):

@@ -400,15 +400,16 @@ def test_solver_and_flow_sites_match_horner(name, monkeypatch):
 
 
 def _horner_loop(c, x, upto):
-    # the point loop, one coefficient and derivative at a time: the
-    # reference for the blocked evaluation of small point sets
+    # the point loop, one coefficient and derivative at a time, steps the
+    # Taylor rows p^(m)/m!: the reference for the blocked evaluation of
+    # small point sets is m! times them
     x = np.asarray(x, dtype=complex).ravel()
     d = [np.zeros(x.size, dtype=complex) for _ in range(upto + 1)]
     for ck in c[::-1]:
         for m in range(upto, 0, -1):
             d[m] = d[m] * x + d[m - 1]
         d[0] = d[0] * x + ck
-    return d
+    return [math.factorial(m) * dm for m, dm in enumerate(d)]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 15, 16, 17, 85, 128, 511,
@@ -433,3 +434,87 @@ def test_blocked_horner_matches_the_point_loop(order, points):
     assert all(abs(v - r[0]) <= 1e-14 * s[0] for v, r, s in
                zip(got, _horner_loop(c, x[0], 3),
                    _horner_loop(np.abs(c), abs(x[0]), 3)))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 15, 16, 17, 85, 128, 511,
+                                   2048])
+def test_derivative_rows_are_polyder(rng, order):
+    # row m holds the coefficients of p^(m), zero-padded to the size of p,
+    # and is zero from m = order + 1 on
+    c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+    for upto in range(4):
+        rows = series_module._derivatives(c, upto)
+        assert rows.shape == (upto + 1, c.size)
+        for m in range(upto + 1):
+            ref = np.zeros(c.size, dtype=complex)
+            if m <= order:
+                ref[:c.size - m] = npoly.polyder(c, m)
+            assert np.all(np.abs(rows[m] - ref) <= 4e-16 * np.abs(ref))
+
+
+def _inside_jet(c, z):
+    """(p^(m)(z), the sum of the moduli of its terms) for m = 0..3, by
+    polyval of polyder in extended precision."""
+    z = np.asarray(z, dtype=np.clongdouble)
+    out = []
+    for m in range(4):
+        d = npoly.polyder(c, m)
+        out.append((npoly.polyval(z, d), npoly.polyval(np.abs(z), np.abs(d))))
+    return out
+
+
+_JET_ORDERS = [1, 2, 3, 4, 15, 16, 17, 85, 128, 511, 2048]
+
+
+@pytest.mark.parametrize("order", _JET_ORDERS)
+@pytest.mark.parametrize("points", [1, 63, 512, 513])
+def test_jets_match_polyder_inside_and_term_sums_outside(order, points):
+    # the jets of both map types, on either side of _BLOCKED_POINTS and at a
+    # scalar, to 1e-14 of the sum of the moduli of each derivative's terms;
+    # outside the reference is g, g', g'', g''' summed term by term in w
+    rng = np.random.default_rng(order * 1000 + points)
+    c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+    f = PowerSeriesMap(c)
+    g = LaurentMap(1.3 - 0.2j, 0.1j, c[1:])
+    x = np.sqrt(rng.uniform(size=points)) * np.exp(
+        2j * np.pi * rng.uniform(size=points))
+    x[0] = np.exp(0.7j)
+    # the jet outside evaluates at u = 1/w rounded, which moves a term of
+    # order k by up to k ulps: the references are taken at 1/u
+    w = 1 / x
+    at = 1 / (1 / w).astype(np.clongdouble)
+    for m, pts, refs in ((f, x, _inside_jet(c, x)),
+                         (g, w, [_laurent_closed_form(g, at, d)
+                                 for d in range(4)])):
+        for upto in range(4):
+            jet = m.jet(pts, upto=upto)
+            assert len(jet) == upto + 1
+            for v, (ref, scale) in zip(jet, refs):
+                assert np.all(np.abs(v - ref) <= 1e-14 * scale)
+        first = m.jet(complex(pts[0]), upto=3)
+        assert all(np.ndim(v) == 0 for v in first)
+        assert all(abs(v - ref[0]) <= 1e-14 * scale[0]
+                   for v, (ref, scale) in zip(first, refs))
+
+
+@pytest.mark.parametrize("order", _JET_ORDERS)
+def test_ring_jets_match_polyder_inside_and_term_sums_outside(order):
+    # at the exact ring points r e^{2 pi i j/n}, taken in extended precision
+    # for the references; order >= n folds the terms onto k mod n
+    rng = np.random.default_rng(order)
+    c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+    f = PowerSeriesMap(c)
+    g = LaurentMap(1.3 - 0.2j, 0.1j, c[1:])
+    n = 128
+    roots = np.exp(2j * (4 * np.arctan(np.longdouble(1)))
+                   * np.arange(n, dtype=np.longdouble) / n)
+    inside = np.array([0.0, 0.5, 0.9, 1.0])
+    outside = np.array([1.0, 1.1, 2.0, 1e3])
+    for m, radii in ((f, inside), (g, outside)):
+        pts = radii[:, None] * roots
+        refs = (_inside_jet(c, pts) if m is f else
+                [_laurent_closed_form(g, pts, d) for d in range(4)])
+        jet = ring_jet(m, radii, n)
+        for v, (ref, scale) in zip(jet, refs):
+            assert v.shape == (radii.size, n)
+            assert np.all(np.abs(v - ref) <= 1e-14 * scale)
