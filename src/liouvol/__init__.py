@@ -13,7 +13,7 @@ from .flow import (BeltramiField, FlowState, beltrami_step,
                    wp_path_length)
 from .mapping import conformal_map_pair, exterior_map, interior_map, welding
 from .meshing import (SurfaceMesh, aligned_surface_meshes, mesh_surface,
-                      surface_separation, write_obj, write_vertex_csv)
+                      surface_separation)
 from .quadrature import QuadratureGrid
 from .series import (LaurentMap, PowerSeriesMap, area_norm, nonlinearity,
                      nonlinearity_of, schwarzian, schwarzian_of)

@@ -10,6 +10,7 @@ success, 1 input error (usage errors included), 2 numerical contract failure.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -25,8 +26,7 @@ from .curves import CurveSpec
 from .errors import ContractError, InputError
 from .flow import gradient_ratio_min, run_flow, wp_path_length
 from .mapping import conformal_map_pair
-from .meshing import (mesh_surface, surface_separation, write_obj,
-                      write_vertex_csv)
+from .meshing import mesh_surface, surface_separation
 from .series import circle_samples, coefficient_sum, nonlinearity_of
 from .volume import renormalized_volume
 
@@ -40,6 +40,10 @@ GRUNSKY_FLOOR = 1e-13
 # verify-identity passes when |S - 4 V_R| <= tol |S| + IDENTITY_FLOOR: the
 # floor is for the circle, where both sides are 0
 IDENTITY_FLOOR = 1e-12
+# surface_<side>.csv: parameter point, vertex, unit normal, curvature
+VERTEX_COLUMNS = ("z_re", "z_im", "Z_re", "Z_im", "xi", "eta_x", "eta_y",
+                  "eta_up", "schwarzian_norm", "k_plus", "k_minus", "H",
+                  "mean_density")
 
 
 @dataclass
@@ -85,7 +89,8 @@ class RunConfig:
 
 
 class ArtifactWriter:
-    """Deterministic JSON/CSV output plus a hash manifest."""
+    """Every output file (JSON, CSV, OBJ; each float as its repr, which
+    reads back to the same value) plus a hash manifest of the bytes."""
 
     def __init__(self, out_dir, config):
         self.out_dir = Path(out_dir)
@@ -93,30 +98,34 @@ class ArtifactWriter:
         self.config = config
         self.files = {}
 
-    def _register(self, path):
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.files[Path(path).name] = digest
-
-    def write_json(self, name, payload):
+    def _write(self, name, lines):
+        data = ("\n".join(lines) + "\n").encode()
         path = self.out_dir / name
-        body = {"config_hash": self.config.config_hash(), **payload}
-        path.write_text(json.dumps(body, sort_keys=True, indent=2,
-                                   allow_nan=True) + "\n")
-        self._register(path)
+        path.write_bytes(data)
+        self.files[name] = hashlib.sha256(data).hexdigest()
         return path
 
+    def write_json(self, name, payload):
+        body = {"config_hash": self.config.config_hash(), **payload}
+        return self._write(name, [json.dumps(body, sort_keys=True, indent=2)])
+
     def write_csv(self, name, header, rows):
-        path = self.out_dir / name
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(str(v) if isinstance(v, (int, np.integer))
                                   else repr(float(v)) for v in row))
-        path.write_text("\n".join(lines) + "\n")
-        self._register(path)
-        return path
+        return self._write(name, lines)
 
-    def register_external(self, path):
-        self._register(path)
+    def write_obj(self, name, mesh, comment):
+        """A mesh as OBJ, y-up: file coordinates are (x, xi, y). Faces index
+        the vertex normals too."""
+        lines = [f"# {comment}"]
+        for tag, rows in (("v", mesh.vertices), ("vn", mesh.eta)):
+            lines += [f"{tag} {x!r} {up!r} {y!r}"
+                      for x, y, up in rows.tolist()]
+        lines += ["f {0}//{0} {1}//{1} {2}//{2}".format(*tri)
+                  for tri in (mesh.faces + 1).tolist()]
+        return self._write(name, lines)
 
     def finish(self):
         manifest = {
@@ -125,9 +134,8 @@ class ArtifactWriter:
             "config_hash": self.config.config_hash(),
             "outputs": self.files,
         }
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        return path
+        return self._write("manifest.json",
+                           [json.dumps(manifest, sort_keys=True, indent=2)])
 
 
 def load_curve(spec):
@@ -171,14 +179,10 @@ def cmd_grunsky(config, writer, f, g):
 def write_sheets(writer, name, f, g, *mesh_args):
     """Mesh both envelope sheets with mesh_surface(map, *mesh_args) and write
     them as name_in.obj and name_out.obj. Returns the two meshes."""
-    meshes = []
-    for side, fmap in (("in", f), ("out", g)):
-        mesh = mesh_surface(fmap, *mesh_args)
-        obj = writer.out_dir / f"{name}_{side}.obj"
-        write_obj(obj, mesh.vertices, mesh.faces, mesh.eta,
-                  comment=f"{name}_{side} {writer.config.config_hash()}")
-        writer.register_external(obj)
-        meshes.append(mesh)
+    meshes = mesh_surface(f, *mesh_args), mesh_surface(g, *mesh_args)
+    for side, mesh in zip(("in", "out"), meshes):
+        writer.write_obj(f"{name}_{side}.obj", mesh,
+                         f"{name}_{side} {writer.config.config_hash()}")
     return meshes
 
 
@@ -187,9 +191,9 @@ def cmd_surface(config, writer, f, g):
     mesh_in, mesh_out = write_sheets(writer, "surface", f, g,
                                      rn, an, config.r_max)
     for side, mesh in (("in", mesh_in), ("out", mesh_out)):
-        csv = writer.out_dir / f"surface_{side}.csv"
-        write_vertex_csv(csv, mesh)
-        writer.register_external(csv)
+        rows = np.column_stack([mesh.source.real, mesh.source.imag,
+                                mesh.vertices, mesh.eta, mesh.curvature])
+        writer.write_csv(f"surface_{side}.csv", VERTEX_COLUMNS, rows)
     # innermost parameter radius from which the outer annulus stays an
     # immersion (Schwarzian norm below 1) on the sampled grid
     norm_in = mesh_in.curvature[:, 0]
@@ -203,7 +207,7 @@ def cmd_surface(config, writer, f, g):
     writer.write_json("surface.json", {
         "separation": surface_separation(mesh_in, mesh_out),
         "max_schwarzian_norm_in": float(np.max(norm_in)),
-        "max_schwarzian_norm_out": float(np.max(mesh_out.curvature[1:, 0])),
+        "max_schwarzian_norm_out": float(np.max(mesh_out.curvature[:, 0])),
         "immersed_annulus_from_radius": immersed_from,
         "vertices_per_sheet": int(mesh_in.n_vertices),
     })
@@ -288,25 +292,22 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def build_parser():
-    return _parser(COMMANDS)
-
-
-def _parser(names):
-    """The parser with the subcommands ``names`` only."""
+@functools.cache
+def _parser():
+    """The parser of every subcommand, built once, on first use."""
     parser = _Parser(
         prog="liouvol",
         description="Liouville action, envelope surfaces and renormalized "
                     "volume of Jordan curves")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
+    for name, (_, flags) in COMMANDS.items():
         # flags left unset stay off the namespace, so RunConfig fills them
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--curve", required=True,
                        help="bundled fixture name or curve JSON path")
         p.add_argument("--out", help="output directory")
-        for flag in COMMANDS[name][1]:
+        for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
     return parser
 
@@ -328,11 +329,8 @@ def run(config):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a named command needs only its subparser; any other argv gets them all
-    names = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
     try:
-        args = _parser(names).parse_args(argv)
+        args = _parser().parse_args(argv)
         return run(RunConfig(**vars(args)).validate())
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -97,17 +97,18 @@ def curvature_columns(fmap, source):
     an envelope sheet at its parameter points ``source``.
 
     A Laurent sheet's apex (the point at infinity, source[0]) takes the
-    limit norm 1.5 |b_-1 / b1| and zero density. The density is formed on
-    the map scaled exactly by c = unit_scale(fmap) and multiplied by c^2
-    once: correctly rounded wherever it is a float, 0 or inf beyond.
+    limit norm 1.5 |b_-1 / b1| and zero density. Both come from one 3-jet
+    of the map scaled exactly by c = unit_scale(fmap): the Schwarzian does
+    not change under scaling, and the density is multiplied by c^2 once,
+    correctly rounded wherever it is a float, 0 or inf beyond.
     """
     source = np.asarray(source, dtype=complex)
     laurent = isinstance(fmap, LaurentMap)
     z = source[1:] if laurent else source
     c = unit_scale(fmap)
-    t = schwarzian_norm(fmap, z)
-    d1 = fmap.scaled(c).jet(z, upto=1)[1]
-    rho = 4.0 / ((1.0 - np.abs(z) ** 2) ** 2 * np.abs(d1) ** 2)
+    jet, w = fmap.scaled(c).jet(z, upto=3), (1.0 - np.abs(z) ** 2) ** 2
+    t = np.abs(schwarzian_of(jet)) * w / 4.0
+    rho = 4.0 / (w * np.abs(jet[1]) ** 2)
     if laurent:
         apex = 1.5 * abs(fmap.bneg[0] / fmap.b1) if fmap.order else 0.0
         t = np.concatenate([[apex], t])

@@ -1,10 +1,11 @@
-"""Structured triangle meshes of the envelope surfaces, plus OBJ/CSV export.
+"""Structured triangle meshes of the envelope surfaces and their separation:
+geometry only; the CLI writes them out.
 
 Meshes are built over polar parameter grids (radial rings x angular rays).
 Faces are oriented so their Euclidean cross-product normal agrees with the
 frame normal eta. The outermost ring of each mesh limits onto the curve.
-A mesh carries geometry only; the curvature columns of the CSV export are
-computed from its map on first use.
+A mesh carries its geometry and its map; its curvature columns are computed
+from the map on first use.
 """
 
 import math
@@ -17,8 +18,6 @@ from .epstein import _frame_fields, curvature_columns
 from .errors import DomainError
 from .mapping import welding
 from .series import LaurentMap, unit_scale
-
-FLOAT_FMT = "%.17g"
 
 
 @dataclass(eq=False)
@@ -259,39 +258,3 @@ def surface_separation(mesh_in, mesh_out):
     d1 = _one_sided_separation(mesh_in, mesh_out, c)
     d2 = _one_sided_separation(mesh_out, mesh_in, c)
     return float(min(d1.min(), d2.min())) / c
-
-
-# -- export -------------------------------------------------------------------
-
-def write_obj(path, vertices, faces, normals, comment=None):
-    """OBJ export, y-up: file coordinates are (x, xi, y). Faces index the
-    vertex normals too."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    for v in vertices:
-        lines.append("v " + " ".join(
-            FLOAT_FMT % c for c in (v[0], v[2], v[1])))
-    for n in normals:
-        lines.append("vn " + " ".join(
-            FLOAT_FMT % c for c in (n[0], n[2], n[1])))
-    for tri in faces:
-        a, b, c = (int(x) + 1 for x in tri)
-        lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_vertex_csv(path, mesh):
-    cols = ["z_re", "z_im", "Z_re", "Z_im", "xi", "eta_x", "eta_y", "eta_up",
-            "schwarzian_norm", "k_plus", "k_minus", "H", "mean_density"]
-    rows = np.column_stack([
-        mesh.source.real, mesh.source.imag,
-        mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2],
-        mesh.eta[:, 0], mesh.eta[:, 1], mesh.eta[:, 2],
-        mesh.curvature,
-    ])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")

@@ -10,10 +10,13 @@ _horner_blocked, one pass over blocks of ceil(sqrt(K)) of the K
 coefficients of every row and one over the blocks, about 4 sqrt(K) numpy
 calls; more points take one in-cache pass per row. At the points
 r e^{2 pi i j/n}, uniform in angle, it is one length-n FFT per radius and
-row (ring_jet; a value alone, ring_values). Every evaluation of a map at n
-uniform angles takes the ring path. Integrals of |analytic|^2 against a
-radial weight over the parameter domain are coefficient sums from one FFT
-of boundary samples (area_norm).
+row (ring_jet; a value alone, ring_values), taken only where a caller
+names it: circle_samples, volume's flux rings, the flow's displacement, the
+solvers' boundary checks. Points passed as an array take Horner whatever
+their layout, as mesh_surface's polar grid and rim points do (through
+epstein._frame_fields). Integrals of |analytic|^2 against a radial weight
+over the parameter domain are coefficient sums from one FFT of boundary
+samples (area_norm).
 """
 
 import functools

@@ -1105,7 +1105,8 @@ def curvatures(f, zeta):
 # -- OBJ reader --------------------------------------------------------------
 
 def load_obj(path):
-    """Read back vertices, normals and faces written by write_obj."""
+    """Read back vertices, normals and faces written by
+    ArtifactWriter.write_obj."""
     verts, norms, faces = [], [], []
     with open(path) as fh:
         for line in fh:

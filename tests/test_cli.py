@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -14,7 +15,7 @@ import pytest
 
 import liouvol
 from liouvol import cli, meshing
-from liouvol.cli import build_parser, main
+from liouvol.cli import main
 
 
 def run_cli(*args):
@@ -405,29 +406,20 @@ def test_help_lists_every_command(capsys):
     assert all(name in out for name in cli.COMMANDS)
 
 
-@pytest.mark.parametrize("args, built", [
-    (("action", "--curve", "circle", "--steps", "3"), ["action"]),
-    (("verify-identity", "--curve", "circle", "--tol", "x"),
-     ["verify-identity"]),
-    (("--help",), list(cli.COMMANDS)),
-    ((), list(cli.COMMANDS)),
-    (("bogus", "--curve", "circle"), list(cli.COMMANDS)),
+@pytest.mark.parametrize("args", [
+    ("action", "--curve", "circle", "--steps", "3"),
+    ("verify-identity", "--curve", "circle", "--tol", "x"),
+    ("--help",),
+    (),
+    ("bogus", "--curve", "circle"),
 ])
-def test_a_named_command_builds_only_its_parser(monkeypatch, args, built):
-    # usage errors stay exit code 1 whichever parsers were built
-    seen = []
-
-    def parser(names):
-        seen.append(list(names))
-        return make(names)
-
-    make = cli._parser
-    monkeypatch.setattr(cli, "_parser", parser)
+def test_usage_errors_exit_1_and_help_exits_0(args):
+    # one parser, built once, answers every argv: a usage error is an input
+    # error (exit 1), and --help exits 0
     try:
         assert run_cli(*args) == 1
     except SystemExit as exc:
         assert args == ("--help",) and exc.code == 0
-    assert seen == [built]
 
 
 def test_verify_identity_takes_each_maps_circle_jet_once(tmp_path,
@@ -484,7 +476,7 @@ def test_subcommands_take_only_their_flags():
         "verify-identity": {"--tol"},
         "flow": {"--steps", "--obj-every"},
     }
-    parser = build_parser()
+    parser = cli._parser()
     sub, = (a for a in parser._actions
             if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == set(table)
@@ -539,6 +531,36 @@ def test_manifest_lists_all_outputs(tmp_path):
         import hashlib
         assert hashlib.sha256(
             (tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", [
+    ("surface", "--mesh", "16x24"),
+    ("flow", "--steps", "4", "--obj-every", "2"),
+])
+def test_manifest_hashes_the_files_on_disk(tmp_path, args):
+    # the writer hashes the bytes it writes; they are the file's bytes
+    assert run_cli(*args, "--curve", "wobble", "--out", str(tmp_path)) == 0
+    outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+    assert set(outputs) == {p.name for p in tmp_path.iterdir()} \
+        - {"manifest.json"}
+    assert any(name.endswith(".obj") for name in outputs)
+    for name, digest in outputs.items():
+        assert hashlib.sha256(
+            (tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("curve", ["ellipse", "cubic", "wobble"])
+def test_surface_reports_the_apex_norm(tmp_path, curve):
+    # the largest Schwarzian norm of the exterior sheet sits at its apex at
+    # infinity, 1.5 |b_-1 / b1|, and the report counts that row
+    assert run_cli("surface", "--curve", curve, "--out", str(tmp_path),
+                   "--mesh", "16x24") == 0
+    report = json.loads((tmp_path / "surface.json").read_text())
+    column = np.loadtxt(tmp_path / "surface_out.csv", delimiter=",",
+                        skiprows=1)[:, 8]
+    _, g = cli.conformal_map_pair(cli.load_curve(curve))
+    assert report["max_schwarzian_norm_out"] == column.max()
+    assert column.max() >= 1.5 * abs(g.bneg[0] / g.b1)
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -4,11 +4,11 @@ import pytest
 from oracles import boundary_samples, curvatures, load_obj
 
 import liouvol.epstein
+from liouvol.cli import ArtifactWriter, RunConfig, cmd_surface
 from liouvol.epstein import _frame_fields, schwarzian_norm
 from liouvol.errors import DomainError
 from liouvol.meshing import (_exterior_apex, aligned_surface_meshes,
-                             mesh_surface, surface_separation, write_obj,
-                             write_vertex_csv)
+                             mesh_surface, surface_separation)
 from liouvol.series import LaurentMap, PowerSeriesMap
 
 
@@ -75,11 +75,14 @@ def test_ring_heights_bracketed_by_distance(cubic_maps, cubic):
     assert np.all(xi <= 4 * d + 1e-12)
 
 
+def _writer(tmp_path, **flags):
+    return ArtifactWriter(tmp_path, RunConfig("surface", "sheet", **flags))
+
+
 def test_obj_roundtrip_bit_exact(tmp_path):
     f = PowerSeriesMap([0, 1, 0.05, 0.01j])
     mesh = mesh_surface(f, 12, 16)
-    path = tmp_path / "sheet.obj"
-    write_obj(path, mesh.vertices, mesh.faces, mesh.eta, comment="roundtrip")
+    path = _writer(tmp_path).write_obj("sheet.obj", mesh, "roundtrip")
     verts, norms, faces = load_obj(path)
     assert np.array_equal(verts, mesh.vertices)
     assert np.array_equal(norms, mesh.eta)
@@ -87,26 +90,32 @@ def test_obj_roundtrip_bit_exact(tmp_path):
 
 
 def test_vertex_csv_export(tmp_path):
+    # surface writes each sheet's vertex table, which reads back to the
+    # mesh's arrays bit for bit
     f = PowerSeriesMap([0, 1, 0.05])
-    mesh = mesh_surface(f, 12, 16)
-    path = tmp_path / "sheet.csv"
-    write_vertex_csv(path, mesh)
-    rows = path.read_text().strip().split("\n")
-    assert len(rows) == 1 + mesh.n_vertices
-    assert rows[0].startswith("z_re,z_im,Z_re,Z_im,xi")
-    assert rows[0].endswith("schwarzian_norm,k_plus,k_minus,H,mean_density")
-    table = np.loadtxt(path, delimiter=",", skiprows=1)
-    for i in range(0, mesh.n_vertices, 17):
+    g = LaurentMap(1.0, 0.0, [0.05, 0.01j])
+    writer = _writer(tmp_path, mesh="12x16")
+    cmd_surface(writer.config, writer, f, g)
+    for side, fmap in (("in", f), ("out", g)):
+        mesh = mesh_surface(fmap, 12, 16)
+        path = tmp_path / f"surface_{side}.csv"
+        header = path.read_text().split("\n", 1)[0]
+        assert header.startswith("z_re,z_im,Z_re,Z_im,xi")
+        assert header.endswith("schwarzian_norm,k_plus,k_minus,H,mean_density")
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(table, np.column_stack(
+            [mesh.source.real, mesh.source.imag, mesh.vertices, mesh.eta,
+             mesh.curvature]))
+    table = np.loadtxt(tmp_path / "surface_in.csv", delimiter=",", skiprows=1)
+    for i in range(0, table.shape[0], 17):
         c = curvatures(f, complex(table[i, 0], table[i, 1]))
         expect = [c.schwarzian_norm, c.k_plus, c.k_minus, c.H, c.mean_density]
         assert np.allclose(table[i, 8:], expect, rtol=1e-12, atol=0)
 
     # exterior sheet: the apex row (omega = infinity) carries the limit norm
     # 1.5 |b_-1 / b1| and zero density
-    g = LaurentMap(1.0, 0.0, [0.05, 0.01j])
-    path = tmp_path / "sheet_out.csv"
-    write_vertex_csv(path, mesh_surface(g, 12, 16))
-    apex = np.loadtxt(path, delimiter=",", skiprows=1)[0]
+    apex = np.loadtxt(tmp_path / "surface_out.csv", delimiter=",",
+                      skiprows=1)[0]
     assert apex[8] == pytest.approx(0.075, rel=1e-15)
     assert apex[12] == 0.0
 
@@ -139,7 +148,7 @@ def test_aligned_meshes_never_evaluate_the_schwarzian(ellipse_maps,
     def fail(*args, **kwargs):
         raise AssertionError("schwarzian evaluated while meshing")
 
-    monkeypatch.setattr(liouvol.epstein, "schwarzian", fail)
+    monkeypatch.setattr(liouvol.epstein, "schwarzian_of", fail)
     f, g = ellipse_maps
     mi, mo = aligned_surface_meshes(f, g, n_ang=64, per_octave=4,
                                     interior_rings=8)
